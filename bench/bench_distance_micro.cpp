@@ -1,34 +1,17 @@
 // Rotation-invariant distance micro-bench: the vectorised doubled-buffer
-// kernel (timeseries::euclidean_rotation_invariant + _many) and the blocked
-// multi-query engine (euclidean_rotation_invariant_block +
-// rotation_match_top2_block) against the historical scalar scan
-// (euclidean_rotation_invariant_reference) on z-normalised random
-// signatures.
+// kernel (timeseries::euclidean_rotation_invariant) against the historical
+// scalar scan (euclidean_rotation_invariant_reference) on z-normalised
+// random signatures.
 //
-// This is the recognition hot spot at cohort scale: the exact-verify pass
-// runs streams x templates rotation scans per second, so the per-pair cost
-// here is the ceiling on multi-drone fps. The bench reports pairs/sec for
-// every implementation across signature lengths (the recogniser uses
-// n = 128) and enforces four gates, exiting non-zero on any failure (CI
-// treats each as a regression — the speedups are algorithmic, no extra
-// cores required, unlike the worker-scaling targets of the batch bench):
+// The bench reports pairs/sec for both implementations across signature
+// lengths (the recogniser uses n = 128) and enforces two gates, exiting
+// non-zero on either failure (CI treats both as regressions — the speedup
+// is algorithmic, no extra cores required):
 //
-//   identity    — every implementation agrees with the reference on best
-//                 shift and on distance within 1e-9; the blocked engine
-//                 must match the single kernel EXACTLY (same bits, same
-//                 shift) — that equality is its documented contract.
-//   >= 2x ref   — the single kernel beats the scalar scan 2x at n = 128.
-//   >= 2x single— the Q x T blocked engine beats per-pair single-kernel
-//                 calls 2x at n = 128 (the tentpole target: quantised
-//                 pre-filter + register blocking, not just vectorisation).
-//   many >= single — the one-query batch entry is never slower than
-//                 looping the single kernel at ANY measured n (guards the
-//                 regression BENCH_6 recorded).
-//
-// The crossover section times the engine's two bound-scan paths head to
-// head (forced kQuantized vs forced kFft) at long lengths and records the
-// measured series next to rotation_fft_crossover() — the shipped constant
-// is pinned by measurement, not asymptotics (docs/PERFORMANCE.md).
+//   identity  — every pair agrees with the reference on best shift and on
+//               distance within 1e-9, and the raw-series overload returns
+//               the same bits as the precomputed-template form.
+//   >= 2x ref — the kernel beats the scalar scan 2x at n = 128.
 //
 // Flags: --smoke (fewer reps/pairs for CI), --json PATH (per-PR artifact).
 #include <algorithm>
@@ -40,7 +23,6 @@
 
 #include "timeseries/distance.hpp"
 #include "timeseries/normalize.hpp"
-#include "timeseries/rotation_block.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -48,12 +30,7 @@
 namespace {
 
 using namespace hdc;
-using timeseries::RotationBlockScratch;
-using timeseries::RotationBlockStats;
-using timeseries::RotationMatch;
-using timeseries::RotationScanMode;
 using timeseries::RotationTemplate;
-using timeseries::RotationTopMatch;
 using timeseries::Series;
 
 Series random_signature(std::size_t n, std::uint64_t seed) {
@@ -69,23 +46,13 @@ struct CellResult {
   std::size_t queries{0};
   std::size_t templates{0};
   double reference_pairs_per_sec{0.0};
-  double single_pairs_per_sec{0.0};
-  double many_pairs_per_sec{0.0};
-  double block_pairs_per_sec{0.0};
-  double speedup_single{0.0};      ///< single kernel vs reference
-  double speedup_many{0.0};        ///< batch entry vs reference
-  double speedup_block{0.0};       ///< blocked engine vs single kernel
-  double prune_rate{0.0};          ///< top-2 templates pruned / pairs
-  double exact_shift_rate{0.0};    ///< float dot_n shifts / full-scan shifts
+  double kernel_pairs_per_sec{0.0};
+  double speedup{0.0};  ///< kernel vs reference
   bool identical{true};
 };
 
 CellResult run_cell(std::size_t n, std::size_t queries, std::size_t templates,
                     int reps) {
-  // Short-length cells are sub-millisecond per rep, which puts best-of-reps
-  // inside scheduler noise — exactly where the many >= single gate bites.
-  // Extra reps there are nearly free and keep the gate honest.
-  if (n <= 64) reps *= 3;
   CellResult cell;
   cell.n = n;
   cell.queries = queries;
@@ -104,13 +71,9 @@ CellResult run_cell(std::size_t n, std::size_t queries, std::size_t templates,
   template_set.back() = timeseries::rotate_left(query_set.front(), n / 3);
 
   std::vector<RotationTemplate> doubled;
-  std::vector<const RotationTemplate*> doubled_ptrs;
   for (const Series& t : template_set) {
     doubled.push_back(timeseries::make_rotation_template(t));
   }
-  for (const RotationTemplate& t : doubled) doubled_ptrs.push_back(&t);
-  std::vector<const Series*> query_ptrs;
-  for (const Series& q : query_set) query_ptrs.push_back(&q);
 
   const std::size_t pairs = queries * templates;
   std::vector<double> ref_distance(pairs), new_distance(pairs);
@@ -129,8 +92,9 @@ CellResult run_cell(std::size_t n, std::size_t queries, std::size_t templates,
     ref_seconds = std::min(ref_seconds, watch.elapsed_seconds());
   }
 
-  // Vectorised kernel, one pair per call (precomputed templates).
-  double single_seconds = 1e300;
+  // Vectorised kernel against precomputed templates (the SignDatabase
+  // exact-verify shape).
+  double kernel_seconds = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     util::Stopwatch watch;
     for (std::size_t q = 0; q < queries; ++q) {
@@ -139,132 +103,33 @@ CellResult run_cell(std::size_t n, std::size_t queries, std::size_t templates,
             query_set[q], doubled[t], &new_shift[q * templates + t]);
       }
     }
-    single_seconds = std::min(single_seconds, watch.elapsed_seconds());
+    kernel_seconds = std::min(kernel_seconds, watch.elapsed_seconds());
   }
 
-  // Vectorised kernel, batch entry point (the SignDatabase exact-verify
-  // shape: all templates against one query per call).
-  std::vector<RotationMatch> matches(templates);
-  double many_seconds = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::Stopwatch watch;
-    for (std::size_t q = 0; q < queries; ++q) {
-      timeseries::euclidean_rotation_invariant_many(query_set[q], doubled_ptrs.data(),
-                                                    templates, matches.data());
-    }
-    many_seconds = std::min(many_seconds, watch.elapsed_seconds());
-  }
-
-  // Blocked engine, the full Q x T block in one call (the micro-batched
-  // recognition shape: every in-flight frame against the whole database).
-  RotationBlockScratch scratch;
-  std::vector<RotationMatch> block(pairs);
-  double block_seconds = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::Stopwatch watch;
-    timeseries::euclidean_rotation_invariant_block(query_ptrs.data(), queries,
-                                                   doubled_ptrs.data(), templates,
-                                                   scratch, block.data());
-    block_seconds = std::min(block_seconds, watch.elapsed_seconds());
-  }
-
-  // Pre-filter effectiveness, measured not claimed: one top-2 pass (the
-  // SignDatabase ranking shape) with stats on.
-  RotationBlockStats stats;
-  std::vector<RotationTopMatch> top(queries);
-  timeseries::rotation_match_top2_block(query_ptrs.data(), queries,
-                                        doubled_ptrs.data(), templates, scratch,
-                                        top.data(), RotationScanMode::kAuto, &stats);
-  cell.prune_rate = static_cast<double>(stats.pruned_templates) /
-                    static_cast<double>(stats.pairs);
-  cell.exact_shift_rate = static_cast<double>(stats.exact_dot_shifts) /
-                          static_cast<double>(stats.total_shifts);
-
-  // Identity gate: same best shift, distance within 1e-9 of the reference,
-  // for the per-pair API and the batch API — and the blocked engine must
-  // equal the single kernel EXACTLY (bit-identical contract).
+  // Identity gate: same best shift, distance within 1e-9 of the reference;
+  // the raw-series overload must equal the template form bit for bit.
   for (std::size_t q = 0; cell.identical && q < queries; ++q) {
-    timeseries::euclidean_rotation_invariant_many(query_set[q], doubled_ptrs.data(),
-                                                  templates, matches.data());
     for (std::size_t t = 0; cell.identical && t < templates; ++t) {
       const std::size_t i = q * templates + t;
+      std::size_t series_shift = 0;
+      const double series_distance = timeseries::euclidean_rotation_invariant(
+          query_set[q], template_set[t], &series_shift);
       cell.identical = new_shift[i] == ref_shift[i] &&
                        std::abs(new_distance[i] - ref_distance[i]) <= 1e-9 &&
-                       matches[t].shift == ref_shift[i] &&
-                       std::abs(matches[t].distance - ref_distance[i]) <= 1e-9 &&
-                       block[i].distance == new_distance[i] &&
-                       block[i].shift == new_shift[i];
+                       series_distance == new_distance[i] &&
+                       series_shift == new_shift[i];
     }
   }
 
   const double pair_count = static_cast<double>(pairs);
   cell.reference_pairs_per_sec = pair_count / ref_seconds;
-  cell.single_pairs_per_sec = pair_count / single_seconds;
-  cell.many_pairs_per_sec = pair_count / many_seconds;
-  cell.block_pairs_per_sec = pair_count / block_seconds;
-  cell.speedup_single = ref_seconds / single_seconds;
-  cell.speedup_many = ref_seconds / many_seconds;
-  cell.speedup_block = single_seconds / block_seconds;
-  return cell;
-}
-
-/// Head-to-head of the engine's two bound-scan paths at one length: forced
-/// kQuantized vs forced kFft over the same small block. This is the series
-/// rotation_fft_crossover() is pinned against.
-struct CrossoverCell {
-  std::size_t n{0};
-  double quantized_pairs_per_sec{0.0};
-  double fft_pairs_per_sec{0.0};
-};
-
-CrossoverCell run_crossover_cell(std::size_t n, int reps) {
-  constexpr std::size_t kQueries = 2, kTemplates = 4;
-  CrossoverCell cell;
-  cell.n = n;
-  std::vector<Series> query_set, template_set;
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    query_set.push_back(random_signature(n, 6000 + q * 7919 + n));
-  }
-  for (std::size_t t = 0; t < kTemplates; ++t) {
-    template_set.push_back(random_signature(n, 7000 + t * 104729 + n));
-  }
-  std::vector<RotationTemplate> doubled(kTemplates);
-  std::vector<const RotationTemplate*> doubled_ptrs;
-  for (std::size_t t = 0; t < kTemplates; ++t) {
-    // Spectrum forced on so kFft is available below the shipped crossover.
-    timeseries::make_rotation_template_into(template_set[t], doubled[t],
-                                            /*with_spectrum=*/true);
-    doubled_ptrs.push_back(&doubled[t]);
-  }
-  std::vector<const Series*> query_ptrs;
-  for (const Series& q : query_set) query_ptrs.push_back(&q);
-
-  RotationBlockScratch scratch;
-  std::vector<RotationMatch> out(kQueries * kTemplates);
-  for (const RotationScanMode mode :
-       {RotationScanMode::kQuantized, RotationScanMode::kFft}) {
-    double seconds = 1e300;
-    for (int rep = 0; rep < reps; ++rep) {
-      util::Stopwatch watch;
-      timeseries::euclidean_rotation_invariant_block(query_ptrs.data(), kQueries,
-                                                     doubled_ptrs.data(), kTemplates,
-                                                     scratch, out.data(), mode);
-      seconds = std::min(seconds, watch.elapsed_seconds());
-    }
-    const double rate = static_cast<double>(kQueries * kTemplates) / seconds;
-    if (mode == RotationScanMode::kQuantized) {
-      cell.quantized_pairs_per_sec = rate;
-    } else {
-      cell.fft_pairs_per_sec = rate;
-    }
-  }
+  cell.kernel_pairs_per_sec = pair_count / kernel_seconds;
+  cell.speedup = ref_seconds / kernel_seconds;
   return cell;
 }
 
 void write_json(const std::string& path, const std::vector<CellResult>& cells,
-                const std::vector<CrossoverCell>& crossover, double speedup_at_128,
-                double block_speedup_at_128, bool target_met,
-                bool block_target_met, bool many_ge_single) {
+                double speedup_at_128, bool target_met) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "cannot open " << path << " for JSON output\n";
@@ -272,39 +137,18 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
   }
   out << "{\n  \"bench\": \"distance_micro\",\n"
       << "  \"kernel\": \"" << timeseries::rotation_kernel() << "\",\n"
-      << "  \"prefilter_kernel\": \"" << timeseries::rotation_prefilter_kernel()
-      << "\",\n"
-      << "  \"fft_crossover\": " << timeseries::rotation_fft_crossover() << ",\n"
       << "  \"speedup_at_128\": " << speedup_at_128 << ",\n"
-      << "  \"block_speedup_at_128\": " << block_speedup_at_128 << ",\n"
       << "  \"target_met\": " << (target_met ? "true" : "false") << ",\n"
-      << "  \"block_target_met\": " << (block_target_met ? "true" : "false")
-      << ",\n"
-      << "  \"many_ge_single\": " << (many_ge_single ? "true" : "false") << ",\n"
       << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellResult& c = cells[i];
     out << "    {\"n\": " << c.n << ", \"queries\": " << c.queries
         << ", \"templates\": " << c.templates
         << ", \"reference_pairs_per_sec\": " << c.reference_pairs_per_sec
-        << ", \"single_pairs_per_sec\": " << c.single_pairs_per_sec
-        << ", \"many_pairs_per_sec\": " << c.many_pairs_per_sec
-        << ", \"block_pairs_per_sec\": " << c.block_pairs_per_sec
-        << ", \"speedup_single\": " << c.speedup_single
-        << ", \"speedup_many\": " << c.speedup_many
-        << ", \"speedup_block\": " << c.speedup_block
-        << ", \"prune_rate\": " << c.prune_rate
-        << ", \"exact_shift_rate\": " << c.exact_shift_rate
+        << ", \"kernel_pairs_per_sec\": " << c.kernel_pairs_per_sec
+        << ", \"speedup\": " << c.speedup
         << ", \"identical\": " << (c.identical ? "true" : "false") << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"crossover_cells\": [\n";
-  for (std::size_t i = 0; i < crossover.size(); ++i) {
-    const CrossoverCell& c = crossover[i];
-    out << "    {\"n\": " << c.n
-        << ", \"quantized_pairs_per_sec\": " << c.quantized_pairs_per_sec
-        << ", \"fft_pairs_per_sec\": " << c.fft_pairs_per_sec << "}"
-        << (i + 1 < crossover.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
@@ -330,84 +174,38 @@ int main(int argc, char** argv) {
   const std::size_t queries = smoke ? 16 : 64;
   const std::size_t templates = 16;  // a realistic multi-altitude database
   const std::vector<std::size_t> lengths = {32, 128, 512};
-  const std::vector<std::size_t> crossover_lengths = {512, 1024, 2048, 4096, 8192};
 
-  std::cout << "rotation-invariant distance kernel: "
-            << timeseries::rotation_kernel()
-            << " | pre-filter: " << timeseries::rotation_prefilter_kernel()
-            << " | fft crossover: n >= " << timeseries::rotation_fft_crossover()
+  std::cout << "rotation-invariant distance kernel: " << timeseries::rotation_kernel()
             << "\n";
-  util::TextTable table({"n", "pairs", "ref pairs/s", "kernel pairs/s",
-                         "batch pairs/s", "block pairs/s", "speedup",
-                         "speedup(blk/1)", "prune", "identical"});
+  util::TextTable table(
+      {"n", "pairs", "ref pairs/s", "kernel pairs/s", "speedup", "identical"});
   std::vector<CellResult> cells;
   bool all_identical = true;
-  bool many_ge_single = true;
   double speedup_at_128 = 0.0;
-  double block_speedup_at_128 = 0.0;
   for (const std::size_t n : lengths) {
     const CellResult cell = run_cell(n, queries, templates, reps);
     cells.push_back(cell);
     all_identical = all_identical && cell.identical;
-    // At small n the batch entry and the single kernel run the identical
-    // float scan (kAuto drops the bound scan below kQuantAutoMinLength), so
-    // their true rates coincide and a strict >= would gate on scheduler
-    // noise. 3% is the observed best-of-reps jitter floor on this 1-thread
-    // container; a real regression (the PR 6 bug was -7% and worse at
-    // larger n, where pruning makes the batch entry 2-3x faster) still
-    // trips it.
-    many_ge_single = many_ge_single &&
-                     cell.many_pairs_per_sec >= 0.97 * cell.single_pairs_per_sec;
-    if (n == 128) {
-      speedup_at_128 = std::max(cell.speedup_single, cell.speedup_many);
-      block_speedup_at_128 = cell.speedup_block;
-    }
+    if (n == 128) speedup_at_128 = cell.speedup;
     table.add_row({std::to_string(cell.n), std::to_string(cell.queries * cell.templates),
                    util::fmt(cell.reference_pairs_per_sec, 0),
-                   util::fmt(cell.single_pairs_per_sec, 0),
-                   util::fmt(cell.many_pairs_per_sec, 0),
-                   util::fmt(cell.block_pairs_per_sec, 0),
-                   util::fmt(cell.speedup_single, 2) + "x",
-                   util::fmt(cell.speedup_block, 2) + "x",
-                   util::fmt(cell.prune_rate * 100.0, 0) + "%",
-                   cell.identical ? "yes" : "NO"});
+                   util::fmt(cell.kernel_pairs_per_sec, 0),
+                   util::fmt(cell.speedup, 2) + "x", cell.identical ? "yes" : "NO"});
   }
 
-  std::cout << "\n--- rotation-invariant distance (best of " << reps
-            << ", " << templates << " templates/query) ---\n";
+  std::cout << "\n--- rotation-invariant distance (best of " << reps << ", "
+            << templates << " templates/query) ---\n";
   table.print(std::cout);
 
-  std::cout << "\n--- quantised vs FFT bound scan (forced modes, "
-            << "2 queries x 4 templates) ---\n";
-  util::TextTable xover_table({"n", "quantised pairs/s", "fft pairs/s", "winner"});
-  std::vector<CrossoverCell> crossover;
-  for (const std::size_t n : crossover_lengths) {
-    const CrossoverCell cell = run_crossover_cell(n, reps);
-    crossover.push_back(cell);
-    xover_table.add_row(
-        {std::to_string(cell.n), util::fmt(cell.quantized_pairs_per_sec, 0),
-         util::fmt(cell.fft_pairs_per_sec, 0),
-         cell.fft_pairs_per_sec > cell.quantized_pairs_per_sec ? "fft"
-                                                               : "quantised"});
-  }
-  xover_table.print(std::cout);
-
   const bool target_met = speedup_at_128 >= 2.0;
-  const bool block_target_met = block_speedup_at_128 >= 2.0;
-  std::cout << "identity (ref within 1e-9; block == single bitwise): "
+  std::cout << "identity (ref within 1e-9; series form == template form bitwise): "
             << (all_identical ? "yes" : "NO") << "\n"
             << "target (>= 2x over scalar scan at n=128): "
-            << (target_met ? "MET" : "NOT MET") << " ("
-            << util::fmt(speedup_at_128, 2) << "x)\n"
-            << "block target (>= 2x over single kernel at n=128): "
-            << (block_target_met ? "MET" : "NOT MET") << " ("
-            << util::fmt(block_speedup_at_128, 2) << "x)\n"
-            << "batch entry >= single kernel at every n (3% noise floor): "
-            << (many_ge_single ? "yes" : "NO") << "\n";
+            << (target_met ? "MET" : "NOT MET") << " (" << util::fmt(speedup_at_128, 2)
+            << "x)\n";
 
   if (!json_path.empty()) {
-    write_json(json_path, cells, crossover, speedup_at_128, block_speedup_at_128,
-               target_met, block_target_met, many_ge_single);
+    write_json(json_path, cells, speedup_at_128, target_met);
     std::cout << "wrote " << json_path << "\n";
   }
 
@@ -417,14 +215,6 @@ int main(int argc, char** argv) {
   }
   if (!target_met) {
     std::cout << "FAIL: kernel below the 2x speedup target\n";
-    return 1;
-  }
-  if (!block_target_met) {
-    std::cout << "FAIL: blocked engine below the 2x-over-single target\n";
-    return 1;
-  }
-  if (!many_ge_single) {
-    std::cout << "FAIL: batch entry slower than the single kernel\n";
     return 1;
   }
   return 0;

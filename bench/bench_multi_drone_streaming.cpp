@@ -360,7 +360,7 @@ int main(int argc, char** argv) {
     std::cout << "telemetry (whole matrix): recognize p50 "
               << recognize->percentile(0.50) / 1000 << " us, p99 "
               << recognize->percentile(0.99) / 1000 << " us over "
-              << recognize->count << " micro-batches\n";
+              << recognize->count << " frames\n";
   }
 
   std::string tail_json;

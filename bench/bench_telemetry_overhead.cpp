@@ -7,13 +7,13 @@
 // (src/telemetry/flight_recorder.hpp): emitting per-frame TraceEvents must
 // ride the same clock reads the histograms already pay.
 //
-// Method: the same micro-batched recognition loop runs four ways —
-// disarmed handles (no registry wired), armed handles with spans globally
-// disabled (counters only), fully armed, and fully armed + a wired
-// FlightRecorder emitting one kRecognize TraceEvent per frame —
-// interleaved rep by rep so thermal/scheduler drift hits all modes
-// equally, best-of-N per mode. Exit code 1 when the fully-armed OR the
-// traced overhead exceeds the gate (CI fails on either).
+// Method: the same per-frame recognition loop runs four ways — disarmed
+// handles (no registry wired), armed handles with spans globally disabled
+// (counters only), fully armed, and fully armed + a wired FlightRecorder
+// emitting one kRecognize TraceEvent per frame — interleaved rep by rep so
+// thermal/scheduler drift hits all modes equally, best-of-N per mode. Exit
+// code 1 when the fully-armed OR the traced overhead exceeds the gate (CI
+// fails on either).
 //
 // Flags: --smoke (CI-sized run), --reps N, --json PATH, --gate PCT.
 #include <algorithm>
@@ -33,13 +33,13 @@ namespace {
 
 using namespace hdc;
 using recognition::DatabaseBuildOptions;
-using recognition::MicroBatchScratch;
 using recognition::RecognitionResult;
 using recognition::RecognizerConfig;
 using recognition::RecognizerScratch;
 using recognition::SaxSignRecognizer;
 
-/// Mixed accept/reject stream (same shape as bench_throughput_batch).
+/// Mixed accept/reject stream: every sign across the altitude band plus
+/// two oblique views.
 std::vector<imaging::GrayImage> make_frames(std::size_t total) {
   std::vector<imaging::GrayImage> distinct;
   for (const signs::HumanSign sign : signs::kAllSigns) {
@@ -55,39 +55,23 @@ std::vector<imaging::GrayImage> make_frames(std::size_t total) {
   return frames;
 }
 
-/// One full pass of the micro-batched hot loop over the frame set. When
-/// `recorder` is wired, the pass mirrors PerceptionService::shard_loop's
-/// traced window: ONE clock pair per window feeds per-frame kRecognize
-/// events — exactly the production cost shape the gate protects.
+/// One full pass of the per-frame hot loop over the frame set, shaped like
+/// PerceptionService::shard_loop: one TracedSpan per frame feeds the
+/// recognize histogram and, when `recorder` is wired, that frame's
+/// kRecognize event — exactly the production cost shape the gate protects.
 double timed_pass(const RecognizerConfig& config,
                   const recognition::SignDatabase& database,
                   const std::vector<imaging::GrayImage>& frames,
-                  RecognizerScratch& scratch, MicroBatchScratch& micro,
-                  std::vector<RecognitionResult>& results,
+                  RecognizerScratch& scratch, std::vector<RecognitionResult>& results,
+                  telemetry::Histogram recognize_ns,
                   telemetry::FlightRecorder* recorder = nullptr) {
-  constexpr std::size_t kWindow = 8;
   util::Stopwatch watch;
-  for (std::size_t begin = 0; begin < frames.size(); begin += kWindow) {
-    const std::size_t end = std::min(begin + kWindow, frames.size());
-    const imaging::GrayImage* frame_ptrs[kWindow];
-    RecognitionResult* result_ptrs[kWindow];
-    for (std::size_t i = begin; i < end; ++i) {
-      frame_ptrs[i - begin] = &frames[i];
-      result_ptrs[i - begin] = &results[i];
-    }
-    const std::uint64_t t0 = recorder != nullptr ? telemetry::now_ns() : 0;
-    recognize_frames_micro_batch(config, database, frame_ptrs, end - begin,
-                                 scratch, micro, result_ptrs);
-    if (recorder != nullptr) {
-      const std::uint64_t t1 = telemetry::now_ns();
-      for (std::size_t i = begin; i < end; ++i) {
-        recorder->emit({telemetry::make_trace_id(0, i), 0, i,
-                        telemetry::TraceStage::kRecognize,
-                        results[i].accepted ? telemetry::TraceOutcome::kAccepted
-                                            : telemetry::TraceOutcome::kNoMatch,
-                        t0, t1});
-      }
-    }
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    telemetry::TracedSpan span(recognize_ns, recorder, telemetry::TraceContext::of(0, i),
+                               telemetry::TraceStage::kRecognize);
+    recognize_frame_into(config, database, frames[i], scratch, results[i]);
+    span.set_outcome(results[i].accepted ? telemetry::TraceOutcome::kAccepted
+                                         : telemetry::TraceOutcome::kNoMatch);
   }
   return watch.elapsed_seconds();
 }
@@ -155,6 +139,8 @@ int main(int argc, char** argv) {
   telemetry::MetricsRegistry registry;
   const telemetry::RecognitionStageMetrics armed_handles =
       telemetry::RecognitionStageMetrics::from(registry);
+  const telemetry::Histogram armed_recognize =
+      registry.histogram(telemetry::kPerceptionRecognize);
   telemetry::FlightRecorder recorder;
 
   std::vector<Mode> modes = {
@@ -165,13 +151,12 @@ int main(int argc, char** argv) {
   };
 
   RecognizerScratch scratch;
-  MicroBatchScratch micro;
   std::vector<RecognitionResult> results(frames.size());
   // Warm-up sizes every arena so no mode pays first-touch allocation.
-  (void)timed_pass(reference.config(), reference.database(), frames, scratch,
-                   micro, results);
-  (void)timed_pass(reference.config(), reference.database(), frames, scratch,
-                   micro, results, &recorder);  // registers the writer lane
+  (void)timed_pass(reference.config(), reference.database(), frames, scratch, results,
+                   {});
+  (void)timed_pass(reference.config(), reference.database(), frames, scratch, results,
+                   {}, &recorder);  // registers the writer lane
 
   // Interleaved best-of-N: mode order rotates inside each rep so no mode
   // systematically runs hotter or colder than the others.
@@ -180,9 +165,10 @@ int main(int argc, char** argv) {
       scratch.metrics =
           mode.armed ? armed_handles : telemetry::RecognitionStageMetrics{};
       telemetry::set_enabled(mode.spans_enabled);
-      const double seconds =
-          timed_pass(reference.config(), reference.database(), frames, scratch,
-                     micro, results, mode.traced ? &recorder : nullptr);
+      const double seconds = timed_pass(
+          reference.config(), reference.database(), frames, scratch, results,
+          mode.armed ? armed_recognize : telemetry::Histogram{},
+          mode.traced ? &recorder : nullptr);
       mode.best_seconds = std::min(mode.best_seconds, seconds);
     }
   }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Collects the per-PR perf snapshot: runs the seven perf benches
-# (bench_distance_micro, bench_throughput_batch, bench_multi_drone_streaming,
+# Collects the per-PR perf snapshot: runs the six perf benches
+# (bench_distance_micro, bench_multi_drone_streaming,
 # bench_interaction_dialogue, bench_fleet_coordination, bench_journal_replay,
 # bench_telemetry_overhead) with --json and merges their outputs into one
 # BENCH_<pr>.json at the repo root, so the perf trajectory is
@@ -32,8 +32,7 @@ while [[ $# -gt 0 ]]; do
 done
 [[ "$build_dir" = /* ]] || build_dir="$repo_root/$build_dir"
 
-# bench name -> extra flags (bench_throughput_batch has no smoke mode; its
-# full run is already CI-sized).
+# bench name -> extra flags.
 run_bench() {
   local name="$1"; shift
   local json="$build_dir/$name.json"
@@ -50,7 +49,6 @@ run_bench() {
 }
 
 run_bench bench_distance_micro ${smoke:+$smoke}
-run_bench bench_throughput_batch
 run_bench bench_multi_drone_streaming ${smoke:+$smoke} --trace bench_streaming_trace.json
 run_bench bench_interaction_dialogue ${smoke:+$smoke}
 run_bench bench_fleet_coordination ${smoke:+$smoke}
@@ -62,8 +60,7 @@ import json, pathlib, sys
 
 build_dir, out_file = map(pathlib.Path, sys.argv[1:3])
 benches = {}
-for name in ("bench_distance_micro", "bench_throughput_batch",
-             "bench_multi_drone_streaming", "bench_interaction_dialogue",
+for name in ("bench_distance_micro", "bench_multi_drone_streaming", "bench_interaction_dialogue",
              "bench_fleet_coordination", "bench_journal_replay",
              "bench_telemetry_overhead"):
     with open(build_dir / f"{name}.json") as fh:
@@ -73,14 +70,9 @@ for name in ("bench_distance_micro", "bench_throughput_batch",
 hardware_threads = next((p["hardware_threads"] for p in benches.values()
                          if "hardware_threads" in p), None)
 
-# Surface the parallel-scaling curves at the top level so a reader (or a
-# trend script) gets worker/shard scaling next to hardware_threads without
-# digging through per-bench cells.
-worker_scaling = [
-    {"workers": c["workers"], "fps": c["fps"], "speedup": c["speedup"]}
-    for c in benches.get("throughput_batch", {}).get("cells", [])
-    if "workers" in c
-]
+# Surface the shard-scaling curve at the top level so a reader (or a trend
+# script) gets it next to hardware_threads without digging through
+# per-bench cells.
 shard_scaling = [
     {"streams": c["streams"], "shards": c["shards"],
      "aggregate_fps": c["aggregate_fps"], "p99_ms": c["p99_ms"]}
@@ -91,7 +83,8 @@ shard_scaling = [
 # per-stage latency summary (telemetry ON for every cell) plus the
 # overhead gate's verdict. Schema 3 added this block; schema 4 adds the
 # traced overhead column and the causal-tracing artifacts
-# (tail_attribution + health from the streaming bench's traced cell).
+# (tail_attribution + health from the streaming bench's traced cell);
+# schema 5 drops worker_scaling with the batch-throughput bench.
 telemetry = {
     "stages": benches.get("multi_drone_streaming", {}).get(
         "telemetry", {}).get("stages", []),
@@ -109,11 +102,10 @@ tail_attribution = benches.get("multi_drone_streaming", {}).pop(
     "tail_attribution", None)
 health = benches.get("multi_drone_streaming", {}).pop("health", None)
 snapshot = {
-    "schema": 4,
+    "schema": 5,
     "snapshot": out_file.name,
     "generated_by": "scripts/collect_bench.sh",
     "hardware_threads": hardware_threads,
-    "worker_scaling": worker_scaling,
     "shard_scaling": shard_scaling,
     "telemetry": telemetry,
     "tail_attribution": tail_attribution,

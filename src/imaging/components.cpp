@@ -9,7 +9,7 @@ namespace hdc::imaging {
 namespace {
 
 /// Union-find over provisional labels, storing its parents in a
-/// caller-owned arena so batch workers can reuse the allocation.
+/// caller-owned arena so shard workers can reuse the allocation.
 class DisjointSet {
  public:
   explicit DisjointSet(std::vector<std::int32_t>& parent) : parent_(parent) {

@@ -35,7 +35,7 @@ using Contour = std::vector<Vec2>;
 /// length. Required so the signature is invariant to boundary pixel density.
 [[nodiscard]] Contour resample_by_arc_length(const Contour& contour, std::size_t count);
 
-// Buffer-reusing overloads for the batch pipeline; bit-identical to the
+// Buffer-reusing overloads for the streaming pipeline; bit-identical to the
 // allocating versions, which delegate here. `out` must not alias the input.
 
 /// trace_boundary into `out` (cleared, capacity kept).

@@ -27,7 +27,7 @@ namespace hdc::imaging {
 /// Photometric inversion (255 - v).
 [[nodiscard]] GrayImage invert(const GrayImage& src);
 
-// Buffer-reusing overloads for the batch pipeline. Each writes into `out`
+// Buffer-reusing overloads for the streaming pipeline. Each writes into `out`
 // (resized in place, allocation-free once warm) and produces output
 // bit-identical to its allocating counterpart, which delegates here.
 // `out` (and any scratch) must not alias `src`.

@@ -75,7 +75,7 @@ class Image {
 
   /// Reshapes to width x height and resets every pixel to `fill_value`,
   /// reusing the existing heap block whenever its capacity suffices. This is
-  /// what makes the batch pipeline's scratch buffers allocation-free after
+  /// what makes the streaming pipeline's scratch buffers allocation-free after
   /// warm-up.
   void reset(int width, int height, T fill_value = T{}) {
     if (width <= 0 || height <= 0) {

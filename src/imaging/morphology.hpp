@@ -24,7 +24,7 @@ namespace hdc::imaging {
 /// Closing: dilate then erode (fills holes/gaps smaller than the element).
 [[nodiscard]] BinaryImage close(const BinaryImage& src, int radius = 1);
 
-// Buffer-reusing overloads for the batch pipeline; bit-identical to the
+// Buffer-reusing overloads for the streaming pipeline; bit-identical to the
 // allocating versions above, which delegate here. `out` and `scratch` must
 // be distinct objects and must not alias `src`.
 

@@ -34,7 +34,7 @@ inline constexpr std::size_t kDefaultSignatureSize = 128;
 [[nodiscard]] Contour normalize_contour_aspect(const Contour& contour,
                                                double side = 100.0);
 
-// Buffer-reusing overloads for the batch pipeline; bit-identical to the
+// Buffer-reusing overloads for the streaming pipeline; bit-identical to the
 // allocating versions, which delegate here. Outputs must not alias inputs.
 
 /// centroid_distance_signature into `out`; `resample_scratch` holds the

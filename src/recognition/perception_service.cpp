@@ -57,10 +57,6 @@ PerceptionService::PerceptionService(const RecognizerConfig& config,
     throw std::invalid_argument(
         "PerceptionService: dynamic backpressure needs low_water < high_water");
   }
-  if (service_config_.micro_batch_window == 0) {
-    throw std::invalid_argument(
-        "PerceptionService: micro_batch_window must be >= 1");
-  }
   if (telemetry::MetricsRegistry* registry = service_config_.metrics) {
     submit_ns_ = registry->histogram(telemetry::kPerceptionSubmit);
     ring_wait_ns_ = registry->histogram(telemetry::kPerceptionRingWait);
@@ -115,6 +111,10 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
                                             imaging::GrayImage frame) {
   if (frame.empty()) {
     throw std::invalid_argument("PerceptionService::submit: empty frame");
+  }
+  if (stream_id > telemetry::kMaxTraceStreamId) {
+    throw std::invalid_argument(
+        "PerceptionService::submit: stream_id above 65534 would alias trace ids");
   }
   telemetry::TracedSpan span(submit_ns_, recorder_, {},
                              telemetry::TraceStage::kSubmit);
@@ -183,7 +183,7 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
                                                       : now,
                          now});
       }
-      finish_frames(1);
+      pending_.finish(1);
       break;
     }
     case util::PushOutcome::kRejected:
@@ -191,117 +191,69 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
       state.rejected.fetch_add(1, std::memory_order_relaxed);
       frames_rejected_.add(1);
       span.set_outcome(telemetry::TraceOutcome::kRejected);  // terminal
-      finish_frames(1);
+      pending_.finish(1);
       break;
     case util::PushOutcome::kClosed:
       receipt.status = SubmitStatus::kStopped;
       span.set_outcome(telemetry::TraceOutcome::kClosed);  // terminal
-      finish_frames(1);
+      pending_.finish(1);
       break;
   }
   return receipt;
 }
 
 void PerceptionService::shard_loop(Shard& shard) {
-  const std::size_t window = service_config_.micro_batch_window;
-  // Window arenas (worker-thread only). Reused across windows, so the
-  // steady state stays allocation-free; result string capacity survives.
-  std::vector<Job> jobs(window);
-  std::vector<RecognitionResult> results(window);
-  std::vector<const imaging::GrayImage*> frame_ptrs(window);
-  std::vector<RecognitionResult*> result_ptrs(window);
+  Job job;
+  // Reused across frames: the result's string capacity survives, so the
+  // steady state stays allocation-free.
   StreamResult delivery;
-  while (shard.ring.pop(jobs[0])) {
-    // Bounded, non-blocking gather: whatever is already queued joins this
-    // window, up to the configured cap. The gather NEVER waits — with a
-    // shallow queue (e.g. one live stream) m stays 1 and the frame takes
-    // the plain single-frame path, which is the latency bound the config
-    // documents.
-    std::size_t m = 1;
-    while (m < window && shard.ring.try_pop(jobs[m])) ++m;
-    queue_depth_.add(-static_cast<std::int64_t>(m));
-    if ((ring_wait_ns_.armed() || recorder_ != nullptr) &&
+  while (shard.ring.pop(job)) {
+    queue_depth_.add(-1);
+    const telemetry::TraceContext context =
+        telemetry::TraceContext::of(job.stream_id, job.sequence);
+    // Frames stamped while telemetry was off carry 0 and are skipped.
+    if (job.submitted_at_ns != 0 && (ring_wait_ns_.armed() || recorder_ != nullptr) &&
         telemetry::enabled()) {
-      // One clock read covers the window; frames stamped while telemetry
-      // was off carry 0 and are skipped.
       const std::uint64_t popped_at_ns = telemetry::now_ns();
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::uint64_t submitted_at_ns = jobs[k].submitted_at_ns;
-        if (submitted_at_ns == 0) continue;
-        ring_wait_ns_.record(
-            popped_at_ns > submitted_at_ns ? popped_at_ns - submitted_at_ns : 0);
-        if (recorder_ != nullptr) {
-          recorder_->emit({telemetry::make_trace_id(jobs[k].stream_id,
-                                                    jobs[k].sequence),
-                           jobs[k].stream_id, jobs[k].sequence,
-                           telemetry::TraceStage::kQueueWait,
-                           telemetry::TraceOutcome::kOk, submitted_at_ns,
-                           popped_at_ns});
-        }
+      ring_wait_ns_.record(
+          popped_at_ns > job.submitted_at_ns ? popped_at_ns - job.submitted_at_ns : 0);
+      if (recorder_ != nullptr) {
+        recorder_->emit({context.trace_id, job.stream_id, job.sequence,
+                         telemetry::TraceStage::kQueueWait, telemetry::TraceOutcome::kOk,
+                         job.submitted_at_ns, popped_at_ns});
       }
     }
-    for (std::size_t k = 0; k < m; ++k) {
-      frame_ptrs[k] = &jobs[k].frame;
-      result_ptrs[k] = &results[k];
-    }
+    bool recognized = false;
     try {
-      // The recognize window is timed manually rather than via a span so
-      // ONE clock pair can feed both the stage histogram and the per-frame
-      // kRecognize trace events (tracing never buys a second clock read).
-      const bool timed = (recognize_ns_.armed() || recorder_ != nullptr) &&
-                         telemetry::enabled();
-      const std::uint64_t recognize_start_ns = timed ? telemetry::now_ns() : 0;
-      recognize_frames_micro_batch(config_, *shard.database, frame_ptrs.data(),
-                                   m, shard.scratch, shard.micro,
-                                   result_ptrs.data());
-      if (timed) {
-        const std::uint64_t recognize_end_ns = telemetry::now_ns();
-        if (recognize_ns_.armed()) {
-          recognize_ns_.record(recognize_end_ns - recognize_start_ns);
-        }
-        if (recorder_ != nullptr) {
-          for (std::size_t k = 0; k < m; ++k) {
-            recorder_->emit({telemetry::make_trace_id(jobs[k].stream_id,
-                                                      jobs[k].sequence),
-                             jobs[k].stream_id, jobs[k].sequence,
-                             telemetry::TraceStage::kRecognize,
-                             results[k].accepted
-                                 ? telemetry::TraceOutcome::kAccepted
-                                 : telemetry::TraceOutcome::kNoMatch,
-                             recognize_start_ns, recognize_end_ns});
-          }
-        }
+      {
+        // One span feeds both the recognize histogram and this frame's
+        // kRecognize trace slice. It stays kError unless the pipeline
+        // returns, so a frame that throws still closes its trace.
+        telemetry::TracedSpan span(recognize_ns_, recorder_, context,
+                                   telemetry::TraceStage::kRecognize);
+        span.set_outcome(telemetry::TraceOutcome::kError);
+        recognize_frame_into(config_, *shard.database, job.frame, shard.scratch,
+                             delivery.result);
+        recognized = true;
+        span.set_outcome(delivery.result.accepted ? telemetry::TraceOutcome::kAccepted
+                                                  : telemetry::TraceOutcome::kNoMatch);
       }
-      // Deliver in pop (== per-stream sequence) order, preserving the
-      // stream-ordering guarantee documented in the header.
-      for (std::size_t k = 0; k < m; ++k) {
-        delivery.stream_id = jobs[k].stream_id;
-        delivery.sequence = jobs[k].sequence;
-        delivery.result = results[k];  // copy: both sides keep warm capacity
-        delivery.trace =
-            telemetry::TraceContext::of(jobs[k].stream_id, jobs[k].sequence);
-        if (on_result_) on_result_(delivery);
-        jobs[k].origin->delivered.fetch_add(1, std::memory_order_relaxed);
-      }
+      delivery.stream_id = job.stream_id;
+      delivery.sequence = job.sequence;
+      delivery.trace = context;
+      if (on_result_) on_result_(delivery);
+      job.origin->delivered.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
-      if (recorder_ != nullptr && telemetry::enabled()) {
-        // The window's frames will never be delivered: close their traces
-        // with terminal kError events.
-        for (std::size_t k = 0; k < m; ++k) {
-          recorder_->emit_instant(
-              telemetry::TraceContext::of(jobs[k].stream_id, jobs[k].sequence),
-              telemetry::TraceStage::kRecognize,
-              telemetry::TraceOutcome::kError);
-        }
+      // A throwing callback leaves a recognized frame undelivered: close
+      // its trace here (a throwing pipeline already closed it via the span).
+      if (recognized && recorder_ != nullptr && telemetry::enabled()) {
+        recorder_->emit_instant(context, telemetry::TraceStage::kRecognize,
+                                telemetry::TraceOutcome::kError);
       }
       pending_.record_error(std::current_exception());
     }
-    finish_frames(m);
+    pending_.finish(1);
   }
-}
-
-void PerceptionService::finish_frames(std::size_t count) {
-  pending_.finish(count);
 }
 
 void PerceptionService::maybe_switch_policy(Shard& shard) {

@@ -3,26 +3,20 @@
 // The paper validates one frame at a time from one drone; a deployed system
 // serves many simultaneous perception streams (drone cohorts, cf.
 // Cleland-Huang & Agrawal 2020; swarm signalling, cf. Grispino et al.
-// 2020). This service turns the batch engine inside out:
+// 2020). This service is the one parallel recognition engine:
 //
 //   streams ──submit()──> router ──rings──> shards ──callback──> caller
 //
-//   - Callers submit(stream_id, frame) from ANY thread; frames never wait
-//     for a batch boundary.
+//   - Callers submit(stream_id, frame) from ANY thread.
 //   - A router pins each stream to one of K worker shards (stable
 //     stream -> shard affinity, so a shard's scratch arena stays warm for
 //     the frame geometry it keeps seeing) via a bounded MPSC ring
 //     (util::BoundedRing) with a configurable overflow policy: block,
 //     drop-oldest (live feeds prefer fresh frames) or reject.
-//   - Every shard owns a RecognizerScratch + MicroBatchScratch and runs the
-//     same canonical pipeline as SaxSignRecognizer/BatchRecognizer. A shard
-//     pops one frame (blocking), then gathers whatever is ALREADY queued up
-//     to micro_batch_window frames (non-blocking try_pop — the gather never
-//     waits for frames that have not arrived, so an idle stream keeps plain
-//     single-frame latency) and answers the window with one blocked
-//     database pass (recognize_frames_micro_batch). Payload fields are
-//     bit-identical to sequential recognition of the same frames; only the
-//     timing field total_ms reflects the batching.
+//   - Every shard owns a RecognizerScratch, pops one frame at a time and
+//     runs it through recognize_frame_into — the same canonical pipeline as
+//     SaxSignRecognizer, so payloads are bit-identical to sequential
+//     recognition of the same frames.
 //   - Completed frames are delivered through a per-frame callback carrying
 //     {stream_id, sequence, result}. RecognitionResult itself is unchanged
 //     (wrapped, not mutated), keeping the single-frame API ABI-stable.
@@ -116,12 +110,6 @@ struct PerceptionServiceConfig {
   std::size_t queue_capacity{64};  ///< frames buffered per shard ring
   util::OverflowPolicy overflow{util::OverflowPolicy::kBlock};
   DynamicBackpressureConfig dynamic_backpressure{};
-  /// Max frames a shard answers with one blocked database pass. The gather
-  /// is bounded AND non-blocking (only frames already queued join a window),
-  /// so raising it amortises the exact-verify template walks under load
-  /// without adding latency when the queue is shallow. 1 = micro-batching
-  /// off. Must be >= 1 (std::invalid_argument otherwise).
-  std::size_t micro_batch_window{4};
   /// Optional telemetry wiring (must outlive the service). When set, the
   /// service records submit/ring-wait/recognize spans, the per-stage
   /// recognition histograms, frame counters and a queue-depth gauge
@@ -190,7 +178,11 @@ class PerceptionService {
   /// Submits one frame of `stream_id` from any thread. The frame is copied
   /// (the camera keeps its buffer); use the rvalue overload to move. The
   /// returned receipt carries the per-stream sequence number the frame was
-  /// assigned. Throws std::invalid_argument for an empty frame.
+  /// assigned. Throws std::invalid_argument for an empty frame, and for a
+  /// stream_id above telemetry::kMaxTraceStreamId (65534): larger ids would
+  /// alias another stream's trace ids or the zero "no context" id. Both
+  /// checks run before any state changes, so a refused frame consumes no
+  /// sequence number.
   SubmitReceipt submit(std::uint32_t stream_id, const imaging::GrayImage& frame);
   SubmitReceipt submit(std::uint32_t stream_id, imaging::GrayImage&& frame);
 
@@ -277,8 +269,7 @@ class PerceptionService {
         : ring(capacity, policy), database(db) {}
     util::BoundedRing<Job> ring;
     const SignDatabase* database{nullptr};
-    RecognizerScratch scratch;
-    MicroBatchScratch micro;  ///< window-gather scratch (worker thread only)
+    RecognizerScratch scratch;  ///< worker thread only
     /// Serialises dynamic-backpressure decisions: the depth read, the
     /// hysteresis comparison and the set_policy must be one atomic step
     /// across producer threads or a flip double-applies and
@@ -290,7 +281,6 @@ class PerceptionService {
   SubmitReceipt submit_job(std::uint32_t stream_id, imaging::GrayImage frame);
   StreamState& stream_state(std::uint32_t stream_id);
   void shard_loop(Shard& shard);
-  void finish_frames(std::size_t count);
   /// Dynamic backpressure: applies the hysteresis switch to one shard's
   /// ring from its observed depth (submit path, only when enabled).
   void maybe_switch_policy(Shard& shard);

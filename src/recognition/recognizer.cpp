@@ -58,7 +58,7 @@ timeseries::Series SaxSignRecognizer::extract_signature(
 namespace {
 
 /// Conditional stage-timer scope: charges its lifetime to `timers` when
-/// non-null (the batch hot path passes null and pays nothing).
+/// non-null (the streaming hot path passes null and pays nothing).
 class MaybeScope {
  public:
   MaybeScope(util::StageTimers* timers, const char* stage)
@@ -81,15 +81,14 @@ void reset_result(RecognitionResult& result) {
   result.reject_reason = RejectReason::kNoSilhouette;
   result.distance = 0.0;
   result.margin = 0.0;
-  result.sax_word.clear();  // keeps capacity for reuse across batches
+  result.sax_word.clear();  // keeps capacity for reuse across frames
   result.total_ms = 0.0;
 }
 
 /// Stages 1-6 (photometrics through signature extraction) of the canonical
 /// pipeline. Returns true when scratch.signature is ready for the database
 /// query; on false the result's reject fields are final (the caller stamps
-/// total_ms). Shared verbatim by the single-frame and micro-batched entry
-/// points so their per-frame imaging behaviour cannot diverge.
+/// total_ms).
 bool prepare_frame(const RecognizerConfig& config, const imaging::GrayImage& frame,
                    RecognizerScratch& scratch, RecognitionResult& result,
                    util::StageTimers* timers, RecognitionTrace* trace) {
@@ -179,9 +178,8 @@ bool prepare_frame(const RecognizerConfig& config, const imaging::GrayImage& fra
 }
 
 /// Maps a stage-7 database answer onto the result's payload fields — the one
-/// acceptance policy both entry points share. `sax_word` is the query word
-/// the database encoded during the search (only read when a match exists,
-/// mirroring the historical early-return on nullopt).
+/// acceptance policy. `sax_word` is the query word the database encoded
+/// during the search (only read when a match exists).
 void finalize_from_match(const RecognizerConfig& config,
                          const std::optional<DatabaseMatch>& match,
                          const std::string& sax_word, RecognitionResult& result) {
@@ -241,84 +239,6 @@ void recognize_frame_into(const RecognizerConfig& config, const SignDatabase& da
     finalize_from_match(config, match, scratch.query.word.text, result);
   }
   result.total_ms = total.elapsed_ms();
-}
-
-void recognize_frames_micro_batch(const RecognizerConfig& config,
-                                  const SignDatabase& database,
-                                  const imaging::GrayImage* const* frames,
-                                  std::size_t count, RecognizerScratch& scratch,
-                                  MicroBatchScratch& micro,
-                                  RecognitionResult* const* results) {
-  micro.pending.clear();
-  micro.prepare_ms.clear();
-  micro.last_batch_ms = 0.0;
-  if (count == 0) return;
-  if (micro.raw_signatures.size() < count) micro.raw_signatures.resize(count);
-
-  util::Stopwatch batch_watch;
-  double accounted_ms = 0.0;  // per-frame wall time already stamped/recorded
-
-  // Imaging stages run frame-at-a-time through the one shared scratch (same
-  // calls, same order as the single-frame path), keeping only the signature
-  // copy per frame — the cheapest artefact that lets stage 7 batch.
-  for (std::size_t i = 0; i < count; ++i) {
-    RecognitionResult& result = *results[i];
-    reset_result(result);
-    util::Stopwatch watch;
-    bool ready;
-    {
-      TELEMETRY_SPAN(scratch.metrics.prepare_ns);
-      ready = prepare_frame(config, *frames[i], scratch, result, nullptr, nullptr);
-    }
-    if (!ready) {
-      result.total_ms = watch.elapsed_ms();
-      accounted_ms += result.total_ms;
-      continue;
-    }
-    const std::size_t j = micro.pending.size();
-    micro.raw_signatures[j] = scratch.signature;  // copy reuses slot capacity
-    micro.pending.push_back(i);
-    micro.prepare_ms.push_back(watch.elapsed_ms());
-    accounted_ms += micro.prepare_ms.back();
-  }
-
-  if (!micro.pending.empty()) {
-    // One multi-query call answers every surviving frame; per-query answers
-    // are independent inside the engine, so each equals what query() returns.
-    micro.signature_ptrs.clear();
-    for (std::size_t j = 0; j < micro.pending.size(); ++j) {
-      micro.signature_ptrs.push_back(&micro.raw_signatures[j]);
-    }
-    micro.matches.resize(micro.pending.size());
-    {
-      TELEMETRY_SPAN(scratch.metrics.match_ns);
-      database.query_many(micro.signature_ptrs.data(), micro.pending.size(),
-                          config.exact_verify, micro.query, micro.matches.data());
-    }
-    for (std::size_t j = 0; j < micro.pending.size(); ++j) {
-      RecognitionResult& result = *results[micro.pending[j]];
-      TELEMETRY_SPAN(scratch.metrics.finalize_ns);
-      finalize_from_match(config, micro.matches[j], micro.query.slots[j].word.text,
-                          result);
-      result.total_ms = micro.prepare_ms[j];
-    }
-  }
-
-  // total_ms is a timing field, not a payload field. Attribution contract
-  // (regression-pinned in tests/recognition_micro_batch_test.cpp): the
-  // per-frame totals sum to the batch wall time. Each frame keeps its own
-  // measured stage 1-6 wall time; the remainder — the shared query, the
-  // finalize pass and loop overhead — is split evenly across the frames
-  // that reached the query (or across all frames when none did).
-  micro.last_batch_ms = batch_watch.elapsed_ms();
-  const std::size_t shared_over = micro.pending.empty() ? count : micro.pending.size();
-  const double shared_ms =
-      (micro.last_batch_ms - accounted_ms) / static_cast<double>(shared_over);
-  if (micro.pending.empty()) {
-    for (std::size_t i = 0; i < count; ++i) results[i]->total_ms += shared_ms;
-  } else {
-    for (const std::size_t i : micro.pending) results[i]->total_ms += shared_ms;
-  }
 }
 
 RecognitionResult SaxSignRecognizer::recognize(const imaging::GrayImage& frame,

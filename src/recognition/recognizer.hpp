@@ -103,63 +103,27 @@ struct RecognizerScratch {
   imaging::Contour normalized_contour;
   imaging::Contour resampled;
   timeseries::Series signature;
-  /// Database-query buffers, incl. the exact-verify rotation-match slots —
-  /// the template-side doubled buffers live in the (shared, immutable)
-  /// SignDatabase itself, so N scratches never duplicate them.
+  /// Database-query buffers — the template-side doubled buffers live in the
+  /// (shared, immutable) SignDatabase itself, so N scratches never
+  /// duplicate them.
   QueryScratch query;
   /// Optional prepare/match/finalize span handles (disarmed by default —
-  /// recording through a disarmed handle is a no-op branch). Engines that
-  /// wire a telemetry::MetricsRegistry arm them once per worker scratch.
+  /// recording through a disarmed handle is a no-op branch). PerceptionService
+  /// arms them once per shard scratch when a telemetry::MetricsRegistry is
+  /// wired.
   telemetry::RecognitionStageMetrics metrics;
 };
 
 /// The full single-frame pipeline writing into caller-owned buffers. This is
 /// the one canonical implementation: SaxSignRecognizer::recognize delegates
-/// here with a fresh scratch (so its results are bit-identical to the batch
-/// engine's, which reuses scratches). `timers`/`trace` may be null; both
-/// cost extra when set, so the batch hot path passes null.
+/// here with a fresh scratch, and every PerceptionService shard calls it once
+/// per frame with its own warm scratch, so both produce bit-identical
+/// payloads. `timers`/`trace` may be null; both cost extra when set, so the
+/// streaming hot path passes null.
 void recognize_frame_into(const RecognizerConfig& config, const SignDatabase& database,
                           const imaging::GrayImage& frame, RecognizerScratch& scratch,
                           RecognitionResult& result, util::StageTimers* timers = nullptr,
                           RecognitionTrace* trace = nullptr);
-
-/// Buffers for recognize_frames_micro_batch: per-frame signature copies (the
-/// imaging stages share ONE RecognizerScratch, so each frame's signature must
-/// survive until the batched database query) plus the multi-query scratch.
-/// Same warm-reuse contract as RecognizerScratch; one per worker.
-struct MicroBatchScratch {
-  MultiQueryScratch query;
-  std::vector<timeseries::Series> raw_signatures;  ///< slot j = pending frame j
-  std::vector<const timeseries::Series*> signature_ptrs;
-  std::vector<std::size_t> pending;  ///< frame indices that reached the query stage
-  std::vector<std::optional<DatabaseMatch>> matches;
-  std::vector<double> prepare_ms;  ///< per-pending-frame stage 1-6 wall time
-  /// Wall time of the most recent recognize_frames_micro_batch call. The
-  /// per-frame total_ms values of that call sum to exactly this (the
-  /// attribution invariant pinned in tests/recognition_micro_batch_test.cpp).
-  double last_batch_ms{0.0};
-};
-
-/// Micro-batched recognition: runs the imaging stages (1-6) of each frame in
-/// turn through `scratch`, then answers every frame that produced a signature
-/// with ONE SignDatabase::query_many call — the exact-verify pass walks the
-/// template panels once per micro-batch instead of once per frame. Writes
-/// *results[i] for every frame. Every payload field (accepted / sign /
-/// reject_reason / distance / margin / sax_word) is bit-identical to calling
-/// recognize_frame_into on each frame in order with the same scratch; only
-/// total_ms differs. Timing attribution: each frame keeps its own measured
-/// stage 1-6 wall time and the remaining batch wall time (the shared query
-/// plus finalize/loop overhead) is split evenly across the frames that
-/// reached the query, so the per-frame totals sum to the batch wall time
-/// (exposed as MicroBatchScratch::last_batch_ms). Callers bound `count`
-/// (the batching window) to keep single-frame latency bounded — see
-/// BatchRecognizer / PerceptionService.
-void recognize_frames_micro_batch(const RecognizerConfig& config,
-                                  const SignDatabase& database,
-                                  const imaging::GrayImage* const* frames,
-                                  std::size_t count, RecognizerScratch& scratch,
-                                  MicroBatchScratch& micro,
-                                  RecognitionResult* const* results);
 
 class SaxSignRecognizer {
  public:
@@ -173,8 +137,8 @@ class SaxSignRecognizer {
   SaxSignRecognizer(const RecognizerConfig& config, SignDatabase database);
 
   /// Builds against an existing shared database handle — no copy. The
-  /// database is immutable after build, so any number of recognisers,
-  /// batch engines and perception shards may share one instance.
+  /// database is immutable after build, so any number of recognisers and
+  /// perception shards may share one instance.
   SaxSignRecognizer(const RecognizerConfig& config,
                     std::shared_ptr<const SignDatabase> database);
 

@@ -39,102 +39,43 @@ std::optional<DatabaseMatch> SignDatabase::query(const timeseries::Series& raw_s
   if (templates_.empty() || raw_signature.empty()) return std::nullopt;
 
   timeseries::z_normalize_into(raw_signature, scratch.normalized);
-  const timeseries::Series& normalized = scratch.normalized;
   // Always encode: the recogniser reads the query word out of the scratch
   // (RecognitionResult::sax_word) whichever ranking path runs below.
-  encoder_.encode_normalized_into(normalized, scratch.word, scratch.paa);
-  const timeseries::SaxWord& query_word = scratch.word;
-
-  if (exact_verify) {
-    // Score by exact rotation-invariant distance. Note: the symbolic
-    // rotation-invariant distance only explores shifts in whole-symbol
-    // steps, so it is NOT a sound lower bound for the exact distance under
-    // arbitrary shifts — every template must be covered exactly. The top-2
-    // blocked engine does exactly that: its quantised lower bound prunes a
-    // template's float re-verify only when it provably cannot enter the
-    // top 2, and its update rules are the same index-order, strict-< reduce
-    // this function historically ran by hand, so best/second/index/shift
-    // (and therefore margin) are bit-identical to scoring every template
-    // with euclidean_rotation_invariant and reducing in a loop.
-    fill_template_panel(scratch.rotation_templates);
-    const timeseries::Series* query_ptr = &normalized;
-    timeseries::RotationTopMatch top;
-    timeseries::rotation_match_top2_block(&query_ptr, 1,
-                                          scratch.rotation_templates.data(),
-                                          templates_.size(), scratch.block, &top);
-    return match_from_top(top);
-  }
-
-  return symbolic_rank(query_word, scratch.scored, scratch.rotated);
+  encoder_.encode_normalized_into(scratch.normalized, scratch.word, scratch.paa);
+  if (exact_verify) return exact_rank(scratch.normalized);
+  return symbolic_rank(scratch.word, scratch.scored, scratch.rotated);
 }
 
-void SignDatabase::query_many(const timeseries::Series* const* raw_signatures,
-                              std::size_t count, bool exact_verify,
-                              MultiQueryScratch& scratch,
-                              std::optional<DatabaseMatch>* out) const {
-  if (count == 0) return;
-  if (scratch.slots.size() < count) scratch.slots.resize(count);
-  scratch.active.clear();
-  scratch.queries.clear();
-
-  // Per-query normalisation + SAX encode — the same calls, in the same
-  // order, as the single-query path, so slot state (and the word the
-  // recogniser reads back) matches query() bit for bit.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (templates_.empty() || raw_signatures[i]->empty()) {
-      out[i] = std::nullopt;
-      continue;
+// Exact ranking: every template scored by the rotation kernel. The symbolic
+// rotation-invariant distance only explores shifts in whole-symbol steps,
+// so it is NOT a sound lower bound for the exact distance under arbitrary
+// shifts — every template must be scored. Index order plus the strict-<
+// update means exact ties resolve to the lowest template index.
+DatabaseMatch SignDatabase::exact_rank(const timeseries::Series& normalized) const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double best = kInf;
+  double second = kInf;
+  std::size_t best_index = 0;
+  std::size_t best_shift = 0;
+  for (std::size_t i = 0; i < templates_.size(); ++i) {
+    std::size_t shift = 0;
+    const double d =
+        timeseries::euclidean_rotation_invariant(normalized, templates_[i].rotation, &shift);
+    if (d < best) {
+      second = best;
+      best = d;
+      best_index = i;
+      best_shift = shift;
+    } else if (d < second) {
+      second = d;
     }
-    MultiQueryScratch::Slot& slot = scratch.slots[i];
-    timeseries::z_normalize_into(*raw_signatures[i], slot.normalized);
-    encoder_.encode_normalized_into(slot.normalized, slot.word, slot.paa);
-    scratch.active.push_back(i);
-    scratch.queries.push_back(&slot.normalized);
   }
-  if (scratch.active.empty()) return;
-
-  if (exact_verify) {
-    // One blocked call answers every live query: template panels are walked
-    // once per block (cache-hot across the whole micro-batch) instead of
-    // once per query. Per-query results remain independent, so each cell is
-    // bit-identical to the single-query engine call query() makes.
-    fill_template_panel(scratch.rotation_templates);
-    scratch.top.resize(scratch.active.size());
-    timeseries::rotation_match_top2_block(
-        scratch.queries.data(), scratch.queries.size(),
-        scratch.rotation_templates.data(), templates_.size(), scratch.block,
-        scratch.top.data());
-    for (std::size_t j = 0; j < scratch.active.size(); ++j) {
-      out[scratch.active[j]] = match_from_top(scratch.top[j]);
-    }
-    return;
-  }
-
-  for (std::size_t j = 0; j < scratch.active.size(); ++j) {
-    const std::size_t i = scratch.active[j];
-    out[i] = symbolic_rank(scratch.slots[i].word, scratch.scored, scratch.rotated);
-  }
-}
-
-void SignDatabase::fill_template_panel(
-    std::vector<const timeseries::RotationTemplate*>& panel) const {
-  panel.clear();
-  panel.reserve(templates_.size());
-  for (const SignTemplate& entry : templates_) {
-    panel.push_back(&entry.rotation);
-  }
-}
-
-DatabaseMatch SignDatabase::match_from_top(
-    const timeseries::RotationTopMatch& top) const {
   DatabaseMatch match;
-  match.sign = templates_[top.template_index].sign;
-  match.distance = top.distance;
-  match.margin = (top.second == std::numeric_limits<double>::infinity())
-                     ? top.distance
-                     : top.second - top.distance;
-  match.template_index = top.template_index;
-  match.best_shift = top.shift;
+  match.sign = templates_[best_index].sign;
+  match.distance = best;
+  match.margin = second == kInf ? best : second - best;
+  match.template_index = best_index;
+  match.best_shift = best_shift;
   return match;
 }
 

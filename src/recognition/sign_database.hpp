@@ -23,7 +23,6 @@
 #include "signs/scene.hpp"
 #include "signs/sign.hpp"
 #include "timeseries/distance.hpp"
-#include "timeseries/rotation_block.hpp"
 #include "timeseries/sax.hpp"
 #include "timeseries/series.hpp"
 
@@ -68,31 +67,6 @@ struct QueryScratch {
   timeseries::SaxWord word;       ///< query SAX word (kept: recognizer reads it)
   timeseries::SaxWord rotated;    ///< rotation scratch for symbolic MINDIST
   std::vector<Scored> scored;     ///< per-template symbolic distances
-  /// Exact-verify panel: one RotationTemplate pointer per stored template.
-  std::vector<const timeseries::RotationTemplate*> rotation_templates;
-  /// Blocked-engine scratch for the exact-verify top-2 pass (move-only, so
-  /// QueryScratch itself is move-only — the shards each own one anyway).
-  timeseries::RotationBlockScratch block;
-};
-
-/// Reusable buffers for query_many(): per-query signature slots plus one
-/// shared blocked-engine scratch. Same warm-reuse contract as QueryScratch;
-/// never share between concurrently processed micro-batches.
-struct MultiQueryScratch {
-  /// Per-query encode buffers (slot i belongs to raw_signatures[i]).
-  struct Slot {
-    timeseries::Series normalized;
-    timeseries::Series paa;
-    timeseries::SaxWord word;
-  };
-  std::vector<Slot> slots;
-  std::vector<std::size_t> active;  ///< indices of non-empty queries
-  std::vector<const timeseries::Series*> queries;  ///< normalized ptrs, active only
-  std::vector<const timeseries::RotationTemplate*> rotation_templates;
-  std::vector<timeseries::RotationTopMatch> top;
-  std::vector<QueryScratch::Scored> scored;  ///< symbolic path, reused per query
-  timeseries::SaxWord rotated;               ///< symbolic rotation scratch
-  timeseries::RotationBlockScratch block;
 };
 
 /// Immutable-after-build template store.
@@ -107,16 +81,16 @@ class SignDatabase {
                     std::string label);
 
   /// Nearest template. Without `exact_verify`: by symbolic
-  /// rotation-invariant MINDIST. With it: every template is scored by exact
-  /// rotation-invariant Euclidean distance through the batch kernel (the
-  /// symbolic rotation scan moves in whole-symbol steps, so MINDIST is NOT
-  /// a sound lower bound under arbitrary shifts — all templates must be
-  /// verified, and the symbolic per-template scan is skipped entirely) and
-  /// the result carries the exact distance/margin/shift. Either way the
-  /// query's SAX word is encoded into the scratch (the recogniser reads it
-  /// back). Returns nullopt when the database is empty or the query
-  /// signature is empty. O(T * n^2) with exact_verify, O(T * w^2) without,
-  /// for T templates, word length w, signature length n.
+  /// rotation-invariant MINDIST. With it: every template is scored, in index
+  /// order, by exact rotation-invariant Euclidean distance
+  /// (timeseries::euclidean_rotation_invariant — the symbolic rotation scan
+  /// moves in whole-symbol steps, so MINDIST is NOT a sound lower bound
+  /// under arbitrary shifts and the symbolic per-template scan is skipped
+  /// entirely), and the result carries the exact distance/margin/shift.
+  /// Either way the query's SAX word is encoded into the scratch (the
+  /// recogniser reads it back). Returns nullopt when the database is empty
+  /// or the query signature is empty. O(T * n^2) with exact_verify,
+  /// O(T * w^2) without, for T templates, word length w, signature length n.
   [[nodiscard]] std::optional<DatabaseMatch> query(
       const timeseries::Series& raw_signature, bool exact_verify = false) const;
 
@@ -127,20 +101,6 @@ class SignDatabase {
       const timeseries::Series& raw_signature, bool exact_verify,
       QueryScratch& scratch) const;
 
-  /// Multi-query entry point: answers `count` queries in ONE pass, writing
-  /// out[i] (nullopt exactly when query(raw[i]) would return nullopt). Each
-  /// answer is bit-identical to a standalone query(raw[i], exact_verify)
-  /// call — with exact_verify the whole micro-batch runs through the blocked
-  /// rotation engine (rotation_match_top2_block), so the T template panels
-  /// are walked once per block instead of once per query; without it each
-  /// query runs the symbolic ranking in turn. After the call,
-  /// scratch.slots[i].word holds query i's SAX word (the micro-batch
-  /// recogniser reads it back, mirroring the single-query scratch contract).
-  void query_many(const timeseries::Series* const* raw_signatures,
-                  std::size_t count, bool exact_verify,
-                  MultiQueryScratch& scratch,
-                  std::optional<DatabaseMatch>* out) const;
-
   [[nodiscard]] const std::vector<SignTemplate>& templates() const noexcept {
     return templates_;
   }
@@ -150,16 +110,11 @@ class SignDatabase {
   [[nodiscard]] std::size_t size() const noexcept { return templates_.size(); }
 
  private:
-  /// Shared with query()/query_many() so single and batched answers are
-  /// bit-identical by construction, not by parallel maintenance.
-  [[nodiscard]] DatabaseMatch match_from_top(
-      const timeseries::RotationTopMatch& top) const;
+  [[nodiscard]] DatabaseMatch exact_rank(const timeseries::Series& normalized) const;
   [[nodiscard]] DatabaseMatch symbolic_rank(
       const timeseries::SaxWord& query_word,
       std::vector<QueryScratch::Scored>& scored,
       timeseries::SaxWord& rotated) const;
-  void fill_template_panel(
-      std::vector<const timeseries::RotationTemplate*>& panel) const;
 
   timeseries::SaxEncoder encoder_;
   std::vector<SignTemplate> templates_;

@@ -23,7 +23,7 @@ std::uint64_t HistogramSnapshot::percentile(double q) const noexcept {
 }
 
 const CounterSnapshot* MetricsSnapshot::find_counter(
-    std::string_view name) const noexcept {
+    std::string_view name) const& noexcept {
   for (const CounterSnapshot& entry : counters) {
     if (entry.name == name) return &entry;
   }
@@ -31,7 +31,7 @@ const CounterSnapshot* MetricsSnapshot::find_counter(
 }
 
 const HistogramSnapshot* MetricsSnapshot::find_histogram(
-    std::string_view name) const noexcept {
+    std::string_view name) const& noexcept {
   for (const HistogramSnapshot& entry : histograms) {
     if (entry.name == name) return &entry;
   }

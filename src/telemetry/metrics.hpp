@@ -212,9 +212,15 @@ struct MetricsSnapshot {
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
 
-  [[nodiscard]] const CounterSnapshot* find_counter(std::string_view name) const noexcept;
+  /// Lookups return pointers INTO this snapshot, so they only exist on
+  /// lvalues: a lookup on a temporary (`registry.snapshot().find_...`)
+  /// would dangle at the end of the full-expression and does not compile.
+  /// Bind the snapshot to a named variable first.
+  [[nodiscard]] const CounterSnapshot* find_counter(std::string_view name) const& noexcept;
   [[nodiscard]] const HistogramSnapshot* find_histogram(
-      std::string_view name) const noexcept;
+      std::string_view name) const& noexcept;
+  const CounterSnapshot* find_counter(std::string_view name) const&& = delete;
+  const HistogramSnapshot* find_histogram(std::string_view name) const&& = delete;
 
   /// The activity between `prev` and this snapshot of the SAME registry:
   /// counters and histogram count/sum/buckets subtract element-wise (a

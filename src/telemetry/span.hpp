@@ -6,7 +6,7 @@
 //   ...
 //   {
 //     TELEMETRY_SPAN(recognize_ns);
-//     recognize_frames_micro_batch(...);
+//     recognize_frame_into(...);
 //   }  // elapsed ns recorded here
 //
 // Cost model: a span against a disarmed handle (no registry wired) or with

@@ -71,12 +71,12 @@ inline constexpr std::string_view kJournalAppend = "journal_append_ns";
 inline constexpr std::string_view kJournalRecords = "journal_records_total";
 
 /// Stage-timer handles threaded into the shared recognition pipeline via
-/// RecognizerScratch / MicroBatchScratch (one per worker — same ownership
-/// as the scratch buffers). Disarmed by default; PerceptionService and
-/// BatchRecognizer arm them when a registry is wired.
+/// RecognizerScratch (one per worker — same ownership as the scratch
+/// buffers). Disarmed by default; PerceptionService arms them when a
+/// registry is wired.
 struct RecognitionStageMetrics {
   Histogram prepare_ns;   ///< stages 1-6 (imaging -> signature) per frame
-  Histogram match_ns;     ///< SignDatabase query / query_many per call
+  Histogram match_ns;     ///< SignDatabase query per frame
   Histogram finalize_ns;  ///< match -> RecognitionResult per frame
 
   [[nodiscard]] static RecognitionStageMetrics from(MetricsRegistry& registry) {

@@ -37,11 +37,17 @@
 
 namespace hdc::telemetry {
 
-/// Deterministic trace identity for one frame of one stream. Never zero
-/// (the +1 keeps stream 0 / sequence 0 distinguishable from "no context"),
-/// stable across live runs and journal replays of the same input. The top
-/// 16 bits disambiguate streams, the low 48 the per-stream sequence — both
-/// far beyond any deployment in this codebase.
+/// Largest stream id with its own trace ids. make_trace_id keeps 16 bits of
+/// stream + 1, so stream 65535 maps to 0 (the "no context" sentinel) and
+/// streams s and s + 65536 would share ids; PerceptionService::submit
+/// rejects every stream id above this limit.
+inline constexpr std::uint32_t kMaxTraceStreamId = 0xFFFE;
+
+/// Deterministic trace identity for one frame of one stream. Never zero for
+/// stream_id <= kMaxTraceStreamId (the +1 keeps stream 0 / sequence 0
+/// distinguishable from "no context"), stable across live runs and journal
+/// replays of the same input. The top 16 bits disambiguate streams, the low
+/// 48 the per-stream sequence.
 [[nodiscard]] constexpr std::uint64_t make_trace_id(
     std::uint32_t stream_id, std::uint64_t sequence) noexcept {
   return ((static_cast<std::uint64_t>(stream_id) + 1) & 0xFFFFu) << 48 |
@@ -65,7 +71,7 @@ struct TraceContext {
 enum class TraceStage : std::uint8_t {
   kSubmit = 0,   ///< PerceptionService::submit (admission)
   kQueueWait,    ///< shard ring residency, submit -> worker pop
-  kRecognize,    ///< micro-batched recognition window
+  kRecognize,    ///< one frame's recognition on its shard
   kAdmit,        ///< InteractionService admission (shed/drop/reject here)
   kFuse,         ///< SignEventFuser::observe
   kTransition,   ///< dialogue FSM on_event/on_tick/abort

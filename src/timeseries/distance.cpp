@@ -4,11 +4,18 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <vector>
 
-#include "timeseries/detail/dot_kernels.hpp"
-#include "timeseries/fft.hpp"
-#include "timeseries/rotation_block.hpp"
+#if defined(HDC_SIMD) && defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#define HDC_ROTATION_KERNEL_NAME "avx2-fma"
+#define HDC_ROTATION_KERNEL_AVX2 1
+#elif defined(HDC_SIMD) && defined(__ARM_NEON)
+#include <arm_neon.h>
+#define HDC_ROTATION_KERNEL_NAME "neon"
+#define HDC_ROTATION_KERNEL_NEON 1
+#else
+#define HDC_ROTATION_KERNEL_NAME "unrolled-scalar"
+#endif
 
 namespace hdc::timeseries {
 
@@ -28,11 +35,144 @@ double euclidean(const Series& a, const Series& b) {
 
 namespace {
 
-// Inner kernels live in timeseries/detail/dot_kernels.hpp, shared with the
-// blocked engine (rotation_block.cpp) so candidate re-verification there is
-// bit-identical to this kernel by construction.
-using detail::dot_n;
-using detail::squared_diff_n;
+// Inner kernels. Four independent accumulators break the serial-add
+// dependency chain so the CPU (and the auto-vectoriser at the baseline ISA)
+// can overlap the multiply-adds; the AVX2/NEON variants do the same with
+// explicit vector lanes. All variants reassociate the sum, so they agree
+// with strict left-to-right accumulation only within a tolerance — which is
+// why euclidean_rotation_invariant_reference is pinned within 1e-9, not
+// bitwise.
+#if defined(HDC_ROTATION_KERNEL_AVX2)
+
+double dot_n(const double* a, const double* b, std::size_t n) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), acc0);
+    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4), acc1);
+    acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 8), _mm256_loadu_pd(b + i + 8), acc2);
+    acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 12), _mm256_loadu_pd(b + i + 12), acc3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), acc0);
+  }
+  const __m256d acc = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, acc);
+  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+double squared_diff_n(const double* a, const double* b, std::size_t n) {
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
+    const __m256d d1 =
+        _mm256_sub_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4));
+    acc0 = _mm256_fmadd_pd(d0, d0, acc0);
+    acc1 = _mm256_fmadd_pd(d1, d1, acc1);
+  }
+  const __m256d acc = _mm256_add_pd(acc0, acc1);
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, acc);
+  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  for (; i < n; ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+#elif defined(HDC_ROTATION_KERNEL_NEON)
+
+double dot_n(const double* a, const double* b, std::size_t n) {
+  float64x2_t acc0 = vdupq_n_f64(0.0);
+  float64x2_t acc1 = vdupq_n_f64(0.0);
+  float64x2_t acc2 = vdupq_n_f64(0.0);
+  float64x2_t acc3 = vdupq_n_f64(0.0);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    acc0 = vfmaq_f64(acc0, vld1q_f64(a + i), vld1q_f64(b + i));
+    acc1 = vfmaq_f64(acc1, vld1q_f64(a + i + 2), vld1q_f64(b + i + 2));
+    acc2 = vfmaq_f64(acc2, vld1q_f64(a + i + 4), vld1q_f64(b + i + 4));
+    acc3 = vfmaq_f64(acc3, vld1q_f64(a + i + 6), vld1q_f64(b + i + 6));
+  }
+  for (; i + 2 <= n; i += 2) {
+    acc0 = vfmaq_f64(acc0, vld1q_f64(a + i), vld1q_f64(b + i));
+  }
+  double sum = vaddvq_f64(vaddq_f64(vaddq_f64(acc0, acc1), vaddq_f64(acc2, acc3)));
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+double squared_diff_n(const double* a, const double* b, std::size_t n) {
+  float64x2_t acc0 = vdupq_n_f64(0.0);
+  float64x2_t acc1 = vdupq_n_f64(0.0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float64x2_t d0 = vsubq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
+    const float64x2_t d1 = vsubq_f64(vld1q_f64(a + i + 2), vld1q_f64(b + i + 2));
+    acc0 = vfmaq_f64(acc0, d0, d0);
+    acc1 = vfmaq_f64(acc1, d1, d1);
+  }
+  double sum = vaddvq_f64(vaddq_f64(acc0, acc1));
+  for (; i < n; ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+#else
+
+double dot_n(const double* a, const double* b, std::size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += a[i] * b[i];
+    s1 += a[i + 1] * b[i + 1];
+    s2 += a[i + 2] * b[i + 2];
+    s3 += a[i + 3] * b[i + 3];
+  }
+  double sum = (s0 + s1) + (s2 + s3);
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+double squared_diff_n(const double* a, const double* b, std::size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double d0 = a[i] - b[i];
+    const double d1 = a[i + 1] - b[i + 1];
+    const double d2 = a[i + 2] - b[i + 2];
+    const double d3 = a[i + 3] - b[i + 3];
+    s0 += d0 * d0;
+    s1 += d1 * d1;
+    s2 += d2 * d2;
+    s3 += d3 * d3;
+  }
+  double sum = (s0 + s1) + (s2 + s3);
+  for (; i < n; ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+#endif
+
+/// One template's best rotation against a query.
+struct RotationMatch {
+  double distance;
+  std::size_t shift;
+};
 
 // The scan proper. Minimising d_k^2 = sum(a^2) + sum(b^2) - 2 dot_k over k
 // is maximising dot_k (the other terms do not depend on k), so the loop is
@@ -61,57 +201,13 @@ RotationMatch best_rotation(const double* a, const RotationTemplate& t) {
 
 const char* rotation_kernel() noexcept { return HDC_ROTATION_KERNEL_NAME; }
 
-void make_rotation_template_into(const Series& b, RotationTemplate& out,
-                                 bool with_spectrum) {
+void make_rotation_template_into(const Series& b, RotationTemplate& out) {
   const std::size_t n = b.size();
   out.length = n;
   out.doubled.resize(2 * n);
   std::copy(b.begin(), b.end(), out.doubled.begin());
   std::copy(b.begin(), b.end(),
             out.doubled.begin() + static_cast<std::ptrdiff_t>(n));
-
-  // Quantised pre-filter form. Scalars first (also used by the FFT bound),
-  // then the int16 image when the series qualifies.
-  out.abs_sum = 0.0;
-  out.sum_sq = 0.0;
-  out.max_abs = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double v = b[i];
-    out.abs_sum += std::abs(v);
-    out.sum_sq += v * v;
-    out.max_abs = std::max(out.max_abs, std::abs(v));
-  }
-  out.q_doubled.clear();
-  out.quant_scale = 0.0;
-  out.q_int_abs = 0;
-  if (n > 0 && n <= kQuantPrefilterMaxLength && out.max_abs > 0.0 &&
-      std::isfinite(out.max_abs)) {
-    out.quant_scale = out.max_abs / static_cast<double>(kQuantRange);
-    out.q_doubled.resize(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto q = static_cast<std::int16_t>(
-          std::llround(b[i] / out.quant_scale));
-      out.q_doubled[i] = q;
-      out.q_doubled[i + n] = q;
-      out.q_int_abs += std::abs(static_cast<std::int64_t>(q));
-    }
-  }
-
-  // FFT spectrum of the zero-padded doubled buffer: circular correlation
-  // against it yields all n rotation dots with no wraparound because
-  // k + i <= 2n - 2 < M for every lag the engine reads.
-  out.spectrum.clear();
-  if (with_spectrum && n > 0) {
-    const std::size_t m = next_pow2(2 * n);
-    const FftPlan plan(m);
-    out.spectrum.assign(m, {0.0, 0.0});
-    for (std::size_t i = 0; i < 2 * n; ++i) out.spectrum[i] = {out.doubled[i], 0.0};
-    plan.forward(out.spectrum.data());
-  }
-}
-
-void make_rotation_template_into(const Series& b, RotationTemplate& out) {
-  make_rotation_template_into(b, out, b.size() >= rotation_fft_crossover());
 }
 
 RotationTemplate make_rotation_template(const Series& b) {
@@ -144,38 +240,6 @@ double euclidean_rotation_invariant(const Series& a, const Series& b,
   return euclidean_rotation_invariant(a, scratch, best_shift);
 }
 
-void euclidean_rotation_invariant_many(const Series& a,
-                                       const RotationTemplate* const* templates,
-                                       std::size_t count, RotationMatch* out) {
-  for (std::size_t i = 0; i < count; ++i) {
-    if (a.size() != templates[i]->length) {
-      throw std::invalid_argument(
-          "euclidean_rotation_invariant_many: size mismatch");
-    }
-  }
-  if (count == 0) return;
-  // Below the auto-quantisation length the engine would run the same dense
-  // float scan the single kernel runs, but still pay its per-call setup
-  // (query quantisation, scratch, dispatch) — a measured ~7% at n=32 with
-  // one query amortising it over few pairs. Loop the single kernel instead:
-  // bit-identical by definition, and never slower than it.
-  if (a.size() < kQuantAutoMinLength) {
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = best_rotation(a.data(), *templates[i]);
-    }
-    return;
-  }
-  // One-query block through the engine: the quantised (or FFT) bound scan
-  // plus exact candidate re-verify keeps every cell bit-identical to a
-  // standalone single-query call while running the bulk of the work in the
-  // int16 kernel — this is what makes the batch entry FASTER than looping
-  // the single kernel, not just equal to it.
-  thread_local RotationBlockScratch scratch;
-  const Series* queries[1] = {&a};
-  euclidean_rotation_invariant_block(queries, 1, templates, count, scratch,
-                                     out);
-}
-
 double euclidean_rotation_invariant_reference(const Series& a, const Series& b,
                                               std::size_t* best_shift) {
   if (a.size() != b.size()) {
@@ -202,41 +266,6 @@ double euclidean_rotation_invariant_reference(const Series& a, const Series& b,
   }
   if (best_shift != nullptr) *best_shift = best_k;
   return std::sqrt(best);
-}
-
-double dtw_into(const Series& a, const Series& b, std::size_t window,
-                DtwScratch& scratch) {
-  if (a.empty() || b.empty()) throw std::invalid_argument("dtw: empty series");
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  // The band must be at least |n - m| wide for a path to exist.
-  const std::size_t min_band = n > m ? n - m : m - n;
-  const std::size_t band = std::max(window, min_band);
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double>& prev = scratch.prev;
-  std::vector<double>& curr = scratch.curr;
-  prev.assign(m + 1, kInf);
-  curr.assign(m + 1, kInf);
-  prev[0] = 0.0;
-
-  for (std::size_t i = 1; i <= n; ++i) {
-    std::fill(curr.begin(), curr.end(), kInf);
-    const std::size_t j_begin = i > band ? i - band : 1;
-    const std::size_t j_end = std::min(m, i + band);
-    for (std::size_t j = j_begin; j <= j_end; ++j) {
-      const double cost = std::abs(a[i - 1] - b[j - 1]);
-      const double best_prev = std::min({prev[j], curr[j - 1], prev[j - 1]});
-      curr[j] = cost + best_prev;
-    }
-    std::swap(prev, curr);
-  }
-  return prev[m];
-}
-
-double dtw(const Series& a, const Series& b, std::size_t window) {
-  thread_local DtwScratch scratch;
-  return dtw_into(a, b, window, scratch);
 }
 
 double pearson_correlation(const Series& a, const Series& b) {

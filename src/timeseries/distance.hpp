@@ -1,5 +1,5 @@
-// Distance measures between raw series: Euclidean, windowed DTW, and the
-// circular-shift (rotation-invariant) variants needed for closed-contour
+// Distance measures between raw series: Euclidean, Pearson correlation and
+// the circular-shift (rotation-invariant) variants needed for closed-contour
 // signatures.
 //
 // The rotation-invariant scan is the recognition hot spot (streams x
@@ -30,10 +30,7 @@
 // bench_distance_micro identity gate.
 #pragma once
 
-#include <complex>
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "timeseries/series.hpp"
 
@@ -55,46 +52,15 @@ namespace hdc::timeseries {
 struct RotationTemplate {
   Series doubled;         ///< template values twice over, size == 2 * length
   std::size_t length{0};  ///< n of the original series
-
-  // --- quantised pre-filter form (rotation_block.hpp engine) ------------
-  // Filled by make_rotation_template when 0 < length <= the engine's
-  // pre-filter cap and the series is not identically zero; q_doubled stays
-  // empty otherwise and the engine falls back to the dense float scan.
-  std::vector<std::int16_t> q_doubled;  ///< quantised doubled buffer, size 2 * length
-  double quant_scale{0.0};   ///< value = quant_scale * q; 0 = pre-filter unavailable
-  std::int64_t q_int_abs{0};  ///< sum |q_doubled[0..length)| (exact integer)
-  double abs_sum{0.0};       ///< sum |values| over one period
-  double sum_sq{0.0};        ///< sum values^2 over one period
-  double max_abs{0.0};       ///< max |value|
-
-  // --- FFT long-signature form ------------------------------------------
-  // Forward FFT of the doubled buffer zero-padded to next_pow2(2 * length).
-  // Built when length >= rotation_fft_crossover() (or on request); empty
-  // otherwise.
-  std::vector<std::complex<double>> spectrum;
 };
 
-/// Builds the doubled form of `b` plus the quantised pre-filter fields; the
-/// FFT spectrum is built iff b.size() >= rotation_fft_crossover(). O(n)
-/// copies (plus one O(M log M) transform when the spectrum is built).
+/// Builds the doubled form of `b`. O(n) copies plus the allocation.
 [[nodiscard]] RotationTemplate make_rotation_template(const Series& b);
 
 /// make_rotation_template into `out` (resized in place, allocation-free
 /// once warm); identical to the allocating version, which delegates here.
 /// `out.doubled` must not alias `b`.
 void make_rotation_template_into(const Series& b, RotationTemplate& out);
-
-/// As above but with the spectrum decision forced instead of taken from
-/// rotation_fft_crossover() — bench and tests use this to exercise the FFT
-/// path at short lengths (and to skip the spectrum at long ones).
-void make_rotation_template_into(const Series& b, RotationTemplate& out,
-                                 bool with_spectrum);
-
-/// One template's best rotation against a query.
-struct RotationMatch {
-  double distance{0.0};   ///< rotation-invariant Euclidean distance
-  std::size_t shift{0};   ///< rotation of the template at the minimum
-};
 
 /// Minimum Euclidean distance over all circular rotations of `b`.
 /// O(n^2) multiply-adds but straight-line and vectorised — the fast path
@@ -113,17 +79,6 @@ struct RotationMatch {
 [[nodiscard]] double euclidean_rotation_invariant(const Series& a, const Series& b,
                                                   std::size_t* best_shift = nullptr);
 
-/// Batch entry point: scores `count` templates against ONE query in a
-/// single call, writing one RotationMatch per template to `out` (caller
-/// allocates `count` slots). Each template's result is bit-identical to a
-/// standalone euclidean_rotation_invariant(a, *templates[i]) call; the
-/// batch form exists so SignDatabase's exact-verify pass makes one call per
-/// query, not one per template. Throws std::invalid_argument if any
-/// template's length differs from a.size(). No allocation.
-void euclidean_rotation_invariant_many(const Series& a,
-                                       const RotationTemplate* const* templates,
-                                       std::size_t count, RotationMatch* out);
-
 /// The historical scalar scan (modulo indexing + early abandon), kept as
 /// the semantic anchor for the vectorised kernel: tests and the
 /// bench_distance_micro identity gate pin the kernel against this
@@ -137,28 +92,6 @@ void euclidean_rotation_invariant_many(const Series& a,
 /// compiler's baseline auto-vectorisation). Recorded in bench JSON so perf
 /// snapshots are comparable across machines.
 [[nodiscard]] const char* rotation_kernel() noexcept;
-
-/// Reusable DP rows for dtw_into (two rows of m + 1 doubles). Resized in
-/// place, so a scratch that has seen one call of a given |b| performs zero
-/// heap allocations on every later call of that length. Never share between
-/// concurrent calls.
-struct DtwScratch {
-  std::vector<double> prev;
-  std::vector<double> curr;
-};
-
-/// Dynamic time warping with a Sakoe-Chiba band of half-width `window`
-/// (window >= max(|a|,|b|) degenerates to full DTW; the band is widened to
-/// |n - m| automatically so a path always exists). Both series must be
-/// non-empty. Euclidean point cost. O(n * band) time; DP rows live in
-/// `scratch`, so loops reusing one scratch run allocation-free once warm.
-[[nodiscard]] double dtw_into(const Series& a, const Series& b,
-                              std::size_t window, DtwScratch& scratch);
-
-/// Allocation-convenient dtw: delegates to dtw_into with a thread-local
-/// scratch (allocation-free once warm per thread). Same result bits. Loops
-/// that own their buffers should call dtw_into directly.
-[[nodiscard]] double dtw(const Series& a, const Series& b, std::size_t window);
 
 /// Pearson correlation coefficient in [-1, 1]; 0 when either side is flat
 /// or shorter than 2. O(n), no allocation.

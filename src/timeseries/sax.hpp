@@ -113,7 +113,7 @@ class SaxEncoder {
                                                   std::size_t* best_shift = nullptr) const;
 
   /// mindist_rotation_invariant with a caller-owned scratch word for the
-  /// rotations (keeps the batch query path allocation-free once warm);
+  /// rotations (keeps the streaming query path allocation-free once warm);
   /// bit-identical to the version above, which delegates here.
   [[nodiscard]] double mindist_rotation_invariant(const SaxWord& a, const SaxWord& b,
                                                   std::size_t* best_shift,

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -18,9 +20,9 @@
 #include <thread>
 #include <vector>
 
-#include "recognition/batch_recognizer.hpp"
 #include "signs/multi_drone_feed.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace hdc::recognition {
 namespace {
@@ -181,12 +183,15 @@ TEST_F(PerceptionServiceSuite, ShardsShareExactlyOneDatabaseInstance) {
   }
   EXPECT_EQ(&service.database(), db.get());
 
-  // The same sharing works across engine types: no copies anywhere.
-  const BatchRecognizer batch_a(sequential_->config(), db, 1);
-  const BatchRecognizer batch_b(sequential_->config(), db, 2);
+  // The same sharing works across services and recognisers: no copies
+  // anywhere.
+  PerceptionService other(sequential_->config(), db, [](const StreamResult&) {},
+                          {/*shards=*/2, /*queue_capacity=*/4,
+                           util::OverflowPolicy::kBlock});
   const SaxSignRecognizer seq_b(sequential_->config(), db);
-  EXPECT_EQ(&batch_a.database(), &batch_b.database());
-  EXPECT_EQ(&batch_a.database(), db.get());
+  EXPECT_EQ(db.use_count(), use_before + 3);
+  EXPECT_EQ(&other.database(), db.get());
+  EXPECT_EQ(other.shard_database(1), db.get());
   EXPECT_EQ(&seq_b.database(), db.get());
 }
 
@@ -479,6 +484,106 @@ TEST_F(PerceptionServiceSuite, DeliveredResultsCarryTheirTraceContext) {
     EXPECT_TRUE(it->second.count(telemetry::TraceStage::kQueueWait));
     EXPECT_TRUE(it->second.count(telemetry::TraceStage::kRecognize));
   }
+}
+
+TEST_F(PerceptionServiceSuite, EveryFrameGetsItsOwnRecognizeSampleAndSlice) {
+  // Shards recognise one frame per pop: with every frame queued on ONE
+  // shard before it starts draining, each frame still yields exactly one
+  // perception_recognize_ns sample and one kRecognize slice, and the slices
+  // of one shard never overlap (each carries its own start and end).
+  telemetry::MetricsRegistry registry;
+  telemetry::FlightRecorder recorder;
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool open = false;
+  PerceptionServiceConfig service_config;
+  service_config.shards = 1;
+  service_config.queue_capacity = 32;
+  service_config.metrics = &registry;
+  service_config.recorder = &recorder;
+  PerceptionService service(
+      sequential_->config(), sequential_->database_ptr(),
+      [&](const StreamResult& r) {
+        if (r.sequence != 0 || r.stream_id != 0) return;
+        std::unique_lock<std::mutex> lock(gate_mutex);
+        gate_cv.wait(lock, [&] { return open; });
+      },
+      service_config);
+  std::size_t submitted = 0;
+  for (std::uint32_t s = 0; s < kStreams; ++s) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      ASSERT_EQ(service.submit(s, (*scripts_)[s][i]).status, SubmitStatus::kEnqueued);
+      ++submitted;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    open = true;
+  }
+  gate_cv.notify_all();
+  service.drain();
+
+  const telemetry::MetricsSnapshot snap = registry.snapshot();
+  const telemetry::HistogramSnapshot* recognize =
+      snap.find_histogram(telemetry::kPerceptionRecognize);
+  ASSERT_NE(recognize, nullptr);
+  EXPECT_EQ(recognize->count, submitted);
+
+  std::vector<telemetry::TraceEvent> slices;
+  std::set<std::uint64_t> traces;
+  for (const telemetry::TraceEvent& event : recorder.collect()) {
+    if (event.stage != telemetry::TraceStage::kRecognize) continue;
+    slices.push_back(event);
+    traces.insert(event.trace_id);
+  }
+  ASSERT_EQ(slices.size(), submitted);
+  EXPECT_EQ(traces.size(), submitted);
+  std::sort(slices.begin(), slices.end(),
+            [](const auto& a, const auto& b) { return a.t_start_ns < b.t_start_ns; });
+  for (std::size_t i = 1; i < slices.size(); ++i) {
+    EXPECT_LE(slices[i - 1].t_end_ns, slices[i].t_start_ns) << "slice " << i;
+  }
+}
+
+TEST_F(PerceptionServiceSuite, StreamIdsAboveTraceLimitThrowAtSubmit) {
+  // make_trace_id keeps 16 bits of stream + 1: stream 65535 would get the
+  // zero "no context" id and s + 65536 would alias s. The limit is
+  // enforced before any state changes.
+  std::mutex mutex;
+  std::vector<StreamResult> delivered;
+  PerceptionService service(
+      sequential_->config(), sequential_->database_ptr(),
+      [&](const StreamResult& r) {
+        std::lock_guard<std::mutex> lock(mutex);
+        delivered.push_back(r);
+      },
+      {/*shards=*/1, /*queue_capacity=*/4, util::OverflowPolicy::kBlock});
+  const imaging::GrayImage& frame = (*scripts_)[0][0];
+  ASSERT_EQ(telemetry::kMaxTraceStreamId, 65534u);
+
+  const SubmitReceipt first = service.submit(65534, frame);
+  EXPECT_EQ(first.status, SubmitStatus::kEnqueued);
+  EXPECT_EQ(first.sequence, 0u);
+  for (const std::uint32_t bad : {65535u, 65536u, 65536u + 65534u,
+                                  std::numeric_limits<std::uint32_t>::max()}) {
+    EXPECT_THROW((void)service.submit(bad, frame), std::invalid_argument) << bad;
+    const StreamStats stats = service.stream_stats(bad);
+    EXPECT_EQ(stats.submitted, 0u) << bad;
+    EXPECT_EQ(stats.rejected, 0u) << bad;
+  }
+  // The refused submits consumed nothing: the next admitted frame is 1.
+  EXPECT_EQ(service.submit(65534, frame).sequence, 1u);
+  service.drain();
+
+  ASSERT_EQ(delivered.size(), 2u);
+  for (const StreamResult& r : delivered) {
+    EXPECT_EQ(r.stream_id, 65534u);
+    EXPECT_NE(r.trace.trace_id, 0u);
+    EXPECT_EQ(r.trace.trace_id, telemetry::make_trace_id(65534, r.sequence));
+  }
+  const StreamStats totals = service.total_stats();
+  EXPECT_EQ(totals.submitted, 2u);
+  EXPECT_EQ(totals.delivered, 2u);
 }
 
 TEST_F(PerceptionServiceSuite, ConcurrentSameStreamSubmittersStayOrdered) {

@@ -1,21 +1,22 @@
-// BatchRecognizer: equivalence with the sequential SaxSignRecognizer
-// (bit-identical payloads across worker counts), determinism under a
-// shuffled batch (guards against data races in the worker pool), reject
-// branch coverage for the shared pipeline, and ThreadPool basics.
-#include "recognition/batch_recognizer.hpp"
+// Frame-stream recognition through the one canonical pipeline
+// (recognize_frame_into) with one reused RecognizerScratch: equivalence with
+// SaxSignRecognizer (bit-identical payloads), scratch reuse across
+// heterogeneous frames, determinism over a shuffled 64-frame stream (also
+// through a 4-shard PerceptionService), every RejectReason branch, the
+// shared-database handle, and survival of an invalid frame.
+#include "recognition/recognizer.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <numeric>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "recognition/perception_service.hpp"
 #include "signs/scene.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hdc::recognition {
 namespace {
@@ -43,7 +44,7 @@ std::string payload_bytes(const std::vector<RecognitionResult>& results) {
 
 /// Shared default-config recogniser + database (database construction
 /// renders frames, so build once for the whole suite).
-class BatchRecognitionSuite : public ::testing::Test {
+class FrameStreamSuite : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     sequential_ = new SaxSignRecognizer(RecognizerConfig{}, DatabaseBuildOptions{});
@@ -72,12 +73,23 @@ class BatchRecognitionSuite : public ::testing::Test {
     return frames;
   }
 
+  /// Recognises `frames` in order through one caller-owned scratch.
+  static std::vector<RecognitionResult> recognize_all(
+      const std::vector<imaging::GrayImage>& frames, RecognizerScratch& scratch) {
+    std::vector<RecognitionResult> results(frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      recognize_frame_into(sequential_->config(), sequential_->database(), frames[i],
+                           scratch, results[i]);
+    }
+    return results;
+  }
+
   static SaxSignRecognizer* sequential_;
 };
 
-SaxSignRecognizer* BatchRecognitionSuite::sequential_ = nullptr;
+SaxSignRecognizer* FrameStreamSuite::sequential_ = nullptr;
 
-TEST_F(BatchRecognitionSuite, MatchesSequentialAcrossWorkerCounts) {
+TEST_F(FrameStreamSuite, ReusedScratchMatchesSequential) {
   const std::vector<imaging::GrayImage> frames = make_frames();
   std::vector<RecognitionResult> expected;
   expected.reserve(frames.size());
@@ -85,28 +97,27 @@ TEST_F(BatchRecognitionSuite, MatchesSequentialAcrossWorkerCounts) {
     expected.push_back(sequential_->recognize(frame));
   }
 
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    BatchRecognizer engine(sequential_->config(), sequential_->database(), workers);
-    ASSERT_EQ(engine.worker_count(), workers);
-    const std::vector<RecognitionResult> batch = engine.recognize_batch(frames);
-    ASSERT_EQ(batch.size(), expected.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(batch[i].sign, expected[i].sign) << "frame " << i;
-      EXPECT_EQ(batch[i].reject_reason, expected[i].reject_reason) << "frame " << i;
-      EXPECT_EQ(batch[i].accepted, expected[i].accepted) << "frame " << i;
-      // Bit-identical, not approximately equal: both paths run the same
-      // canonical pipeline.
-      EXPECT_EQ(batch[i].distance, expected[i].distance) << "frame " << i;
-      EXPECT_EQ(batch[i].margin, expected[i].margin) << "frame " << i;
-      EXPECT_EQ(batch[i].sax_word, expected[i].sax_word) << "frame " << i;
-    }
+  RecognizerScratch scratch;
+  const std::vector<RecognitionResult> reused = recognize_all(frames, scratch);
+  ASSERT_EQ(reused.size(), expected.size());
+  for (std::size_t i = 0; i < reused.size(); ++i) {
+    EXPECT_EQ(reused[i].sign, expected[i].sign) << "frame " << i;
+    EXPECT_EQ(reused[i].reject_reason, expected[i].reject_reason) << "frame " << i;
+    EXPECT_EQ(reused[i].accepted, expected[i].accepted) << "frame " << i;
+    // Bit-identical, not approximately equal: both run the same canonical
+    // pipeline; only the scratch is fresh on one side and warm on the other.
+    EXPECT_EQ(reused[i].distance, expected[i].distance) << "frame " << i;
+    EXPECT_EQ(reused[i].margin, expected[i].margin) << "frame " << i;
+    EXPECT_EQ(reused[i].sax_word, expected[i].sax_word) << "frame " << i;
   }
 }
 
-TEST_F(BatchRecognitionSuite, DeterministicOverShuffled64FrameBatch) {
-  // Two runs over the same shuffled 64-frame batch must yield byte-identical
-  // payloads — any data race in the worker pool (shared scratch, torn
-  // writes, index mixups) shows up here.
+TEST_F(FrameStreamSuite, DeterministicOverShuffled64FrameStream) {
+  // Two passes over the same shuffled 64-frame stream through one scratch
+  // must yield byte-identical payloads, and a 4-shard PerceptionService fed
+  // the same frames (8 streams, so every shard works concurrently) must
+  // deliver the same payload for every frame — any state leaking between
+  // frames or data race between shards shows up here.
   const std::vector<imaging::GrayImage> base = make_frames();
   std::vector<std::size_t> order(64);
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i % base.size();
@@ -118,54 +129,80 @@ TEST_F(BatchRecognitionSuite, DeterministicOverShuffled64FrameBatch) {
   frames.reserve(order.size());
   for (const std::size_t i : order) frames.push_back(base[i]);
 
-  BatchRecognizer engine(sequential_->config(), sequential_->database(), 4);
-  std::vector<RecognitionResult> first;
-  std::vector<RecognitionResult> second;
-  engine.recognize_batch(frames, first);
-  engine.recognize_batch(frames, second);
+  RecognizerScratch scratch;
+  const std::vector<RecognitionResult> first = recognize_all(frames, scratch);
+  const std::vector<RecognitionResult> second = recognize_all(frames, scratch);
   ASSERT_EQ(first.size(), 64u);
   EXPECT_EQ(payload_bytes(first), payload_bytes(second));
 
-  // Worker count must not change the payload either.
-  BatchRecognizer engine2(sequential_->config(), sequential_->database(), 2);
-  EXPECT_EQ(payload_bytes(engine2.recognize_batch(frames)), payload_bytes(first));
+  constexpr std::uint32_t kStreams = 8;
+  std::mutex mutex;
+  std::map<std::size_t, RecognitionResult> by_frame;
+  PerceptionServiceConfig service_config;
+  service_config.shards = 4;
+  PerceptionService service(
+      sequential_->config(), sequential_->database_ptr(),
+      [&](const StreamResult& r) {
+        std::lock_guard<std::mutex> lock(mutex);
+        by_frame[r.sequence * kStreams + r.stream_id] = r.result;
+      },
+      service_config);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    (void)service.submit(static_cast<std::uint32_t>(i % kStreams), frames[i]);
+  }
+  service.drain();
+  ASSERT_EQ(by_frame.size(), frames.size());
+  std::vector<RecognitionResult> streamed;
+  for (const auto& entry : by_frame) streamed.push_back(entry.second);
+  EXPECT_EQ(payload_bytes(streamed), payload_bytes(first));
 }
 
-TEST_F(BatchRecognitionSuite, ScratchSurvivesHeterogeneousBatches) {
-  // Reusing one engine across batches of different content (and hitting the
+TEST_F(FrameStreamSuite, ScratchSurvivesHeterogeneousFrames) {
+  // Reusing one scratch across frames of different content (and hitting the
   // early-reject paths in between) must not leak state between frames.
-  BatchRecognizer engine(sequential_->config(), sequential_->database(), 2);
+  RecognizerScratch scratch;
   const std::vector<imaging::GrayImage> frames = make_frames();
-  const std::string before = payload_bytes(engine.recognize_batch(frames));
+  const std::string before = payload_bytes(recognize_all(frames, scratch));
 
-  std::vector<imaging::GrayImage> blanks(3, imaging::GrayImage(480, 360, 200));
-  for (const RecognitionResult& r : engine.recognize_batch(blanks)) {
+  const std::vector<imaging::GrayImage> blanks(3, imaging::GrayImage(480, 360, 200));
+  for (const RecognitionResult& r : recognize_all(blanks, scratch)) {
     EXPECT_EQ(r.reject_reason, RejectReason::kNoSilhouette);
     EXPECT_TRUE(r.sax_word.empty());
   }
+  // A smaller raster in between resizes every buffer down and back up.
+  const std::vector<imaging::GrayImage> small = {
+      signs::render_sign(signs::HumanSign::kYes, {3.5, 3.0, 0.0}, {160, 120})};
+  (void)recognize_all(small, scratch);
 
-  EXPECT_EQ(payload_bytes(engine.recognize_batch(frames)), before);
+  EXPECT_EQ(payload_bytes(recognize_all(frames, scratch)), before);
 }
 
 // ---------------------------------------------------------------------------
 // RejectReason branch coverage for the shared recognize_frame_into pipeline.
-// Each branch is exercised through BOTH the sequential recogniser and a
-// 1-worker batch engine to pin their equivalence on the reject paths.
+// Each branch is exercised through BOTH a fresh SaxSignRecognizer and a
+// warm, reused scratch to pin their equivalence on the reject paths.
 
 RecognitionResult both_paths(const RecognizerConfig& config, const SignDatabase& db,
                              const imaging::GrayImage& frame) {
   const SaxSignRecognizer sequential(config, db);
-  BatchRecognizer batch(config, db, 1);
   const RecognitionResult a = sequential.recognize(frame);
-  const std::vector<RecognitionResult> b = batch.recognize_batch({frame});
-  EXPECT_EQ(a.reject_reason, b.front().reject_reason);
-  EXPECT_EQ(a.accepted, b.front().accepted);
-  EXPECT_EQ(a.sign, b.front().sign);
-  EXPECT_EQ(a.distance, b.front().distance);
+  RecognizerScratch scratch;
+  RecognitionResult b;
+  // Warm the scratch on a full-size accepted frame first.
+  recognize_frame_into(config, db,
+                       signs::render_sign(signs::HumanSign::kYes, {3.5, 3.0, 0.0}, {}),
+                       scratch, b);
+  recognize_frame_into(config, db, frame, scratch, b);
+  EXPECT_EQ(a.reject_reason, b.reject_reason);
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.sign, b.sign);
+  EXPECT_EQ(a.distance, b.distance);
+  EXPECT_EQ(a.margin, b.margin);
+  EXPECT_EQ(a.sax_word, b.sax_word);
   return a;
 }
 
-TEST_F(BatchRecognitionSuite, AcceptedFrameHasReasonNone) {
+TEST_F(FrameStreamSuite, AcceptedFrameHasReasonNone) {
   const auto frame = signs::render_sign(signs::HumanSign::kYes,
                                         DatabaseBuildOptions{}.canonical_view, {});
   const RecognitionResult result =
@@ -174,7 +211,7 @@ TEST_F(BatchRecognitionSuite, AcceptedFrameHasReasonNone) {
   EXPECT_EQ(result.reject_reason, RejectReason::kNone);
 }
 
-TEST_F(BatchRecognitionSuite, NeutralMatchIsReasonNoneButNotAccepted) {
+TEST_F(FrameStreamSuite, NeutralMatchIsReasonNoneButNotAccepted) {
   const auto frame = signs::render_sign(signs::HumanSign::kNeutral,
                                         DatabaseBuildOptions{}.canonical_view, {});
   const RecognitionResult result =
@@ -184,7 +221,7 @@ TEST_F(BatchRecognitionSuite, NeutralMatchIsReasonNoneButNotAccepted) {
   EXPECT_EQ(result.reject_reason, RejectReason::kNone);
 }
 
-TEST_F(BatchRecognitionSuite, BlankFrameRejectsNoSilhouette) {
+TEST_F(FrameStreamSuite, BlankFrameRejectsNoSilhouette) {
   const imaging::GrayImage blank(480, 360, 200);
   const RecognitionResult result =
       both_paths(sequential_->config(), sequential_->database(), blank);
@@ -192,7 +229,7 @@ TEST_F(BatchRecognitionSuite, BlankFrameRejectsNoSilhouette) {
   EXPECT_EQ(result.reject_reason, RejectReason::kNoSilhouette);
 }
 
-TEST_F(BatchRecognitionSuite, EmptyDatabaseRejectsNoSilhouette) {
+TEST_F(FrameStreamSuite, EmptyDatabaseRejectsNoSilhouette) {
   // The query-returned-nullopt branch: a valid silhouette but nothing to
   // match against.
   const RecognizerConfig config;
@@ -203,7 +240,7 @@ TEST_F(BatchRecognitionSuite, EmptyDatabaseRejectsNoSilhouette) {
   EXPECT_EQ(result.reject_reason, RejectReason::kNoSilhouette);
 }
 
-TEST_F(BatchRecognitionSuite, TinyContourRejectsDegenerateShape) {
+TEST_F(FrameStreamSuite, TinyContourRejectsDegenerateShape) {
   // A 2x2 blob survives thresholding (morphology off, min area 1) but its
   // contour has fewer than 8 points.
   RecognizerConfig config;
@@ -220,7 +257,7 @@ TEST_F(BatchRecognitionSuite, TinyContourRejectsDegenerateShape) {
   EXPECT_EQ(result.reject_reason, RejectReason::kDegenerateShape);
 }
 
-TEST_F(BatchRecognitionSuite, ZeroSignatureSamplesRejectsDegenerateShape) {
+TEST_F(FrameStreamSuite, ZeroSignatureSamplesRejectsDegenerateShape) {
   // The second kDegenerateShape branch: a healthy contour whose signature
   // extraction is configured to produce nothing.
   RecognizerConfig config;
@@ -232,7 +269,7 @@ TEST_F(BatchRecognitionSuite, ZeroSignatureSamplesRejectsDegenerateShape) {
   EXPECT_EQ(result.reject_reason, RejectReason::kDegenerateShape);
 }
 
-TEST_F(BatchRecognitionSuite, StrictThresholdRejectsAboveThreshold) {
+TEST_F(FrameStreamSuite, StrictThresholdRejectsAboveThreshold) {
   RecognizerConfig config;
   config.accept_distance = 1e-12;  // only a perfect replica could pass
   const auto frame = signs::render_sign(signs::HumanSign::kNo, {3.0, 3.0, 15.0}, {});
@@ -243,7 +280,7 @@ TEST_F(BatchRecognitionSuite, StrictThresholdRejectsAboveThreshold) {
   EXPECT_GT(result.distance, config.accept_distance);
 }
 
-TEST_F(BatchRecognitionSuite, HugeMarginRequirementRejectsLowMargin) {
+TEST_F(FrameStreamSuite, HugeMarginRequirementRejectsLowMargin) {
   RecognizerConfig config;
   config.min_margin = 1e9;  // no pair of templates is this well separated
   const auto frame = signs::render_sign(signs::HumanSign::kYes,
@@ -255,105 +292,40 @@ TEST_F(BatchRecognitionSuite, HugeMarginRequirementRejectsLowMargin) {
   EXPECT_LT(result.margin, config.min_margin);
 }
 
-// ---------------------------------------------------------------------------
-// ThreadPool basics.
-
-TEST(ThreadPool, RunsEveryJobExactlyOnceWithValidWorkerIds) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.worker_count(), 4u);
-  constexpr std::size_t kJobs = 1000;
-  std::vector<std::atomic<int>> hits(kJobs);
-  std::atomic<bool> bad_worker{false};
-  pool.run(kJobs, [&](std::size_t worker, std::size_t job) {
-    if (worker >= 4) bad_worker = true;
-    hits[job].fetch_add(1);
-  });
-  EXPECT_FALSE(bad_worker.load());
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "job " << i;
-  }
-}
-
-TEST(ThreadPool, SingleWorkerPoolIsSequential) {
-  util::ThreadPool pool(1);
-  EXPECT_EQ(pool.worker_count(), 1u);
-  std::vector<std::size_t> order;
-  pool.run(16, [&](std::size_t worker, std::size_t job) {
-    EXPECT_EQ(worker, 0u);
-    order.push_back(job);  // single worker: no synchronisation needed
-  });
-  std::vector<std::size_t> expected(16);
-  std::iota(expected.begin(), expected.end(), 0u);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPool, JobExceptionIsRethrownAndPoolSurvives) {
-  util::ThreadPool pool(4);
-  std::atomic<std::size_t> ran{0};
-  EXPECT_THROW(
-      pool.run(32,
-               [&](std::size_t, std::size_t job) {
-                 ran.fetch_add(1);
-                 if (job == 7) throw std::runtime_error("boom");
-               }),
-      std::runtime_error);
-  EXPECT_EQ(ran.load(), 32u);  // the batch still settles completely
-  std::atomic<std::size_t> after{0};
-  pool.run(8, [&](std::size_t, std::size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 8u);
-}
-
-TEST_F(BatchRecognitionSuite, InvalidFrameThrowsLikeSequentialAndEngineSurvives) {
-  // A default-constructed (0x0) frame makes the pipeline throw; the batch
-  // engine must surface that exception instead of terminating, and must
-  // stay usable afterwards.
-  BatchRecognizer engine(sequential_->config(), sequential_->database(), 2);
-  std::vector<imaging::GrayImage> frames(1);
-  EXPECT_THROW(engine.recognize_batch(frames), std::invalid_argument);
-  EXPECT_THROW((void)sequential_->recognize(frames.front()), std::invalid_argument);
+TEST_F(FrameStreamSuite, InvalidFrameThrowsAndScratchSurvives) {
+  // A default-constructed (0x0) frame makes the pipeline throw; the same
+  // scratch must stay usable and produce the sequential payload afterwards.
+  RecognizerScratch scratch;
+  RecognitionResult result;
+  const imaging::GrayImage invalid;
+  EXPECT_THROW(recognize_frame_into(sequential_->config(), sequential_->database(),
+                                    invalid, scratch, result),
+               std::invalid_argument);
+  EXPECT_THROW((void)sequential_->recognize(invalid), std::invalid_argument);
   const auto good = signs::render_sign(signs::HumanSign::kYes,
                                        DatabaseBuildOptions{}.canonical_view, {});
-  EXPECT_TRUE(engine.recognize_batch({good}).front().accepted);
+  recognize_frame_into(sequential_->config(), sequential_->database(), good, scratch,
+                       result);
+  EXPECT_TRUE(result.accepted);
+  std::string reused;
+  std::string fresh;
+  append_payload(result, reused);
+  append_payload(sequential_->recognize(good), fresh);
+  EXPECT_EQ(reused, fresh);
 }
 
-TEST_F(BatchRecognitionSuite, EmptyFrameVectorClearsResultsAndSkipsPool) {
-  // Regression: an empty batch is a defined no-op — `results` is cleared
-  // (stale entries from a previous batch must not survive) and the worker
-  // pool is never woken.
-  BatchRecognizer engine(sequential_->config(), sequential_->database(), 2);
-  const std::vector<imaging::GrayImage> frames = make_frames();
-  std::vector<RecognitionResult> results;
-  engine.recognize_batch(frames, results);
-  ASSERT_EQ(results.size(), frames.size());
-
-  engine.recognize_batch({}, results);
-  EXPECT_TRUE(results.empty());
-  EXPECT_TRUE(engine.recognize_batch(std::vector<imaging::GrayImage>{}).empty());
-
-  // The engine is untouched and still produces identical payloads.
-  EXPECT_EQ(payload_bytes(engine.recognize_batch(frames)),
-            payload_bytes(engine.recognize_batch(frames)));
-}
-
-TEST_F(BatchRecognitionSuite, EnginesShareOneDatabaseViaSharedHandle) {
-  // The shared_ptr ownership refactor: engines built from one handle match
-  // against literally the same immutable database object — no copies.
+TEST_F(FrameStreamSuite, EnginesShareOneDatabaseViaSharedHandle) {
+  // Recognisers and services built from one handle match against literally
+  // the same immutable database object — no copies.
   const std::shared_ptr<const SignDatabase>& db = sequential_->database_ptr();
-  BatchRecognizer a(sequential_->config(), db, 1);
-  BatchRecognizer b(sequential_->config(), db, 2);
+  const SaxSignRecognizer a(sequential_->config(), db);
+  PerceptionService b(sequential_->config(), db, [](const StreamResult&) {},
+                      {/*shards=*/2, /*queue_capacity=*/4,
+                       util::OverflowPolicy::kBlock});
   EXPECT_EQ(&a.database(), &b.database());
   EXPECT_EQ(&a.database(), db.get());
+  EXPECT_EQ(b.shard_database(1), db.get());
   EXPECT_EQ(&sequential_->database(), db.get());
-}
-
-TEST(ThreadPool, EmptyBatchAndReuseAcrossBatches) {
-  util::ThreadPool pool(3);
-  pool.run(0, [](std::size_t, std::size_t) { FAIL() << "no jobs expected"; });
-  std::atomic<std::size_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.run(7, [&](std::size_t, std::size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 350u);
 }
 
 }  // namespace

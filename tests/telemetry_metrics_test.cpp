@@ -13,6 +13,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "telemetry/sink.hpp"
@@ -192,15 +193,30 @@ TEST(Registry, SnapshotDuringWritesIsMonotonicAndInternallyConsistent) {
   }
   // The snapshot loop can outrun thread startup: wait for the writer to
   // make progress before stopping it, so the final check is not a race.
-  while (registry.snapshot().find_counter("events_total")->value == 0) {
-    std::this_thread::yield();
-  }
+  const auto events_total = [&registry] {
+    const MetricsSnapshot snapshot = registry.snapshot();
+    return snapshot.find_counter("events_total")->value;
+  };
+  while (events_total() == 0) std::this_thread::yield();
   stop.store(true);
   writer.join();
-  EXPECT_GT(registry.snapshot().find_counter("events_total")->value, 0u);
+  EXPECT_GT(events_total(), 0u);
 }
 
 // ------------------------------------------------------------- handles --
+
+// Snapshot lookups return pointers into the snapshot, so calling them on a
+// temporary (which dies at the end of the full-expression) must not compile.
+template <typename Snapshot>
+concept LookupCompiles = requires(Snapshot&& snapshot) {
+  std::forward<Snapshot>(snapshot).find_counter("x");
+  std::forward<Snapshot>(snapshot).find_histogram("x");
+};
+static_assert(LookupCompiles<const MetricsSnapshot&>);
+static_assert(LookupCompiles<MetricsSnapshot&>);
+static_assert(!LookupCompiles<MetricsSnapshot>);
+static_assert(!LookupCompiles<const MetricsSnapshot>);
+
 
 TEST(Registry, DisarmedHandlesAreNoOps) {
   Counter counter;
@@ -230,16 +246,20 @@ TEST(Registry, SameNameReturnsTheSameMetric) {
 TEST(Span, RecordsElapsedTimeOnlyWhenEnabled) {
   MetricsRegistry registry;
   Histogram histogram = registry.histogram("span_ns");
+  const auto span_count = [&registry] {
+    const MetricsSnapshot snapshot = registry.snapshot();
+    return snapshot.find_histogram("span_ns")->count;
+  };
   { TELEMETRY_SPAN(histogram); }
-  EXPECT_EQ(registry.snapshot().find_histogram("span_ns")->count, 1u);
+  EXPECT_EQ(span_count(), 1u);
 
   set_enabled(false);
   { TELEMETRY_SPAN(histogram); }
   set_enabled(true);
-  EXPECT_EQ(registry.snapshot().find_histogram("span_ns")->count, 1u);
+  EXPECT_EQ(span_count(), 1u);
 
   { TELEMETRY_SPAN(histogram); }
-  EXPECT_EQ(registry.snapshot().find_histogram("span_ns")->count, 2u);
+  EXPECT_EQ(span_count(), 2u);
 }
 
 // ----------------------------------------------------------- exposition --

@@ -184,8 +184,8 @@ TEST(TracedSpanTest, EmitsHistogramSampleAndTraceEventWhenArmed) {
                     TraceStage::kFuse);
     span.set_outcome(TraceOutcome::kOk);
   }
-  const HistogramSnapshot* snap =
-      registry.snapshot().find_histogram("span_test_ns");
+  const MetricsSnapshot snapshot = registry.snapshot();
+  const HistogramSnapshot* snap = snapshot.find_histogram("span_test_ns");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->count, 1u);
   const std::vector<TraceEvent> collected = recorder.collect();
@@ -200,7 +200,8 @@ TEST(TracedSpanTest, NoContextMeansHistogramOnly) {
   const Histogram histogram = registry.histogram("span_noctx_ns");
   FlightRecorder recorder(16);
   { TracedSpan span(histogram, &recorder, TraceContext{}, TraceStage::kFuse); }
-  EXPECT_EQ(registry.snapshot().find_histogram("span_noctx_ns")->count, 1u);
+  const MetricsSnapshot snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.find_histogram("span_noctx_ns")->count, 1u);
   EXPECT_TRUE(recorder.collect().empty());
 }
 

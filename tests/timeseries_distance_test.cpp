@@ -133,10 +133,6 @@ TEST(RotationInvariant, SizeMismatchThrowsEverywhere) {
                std::invalid_argument);
   const RotationTemplate t = make_rotation_template(b);
   EXPECT_THROW((void)euclidean_rotation_invariant(a, t), std::invalid_argument);
-  const RotationTemplate* templates[] = {&t};
-  RotationMatch out[1];
-  EXPECT_THROW(euclidean_rotation_invariant_many(a, templates, 1, out),
-               std::invalid_argument);
 }
 
 TEST(RotationInvariant, KernelMatchesReferenceFuzz) {
@@ -183,82 +179,17 @@ TEST(RotationInvariant, TemplateFormMatchesSeriesForm) {
   EXPECT_EQ(shift_series, shift_template);
 }
 
-TEST(RotationInvariant, ManyMatchesSingleCalls) {
-  const Series query = noise(96, 400);
-  std::vector<Series> raw;
-  std::vector<RotationTemplate> owned;
-  std::vector<const RotationTemplate*> templates;
-  for (std::uint64_t s = 0; s < 5; ++s) raw.push_back(noise(96, 500 + s));
-  raw.push_back(rotate_left(query, 31));  // one genuine near-match
-  for (const Series& b : raw) owned.push_back(make_rotation_template(b));
-  for (const RotationTemplate& t : owned) templates.push_back(&t);
-
-  std::vector<RotationMatch> batch(templates.size());
-  euclidean_rotation_invariant_many(query, templates.data(), templates.size(),
-                                    batch.data());
-  for (std::size_t i = 0; i < templates.size(); ++i) {
-    std::size_t shift = 0;
-    const double single = euclidean_rotation_invariant(query, *templates[i], &shift);
-    EXPECT_EQ(batch[i].distance, single) << "template " << i;
-    EXPECT_EQ(batch[i].shift, shift) << "template " << i;
-  }
-  EXPECT_NEAR(batch.back().distance, 0.0, 1e-9);
-}
-
-TEST(RotationInvariant, ManyHandlesEmptyInputs) {
-  RotationMatch unused;
-  euclidean_rotation_invariant_many(noise(8, 600), nullptr, 0, &unused);
+TEST(RotationInvariant, EmptySeriesIsZeroAtShiftZero) {
   const RotationTemplate empty = make_rotation_template(Series{});
-  const RotationTemplate* templates[] = {&empty, &empty};
-  RotationMatch out[2] = {{5.0, 5}, {5.0, 5}};
-  euclidean_rotation_invariant_many(Series{}, templates, 2, out);
-  EXPECT_DOUBLE_EQ(out[0].distance, 0.0);
-  EXPECT_EQ(out[1].shift, 0u);
+  std::size_t shift = 5;
+  EXPECT_DOUBLE_EQ(euclidean_rotation_invariant(Series{}, empty, &shift), 0.0);
+  EXPECT_EQ(shift, 0u);
 }
 
 TEST(RotationInvariant, KernelNameIsKnown) {
   const std::string name = rotation_kernel();
   EXPECT_TRUE(name == "avx2-fma" || name == "neon" || name == "unrolled-scalar")
       << name;
-}
-
-TEST(Dtw, EqualSeriesIsZero) {
-  const Series a = noise(32, 5);
-  EXPECT_DOUBLE_EQ(dtw(a, a, 32), 0.0);
-}
-
-TEST(Dtw, KnownSmallExample) {
-  // dtw([0,1,2],[0,2]) with |.| cost: optimal alignment
-  // (0-0),(1-?),(2-2): 1 aligns to either 0 (cost 1) or 2 (cost 1) -> 1.
-  EXPECT_DOUBLE_EQ(dtw({0.0, 1.0, 2.0}, {0.0, 2.0}, 3), 1.0);
-}
-
-TEST(Dtw, HandlesTimeShiftBetterThanEuclidean) {
-  // Same pulse shifted by 2 samples: DTW absorbs the shift, Euclidean not.
-  Series a(32, 0.0), b(32, 0.0);
-  for (int i = 10; i < 15; ++i) a[static_cast<std::size_t>(i)] = 1.0;
-  for (int i = 12; i < 17; ++i) b[static_cast<std::size_t>(i)] = 1.0;
-  EXPECT_LT(dtw(a, b, 4), euclidean(a, b));
-  EXPECT_NEAR(dtw(a, b, 4), 0.0, 1e-9);
-}
-
-TEST(Dtw, BandNarrowerThanLengthDifferenceStillWorks) {
-  // The implementation widens the band to |n - m| automatically.
-  const Series a = noise(20, 11);
-  const Series b = noise(10, 12);
-  EXPECT_NO_THROW((void)dtw(a, b, 1));
-  EXPECT_THROW((void)dtw({}, b, 1), std::invalid_argument);
-}
-
-TEST(Dtw, WiderBandNeverIncreasesCost) {
-  const Series a = noise(40, 21);
-  const Series b = noise(40, 22);
-  double previous = dtw(a, b, 0);
-  for (std::size_t w : {2u, 5u, 10u, 40u}) {
-    const double current = dtw(a, b, w);
-    EXPECT_LE(current, previous + 1e-9);
-    previous = current;
-  }
 }
 
 TEST(Pearson, PerfectCorrelations) {
