@@ -15,10 +15,10 @@
 // dialogue already completed).
 //
 // Read side (any thread): each slot is a seqlock — an even/odd version
-// counter around relaxed atomic fields. Readers retry the (rare) race
-// instead of taking a lock, so plan_hint() on a mission thread never
-// stalls the dialogue-outcome path, and the writer never waits on
-// readers. All fields are std::atomic, so the race the seqlock tolerates
+// counter around release-stored / acquire-loaded atomic fields. Readers
+// retry the (rare) race instead of taking a lock, so plan_hint() on a
+// mission thread never stalls the dialogue-outcome path, and the writer
+// never waits on readers. All fields are std::atomic, so the race the seqlock tolerates
 // is benign by construction (TSAN-clean, pinned in tests).
 #pragma once
 

@@ -1,157 +1,161 @@
 #include "imaging/components.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <numeric>
+#include <bit>
 
 namespace hdc::imaging {
 
 namespace {
 
-/// Union-find over provisional labels, storing its parents in a
-/// caller-owned arena so shard workers can reuse the allocation.
-class DisjointSet {
- public:
-  explicit DisjointSet(std::vector<std::int32_t>& parent) : parent_(parent) {
-    parent_.clear();
+/// First pixel at or after `x` whose bit equals `value`, scanning the row's
+/// `n` words; n * 64 when there is none. Foreground searches never stop in
+/// the padding (its bits are zero); background searches stop at `width` or
+/// at the end of the last word.
+inline int next_bit(const std::uint64_t* row, int n, int x, bool value) {
+  int i = x >> 6;
+  if (i >= n) return n * 64;
+  const std::uint64_t flip = value ? 0 : ~std::uint64_t{0};
+  std::uint64_t word = (row[i] ^ flip) & (~std::uint64_t{0} << (x & 63));
+  while (word == 0) {
+    if (++i == n) return n * 64;
+    word = row[i] ^ flip;
   }
-  std::int32_t make_set() {
-    parent_.push_back(static_cast<std::int32_t>(parent_.size()));
-    return parent_.back();
-  }
-  std::int32_t find(std::int32_t x) {
-    while (parent_[static_cast<std::size_t>(x)] != x) {
-      parent_[static_cast<std::size_t>(x)] =
-          parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-      x = parent_[static_cast<std::size_t>(x)];
-    }
-    return x;
-  }
-  void unite(std::int32_t a, std::int32_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent_[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
-  }
-
- private:
-  std::vector<std::int32_t>& parent_;
-};
-
-/// First-nonzero-wins merge of the four already-visited 8-connectivity
-/// neighbours, in the fixed W, NW, N, NE order (the order pins the label
-/// numbering, so it must never change).
-inline std::int32_t merge_neighbours(DisjointSet& sets, std::int32_t w,
-                                     std::int32_t nw, std::int32_t n,
-                                     std::int32_t ne) {
-  std::int32_t label = w;
-  if (nw != 0) {
-    if (label == 0) label = nw;
-    else sets.unite(label, nw);
-  }
-  if (n != 0) {
-    if (label == 0) label = n;
-    else sets.unite(label, n);
-  }
-  if (ne != 0) {
-    if (label == 0) label = ne;
-    else sets.unite(label, ne);
-  }
-  return label;
+  return i * 64 + std::countr_zero(word);
 }
 
-/// The next foreground pixel at or after `x` in a {0, 255} row, or `width`
-/// when the rest of the row is background. memchr is the branch-light
-/// (SIMD in libc) row scan — silhouette frames are mostly background, so
-/// skipping runs wholesale is where the time goes. Bytes other than 255
-/// are background, exactly like the `!= kForeground` test it replaces.
-inline int next_foreground(const std::uint8_t* row, int x, int width) {
-  const void* hit = std::memchr(row + x, kForeground,
-                                static_cast<std::size_t>(width - x));
-  if (hit == nullptr) return width;
-  return static_cast<int>(static_cast<const std::uint8_t*>(hit) - row);
+/// Root of run `i`. Parents always point to lower indices, so a root is the
+/// first run of its component in raster order.
+inline std::int32_t find_root(std::vector<std::int32_t>& parent, std::int32_t i) {
+  while (parent[static_cast<std::size_t>(i)] != i) {
+    auto& p = parent[static_cast<std::size_t>(i)];
+    p = parent[static_cast<std::size_t>(p)];  // path halving
+    i = p;
+  }
+  return i;
+}
+
+inline void unite(std::vector<std::int32_t>& parent, std::int32_t a, std::int32_t b) {
+  a = find_root(parent, a);
+  b = find_root(parent, b);
+  if (a != b) parent[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+}
+
+/// Sets bits [x0, x1) of a packed row.
+inline void set_span(std::uint64_t* row, int x0, int x1) {
+  const int first = x0 >> 6;
+  const int last = (x1 - 1) >> 6;
+  const std::uint64_t head = ~std::uint64_t{0} << (x0 & 63);
+  const std::uint64_t tail = ~std::uint64_t{0} >> (63 - ((x1 - 1) & 63));
+  if (first == last) {
+    row[first] |= head & tail;
+    return;
+  }
+  row[first] |= head;
+  for (int i = first + 1; i < last; ++i) row[i] = ~std::uint64_t{0};
+  row[last] |= tail;
+}
+
+/// Index of the first component in label order with the largest area
+/// >= `min_area`, or -1.
+std::int32_t largest_index(const std::vector<Component>& components, std::size_t min_area) {
+  std::int32_t best = -1;
+  for (std::size_t i = 0; i < components.size(); ++i) {
+    const std::size_t area = components[i].area;
+    if (area >= min_area &&
+        (best < 0 || area > components[static_cast<std::size_t>(best)].area)) {
+      best = static_cast<std::int32_t>(i);
+    }
+  }
+  return best;
 }
 
 }  // namespace
 
+void label_components_into(const BitImage& bits, std::vector<Component>& components,
+                           LabelScratch& scratch) {
+  std::vector<Run>& runs = scratch.runs;
+  std::vector<std::int32_t>& label = scratch.run_label;
+  runs.clear();
+  label.clear();
+  components.clear();
+  const int n = bits.words_per_row();
+
+  // Scan 1: runs per row, each united with the runs of the row above that
+  // it touches under 8-connectivity ([a0, a1) and [b0, b1) touch when
+  // a0 <= b1 and b0 <= a1).
+  std::size_t above_begin = 0;
+  std::size_t above_end = 0;
+  for (int y = 0; y < bits.height(); ++y) {
+    const std::uint64_t* row = bits.row(y);
+    const std::size_t row_begin = runs.size();
+    std::size_t above = above_begin;
+    for (int x0 = next_bit(row, n, 0, true); x0 < n * 64;
+         x0 = next_bit(row, n, runs.back().x1, true)) {
+      const int x1 = next_bit(row, n, x0, false);
+      const auto index = static_cast<std::int32_t>(runs.size());
+      runs.push_back(Run{y, x0, x1});
+      label.push_back(index);
+      while (above < above_end && runs[above].x1 < x0) ++above;
+      for (std::size_t j = above; j < above_end && runs[j].x0 <= x1; ++j) {
+        unite(label, index, static_cast<std::int32_t>(j));
+      }
+    }
+    above_begin = row_begin;
+    above_end = runs.size();
+  }
+
+  // Scan 2: replace each parent by its component index. A root is met
+  // before every other run of its component and starts the next component;
+  // any other run's parent has a lower index, already replaced by then.
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Run& run = runs[i];
+    std::int32_t& slot = label[i];
+    if (slot == static_cast<std::int32_t>(i)) {
+      slot = static_cast<std::int32_t>(components.size());
+      components.push_back(Component{slot + 1, 0, run.x0, run.y, run.x0, run.y, {}});
+    } else {
+      slot = label[static_cast<std::size_t>(slot)];
+    }
+    Component& comp = components[static_cast<std::size_t>(slot)];
+    const auto length = static_cast<std::int64_t>(run.x1 - run.x0);
+    comp.area += static_cast<std::size_t>(length);
+    comp.min_x = std::min(comp.min_x, run.x0);
+    comp.max_x = std::max(comp.max_x, run.x1 - 1);
+    comp.max_y = run.y;
+    // Integer sums are exact in a double, so the centroid equals the
+    // pixel-by-pixel sum over the same pixels.
+    comp.centroid.x += static_cast<double>((run.x0 + run.x1 - 1) * length / 2);
+    comp.centroid.y += static_cast<double>(run.y * length);
+  }
+  for (Component& comp : components) {
+    comp.centroid.x /= static_cast<double>(comp.area);
+    comp.centroid.y /= static_cast<double>(comp.area);
+  }
+}
+
+void largest_component_mask_into(const BitImage& bits, std::size_t min_area,
+                                 BitImage& mask, std::vector<Component>& components,
+                                 LabelScratch& scratch) {
+  label_components_into(bits, components, scratch);
+  mask.reset(bits.width(), bits.height());
+  const std::int32_t target = largest_index(components, min_area);
+  if (target < 0) return;
+  for (std::size_t i = 0; i < scratch.runs.size(); ++i) {
+    if (scratch.run_label[i] != target) continue;
+    const Run& run = scratch.runs[i];
+    set_span(mask.row(run.y), run.x0, run.x1);
+  }
+}
+
 void label_components_into(const BinaryImage& binary, Labeling& out,
                            LabelScratch& scratch) {
+  pack(binary, scratch.packed);
+  label_components_into(scratch.packed, out.components, scratch);
   out.labels.reset(binary.width(), binary.height(), 0);
-  out.components.clear();
-  const int w = binary.width();
-  const int h = binary.height();
-  const std::uint8_t* bin_data = binary.data().data();
-  std::int32_t* lab_data = out.labels.data().data();
-  const auto row_size = static_cast<std::size_t>(w);
-  DisjointSet sets(scratch.parent);
-  sets.make_set();  // slot 0 = background
-
-  // Pass 1: provisional labels, merging across the W/NW/N/NE neighbours.
-  // Row pointers replace per-pixel index math and bounds checks; the first
-  // and last columns (where NW / NE fall off the raster) peel out of the
-  // interior loop so it stays branch-light.
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* bin = bin_data + static_cast<std::size_t>(y) * row_size;
-    std::int32_t* lab = lab_data + static_cast<std::size_t>(y) * row_size;
-    const std::int32_t* up = lab - row_size;  // valid only for y > 0
-    if (y == 0) {
-      // Top row: the only visited neighbour is W.
-      for (int x = next_foreground(bin, 0, w); x < w;
-           x = next_foreground(bin, x + 1, w)) {
-        const std::int32_t west = x > 0 ? lab[x - 1] : 0;
-        lab[x] = west != 0 ? west : sets.make_set();
-      }
-      continue;
-    }
-    for (int x = next_foreground(bin, 0, w); x < w;
-         x = next_foreground(bin, x + 1, w)) {
-      const std::int32_t west = x > 0 ? lab[x - 1] : 0;
-      const std::int32_t north_west = x > 0 ? up[x - 1] : 0;
-      const std::int32_t north = up[x];
-      const std::int32_t north_east = x + 1 < w ? up[x + 1] : 0;
-      const std::int32_t label =
-          merge_neighbours(sets, west, north_west, north, north_east);
-      lab[x] = label != 0 ? label : sets.make_set();
-    }
-  }
-
-  // Pass 2: flatten labels to 1..n and gather statistics, again skipping
-  // background runs via the binary raster (nonzero labels sit exactly on
-  // foreground pixels).
-  std::vector<std::int32_t>& remap = scratch.remap;  // root -> compact label
-  remap.clear();
-  std::vector<Component>& comps = out.components;
-  for (int y = 0; y < h; ++y) {
-    const std::uint8_t* bin = bin_data + static_cast<std::size_t>(y) * row_size;
-    std::int32_t* lab = lab_data + static_cast<std::size_t>(y) * row_size;
-    for (int x = next_foreground(bin, 0, w); x < w;
-         x = next_foreground(bin, x + 1, w)) {
-      const std::int32_t root = sets.find(lab[x]);
-      if (static_cast<std::size_t>(root) >= remap.size()) {
-        remap.resize(static_cast<std::size_t>(root) + 1, 0);
-      }
-      if (remap[static_cast<std::size_t>(root)] == 0) {
-        remap[static_cast<std::size_t>(root)] =
-            static_cast<std::int32_t>(comps.size()) + 1;
-        comps.push_back(Component{static_cast<std::int32_t>(comps.size()) + 1, 0, x, y,
-                                  x, y, {}});
-      }
-      const std::int32_t compact = remap[static_cast<std::size_t>(root)];
-      lab[x] = compact;
-      Component& comp = comps[static_cast<std::size_t>(compact - 1)];
-      ++comp.area;
-      comp.min_x = std::min(comp.min_x, x);
-      comp.min_y = std::min(comp.min_y, y);
-      comp.max_x = std::max(comp.max_x, x);
-      comp.max_y = std::max(comp.max_y, y);
-      comp.centroid.x += x;
-      comp.centroid.y += y;
-    }
-  }
-  for (Component& comp : comps) {
-    if (comp.area > 0) {
-      comp.centroid.x /= static_cast<double>(comp.area);
-      comp.centroid.y /= static_cast<double>(comp.area);
-    }
+  for (std::size_t i = 0; i < scratch.runs.size(); ++i) {
+    const Run& run = scratch.runs[i];
+    std::int32_t* row = &out.labels(0, run.y);
+    std::fill(row + run.x0, row + run.x1, scratch.run_label[i] + 1);
   }
 }
 
@@ -165,25 +169,11 @@ Labeling label_components(const BinaryImage& binary) {
 void largest_component_mask_into(const BinaryImage& binary, std::size_t min_area,
                                  BinaryImage& mask, Labeling& labeling,
                                  LabelScratch& scratch) {
-  label_components_into(binary, labeling, scratch);
-  mask.reset(binary.width(), binary.height(), kBackground);
-  const Component* largest = nullptr;
-  for (const Component& comp : labeling.components) {
-    if (comp.area >= min_area && (largest == nullptr || comp.area > largest->area)) {
-      largest = &comp;
-    }
-  }
-  if (largest == nullptr) return;
-  // Branchless select — 0 - (lab == target) is 0x00 or 0xFF, which IS the
-  // {kBackground, kForeground} convention; the compiler vectorises the
-  // compare+negate where a conditional store would not.
-  const std::int32_t target = largest->label;
-  const std::int32_t* lab = labeling.labels.data().data();
-  std::uint8_t* dst = mask.data().data();
-  const std::size_t count = mask.data().size();
-  for (std::size_t i = 0; i < count; ++i) {
-    dst[i] = static_cast<std::uint8_t>(-static_cast<std::uint8_t>(lab[i] == target));
-  }
+  pack(binary, scratch.packed);
+  largest_component_mask_into(scratch.packed, min_area, scratch.packed_mask,
+                              labeling.components, scratch);
+  labeling.labels = {};
+  unpack(scratch.packed_mask, mask);
 }
 
 BinaryImage largest_component_mask(const BinaryImage& binary, std::size_t min_area) {

@@ -1,6 +1,7 @@
 #include "imaging/contour.hpp"
 
 #include <array>
+#include <bit>
 #include <cmath>
 
 namespace hdc::imaging {
@@ -12,25 +13,20 @@ constexpr std::array<std::array<int, 2>, 8> kMooreOffsets = {{
     {-1, 0}, {-1, -1}, {0, -1}, {1, -1}, {1, 0}, {1, 1}, {0, 1}, {-1, 1},
 }};
 
-[[nodiscard]] bool is_foreground(const BinaryImage& mask, int x, int y) {
-  return mask.in_bounds(x, y) && mask(x, y) == kForeground;
-}
-
 }  // namespace
 
-void trace_boundary_into(const BinaryImage& mask, Contour& contour) {
+void trace_boundary_into(const BitImage& mask, Contour& contour) {
   contour.clear();
   // Find the first foreground pixel in raster order; its west neighbour is
   // guaranteed background, which seeds the backtrack direction.
   int start_x = -1, start_y = -1;
-  for (int y = 0; y < mask.height() && start_x < 0; ++y) {
-    for (int x = 0; x < mask.width(); ++x) {
-      if (mask(x, y) == kForeground) {
-        start_x = x;
-        start_y = y;
-        break;
-      }
-    }
+  const std::vector<std::uint64_t>& words = mask.words();
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (words[i] == 0) continue;
+    const auto per_row = static_cast<std::size_t>(mask.words_per_row());
+    start_y = static_cast<int>(i / per_row);
+    start_x = static_cast<int>(i % per_row) * 64 + std::countr_zero(words[i]);
+    break;
   }
   if (start_x < 0) return;
 
@@ -39,7 +35,7 @@ void trace_boundary_into(const BinaryImage& mask, Contour& contour) {
   // Isolated single pixel: its boundary is itself.
   bool has_neighbour = false;
   for (const auto& off : kMooreOffsets) {
-    if (is_foreground(mask, start_x + off[0], start_y + off[1])) {
+    if (mask.test(start_x + off[0], start_y + off[1])) {
       has_neighbour = true;
       break;
     }
@@ -66,7 +62,9 @@ void trace_boundary_into(const BinaryImage& mask, Contour& contour) {
   };
 
   // Upper bound on steps guards against pathological masks.
-  const std::size_t max_steps = mask.pixel_count() * 4 + 8;
+  const std::size_t pixel_count =
+      static_cast<std::size_t>(mask.width()) * static_cast<std::size_t>(mask.height());
+  const std::size_t max_steps = pixel_count * 4 + 8;
   for (std::size_t step = 0; step < max_steps; ++step) {
     const int back_dir = direction_of(bx - px, by - py);
     int found_dir = -1;
@@ -75,7 +73,7 @@ void trace_boundary_into(const BinaryImage& mask, Contour& contour) {
       const int dir = (back_dir + i) % 8;
       const int nx = px + kMooreOffsets[static_cast<std::size_t>(dir)][0];
       const int ny = py + kMooreOffsets[static_cast<std::size_t>(dir)][1];
-      if (is_foreground(mask, nx, ny)) {
+      if (mask.test(nx, ny)) {
         found_dir = dir;
         break;
       }
@@ -98,6 +96,16 @@ void trace_boundary_into(const BinaryImage& mask, Contour& contour) {
 
   // The loop may append the start pixel again as the final step; drop it.
   if (contour.size() > 1 && contour.back() == contour.front()) contour.pop_back();
+}
+
+void trace_boundary_into(const BinaryImage& mask, Contour& contour) {
+  if (mask.empty()) {
+    contour.clear();
+    return;
+  }
+  BitImage packed;
+  pack(mask, packed);
+  trace_boundary_into(packed, contour);
 }
 
 Contour trace_boundary(const BinaryImage& mask) {

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "imaging/bit_image.hpp"
 #include "imaging/image.hpp"
 #include "util/geometry.hpp"
 
@@ -18,7 +19,8 @@ using Contour = std::vector<Vec2>;
 
 /// Traces the outer boundary of the first foreground region found in raster
 /// scan order. Returns an empty contour when the image has no foreground.
-/// The trace follows 8-connected Moore neighbours.
+/// The trace follows 8-connected Moore neighbours; only kForeground pixels
+/// are foreground.
 [[nodiscard]] Contour trace_boundary(const BinaryImage& mask);
 
 /// Centroid of a contour (mean of boundary points); (0,0) for empty input.
@@ -38,7 +40,11 @@ using Contour = std::vector<Vec2>;
 // Buffer-reusing overloads for the streaming pipeline; bit-identical to the
 // allocating versions, which delegate here. `out` must not alias the input.
 
-/// trace_boundary into `out` (cleared, capacity kept).
+/// trace_boundary on a packed mask into `out` (cleared, capacity kept); the
+/// one tracer — neighbour tests are bit tests.
+void trace_boundary_into(const BitImage& mask, Contour& out);
+
+/// trace_boundary into `out`: packs `mask`, then traces it as above.
 void trace_boundary_into(const BinaryImage& mask, Contour& out);
 
 /// resample_by_arc_length into `out` (cleared, capacity kept).

@@ -1,7 +1,12 @@
 #include "imaging/filter.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+
+#if defined(HDC_SIMD) && defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "util/geometry.hpp"
 
@@ -104,8 +109,10 @@ BinaryImage threshold(const GrayImage& src, std::uint8_t value) {
   return out;
 }
 
-void otsu_threshold_into(const GrayImage& src, BinaryImage& out,
-                         std::uint8_t* chosen) {
+namespace {
+
+/// Otsu's level for `src`: the smallest value counted as foreground.
+std::uint8_t otsu_level(const GrayImage& src) {
   // Four interleaved sub-histograms break the read-modify-write dependency
   // when neighbouring pixels share a bin (the common case on sky/field
   // backgrounds), letting the accumulation loop pipeline ~4x wider. The
@@ -153,8 +160,53 @@ void otsu_threshold_into(const GrayImage& src, BinaryImage& out,
       best_threshold = t + 1;  // foreground is >= threshold
     }
   }
-  if (chosen != nullptr) *chosen = static_cast<std::uint8_t>(best_threshold);
-  threshold_into(src, static_cast<std::uint8_t>(best_threshold), out);
+  return static_cast<std::uint8_t>(best_threshold);
+}
+
+/// Bits of the 16 pixels at `p` that are >= `value`, pixel i in bit i.
+inline std::uint64_t at_least_16(const std::uint8_t* p, std::uint8_t value) {
+#if defined(HDC_SIMD) && defined(__SSE2__)
+  const __m128i pixels = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  const __m128i floor = _mm_set1_epi8(static_cast<char>(value));
+  const __m128i ge = _mm_cmpeq_epi8(_mm_max_epu8(pixels, floor), pixels);  // max(p, v) == p
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(_mm_movemask_epi8(ge)));
+#else
+  std::uint64_t bits = 0;
+  for (int i = 0; i < 16; ++i) bits |= static_cast<std::uint64_t>(p[i] >= value) << i;
+  return bits;
+#endif
+}
+
+}  // namespace
+
+void threshold_into(const GrayImage& src, std::uint8_t value, BitImage& out) {
+  const int w = src.width();
+  out.reset(w, src.height());
+  for (int y = 0; y < src.height(); ++y) {
+    const std::uint8_t* in = &src(0, y);
+    std::uint64_t* dst = out.row(y);
+    for (int x = 0; x < w; x += 64) {
+      const int count = std::min(64, w - x);
+      std::uint64_t word = 0;  // bits past `count` stay zero: the padding
+      int b = 0;
+      for (; b + 16 <= count; b += 16) word |= at_least_16(in + x + b, value) << b;
+      for (; b < count; ++b) word |= static_cast<std::uint64_t>(in[x + b] >= value) << b;
+      dst[x >> 6] = word;
+    }
+  }
+}
+
+void otsu_threshold_into(const GrayImage& src, BinaryImage& out,
+                         std::uint8_t* chosen) {
+  const std::uint8_t level = otsu_level(src);
+  if (chosen != nullptr) *chosen = level;
+  threshold_into(src, level, out);
+}
+
+void otsu_threshold_into(const GrayImage& src, BitImage& out, std::uint8_t* chosen) {
+  const std::uint8_t level = otsu_level(src);
+  if (chosen != nullptr) *chosen = level;
+  threshold_into(src, level, out);
 }
 
 BinaryImage otsu_threshold(const GrayImage& src, std::uint8_t* chosen) {
@@ -165,9 +217,12 @@ BinaryImage otsu_threshold(const GrayImage& src, std::uint8_t* chosen) {
 
 void invert_into(const GrayImage& src, GrayImage& out) {
   out.reset(src.width(), src.height());
-  for (std::size_t i = 0; i < src.data().size(); ++i) {
-    out.data()[i] = static_cast<std::uint8_t>(255 - src.data()[i]);
-  }
+  // Hoisted pointers: a byte store through out.data()[i] may alias the
+  // vector's own data pointer, which keeps the indexed loop scalar.
+  const std::uint8_t* in = src.data().data();
+  std::uint8_t* dst = out.data().data();
+  const std::size_t count = src.data().size();
+  for (std::size_t i = 0; i < count; ++i) dst[i] = static_cast<std::uint8_t>(255 - in[i]);
 }
 
 GrayImage invert(const GrayImage& src) {

@@ -3,6 +3,7 @@
 // pre-processing of the image ... initially appears expensive", paper §IV).
 #pragma once
 
+#include "imaging/bit_image.hpp"
 #include "imaging/image.hpp"
 #include "util/rng.hpp"
 
@@ -46,6 +47,14 @@ void threshold_into(const GrayImage& src, std::uint8_t value, BinaryImage& out);
 
 /// otsu_threshold into `out`.
 void otsu_threshold_into(const GrayImage& src, BinaryImage& out,
+                         std::uint8_t* chosen = nullptr);
+
+/// threshold into a packed raster: bit = (pixel >= value). Same decision
+/// per pixel as the byte version.
+void threshold_into(const GrayImage& src, std::uint8_t value, BitImage& out);
+
+/// otsu_threshold into a packed raster; same level as the byte version.
+void otsu_threshold_into(const GrayImage& src, BitImage& out,
                          std::uint8_t* chosen = nullptr);
 
 /// invert into `out`.

@@ -2,11 +2,13 @@
 // before contour tracing: opening removes salt noise, closing bridges small
 // gaps between limb segments.
 //
-// Inputs must follow the BinaryImage convention (kBackground/kForeground
-// only); the implementation exploits it with bitwise row combines, which is
-// what keeps this stage — the pipeline's hottest — vectorisable.
+// One kernel per operation, on the packed BitImage: the horizontal pass is
+// word shifts with a carry between neighbouring words, the vertical pass a
+// row AND (erode) / OR (dilate). The BinaryImage overloads pack, run that
+// kernel and unpack; only kForeground counts as foreground there.
 #pragma once
 
+#include "imaging/bit_image.hpp"
 #include "imaging/image.hpp"
 
 namespace hdc::imaging {
@@ -24,23 +26,34 @@ namespace hdc::imaging {
 /// Closing: dilate then erode (fills holes/gaps smaller than the element).
 [[nodiscard]] BinaryImage close(const BinaryImage& src, int radius = 1);
 
-// Buffer-reusing overloads for the streaming pipeline; bit-identical to the
-// allocating versions above, which delegate here. `out` and `scratch` must
-// be distinct objects and must not alias `src`.
+// Packed kernels for the streaming pipeline: allocation-free once the
+// buffers are warm. `out` and the scratch rasters must be distinct objects
+// and must not alias `src`.
 
 /// erode into `out`; `scratch` holds the horizontal pass.
-void erode_into(const BinaryImage& src, int radius, BinaryImage& out,
-                BinaryImage& scratch);
+void erode_into(const BitImage& src, int radius, BitImage& out, BitImage& scratch);
 
 /// dilate into `out`; `scratch` holds the horizontal pass.
-void dilate_into(const BinaryImage& src, int radius, BinaryImage& out,
-                 BinaryImage& scratch);
+void dilate_into(const BitImage& src, int radius, BitImage& out, BitImage& scratch);
 
 /// open into `out` (erode then dilate).
-void open_into(const BinaryImage& src, int radius, BinaryImage& out,
-               BinaryImage& scratch_a, BinaryImage& scratch_b);
+void open_into(const BitImage& src, int radius, BitImage& out, BitImage& scratch_a,
+               BitImage& scratch_b);
 
 /// close into `out` (dilate then erode).
+void close_into(const BitImage& src, int radius, BitImage& out, BitImage& scratch_a,
+                BitImage& scratch_b);
+
+// BinaryImage adaptors over the packed kernels (pack -> kernel -> unpack);
+// the allocating versions above delegate here. The byte scratch arguments
+// are unused and kept for source compatibility. `out` must not alias `src`.
+
+void erode_into(const BinaryImage& src, int radius, BinaryImage& out,
+                BinaryImage& scratch);
+void dilate_into(const BinaryImage& src, int radius, BinaryImage& out,
+                 BinaryImage& scratch);
+void open_into(const BinaryImage& src, int radius, BinaryImage& out,
+               BinaryImage& scratch_a, BinaryImage& scratch_b);
 void close_into(const BinaryImage& src, int radius, BinaryImage& out,
                 BinaryImage& scratch_a, BinaryImage& scratch_b);
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "imaging/bit_image.hpp"
 #include "imaging/components.hpp"
 #include "imaging/filter.hpp"
 #include "imaging/morphology.hpp"
@@ -36,25 +37,6 @@ SaxSignRecognizer::SaxSignRecognizer(const RecognizerConfig& config,
   }
 }
 
-timeseries::Series SaxSignRecognizer::extract_signature(
-    const imaging::GrayImage& frame) const {
-  imaging::GrayImage working = config_.dark_silhouette ? imaging::invert(frame) : frame;
-  if (config_.preprocess_blur_sigma > 0.0) {
-    working = imaging::gaussian_blur(working, config_.preprocess_blur_sigma);
-  }
-  imaging::BinaryImage binary = imaging::otsu_threshold(working);
-  if (config_.morphology_radius > 0) {
-    // Close first (bridge hairline gaps at limb joints), then open
-    // (remove speckle) — the other order can sever thin limbs.
-    binary = imaging::close(binary, config_.morphology_radius);
-    binary = imaging::open(binary, config_.morphology_radius);
-  }
-  binary = imaging::largest_component_mask(binary, config_.min_silhouette_area);
-  imaging::Contour contour = imaging::trace_boundary(binary);
-  if (config_.aspect_normalize) contour = imaging::normalize_contour_aspect(contour);
-  return imaging::centroid_distance_signature(contour, config_.signature_samples);
-}
-
 namespace {
 
 /// Conditional stage-timer scope: charges its lifetime to `timers` when
@@ -85,13 +67,13 @@ void reset_result(RecognitionResult& result) {
   result.total_ms = 0.0;
 }
 
-/// Stages 1-6 (photometrics through signature extraction) of the canonical
-/// pipeline. Returns true when scratch.signature is ready for the database
-/// query; on false the result's reject fields are final (the caller stamps
-/// total_ms).
-bool prepare_frame(const RecognizerConfig& config, const imaging::GrayImage& frame,
-                   RecognizerScratch& scratch, RecognitionResult& result,
-                   util::StageTimers* timers, RecognitionTrace* trace) {
+/// Stages 1-5 (photometrics through contour) of the canonical pipeline:
+/// leaves the silhouette's outer contour in scratch.contour (empty when no
+/// component qualifies). From threshold to contour the frame stays a packed
+/// 1-bit raster; the byte silhouette is unpacked only for a trace.
+void trace_silhouette(const RecognizerConfig& config, const imaging::GrayImage& frame,
+                      RecognizerScratch& scratch, util::StageTimers* timers,
+                      RecognitionTrace* trace) {
   // Stage 1: photometric pre-processing. `source` tracks the latest image
   // without copying when a step is disabled.
   const imaging::GrayImage* source = &frame;
@@ -111,37 +93,65 @@ bool prepare_frame(const RecognizerConfig& config, const imaging::GrayImage& fra
   // Stage 2: binarisation.
   {
     MaybeScope scope(timers, "2-threshold");
-    imaging::otsu_threshold_into(*source, scratch.binary);
+    imaging::otsu_threshold_into(*source, scratch.bits);
   }
 
-  // Stage 3: morphology cleanup (close before open; see extract_signature).
+  // Stage 3: morphology cleanup. Close first (bridge hairline gaps at limb
+  // joints), then open (remove speckle) — the other order can sever thin
+  // limbs.
   {
     MaybeScope scope(timers, "3-morphology");
     if (config.morphology_radius > 0) {
-      imaging::close_into(scratch.binary, config.morphology_radius, scratch.morph,
-                          scratch.morph_a, scratch.morph_b);
-      imaging::open_into(scratch.morph, config.morphology_radius, scratch.binary,
-                         scratch.morph_a, scratch.morph_b);
+      imaging::close_into(scratch.bits, config.morphology_radius, scratch.bits_morph,
+                          scratch.bits_a, scratch.bits_b);
+      imaging::open_into(scratch.bits_morph, config.morphology_radius, scratch.bits,
+                         scratch.bits_a, scratch.bits_b);
     }
   }
 
   // Stage 4: silhouette isolation.
   {
     MaybeScope scope(timers, "4-component");
-    imaging::largest_component_mask_into(scratch.binary, config.min_silhouette_area,
-                                         scratch.mask, scratch.labeling,
+    imaging::largest_component_mask_into(scratch.bits, config.min_silhouette_area,
+                                         scratch.bits_mask, scratch.labeling.components,
                                          scratch.label_scratch);
   }
 
   // Stage 5: contour.
   {
     MaybeScope scope(timers, "5-contour");
-    imaging::trace_boundary_into(scratch.mask, scratch.contour);
+    imaging::trace_boundary_into(scratch.bits_mask, scratch.contour);
   }
   if (trace != nullptr) {
-    trace->silhouette = scratch.mask;
+    imaging::unpack(scratch.bits_mask, trace->silhouette);
     trace->contour = scratch.contour;
   }
+}
+
+/// Stage 6: shape -> time series, into scratch.signature (empty for
+/// contours too short to have one).
+void compute_signature(const RecognizerConfig& config, RecognizerScratch& scratch,
+                       util::StageTimers* timers) {
+  MaybeScope scope(timers, "6-signature");
+  if (config.aspect_normalize) {
+    imaging::normalize_contour_aspect_into(scratch.contour, 100.0,
+                                           scratch.normalized_contour);
+    imaging::centroid_distance_signature_into(scratch.normalized_contour,
+                                              config.signature_samples, scratch.signature,
+                                              scratch.resampled);
+  } else {
+    imaging::centroid_distance_signature_into(scratch.contour, config.signature_samples,
+                                              scratch.signature, scratch.resampled);
+  }
+}
+
+/// Stages 1-6 for a frame headed to the database. Returns true when
+/// scratch.signature is ready for the query; on false the result's reject
+/// fields are final (the caller stamps total_ms).
+bool prepare_frame(const RecognizerConfig& config, const imaging::GrayImage& frame,
+                   RecognizerScratch& scratch, RecognitionResult& result,
+                   util::StageTimers* timers, RecognitionTrace* trace) {
+  trace_silhouette(config, frame, scratch, timers, trace);
   if (scratch.contour.empty()) {
     result.reject_reason = RejectReason::kNoSilhouette;
     return false;
@@ -150,22 +160,7 @@ bool prepare_frame(const RecognizerConfig& config, const imaging::GrayImage& fra
     result.reject_reason = RejectReason::kDegenerateShape;
     return false;
   }
-
-  // Stage 6: shape -> time series.
-  {
-    MaybeScope scope(timers, "6-signature");
-    if (config.aspect_normalize) {
-      imaging::normalize_contour_aspect_into(scratch.contour, 100.0,
-                                             scratch.normalized_contour);
-      imaging::centroid_distance_signature_into(scratch.normalized_contour,
-                                                config.signature_samples,
-                                                scratch.signature, scratch.resampled);
-    } else {
-      imaging::centroid_distance_signature_into(scratch.contour,
-                                                config.signature_samples,
-                                                scratch.signature, scratch.resampled);
-    }
-  }
+  compute_signature(config, scratch, timers);
   if (scratch.signature.empty()) {
     result.reject_reason = RejectReason::kDegenerateShape;
     return false;
@@ -239,6 +234,16 @@ void recognize_frame_into(const RecognizerConfig& config, const SignDatabase& da
     finalize_from_match(config, match, scratch.query.word.text, result);
   }
   result.total_ms = total.elapsed_ms();
+}
+
+timeseries::Series SaxSignRecognizer::extract_signature(
+    const imaging::GrayImage& frame) const {
+  // The recogniser's own stages, minus its gate on short contours: any
+  // contour of 3+ points still yields a signature here.
+  RecognizerScratch scratch;
+  trace_silhouette(config_, frame, scratch, nullptr, nullptr);
+  compute_signature(config_, scratch, nullptr);
+  return std::move(scratch.signature);
 }
 
 RecognitionResult SaxSignRecognizer::recognize(const imaging::GrayImage& frame,

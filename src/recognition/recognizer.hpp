@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 
+#include "imaging/bit_image.hpp"
 #include "imaging/components.hpp"
 #include "imaging/contour.hpp"
 #include "imaging/image.hpp"
@@ -92,11 +93,20 @@ struct RecognizerScratch {
   imaging::GrayImage working;        ///< inverted frame
   imaging::GrayImage blurred;        ///< optional blur output
   imaging::GrayImage blur_scratch;   ///< box-pass ping-pong
-  imaging::BinaryImage binary;       ///< threshold / morphology result
-  imaging::BinaryImage morph;        ///< morphology intermediate
-  imaging::BinaryImage morph_a;      ///< separable-pass scratch
-  imaging::BinaryImage morph_b;      ///< separable-pass scratch
-  imaging::BinaryImage mask;         ///< largest-component silhouette
+  imaging::BitImage bits;            ///< packed threshold / morphology result
+  imaging::BitImage bits_morph;      ///< packed morphology intermediate
+  imaging::BitImage bits_a;          ///< packed separable-pass scratch
+  imaging::BitImage bits_b;          ///< packed separable-pass scratch
+  imaging::BitImage bits_mask;       ///< packed largest-component silhouette
+  /// Byte rasters for callers that run the stages one by one through the
+  /// BinaryImage entry points; recognize_frame_into never touches them.
+  imaging::BinaryImage binary;
+  imaging::BinaryImage morph;
+  imaging::BinaryImage morph_a;
+  imaging::BinaryImage morph_b;
+  imaging::BinaryImage mask;
+  /// Components of the last frame (the hot path fills only `components`;
+  /// `labels` stays empty) and the run arenas behind them.
   imaging::Labeling labeling;
   imaging::LabelScratch label_scratch;
   imaging::Contour contour;

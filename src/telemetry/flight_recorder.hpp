@@ -4,12 +4,12 @@
 // Each writer thread owns one lane (registered on first emit; a deque
 // keeps lane addresses stable). Within a lane the writer is single and
 // readers are concurrent, so every slot is a tiny seqlock — the same
-// idiom GrantRegistry uses, TSAN-clean under the documented fence
-// discipline. collect() validates each slot's version against the exact
-// value its logical index implies, so a reader can tell "overwritten
-// while I was reading" from "consistent" without ever blocking the
-// writer: export-during-write returns only events that were fully
-// written and not yet overwritten.
+// idiom GrantRegistry uses: release field stores / acquire field loads
+// and no standalone fences, so ThreadSanitizer checks it. collect()
+// validates each slot's version against the exact value its logical index
+// implies, so a reader can tell "overwritten while I was reading" from
+// "consistent" without ever blocking the writer: export-during-write
+// returns only events that were fully written and not yet overwritten.
 //
 // Cost contract (same as span.hpp's SpanTimer): a pipeline stage holds a
 // TracedSpan; with no recorder wired and a disarmed histogram it costs

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "imaging/bit_image.hpp"
+#include "imaging/components.hpp"
 #include "imaging/draw.hpp"
 #include "imaging/signature.hpp"
 #include "timeseries/distance.hpp"
 #include "timeseries/normalize.hpp"
+#include "util/rng.hpp"
 
 namespace hdc::imaging {
 namespace {
@@ -200,6 +207,101 @@ TEST(AspectNormalize, BoundingBoxBecomesSquare) {
   // Degenerate contours pass through unchanged.
   const Contour flat = {{1.0, 5.0}, {9.0, 5.0}};
   EXPECT_EQ(normalize_contour_aspect(flat), flat);
+}
+
+
+// Byte-raster Moore tracer with Jacob's stopping criterion, written out
+// pixel by pixel: the reference the packed tracer's bit tests must match.
+Contour reference_trace(const BinaryImage& mask) {
+  constexpr std::array<std::array<int, 2>, 8> offsets = {{
+      {-1, 0}, {-1, -1}, {0, -1}, {1, -1}, {1, 0}, {1, 1}, {0, 1}, {-1, 1},
+  }};
+  const auto fg = [&mask](int x, int y) {
+    return mask.in_bounds(x, y) && mask(x, y) == kForeground;
+  };
+  Contour contour;
+  int sx = -1, sy = -1;
+  for (int y = 0; y < mask.height() && sx < 0; ++y) {
+    for (int x = 0; x < mask.width(); ++x) {
+      if (fg(x, y)) {
+        sx = x;
+        sy = y;
+        break;
+      }
+    }
+  }
+  if (sx < 0) return contour;
+  contour.emplace_back(sx, sy);
+  bool has_neighbour = false;
+  for (const auto& off : offsets) {
+    has_neighbour = has_neighbour || fg(sx + off[0], sy + off[1]);
+  }
+  if (!has_neighbour) return contour;
+  int px = sx, py = sy, bx = sx - 1, by = sy;
+  const std::size_t max_steps = mask.pixel_count() * 4 + 8;
+  for (std::size_t step = 0; step < max_steps; ++step) {
+    int back = 0;
+    for (int d = 0; d < 8; ++d) {
+      if (offsets[d][0] == bx - px && offsets[d][1] == by - py) back = d;
+    }
+    int found = -1;
+    int lx = bx, ly = by;
+    for (int i = 1; i <= 8; ++i) {
+      const int d = (back + i) % 8;
+      const int nx = px + offsets[d][0];
+      const int ny = py + offsets[d][1];
+      if (fg(nx, ny)) {
+        found = d;
+        break;
+      }
+      lx = nx;
+      ly = ny;
+    }
+    if (found < 0) break;
+    px += offsets[found][0];
+    py += offsets[found][1];
+    bx = lx;
+    by = ly;
+    if (px == sx && py == sy && bx == sx - 1 && by == sy) break;
+    contour.emplace_back(px, py);
+  }
+  if (contour.size() > 1 && contour.back() == contour.front()) contour.pop_back();
+  return contour;
+}
+
+TEST(TraceBoundary, PackedTracerMatchesByteReferenceAcrossWordBoundaries) {
+  hdc::util::Rng rng(31337);
+  const std::vector<int> widths = {1,   63,  64,  65, 127, 128, 129,
+                                   static_cast<int>(rng.uniform_int(2, 200))};
+  for (const int w : widths) {
+    for (const double density : {0.01, 0.1, 0.4, 0.7, 0.97}) {
+      const int h = static_cast<int>(rng.uniform_int(1, 24));
+      BinaryImage img(w, h, kBackground);
+      for (std::uint8_t& px : img.data()) {
+        px = rng.uniform() < density ? kForeground : kBackground;
+      }
+      const std::string where = "w=" + std::to_string(w) + " h=" + std::to_string(h) +
+                                " density=" + std::to_string(density);
+      // The raw raster (first region in raster order) and its largest
+      // component, which is what the recogniser traces.
+      for (const BinaryImage& mask : {img, largest_component_mask(img, 1)}) {
+        const Contour want = reference_trace(mask);
+        ASSERT_EQ(trace_boundary(mask), want) << where;
+        BitImage bits;
+        pack(mask, bits);
+        Contour got;
+        trace_boundary_into(bits, got);
+        ASSERT_EQ(got, want) << where;
+      }
+    }
+  }
+  // Solid shapes straddling word boundaries, including the raster edges.
+  for (const int w : widths) {
+    BinaryImage img(w, 20, kBackground);
+    fill_rect(img, std::max(0, w / 2 - 3), 2, std::min(w - 1, w / 2 + 3), 17, kForeground);
+    fill_disc(img, {static_cast<double>(w - 1), 10.0}, 6.0, kForeground);
+    ASSERT_EQ(trace_boundary(img), reference_trace(img)) << "w=" << w;
+  }
 }
 
 }  // namespace

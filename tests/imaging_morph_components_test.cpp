@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "imaging/bit_image.hpp"
 #include "imaging/components.hpp"
 #include "imaging/draw.hpp"
 #include "imaging/morphology.hpp"
@@ -170,10 +172,10 @@ TEST(RemoveSmall, DespecklesBelowThreshold) {
 }
 
 // Straightforward per-pixel reimplementation of the original two-pass
-// labelling (bounds-checked neighbour loop, no row-scan skipping). The
-// production version rewrote the row passes branch-light (memchr runs,
-// peeled edges, branchless mask fill); this reference pins bit-identity —
-// labels, component order AND statistics — across random rasters.
+// labelling (bounds-checked neighbour loop, union-find over pixels). The
+// production version labels runs of the packed raster; this reference pins
+// bit-identity — labels, component order AND statistics — across random
+// rasters.
 Labeling reference_label(const BinaryImage& binary) {
   struct RefSet {
     std::vector<std::int32_t> parent;
@@ -317,6 +319,177 @@ TEST(Components, VectorisedPassesBitIdenticalToReferenceOnRandomRasters) {
       }
     }
     ASSERT_TRUE(cleaned == want_cleaned) << "trial " << trial;
+  }
+}
+
+
+// ---- Word-boundary differential tests --------------------------------------
+// The packed kernels carry bits across 64-bit words, so rasters whose widths
+// sit on either side of a word boundary are where they can go wrong.
+
+/// Widths on and around word boundaries, plus one random width.
+std::vector<int> boundary_widths(hdc::util::Rng& rng) {
+  return {1, 63, 64, 65, 127, 128, 129, static_cast<int>(rng.uniform_int(2, 200))};
+}
+
+/// A random {kBackground, kForeground} raster of the given foreground density.
+BinaryImage random_raster(hdc::util::Rng& rng, int w, int h, double density) {
+  BinaryImage img(w, h, kBackground);
+  for (std::uint8_t& px : img.data()) {
+    px = rng.uniform() < density ? kForeground : kBackground;
+  }
+  return img;
+}
+
+/// True when every padding bit past the width is zero.
+bool padding_is_zero(const BitImage& bits) {
+  for (int y = 0; y < bits.height(); ++y) {
+    if ((bits.row(y)[bits.words_per_row() - 1] & ~bits.tail_mask()) != 0) return false;
+  }
+  return true;
+}
+
+/// Per-pixel square-window min (erode) / max (dilate); pixels outside the
+/// raster count as background.
+BinaryImage reference_morph(const BinaryImage& src, int radius, bool erode) {
+  BinaryImage out(src.width(), src.height(), kBackground);
+  for (int y = 0; y < src.height(); ++y) {
+    for (int x = 0; x < src.width(); ++x) {
+      bool all = true;
+      bool any = false;
+      for (int dy = -radius; dy <= radius; ++dy) {
+        for (int dx = -radius; dx <= radius; ++dx) {
+          const bool fg =
+              src.in_bounds(x + dx, y + dy) && src(x + dx, y + dy) == kForeground;
+          all = all && fg;
+          any = any || fg;
+        }
+      }
+      if (erode ? all : any) out(x, y) = kForeground;
+    }
+  }
+  return out;
+}
+
+TEST(BitImage, PackUnpackRoundTripKeepsPaddingZero) {
+  hdc::util::Rng rng(77);
+  for (const int w : boundary_widths(rng)) {
+    for (const double density : {0.0, 0.05, 0.5, 0.95, 1.0}) {
+      const int h = static_cast<int>(rng.uniform_int(1, 9));
+      const BinaryImage img = random_raster(rng, w, h, density);
+      BitImage bits;
+      pack(img, bits);
+      ASSERT_EQ(bits.width(), w);
+      ASSERT_EQ(bits.words_per_row(), (w + 63) / 64);
+      ASSERT_TRUE(padding_is_zero(bits)) << "w=" << w;
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          ASSERT_EQ(bits.test(x, y), img(x, y) == kForeground) << x << "," << y;
+        }
+      }
+      EXPECT_FALSE(bits.test(-1, 0));
+      EXPECT_FALSE(bits.test(w, 0));
+      BinaryImage back;
+      unpack(bits, back);
+      ASSERT_TRUE(back == img) << "w=" << w << " density=" << density;
+    }
+  }
+}
+
+TEST(BitImage, PackTreatsOnlyForegroundBytesAsSet) {
+  BinaryImage img(70, 1, kBackground);
+  img(0, 0) = kForeground;
+  img(1, 0) = 254;
+  img(64, 0) = 1;
+  img(69, 0) = kForeground;
+  BitImage bits;
+  pack(img, bits);
+  EXPECT_TRUE(bits.test(0, 0));
+  EXPECT_FALSE(bits.test(1, 0));
+  EXPECT_FALSE(bits.test(64, 0));
+  EXPECT_TRUE(bits.test(69, 0));
+}
+
+TEST(Morphology, PackedKernelsMatchPerPixelWindowAcrossWordBoundaries) {
+  hdc::util::Rng rng(4242);
+  for (const int w : boundary_widths(rng)) {
+    for (const double density : {0.02, 0.3, 0.7, 0.98}) {
+      for (int radius = 0; radius <= 3; ++radius) {
+        const int h = static_cast<int>(rng.uniform_int(1, 12));
+        const BinaryImage img = random_raster(rng, w, h, density);
+        const BinaryImage want_erode = reference_morph(img, radius, true);
+        const BinaryImage want_dilate = reference_morph(img, radius, false);
+        const std::string where = "w=" + std::to_string(w) + " h=" + std::to_string(h) +
+                                  " density=" + std::to_string(density) +
+                                  " r=" + std::to_string(radius);
+        ASSERT_TRUE(erode(img, radius) == want_erode) << where;
+        ASSERT_TRUE(dilate(img, radius) == want_dilate) << where;
+        ASSERT_TRUE(open(img, radius) == reference_morph(want_erode, radius, false))
+            << where;
+        ASSERT_TRUE(close(img, radius) == reference_morph(want_dilate, radius, true))
+            << where;
+
+        // The packed kernels directly, with the padding invariant checked
+        // on every output they write.
+        BitImage bits, out, scratch_a, scratch_b;
+        pack(img, bits);
+        BinaryImage unpacked;
+        close_into(bits, radius, out, scratch_a, scratch_b);
+        ASSERT_TRUE(padding_is_zero(out)) << where;
+        unpack(out, unpacked);
+        ASSERT_TRUE(unpacked == reference_morph(want_dilate, radius, true)) << where;
+        open_into(bits, radius, out, scratch_a, scratch_b);
+        ASSERT_TRUE(padding_is_zero(out)) << where;
+        unpack(out, unpacked);
+        ASSERT_TRUE(unpacked == reference_morph(want_erode, radius, false)) << where;
+      }
+    }
+  }
+}
+
+TEST(Components, RunLabellingMatchesReferenceAcrossWordBoundaries) {
+  hdc::util::Rng rng(9001);
+  for (const int w : boundary_widths(rng)) {
+    for (const double density : {0.01, 0.2, 0.45, 0.6, 0.9, 1.0}) {
+      const int h = static_cast<int>(rng.uniform_int(1, 30));
+      const BinaryImage img = random_raster(rng, w, h, density);
+      const std::string where = "w=" + std::to_string(w) + " h=" + std::to_string(h) +
+                                " density=" + std::to_string(density);
+      const Labeling want = reference_label(img);
+      const Labeling got = label_components(img);
+      ASSERT_TRUE(got.labels == want.labels) << where;
+      ASSERT_EQ(got.components.size(), want.components.size()) << where;
+
+      // The packed entry points: same components, and the largest-component
+      // mask equals the reference's painted label.
+      BitImage bits, mask;
+      pack(img, bits);
+      std::vector<Component> components;
+      LabelScratch scratch;
+      largest_component_mask_into(bits, 2, mask, components, scratch);
+      ASSERT_EQ(components.size(), want.components.size()) << where;
+      const Component* largest = nullptr;
+      for (std::size_t i = 0; i < components.size(); ++i) {
+        const Component& g = components[i];
+        const Component& r = want.components[i];
+        ASSERT_EQ(g.label, r.label) << where;
+        ASSERT_EQ(g.area, r.area) << where;
+        ASSERT_EQ(g.min_x, r.min_x) << where;
+        ASSERT_EQ(g.min_y, r.min_y) << where;
+        ASSERT_EQ(g.max_x, r.max_x) << where;
+        ASSERT_EQ(g.max_y, r.max_y) << where;
+        ASSERT_EQ(g.centroid.x, r.centroid.x) << where;
+        ASSERT_EQ(g.centroid.y, r.centroid.y) << where;
+        if (r.area >= 2 && (largest == nullptr || r.area > largest->area)) largest = &r;
+      }
+      ASSERT_TRUE(padding_is_zero(mask)) << where;
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          const bool want_set = largest != nullptr && want.labels(x, y) == largest->label;
+          ASSERT_EQ(mask.test(x, y), want_set) << where << " at " << x << "," << y;
+        }
+      }
+    }
   }
 }
 

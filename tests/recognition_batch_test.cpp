@@ -3,12 +3,15 @@
 // SaxSignRecognizer (bit-identical payloads), scratch reuse across
 // heterogeneous frames, determinism over a shuffled 64-frame stream (also
 // through a 4-shard PerceptionService), every RejectReason branch, the
-// shared-database handle, and survival of an invalid frame.
+// shared-database handle, survival of an invalid frame, and a warm scratch
+// that makes no heap allocation.
 #include "recognition/recognizer.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <map>
 #include <mutex>
 #include <string>
@@ -17,6 +20,22 @@
 #include "recognition/perception_service.hpp"
 #include "signs/scene.hpp"
 #include "util/rng.hpp"
+
+namespace {
+// operator new calls on this thread while armed (see the replacement below).
+thread_local bool counting_allocations = false;
+thread_local std::size_t allocation_count = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (counting_allocations) ++allocation_count;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair an inlined free() with a new
+// expression at call sites and warn about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hdc::recognition {
 namespace {
@@ -175,6 +194,27 @@ TEST_F(FrameStreamSuite, ScratchSurvivesHeterogeneousFrames) {
   (void)recognize_all(small, scratch);
 
   EXPECT_EQ(payload_bytes(recognize_all(frames, scratch)), before);
+}
+
+TEST_F(FrameStreamSuite, WarmScratchMakesNoHeapAllocation) {
+  // Once one pass has grown every buffer to its working size, the per-frame
+  // pipeline (packed rasters, run arenas, contour, signature, query) runs
+  // on the scratch alone — the streaming shards' steady state.
+  const std::vector<imaging::GrayImage> frames = make_frames();
+  RecognizerScratch scratch;
+  std::vector<RecognitionResult> results(frames.size());
+  const auto run_all = [&] {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      recognize_frame_into(sequential_->config(), sequential_->database(), frames[i],
+                           scratch, results[i]);
+    }
+  };
+  run_all();
+  allocation_count = 0;
+  counting_allocations = true;
+  run_all();
+  counting_allocations = false;
+  EXPECT_EQ(allocation_count, 0u);
 }
 
 // ---------------------------------------------------------------------------
