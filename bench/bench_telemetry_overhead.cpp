@@ -25,7 +25,7 @@
 #include "recognition/recognizer.hpp"
 #include "signs/scene.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/metrics.hpp"
+#include "telemetry/stage_names.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -197,17 +197,17 @@ int main(int argc, char** argv) {
             << "% (gate: <= " << util::fmt(gate_pct, 1) << "%) -> "
             << (pass ? "PASS" : "FAIL") << "\n";
 
-  // Sanity: the armed passes really recorded (one sample per span per
-  // frame would be the minimum; prepare/match/finalize each fire per
-  // frame, and counters-only mode still moves nothing histogram-wise
-  // beyond the armed reps).
+  // Sanity: the armed passes really recorded. Every frame here has a
+  // silhouette, so each of the seven recognition stage spans fires once per
+  // frame in the armed and traced reps (counters-only mode records none).
   const telemetry::MetricsSnapshot snapshot = registry.snapshot();
-  const telemetry::HistogramSnapshot* match =
-      snapshot.find_histogram(telemetry::kRecognitionMatch);
-  if (match == nullptr || match->count == 0) {
-    std::cout << "FAIL: armed reps recorded no recognition_match_ns samples "
-                 "(instrumentation is not actually wired)\n";
-    return 1;
+  for (const std::string_view name : telemetry::kRecognitionStages) {
+    const telemetry::HistogramSnapshot* stage = snapshot.find_histogram(name);
+    if (stage == nullptr || stage->count == 0) {
+      std::cout << "FAIL: armed reps recorded no " << name
+                << " samples (instrumentation is not actually wired)\n";
+      return 1;
+    }
   }
   // And the traced reps really emitted per-frame events.
   if (recorder.total_emitted() == 0) {

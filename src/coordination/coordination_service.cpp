@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/span.hpp"
 
 namespace hdc::coordination {
 

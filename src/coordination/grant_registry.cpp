@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "telemetry/span.hpp"
+#include "telemetry/flight_recorder.hpp"
 
 namespace hdc::coordination {
 
@@ -109,7 +109,7 @@ bool GrantRegistry::grant(int cell, std::uint32_t holder,
                           std::uint64_t sequence) {
   // Covers the whole call, including the re-grant-as-renewal path (which
   // then records under the renew span as well).
-  TELEMETRY_SPAN(grant_ns_);
+  telemetry::TracedSpan span(grant_ns_);
   Slot& s = slot(cell);
   const GrantRecord current = writer_read(s);
   if (live_grant(current, sequence) && current.holder != holder) {
@@ -175,7 +175,7 @@ bool GrantRegistry::revoke(int cell, std::uint64_t sequence) {
 
 bool GrantRegistry::renew(int cell, std::uint32_t holder,
                           std::uint64_t sequence) {
-  TELEMETRY_SPAN(renew_ns_);
+  telemetry::TracedSpan span(renew_ns_);
   Slot& s = slot(cell);
   GrantRecord current = writer_read(s);
   // Revoked/expired/denied grants stay dead: renewal extends a LIVE lease
@@ -192,7 +192,7 @@ bool GrantRegistry::renew(int cell, std::uint32_t holder,
 }
 
 std::size_t GrantRegistry::expire(std::uint64_t now) {
-  TELEMETRY_SPAN(expire_ns_);
+  telemetry::TracedSpan span(expire_ns_);
   std::size_t expired = 0;
   for (Slot& s : slots_) {
     GrantRecord current = writer_read(s);

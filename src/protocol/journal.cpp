@@ -4,13 +4,13 @@
 #include <bit>
 #include <fstream>
 
-#include "telemetry/span.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/stage_names.hpp"
 
 namespace hdc::protocol {
 
 void EventJournal::append(const wire::AnyRecord& record) {
-  TELEMETRY_SPAN(append_ns_);
+  telemetry::TracedSpan span(append_ns_);
   std::lock_guard<std::mutex> lock(mutex_);
   wire::encode(buffer_, record);
   ++records_;

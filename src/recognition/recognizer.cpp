@@ -7,8 +7,9 @@
 #include "imaging/filter.hpp"
 #include "imaging/morphology.hpp"
 #include "imaging/signature.hpp"
-#include "telemetry/span.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "timeseries/normalize.hpp"
+#include "util/stopwatch.hpp"
 
 namespace hdc::recognition {
 
@@ -39,24 +40,6 @@ SaxSignRecognizer::SaxSignRecognizer(const RecognizerConfig& config,
 
 namespace {
 
-/// Conditional stage-timer scope: charges its lifetime to `timers` when
-/// non-null (the streaming hot path passes null and pays nothing).
-class MaybeScope {
- public:
-  MaybeScope(util::StageTimers* timers, const char* stage)
-      : timers_(timers), stage_(stage) {}
-  ~MaybeScope() {
-    if (timers_ != nullptr) timers_->add(stage_, watch_.elapsed_seconds());
-  }
-  MaybeScope(const MaybeScope&) = delete;
-  MaybeScope& operator=(const MaybeScope&) = delete;
-
- private:
-  util::StageTimers* timers_;
-  const char* stage_;
-  util::Stopwatch watch_;
-};
-
 void reset_result(RecognitionResult& result) {
   result.accepted = false;
   result.sign = signs::HumanSign::kNeutral;
@@ -72,13 +55,12 @@ void reset_result(RecognitionResult& result) {
 /// component qualifies). From threshold to contour the frame stays a packed
 /// 1-bit raster; the byte silhouette is unpacked only for a trace.
 void trace_silhouette(const RecognizerConfig& config, const imaging::GrayImage& frame,
-                      RecognizerScratch& scratch, util::StageTimers* timers,
-                      RecognitionTrace* trace) {
+                      RecognizerScratch& scratch, RecognitionTrace* trace) {
   // Stage 1: photometric pre-processing. `source` tracks the latest image
   // without copying when a step is disabled.
   const imaging::GrayImage* source = &frame;
   {
-    MaybeScope scope(timers, "1-preprocess");
+    telemetry::TracedSpan span(scratch.metrics.preprocess_ns);
     if (config.dark_silhouette) {
       imaging::invert_into(frame, scratch.working);
       source = &scratch.working;
@@ -92,7 +74,7 @@ void trace_silhouette(const RecognizerConfig& config, const imaging::GrayImage& 
 
   // Stage 2: binarisation.
   {
-    MaybeScope scope(timers, "2-threshold");
+    telemetry::TracedSpan span(scratch.metrics.threshold_ns);
     imaging::otsu_threshold_into(*source, scratch.bits);
   }
 
@@ -100,7 +82,7 @@ void trace_silhouette(const RecognizerConfig& config, const imaging::GrayImage& 
   // joints), then open (remove speckle) — the other order can sever thin
   // limbs.
   {
-    MaybeScope scope(timers, "3-morphology");
+    telemetry::TracedSpan span(scratch.metrics.morphology_ns);
     if (config.morphology_radius > 0) {
       imaging::close_into(scratch.bits, config.morphology_radius, scratch.bits_morph,
                           scratch.bits_a, scratch.bits_b);
@@ -111,7 +93,7 @@ void trace_silhouette(const RecognizerConfig& config, const imaging::GrayImage& 
 
   // Stage 4: silhouette isolation.
   {
-    MaybeScope scope(timers, "4-component");
+    telemetry::TracedSpan span(scratch.metrics.components_ns);
     imaging::largest_component_mask_into(scratch.bits, config.min_silhouette_area,
                                          scratch.bits_mask, scratch.labeling.components,
                                          scratch.label_scratch);
@@ -119,7 +101,7 @@ void trace_silhouette(const RecognizerConfig& config, const imaging::GrayImage& 
 
   // Stage 5: contour.
   {
-    MaybeScope scope(timers, "5-contour");
+    telemetry::TracedSpan span(scratch.metrics.contour_ns);
     imaging::trace_boundary_into(scratch.bits_mask, scratch.contour);
   }
   if (trace != nullptr) {
@@ -130,9 +112,8 @@ void trace_silhouette(const RecognizerConfig& config, const imaging::GrayImage& 
 
 /// Stage 6: shape -> time series, into scratch.signature (empty for
 /// contours too short to have one).
-void compute_signature(const RecognizerConfig& config, RecognizerScratch& scratch,
-                       util::StageTimers* timers) {
-  MaybeScope scope(timers, "6-signature");
+void compute_signature(const RecognizerConfig& config, RecognizerScratch& scratch) {
+  telemetry::TracedSpan span(scratch.metrics.signature_ns);
   if (config.aspect_normalize) {
     imaging::normalize_contour_aspect_into(scratch.contour, 100.0,
                                            scratch.normalized_contour);
@@ -150,8 +131,8 @@ void compute_signature(const RecognizerConfig& config, RecognizerScratch& scratc
 /// fields are final (the caller stamps total_ms).
 bool prepare_frame(const RecognizerConfig& config, const imaging::GrayImage& frame,
                    RecognizerScratch& scratch, RecognitionResult& result,
-                   util::StageTimers* timers, RecognitionTrace* trace) {
-  trace_silhouette(config, frame, scratch, timers, trace);
+                   RecognitionTrace* trace) {
+  trace_silhouette(config, frame, scratch, trace);
   if (scratch.contour.empty()) {
     result.reject_reason = RejectReason::kNoSilhouette;
     return false;
@@ -160,7 +141,7 @@ bool prepare_frame(const RecognizerConfig& config, const imaging::GrayImage& fra
     result.reject_reason = RejectReason::kDegenerateShape;
     return false;
   }
-  compute_signature(config, scratch, timers);
+  compute_signature(config, scratch);
   if (scratch.signature.empty()) {
     result.reject_reason = RejectReason::kDegenerateShape;
     return false;
@@ -206,17 +187,11 @@ void finalize_from_match(const RecognizerConfig& config,
 
 void recognize_frame_into(const RecognizerConfig& config, const SignDatabase& database,
                           const imaging::GrayImage& frame, RecognizerScratch& scratch,
-                          RecognitionResult& result, util::StageTimers* timers,
-                          RecognitionTrace* trace) {
+                          RecognitionResult& result, RecognitionTrace* trace) {
   reset_result(result);
   util::Stopwatch total;
 
-  bool ready;
-  {
-    TELEMETRY_SPAN(scratch.metrics.prepare_ns);
-    ready = prepare_frame(config, frame, scratch, result, timers, trace);
-  }
-  if (!ready) {
+  if (!prepare_frame(config, frame, scratch, result, trace)) {
     result.total_ms = total.elapsed_ms();
     return;
   }
@@ -224,15 +199,11 @@ void recognize_frame_into(const RecognizerConfig& config, const SignDatabase& da
   // Stage 7: SAX encoding + database search.
   std::optional<DatabaseMatch> match;
   {
-    MaybeScope scope(timers, "7-sax-search");
-    TELEMETRY_SPAN(scratch.metrics.match_ns);
+    telemetry::TracedSpan span(scratch.metrics.match_ns);
     match = database.query(scratch.signature, config.exact_verify, scratch.query);
   }
   // The query already encoded this signature's SAX word into its scratch.
-  {
-    TELEMETRY_SPAN(scratch.metrics.finalize_ns);
-    finalize_from_match(config, match, scratch.query.word.text, result);
-  }
+  finalize_from_match(config, match, scratch.query.word.text, result);
   result.total_ms = total.elapsed_ms();
 }
 
@@ -241,8 +212,8 @@ timeseries::Series SaxSignRecognizer::extract_signature(
   // The recogniser's own stages, minus its gate on short contours: any
   // contour of 3+ points still yields a signature here.
   RecognizerScratch scratch;
-  trace_silhouette(config_, frame, scratch, nullptr, nullptr);
-  compute_signature(config_, scratch, nullptr);
+  trace_silhouette(config_, frame, scratch, nullptr);
+  compute_signature(config_, scratch);
   return std::move(scratch.signature);
 }
 
@@ -250,7 +221,7 @@ RecognitionResult SaxSignRecognizer::recognize(const imaging::GrayImage& frame,
                                                RecognitionTrace* trace) const {
   RecognitionResult result;
   RecognizerScratch scratch;
-  recognize_frame_into(config_, *database_, frame, scratch, result, &timers_, trace);
+  recognize_frame_into(config_, *database_, frame, scratch, result, trace);
   return result;
 }
 

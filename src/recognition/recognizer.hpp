@@ -6,8 +6,10 @@
 //
 // Rotation invariance comes from circular-shift matching of the periodic
 // contour signature; real-time behaviour from the symbolic representation
-// (dimensionality w << n) with optional exact verification. Per-stage wall
-// times are recorded to reproduce the paper's latency measurements (T-LAT).
+// (dimensionality w << n) with optional exact verification. Each of the
+// seven stages times itself into the scratch's telemetry::Histogram handles
+// (RecognizerScratch::metrics), which reproduce the paper's per-stage latency
+// measurements (T-LAT) from a telemetry::MetricsRegistry.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,6 @@
 #include "imaging/image.hpp"
 #include "recognition/sign_database.hpp"
 #include "telemetry/stage_names.hpp"
-#include "util/stopwatch.hpp"
 
 namespace hdc::recognition {
 
@@ -117,10 +118,11 @@ struct RecognizerScratch {
   /// (shared, immutable) SignDatabase itself, so N scratches never
   /// duplicate them.
   QueryScratch query;
-  /// Optional prepare/match/finalize span handles (disarmed by default —
-  /// recording through a disarmed handle is a no-op branch). PerceptionService
-  /// arms them once per shard scratch when a telemetry::MetricsRegistry is
-  /// wired.
+  /// One histogram per pipeline stage, 1-preprocess through 7-match
+  /// (disarmed by default — a span on a disarmed handle is a no-op branch).
+  /// PerceptionService arms them once per shard scratch when a
+  /// telemetry::MetricsRegistry is wired; RecognitionStageMetrics::from arms
+  /// any other scratch.
   telemetry::RecognitionStageMetrics metrics;
 };
 
@@ -128,12 +130,11 @@ struct RecognizerScratch {
 /// the one canonical implementation: SaxSignRecognizer::recognize delegates
 /// here with a fresh scratch, and every PerceptionService shard calls it once
 /// per frame with its own warm scratch, so both produce bit-identical
-/// payloads. `timers`/`trace` may be null; both cost extra when set, so the
-/// streaming hot path passes null.
+/// payloads. `trace` may be null; it costs extra when set, so the streaming
+/// hot path passes null. Per-stage times go to `scratch.metrics`.
 void recognize_frame_into(const RecognizerConfig& config, const SignDatabase& database,
                           const imaging::GrayImage& frame, RecognizerScratch& scratch,
-                          RecognitionResult& result, util::StageTimers* timers = nullptr,
-                          RecognitionTrace* trace = nullptr);
+                          RecognitionResult& result, RecognitionTrace* trace = nullptr);
 
 class SaxSignRecognizer {
  public:
@@ -153,7 +154,8 @@ class SaxSignRecognizer {
                     std::shared_ptr<const SignDatabase> database);
 
   /// Processes one frame. When `trace` is non-null, intermediates are
-  /// copied out (costs extra; keep null on the hot path).
+  /// copied out (costs extra; keep null on the hot path). Stateless: safe to
+  /// call concurrently on one recogniser.
   [[nodiscard]] RecognitionResult recognize(const imaging::GrayImage& frame,
                                             RecognitionTrace* trace = nullptr) const;
 
@@ -171,15 +173,9 @@ class SaxSignRecognizer {
     return database_;
   }
 
-  /// Accumulated per-stage timings across all recognize() calls
-  /// (preprocess / threshold / morphology / component / contour / signature
-  /// / sax+search). Reset with timers().reset().
-  [[nodiscard]] util::StageTimers& timers() const noexcept { return timers_; }
-
  private:
   RecognizerConfig config_;
   std::shared_ptr<const SignDatabase> database_;
-  mutable util::StageTimers timers_;
 };
 
 /// Encoder matching a RecognizerConfig (shared by DB builders and tests).

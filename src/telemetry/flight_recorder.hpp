@@ -11,9 +11,9 @@
 // "consistent" without ever blocking the writer: export-during-write
 // returns only events that were fully written and not yet overwritten.
 //
-// Cost contract (same as span.hpp's SpanTimer): a pipeline stage holds a
-// TracedSpan; with no recorder wired and a disarmed histogram it costs
-// two predictable branches and zero clock reads. With a recorder, the
+// Cost contract: a pipeline stage holds a TracedSpan; with no recorder
+// wired and a disarmed histogram (or telemetry::set_enabled(false)) it
+// costs two predictable branches and zero clock reads. With a recorder, the
 // span's single clock pair feeds both the stage histogram and the trace
 // event — tracing never adds a second clock read to an already-timed
 // stage. The CI gate (bench/bench_telemetry_overhead.cpp, "traced"
@@ -98,13 +98,15 @@ class FlightRecorder {
   std::deque<Lane> lanes_;             ///< deque: stable addresses, no moves
 };
 
-/// Scoped stage timer that feeds a histogram AND the flight recorder from
-/// one clock pair. Replaces TELEMETRY_SPAN at stages that participate in
-/// causal tracing. The trace context may be set after construction
-/// (set_context) for sites where the sequence is only known under a lock;
-/// an event is emitted only when a recorder is wired AND a context was
-/// set. set_outcome() tags the event (default kOk) — terminal outcomes
-/// (kRejected, kClosed) are how backpressure paths close their traces.
+/// The one scoped stage timer: feeds a histogram AND the flight recorder
+/// from one clock pair. Stages outside causal tracing (the seven
+/// recognition stages, the journal, the grant registry) use the
+/// histogram-only constructor. The trace context may be set after
+/// construction (set_context) for sites where the sequence is only known
+/// under a lock; an event is emitted only when a recorder is wired AND a
+/// context was set. set_outcome() tags the event (default kOk) — terminal
+/// outcomes (kRejected, kClosed) are how backpressure paths close their
+/// traces.
 class TracedSpan {
  public:
   TracedSpan(Histogram histogram, FlightRecorder* recorder,
@@ -116,6 +118,11 @@ class TracedSpan {
         have_context_(context.trace_id != 0),
         armed_((histogram.armed() || recorder != nullptr) && enabled()),
         start_ns_(armed_ ? now_ns() : 0) {}
+
+  /// Histogram-only span: no recorder, no trace context. Same disarmed
+  /// cost — two branches, zero clock reads.
+  explicit TracedSpan(Histogram histogram) noexcept
+      : TracedSpan(histogram, nullptr, {}, TraceStage{}) {}
 
   TracedSpan(const TracedSpan&) = delete;
   TracedSpan& operator=(const TracedSpan&) = delete;

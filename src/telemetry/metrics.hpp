@@ -40,8 +40,10 @@
 
 namespace hdc::telemetry {
 
-/// Global kill switch for the clock reads in tracing spans (TELEMETRY_SPAN).
-/// Counters stay live regardless — they are cheap and replay-deterministic.
+/// Global kill switch for the clock reads in stage spans
+/// (telemetry::TracedSpan): off, a span records no histogram sample and
+/// emits no trace event. Counters stay live regardless — they are cheap and
+/// replay-deterministic.
 namespace detail {
 inline std::atomic<bool> g_enabled{true};
 }  // namespace detail

@@ -30,10 +30,20 @@ inline constexpr std::string_view kPerceptionFramesRejected =
     "perception_frames_rejected_total";
 inline constexpr std::string_view kPerceptionQueueDepth = "perception_queue_depth";
 
-// --- recognition (inside the shared pipeline; per prepare/match/finalize) -
-inline constexpr std::string_view kRecognitionPrepare = "recognition_prepare_ns";
+// --- recognition (inside the shared pipeline; one per stage, §IV) -------
+inline constexpr std::string_view kRecognitionPreprocess = "recognition_preprocess_ns";
+inline constexpr std::string_view kRecognitionThreshold = "recognition_threshold_ns";
+inline constexpr std::string_view kRecognitionMorphology = "recognition_morphology_ns";
+inline constexpr std::string_view kRecognitionComponents = "recognition_components_ns";
+inline constexpr std::string_view kRecognitionContour = "recognition_contour_ns";
+inline constexpr std::string_view kRecognitionSignature = "recognition_signature_ns";
 inline constexpr std::string_view kRecognitionMatch = "recognition_match_ns";
-inline constexpr std::string_view kRecognitionFinalize = "recognition_finalize_ns";
+/// The seven recognition stage histograms, in pipeline order.
+inline constexpr std::string_view kRecognitionStages[] = {
+    kRecognitionPreprocess, kRecognitionThreshold, kRecognitionMorphology,
+    kRecognitionComponents, kRecognitionContour,   kRecognitionSignature,
+    kRecognitionMatch,
+};
 
 // --- interaction (fuser + dialogue FSM worker) ---------------------------
 inline constexpr std::string_view kInteractionFuse = "interaction_fuse_ns";
@@ -70,20 +80,28 @@ inline constexpr std::string_view kCoordinationQueueDepth = "coordination_queue_
 inline constexpr std::string_view kJournalAppend = "journal_append_ns";
 inline constexpr std::string_view kJournalRecords = "journal_records_total";
 
-/// Stage-timer handles threaded into the shared recognition pipeline via
-/// RecognizerScratch (one per worker — same ownership as the scratch
-/// buffers). Disarmed by default; PerceptionService arms them when a
-/// registry is wired.
+/// Histograms for the seven recognition stages, threaded into the shared
+/// pipeline via RecognizerScratch (one per worker — same ownership as the
+/// scratch buffers). Disarmed by default; PerceptionService arms them when
+/// a registry is wired. A frame with no silhouette records stages 1-5 only.
 struct RecognitionStageMetrics {
-  Histogram prepare_ns;   ///< stages 1-6 (imaging -> signature) per frame
-  Histogram match_ns;     ///< SignDatabase query per frame
-  Histogram finalize_ns;  ///< match -> RecognitionResult per frame
+  Histogram preprocess_ns;  ///< 1: invert (+ optional blur)
+  Histogram threshold_ns;   ///< 2: Otsu binarisation
+  Histogram morphology_ns;  ///< 3: close + open
+  Histogram components_ns;  ///< 4: largest-component silhouette
+  Histogram contour_ns;     ///< 5: Moore boundary trace
+  Histogram signature_ns;   ///< 6: centroid-distance signature
+  Histogram match_ns;       ///< 7: SAX encoding + SignDatabase query
 
   [[nodiscard]] static RecognitionStageMetrics from(MetricsRegistry& registry) {
     RecognitionStageMetrics metrics;
-    metrics.prepare_ns = registry.histogram(kRecognitionPrepare);
+    metrics.preprocess_ns = registry.histogram(kRecognitionPreprocess);
+    metrics.threshold_ns = registry.histogram(kRecognitionThreshold);
+    metrics.morphology_ns = registry.histogram(kRecognitionMorphology);
+    metrics.components_ns = registry.histogram(kRecognitionComponents);
+    metrics.contour_ns = registry.histogram(kRecognitionContour);
+    metrics.signature_ns = registry.histogram(kRecognitionSignature);
     metrics.match_ns = registry.histogram(kRecognitionMatch);
-    metrics.finalize_ns = registry.histogram(kRecognitionFinalize);
     return metrics;
   }
 };

@@ -1,11 +1,8 @@
-// Wall-clock stopwatch and accumulating stage timers used by the recognition
-// pipeline's latency instrumentation (experiment T-LAT).
+// Wall-clock stopwatch for benches, examples and RecognitionResult::total_ms.
+// Per-stage pipeline timing is telemetry::TracedSpan into a MetricsRegistry.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <map>
-#include <string>
 
 namespace hdc::util {
 
@@ -25,48 +22,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates per-stage durations and call counts, keyed by stage name.
-/// Cheap enough to leave enabled in production paths.
-class StageTimers {
- public:
-  /// RAII scope that charges its lifetime to one stage.
-  class Scope {
-   public:
-    Scope(StageTimers& owner, std::string stage)
-        : owner_(owner), stage_(std::move(stage)) {}
-    ~Scope() { owner_.add(stage_, watch_.elapsed_seconds()); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    StageTimers& owner_;
-    std::string stage_;
-    Stopwatch watch_;
-  };
-
-  [[nodiscard]] Scope scope(std::string stage) { return Scope(*this, std::move(stage)); }
-
-  void add(const std::string& stage, double seconds) {
-    auto& entry = stages_[stage];
-    entry.total_seconds += seconds;
-    ++entry.calls;
-  }
-
-  struct Entry {
-    double total_seconds{0.0};
-    std::uint64_t calls{0};
-    [[nodiscard]] double mean_ms() const {
-      return calls == 0 ? 0.0 : total_seconds * 1e3 / static_cast<double>(calls);
-    }
-  };
-
-  [[nodiscard]] const std::map<std::string, Entry>& entries() const { return stages_; }
-  void reset() { stages_.clear(); }
-
- private:
-  std::map<std::string, Entry> stages_;
 };
 
 }  // namespace hdc::util

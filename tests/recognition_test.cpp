@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "imaging/morphology.hpp"
 #include "signs/scene.hpp"
+#include "telemetry/stage_names.hpp"
 #include "timeseries/distance.hpp"
 
 namespace hdc::recognition {
@@ -141,17 +145,93 @@ TEST_F(RecognitionSuite, TraceExposesIntermediates) {
   EXPECT_EQ(trace.normalized_signature.size(), trace.raw_signature.size());
 }
 
-TEST_F(RecognitionSuite, StageTimersPopulated) {
-  recognizer_->timers().reset();
-  const auto frame = signs::render_sign(signs::HumanSign::kNo, {3.5, 3.0, 0.0}, {});
-  (void)recognizer_->recognize(frame);
-  const auto& entries = recognizer_->timers().entries();
-  EXPECT_EQ(entries.count("1-preprocess"), 1u);
-  EXPECT_EQ(entries.count("2-threshold"), 1u);
-  EXPECT_EQ(entries.count("7-sax-search"), 1u);
-  for (const auto& [stage, entry] : entries) {
-    EXPECT_EQ(entry.calls, 1u) << stage;
-    EXPECT_GE(entry.total_seconds, 0.0) << stage;
+/// Runs one frame through a scratch armed from a fresh registry and returns
+/// each stage histogram's sample count, in pipeline order.
+std::vector<std::uint64_t> stage_counts(const SaxSignRecognizer& recognizer,
+                                        const imaging::GrayImage& frame,
+                                        RecognitionResult& result) {
+  telemetry::MetricsRegistry registry;
+  RecognizerScratch scratch;
+  scratch.metrics = telemetry::RecognitionStageMetrics::from(registry);
+  recognize_frame_into(recognizer.config(), recognizer.database(), frame, scratch,
+                       result);
+  const telemetry::MetricsSnapshot snapshot = registry.snapshot();
+  std::vector<std::uint64_t> counts;
+  for (const std::string_view name : telemetry::kRecognitionStages) {
+    const telemetry::HistogramSnapshot* histogram = snapshot.find_histogram(name);
+    EXPECT_NE(histogram, nullptr) << name;
+    counts.push_back(histogram == nullptr ? 0 : histogram->count);
+  }
+  return counts;
+}
+
+TEST_F(RecognitionSuite, AcceptedFrameRecordsEveryStageOnce) {
+  RecognitionResult result;
+  const auto counts = stage_counts(
+      *recognizer_, signs::render_sign(signs::HumanSign::kNo, {3.5, 3.0, 0.0}, {}),
+      result);
+  EXPECT_TRUE(result.accepted);
+  EXPECT_EQ(counts, std::vector<std::uint64_t>(7, 1));
+}
+
+TEST_F(RecognitionSuite, BlankFrameRecordsStagesOneToFiveOnly) {
+  // No silhouette: the pipeline returns after the contour stage, so the
+  // signature and match histograms stay empty.
+  RecognitionResult result;
+  const auto counts =
+      stage_counts(*recognizer_, imaging::GrayImage(480, 360, 200), result);
+  EXPECT_EQ(result.reject_reason, RejectReason::kNoSilhouette);
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{1, 1, 1, 1, 1, 0, 0}));
+}
+
+void expect_same_payload(const RecognitionResult& actual,
+                         const RecognitionResult& expected) {
+  EXPECT_EQ(actual.accepted, expected.accepted);
+  EXPECT_EQ(actual.sign, expected.sign);
+  EXPECT_EQ(actual.reject_reason, expected.reject_reason);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.distance),
+            std::bit_cast<std::uint64_t>(expected.distance));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.margin),
+            std::bit_cast<std::uint64_t>(expected.margin));
+  EXPECT_EQ(actual.sax_word, expected.sax_word);
+}
+
+TEST_F(RecognitionSuite, ConcurrentRecognizeOnOneRecognizerIsBitEqual) {
+  // recognize() is const and keeps no state, so threads may share one
+  // recogniser. The ThreadSanitizer build runs this suite too: any shared
+  // mutable state on the recognize() path shows up there as a data race.
+  const SaxSignRecognizer& recognizer = *recognizer_;
+  const std::vector<imaging::GrayImage> frames = {
+      signs::render_sign(signs::HumanSign::kNo, {3.5, 3.0, 0.0}, {}),
+      signs::render_sign(signs::HumanSign::kYes, {3.0, 3.0, 40.0}, {}),
+      imaging::GrayImage(480, 360, 200),
+  };
+  std::vector<RecognitionResult> expected;
+  for (const imaging::GrayImage& frame : frames) {
+    expected.push_back(recognizer.recognize(frame));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 3;
+  std::vector<std::vector<RecognitionResult>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (const imaging::GrayImage& frame : frames) {
+          results[t].push_back(recognizer.recognize(frame));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), kRounds * frames.size());
+    for (std::size_t i = 0; i < results[t].size(); ++i) {
+      SCOPED_TRACE("thread " + std::to_string(t) + ", call " + std::to_string(i));
+      expect_same_payload(results[t][i], expected[i % frames.size()]);
+    }
   }
 }
 

@@ -16,8 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/sink.hpp"
-#include "telemetry/span.hpp"
 
 namespace hdc::telemetry {
 namespace {
@@ -230,7 +230,7 @@ TEST(Registry, DisarmedHandlesAreNoOps) {
   histogram.record(42);
   EXPECT_EQ(counter.total(), 0u);
   EXPECT_EQ(gauge.value(), 0);
-  { TELEMETRY_SPAN(histogram); }  // must not crash or record
+  { TracedSpan span(histogram); }  // must not crash or record
 }
 
 TEST(Registry, SameNameReturnsTheSameMetric) {
@@ -250,15 +250,15 @@ TEST(Span, RecordsElapsedTimeOnlyWhenEnabled) {
     const MetricsSnapshot snapshot = registry.snapshot();
     return snapshot.find_histogram("span_ns")->count;
   };
-  { TELEMETRY_SPAN(histogram); }
+  { TracedSpan span(histogram); }
   EXPECT_EQ(span_count(), 1u);
 
   set_enabled(false);
-  { TELEMETRY_SPAN(histogram); }
+  { TracedSpan span(histogram); }
   set_enabled(true);
   EXPECT_EQ(span_count(), 1u);
 
-  { TELEMETRY_SPAN(histogram); }
+  { TracedSpan span(histogram); }
   EXPECT_EQ(span_count(), 2u);
 }
 

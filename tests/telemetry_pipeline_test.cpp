@@ -30,8 +30,10 @@ namespace {
 /// Every span histogram the pipeline owns (docs/OBSERVABILITY.md).
 constexpr std::string_view kAllStageHistograms[] = {
     telemetry::kPerceptionSubmit,       telemetry::kPerceptionRingWait,
-    telemetry::kPerceptionRecognize,    telemetry::kRecognitionPrepare,
-    telemetry::kRecognitionMatch,       telemetry::kRecognitionFinalize,
+    telemetry::kPerceptionRecognize,    telemetry::kRecognitionPreprocess,
+    telemetry::kRecognitionThreshold,   telemetry::kRecognitionMorphology,
+    telemetry::kRecognitionComponents,  telemetry::kRecognitionContour,
+    telemetry::kRecognitionSignature,   telemetry::kRecognitionMatch,
     telemetry::kInteractionFuse,        telemetry::kInteractionTransition,
     telemetry::kCoordinationArbitrate,  telemetry::kCoordinationGrantSpan,
     telemetry::kCoordinationRenewSpan,  telemetry::kCoordinationExpireSpan,

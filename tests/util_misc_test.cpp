@@ -201,22 +201,6 @@ TEST(Stopwatch, MeasuresElapsed) {
   EXPECT_GT(watch.elapsed_us(), watch.elapsed_ms());
 }
 
-TEST(StageTimers, AccumulatesPerStage) {
-  StageTimers timers;
-  timers.add("a", 0.5);
-  timers.add("a", 1.5);
-  timers.add("b", 1.0);
-  EXPECT_EQ(timers.entries().at("a").calls, 2u);
-  EXPECT_NEAR(timers.entries().at("a").total_seconds, 2.0, 1e-12);
-  EXPECT_NEAR(timers.entries().at("a").mean_ms(), 1000.0, 1e-9);
-  {
-    auto scope = timers.scope("c");
-  }
-  EXPECT_EQ(timers.entries().at("c").calls, 1u);
-  timers.reset();
-  EXPECT_TRUE(timers.entries().empty());
-}
-
 TEST(TextTable, AlignsAndValidatesWidth) {
   TextTable table({"name", "value"});
   table.add_row({"alpha", "1"});
