@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Docs rot when code moves: fail CI if docs/ARCHITECTURE.md,
-# docs/PERFORMANCE.md, docs/WIRE_FORMAT.md or docs/OBSERVABILITY.md reference a repo path that no
-# longer exists.
+# Docs rot when code moves: fail CI if README.md, docs/ARCHITECTURE.md,
+# docs/PERFORMANCE.md, docs/WIRE_FORMAT.md or docs/OBSERVABILITY.md
+# reference a repo path that no longer exists.
 #
 # A "path reference" is any token that starts with a known top-level source
-# directory (src/, tests/, bench/, examples/, scripts/, docs/, .github/).
+# directory (src/, tests/, bench/, perfbench/, examples/, scripts/, docs/,
+# .github/).
 # Brace groups like src/timeseries/distance.{hpp,cpp} are expanded before
 # checking. Trailing sentence punctuation is stripped.
 set -euo pipefail
@@ -12,7 +13,8 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$repo_root"
 
-docs=(docs/ARCHITECTURE.md docs/PERFORMANCE.md docs/WIRE_FORMAT.md docs/OBSERVABILITY.md)
+docs=(README.md docs/ARCHITECTURE.md docs/PERFORMANCE.md docs/WIRE_FORMAT.md
+      docs/OBSERVABILITY.md)
 status=0
 
 for doc in "${docs[@]}"; do
@@ -36,7 +38,7 @@ for doc in "${docs[@]}"; do
         status=1
       fi
     done
-  done < <(grep -oE '\b(src|tests|bench|examples|scripts|docs|\.github)/[A-Za-z0-9_.{},/-]+' "$doc" | sort -u)
+  done < <(grep -oE '\b(src|tests|bench|perfbench|examples|scripts|docs|\.github)/[A-Za-z0-9_.{},/-]+' "$doc" | sort -u)
 done
 
 if [[ $status -eq 0 ]]; then

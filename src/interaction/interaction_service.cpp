@@ -11,7 +11,7 @@ InteractionService::InteractionService(InteractionServiceConfig config,
                                        CommandGrammar grammar)
     : config_(config),
       grammar_(std::move(grammar)),
-      ring_(config.queue_capacity, config.overflow) {
+      ring_(config.queue_capacity, util::OverflowPolicy::kBlock) {
   // Surface a misconfigured fusion policy here, at build time, instead of
   // on the worker thread when the first stream's session is created.
   (void)SignEventFuser(config_.fusion, 0);
@@ -122,57 +122,33 @@ bool InteractionService::try_abort_stream(std::uint32_t stream_id) {
   observation.kind = ObservationKind::kAbort;
   observation.stream_id = stream_id;
   pending_.raise();  // same raise-before-push contract as admit()
-  Observation evicted;
-  const util::PushOutcome outcome =
-      ring_.try_push(std::move(observation), &evicted);
-  if (outcome == util::PushOutcome::kEnqueued) {
+  if (ring_.try_push(std::move(observation)) == util::PushOutcome::kEnqueued) {
     queue_depth_.add(1);
     return true;
   }
   finish_observations(1);
-  // kEvictedOldest swaps one queued observation for another: depth net zero.
-  return outcome == util::PushOutcome::kEvictedOldest;
+  return false;
 }
 
 void InteractionService::admit(Observation observation) {
   if (stopping_.load(std::memory_order_acquire)) return;
   // push() consumes the observation, so its identity must be saved first
-  // for the terminal trace events on the refusal paths.
+  // for the terminal trace event on the refusal path.
   const telemetry::TraceContext admitted_context =
       telemetry::TraceContext::of(observation.stream_id, observation.sequence);
   // Raise pending BEFORE the push — the worker can process the observation
   // before push() returns (PendingCounter's contract).
   pending_.raise();
-  Observation evicted;
-  const util::PushOutcome outcome = ring_.push(std::move(observation), &evicted);
-  const bool traced = recorder_ != nullptr && telemetry::enabled();
-  switch (outcome) {
-    case util::PushOutcome::kEnqueued:
-      queue_depth_.add(1);
-      break;
-    case util::PushOutcome::kEvictedOldest:  // depth net zero: one in, one out
-      if (traced) {
-        recorder_->emit_instant(
-            telemetry::TraceContext::of(evicted.stream_id, evicted.sequence),
-            telemetry::TraceStage::kAdmit, telemetry::TraceOutcome::kDropped);
-      }
-      finish_observations(1);
-      break;
-    case util::PushOutcome::kRejected:
-      if (traced) {
-        recorder_->emit_instant(admitted_context, telemetry::TraceStage::kAdmit,
-                                telemetry::TraceOutcome::kRejected);
-      }
-      finish_observations(1);
-      break;
-    case util::PushOutcome::kClosed:
-      if (traced) {
-        recorder_->emit_instant(admitted_context, telemetry::TraceStage::kAdmit,
-                                telemetry::TraceOutcome::kClosed);
-      }
-      finish_observations(1);
-      break;
+  // The ring blocks when full, so push() only refuses once it is closed.
+  if (ring_.push(std::move(observation)) == util::PushOutcome::kEnqueued) {
+    queue_depth_.add(1);
+    return;
   }
+  if (recorder_ != nullptr && telemetry::enabled()) {
+    recorder_->emit_instant(admitted_context, telemetry::TraceStage::kAdmit,
+                            telemetry::TraceOutcome::kClosed);
+  }
+  finish_observations(1);
 }
 
 void InteractionService::worker_loop() {

@@ -64,10 +64,9 @@ namespace hdc::interaction {
 struct InteractionServiceConfig {
   FusionPolicy fusion{};
   DialogueConfig dialogue{};
-  std::size_t queue_capacity{256};  ///< observation ring slots
-  /// kBlock propagates dialogue backpressure to the perception shards
-  /// (lossless); kDropOldest prefers fresh observations under overload.
-  util::OverflowPolicy overflow{util::OverflowPolicy::kBlock};
+  /// Observation ring slots. The ring blocks when full, propagating
+  /// dialogue backpressure to the perception shards (lossless).
+  std::size_t queue_capacity{256};
   /// A watched perception shard at or above this queue depth counts as
   /// congested (see congested()).
   std::size_t congestion_depth{24};
@@ -83,8 +82,8 @@ struct InteractionServiceConfig {
   telemetry::MetricsRegistry* metrics{nullptr};
   /// Optional causal tracing (must outlive the service). When set, the
   /// worker emits admit/fuse/transition/ack/outcome TraceEvents, and the
-  /// backpressure paths close dying traces with terminal kShed/kDropped/
-  /// kRejected events. Null = disarmed, same cost contract as `metrics`.
+  /// refusal paths close dying traces with terminal kShed/kClosed events.
+  /// Null = disarmed, same cost contract as `metrics`.
   telemetry::FlightRecorder* recorder{nullptr};
 };
 
@@ -182,7 +181,7 @@ class InteractionService {
                           signs::HumanSign sign, double confidence);
 
   /// Non-blocking abort_stream(): returns false (and admits nothing) when
-  /// the observation ring is full under kBlock, instead of waiting. The
+  /// the observation ring is full, instead of waiting. The
   /// coordination worker uses this — it consumes this service's listener
   /// events, so blocking here could cycle with the dialogue worker
   /// blocking on the coordination ring.

@@ -3,6 +3,7 @@
 #include <array>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "protocol/journal.hpp"
 
@@ -13,15 +14,16 @@ namespace {
 /// Records of one journal, bucketed by type (bucket order == append order,
 /// which per type is the single writer's deterministic order).
 struct Buckets {
-  std::array<std::vector<wire::AnyRecord>, 14> by_type;
+  std::array<std::vector<wire::AnyRecord>,
+             std::variant_size_v<wire::AnyRecord>>
+      by_type;
 
   void add(wire::AnyRecord record) {
-    by_type[static_cast<std::size_t>(wire::record_type(record))].push_back(
-        std::move(record));
+    by_type[record.index()].push_back(std::move(record));
   }
   [[nodiscard]] const std::vector<wire::AnyRecord>& of(
       wire::RecordType type) const {
-    return by_type[static_cast<std::size_t>(type)];
+    return by_type[static_cast<std::size_t>(type) - 1];
   }
 };
 

@@ -2,7 +2,9 @@
 
 #include <array>
 #include <bit>
-#include <cstring>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 namespace hdc::protocol::wire {
 
@@ -25,105 +27,134 @@ constexpr std::array<std::uint16_t, 256> make_crc16_table() {
 
 constexpr std::array<std::uint16_t, 256> kCrc16Table = make_crc16_table();
 
-// ----------------------------------------------------- LE field writer ---
+// ------------------------------------------------------ field accessors --
+// Each record's payload layout is stated once, as a fields() overload
+// below, and run with a Writer (encode) or a Reader (parse). Both expose
+// the accessors fields() uses: u32/u64/i32/f64, enum8 (u8, range-checked
+// on read), text (u16 length + bytes) and list<Count> (Count-prefixed
+// items).
 
+/// Appends little-endian fields to `out`; every accessor returns true.
+/// enum8 does NOT range-check: the parser is the gate, and tests rely on
+/// encoding out-of-range bytes to exercise it.
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  bool u8(std::uint8_t v) { return put(v); }
+  bool u16(std::uint16_t v) { return put(v); }
+  bool u32(std::uint32_t v) { return put(v); }
+  bool u64(std::uint64_t v) { return put(v); }
+  bool i32(std::int32_t v) { return put(static_cast<std::uint32_t>(v)); }
   /// IEEE-754 bit pattern, so the value round-trips bit-identically.
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void bytes(const std::string& s) {
+  bool f64(double v) { return put(std::bit_cast<std::uint64_t>(v)); }
+  bool enum8(std::uint8_t v, std::uint8_t /*max*/, const char* /*what*/) {
+    return put(v);
+  }
+  bool text(const std::string& s) {
+    put(static_cast<std::uint16_t>(s.size()));
     out_.insert(out_.end(), s.begin(), s.end());
+    return true;
+  }
+  template <class Count, class T, class Each>
+  bool list(std::vector<T>& items, Each each) {
+    put(static_cast<Count>(items.size()));
+    for (T& item : items) each(item);
+    return true;
   }
 
  private:
+  template <class U>
+  bool put(U v) {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    return true;
+  }
+
   std::vector<std::uint8_t>& out_;
 };
 
-// ------------------------------------------ bounds-checked LE reader -----
-
-/// Reads payload fields; every accessor returns false on overrun instead
-/// of reading out of bounds. `offset()` is absolute in the parsed buffer,
-/// so payload errors can name the offending byte.
+/// Reads payload fields; every accessor returns false on overrun or an
+/// out-of-range enum instead of reading out of bounds, and records the
+/// absolute offset of the offending field plus a reason.
 class Reader {
  public:
   Reader(std::span<const std::uint8_t> payload, std::size_t base)
       : payload_(payload), base_(base) {}
 
-  [[nodiscard]] std::size_t offset() const { return base_ + pos_; }
-  [[nodiscard]] std::size_t remaining() const { return payload_.size() - pos_; }
-  [[nodiscard]] bool done() const { return pos_ == payload_.size(); }
-
-  bool u8(std::uint8_t& v) {
-    if (remaining() < 1) return false;
-    v = payload_[pos_++];
-    return true;
-  }
-  bool u16(std::uint16_t& v) {
-    if (remaining() < 2) return false;
-    v = static_cast<std::uint16_t>(payload_[pos_] |
-                                   (payload_[pos_ + 1] << 8));
-    pos_ += 2;
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (remaining() < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(payload_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (remaining() < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(payload_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
+  bool u32(std::uint32_t& v) { return get(v); }
+  bool u64(std::uint64_t& v) { return get(v); }
   bool i32(std::int32_t& v) {
-    std::uint32_t raw;
-    if (!u32(raw)) return false;
+    std::uint32_t raw = 0;
+    if (!get(raw)) return false;
     v = static_cast<std::int32_t>(raw);
     return true;
   }
   bool f64(double& v) {
-    std::uint64_t raw;
-    if (!u64(raw)) return false;
+    std::uint64_t raw = 0;
+    if (!get(raw)) return false;
     v = std::bit_cast<double>(raw);
     return true;
   }
-  bool bytes(std::string& s, std::size_t n) {
-    if (remaining() < n) return false;
-    s.assign(reinterpret_cast<const char*>(payload_.data() + pos_), n);
-    pos_ += n;
+  bool enum8(std::uint8_t& v, std::uint8_t max, const char* what) {
+    const std::size_t at = pos_;
+    if (!get(v)) return false;
+    return v <= max || fail(at, what);
+  }
+  bool text(std::string& s) {
+    std::uint16_t size = 0;
+    if (!get(size)) return false;
+    if (remaining() < size) return fail(pos_, "text overruns payload");
+    s.assign(reinterpret_cast<const char*>(payload_.data() + pos_), size);
+    pos_ += size;
+    return true;
+  }
+  template <class Count, class T, class Each>
+  bool list(std::vector<T>& items, Each each) {
+    Count count = 0;
+    if (!get(count)) return false;
+    // No reserve(count): a corrupt count up to 2^32-1 must fail on the
+    // first truncated item, not pre-allocate gigabytes.
+    for (Count i = 0; i < count; ++i) {
+      T item{};
+      if (!each(item)) return false;
+      items.push_back(std::move(item));
+    }
     return true;
   }
 
+  /// Canonical encoding has no slack: the payload must be consumed exactly.
+  bool finish() {
+    return remaining() == 0 || fail(pos_, "trailing bytes after payload");
+  }
+  [[nodiscard]] std::size_t error_offset() const { return base_ + error_at_; }
+  [[nodiscard]] const char* error() const { return error_; }
+
  private:
+  [[nodiscard]] std::size_t remaining() const { return payload_.size() - pos_; }
+
+  template <class U>
+  bool get(U& v) {
+    if (remaining() < sizeof(U)) return fail(pos_, "payload truncated");
+    v = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      v = static_cast<U>(v | (static_cast<U>(payload_[pos_ + i]) << (8 * i)));
+    }
+    pos_ += sizeof(U);
+    return true;
+  }
+  bool fail(std::size_t at, const char* why) {
+    error_at_ = at;
+    error_ = why;
+    return false;
+  }
+
   std::span<const std::uint8_t> payload_;
   std::size_t base_;
   std::size_t pos_{0};
+  std::size_t error_at_{0};
+  const char* error_{""};
 };
 
 // ------------------------------------------------ enum range validation --
@@ -143,424 +174,141 @@ constexpr std::uint8_t kMaxGrantState = 4;    // coordination::GrantState::kExpi
 constexpr std::uint8_t kMaxAbortReason = 1;   // coordination::AbortReason::kDeferredRetry
 constexpr std::uint8_t kMaxBool = 1;
 
-struct PayloadError {
-  std::size_t offset{0};
-  const char* message{""};
-};
+// ------------------------------------------------ per-type payload layout --
+// One overload per record type: the field order below IS the wire layout.
 
-bool fail(PayloadError& error, std::size_t offset, const char* message) {
-  error.offset = offset;
-  error.message = message;
-  return false;
+template <class Io>
+bool fields(Io& io, RunConfigRecord& r) {
+  return io.u32(r.fusion_window) && io.u32(r.fusion_majority) &&
+         io.f64(r.onset_confidence) && io.f64(r.release_confidence) &&
+         io.u32(r.min_hold) && io.u32(r.release_misses) &&
+         io.f64(r.reference_distance) && io.u64(r.attending_timeout) &&
+         io.u64(r.sequence_gap) && io.u64(r.confirm_timeout) &&
+         io.u64(r.execute_ticks) && io.u64(r.abort_ticks) &&
+         io.u32(r.observation_queue) && io.u32(r.cells) &&
+         io.u64(r.grant_ttl) && io.u32(r.fleet_queue) &&
+         io.u64(r.retry_backoff) && io.u64(r.retry_backoff_max) &&
+         io.u32(r.fairness_boost_per_loss) && io.u32(r.fairness_boost_cap);
 }
 
-bool read_enum(Reader& reader, std::uint8_t& v, std::uint8_t max,
-               const char* what, PayloadError& error) {
-  const std::size_t at = reader.offset();
-  if (!reader.u8(v)) return fail(error, at, "payload truncated");
-  if (v > max) return fail(error, at, what);
-  return true;
+template <class Io>
+bool fields(Io& io, ObservationRecord& r) {
+  return io.u32(r.stream_id) && io.u64(r.sequence) &&
+         io.enum8(r.sign, kMaxSign, "bad HumanSign value") &&
+         io.enum8(r.abort, kMaxBool, "bad abort flag") &&
+         io.f64(r.confidence);
 }
 
-// ------------------------------------------------- per-type encoding -----
-
-void encode_payload(Writer& w, const RunConfigRecord& r) {
-  w.u32(r.fusion_window);
-  w.u32(r.fusion_majority);
-  w.f64(r.onset_confidence);
-  w.f64(r.release_confidence);
-  w.u32(r.min_hold);
-  w.u32(r.release_misses);
-  w.f64(r.reference_distance);
-  w.u64(r.attending_timeout);
-  w.u64(r.sequence_gap);
-  w.u64(r.confirm_timeout);
-  w.u64(r.execute_ticks);
-  w.u64(r.abort_ticks);
-  w.u32(r.observation_queue);
-  w.u32(r.cells);
-  w.u64(r.grant_ttl);
-  w.u32(r.fleet_queue);
-  w.u64(r.retry_backoff);
-  w.u64(r.retry_backoff_max);
-  w.u32(r.fairness_boost_per_loss);
-  w.u32(r.fairness_boost_cap);
+template <class Io>
+bool fields(Io& io, SignEventRecord& r) {
+  return io.u32(r.stream_id) &&
+         io.enum8(r.kind, kMaxSignEventKind, "bad SignEventKind value") &&
+         io.enum8(r.label, kMaxSign, "bad HumanSign value") &&
+         io.u64(r.onset_seq) && io.u64(r.end_seq) && io.f64(r.confidence);
 }
 
-void encode_payload(Writer& w, const ObservationRecord& r) {
-  w.u32(r.stream_id);
-  w.u64(r.sequence);
-  w.u8(r.sign);
-  w.u8(r.abort);
-  w.f64(r.confidence);
+template <class Io>
+bool fields(Io& io, TransitionRecord& r) {
+  return io.u32(r.stream_id) &&
+         io.enum8(r.from, kMaxDialogueState, "bad DialogueState value") &&
+         io.enum8(r.to, kMaxDialogueState, "bad DialogueState value") &&
+         io.enum8(r.set_ring, kMaxBool, "bad set_ring flag") &&
+         io.enum8(r.ring, kMaxRingMode, "bad RingMode value") &&
+         io.enum8(r.fly_pattern, kMaxBool, "bad fly_pattern flag") &&
+         io.enum8(r.pattern, kMaxPatternType, "bad PatternType value") &&
+         io.enum8(r.command, kMaxCommandKind, "bad DroneCommandKind value") &&
+         io.u64(r.tick) && io.text(r.event);
 }
 
-void encode_payload(Writer& w, const SignEventRecord& r) {
-  w.u32(r.stream_id);
-  w.u8(r.kind);
-  w.u8(r.label);
-  w.u64(r.onset_seq);
-  w.u64(r.end_seq);
-  w.f64(r.confidence);
+template <class Io>
+bool fields(Io& io, OutcomeRecordWire& r) {
+  return io.enum8(r.outcome, kMaxOutcome, "bad Outcome value") &&
+         io.u32(r.stream_id) && io.u64(r.final_sequence);
 }
 
-void encode_payload(Writer& w, const TransitionRecord& r) {
-  w.u32(r.stream_id);
-  w.u8(r.from);
-  w.u8(r.to);
-  w.u8(r.set_ring);
-  w.u8(r.ring);
-  w.u8(r.fly_pattern);
-  w.u8(r.pattern);
-  w.u8(r.command);
-  w.u64(r.tick);
-  w.u16(static_cast<std::uint16_t>(r.event.size()));
-  w.bytes(r.event);
+template <class Io>
+bool fields(Io& io, FleetEventRecord& r) {
+  return io.enum8(r.kind, kMaxFleetEventKind, "bad FleetEvent kind") &&
+         io.u32(r.drone_id) && io.u64(r.sequence) &&
+         io.enum8(r.to, kMaxDialogueState, "bad DialogueState value") &&
+         io.enum8(r.outcome, kMaxOutcome, "bad Outcome value") &&
+         io.enum8(r.label, kMaxSign, "bad HumanSign value") &&
+         io.enum8(r.event_kind, kMaxSignEventKind, "bad SignEventKind value") &&
+         io.u32(r.descriptor_drone_id) && io.i32(r.descriptor_cell) &&
+         io.i32(r.descriptor_human_id) && io.f64(r.descriptor_battery_soc) &&
+         io.f64(r.battery_soc);
 }
 
-void encode_payload(Writer& w, const OutcomeRecordWire& r) {
-  w.u8(r.outcome);
-  w.u32(r.stream_id);
-  w.u64(r.final_sequence);
+template <class Io>
+bool fields(Io& io, GrantUpdateRecord& r) {
+  return io.i32(r.cell) &&
+         io.enum8(r.state, kMaxGrantState, "bad GrantState value") &&
+         io.u32(r.holder) && io.u64(r.granted_seq) && io.u64(r.expires_seq) &&
+         io.u32(r.renewals) && io.enum8(r.conflict, kMaxBool, "bad conflict flag");
 }
 
-void encode_payload(Writer& w, const FleetEventRecord& r) {
-  w.u8(r.kind);
-  w.u32(r.drone_id);
-  w.u64(r.sequence);
-  w.u8(r.to);
-  w.u8(r.outcome);
-  w.u8(r.label);
-  w.u8(r.event_kind);
-  w.u32(r.descriptor_drone_id);
-  w.i32(r.descriptor_cell);
-  w.i32(r.descriptor_human_id);
-  w.f64(r.descriptor_battery_soc);
-  w.f64(r.battery_soc);
+template <class Io>
+bool fields(Io& io, ArbitrationRecord& r) {
+  return io.u32(r.loser) && io.u32(r.winner) && io.i32(r.human_id) &&
+         io.u64(r.sequence) && io.u64(r.retry_at) &&
+         io.enum8(r.reason, kMaxAbortReason, "bad AbortReason value");
 }
 
-void encode_payload(Writer& w, const GrantUpdateRecord& r) {
-  w.i32(r.cell);
-  w.u8(r.state);
-  w.u32(r.holder);
-  w.u64(r.granted_seq);
-  w.u64(r.expires_seq);
-  w.u32(r.renewals);
-  w.u8(r.conflict);
+template <class Io>
+bool fields(Io& io, PlanHintRecord& r) {
+  const auto cell = [&io](std::int32_t& c) { return io.i32(c); };
+  return io.u32(r.drone_id) &&
+         io.template list<std::uint16_t>(r.granted_cells, cell) &&
+         io.template list<std::uint16_t>(r.blocked_cells, cell);
 }
 
-void encode_payload(Writer& w, const ArbitrationRecord& r) {
-  w.u32(r.loser);
-  w.u32(r.winner);
-  w.i32(r.human_id);
-  w.u64(r.sequence);
-  w.u64(r.retry_at);
-  w.u8(r.reason);
+template <class Io>
+bool fields(Io& io, TranscriptDigestRecord& r) {
+  return io.u32(r.stream_id) && io.u32(r.entries) && io.u64(r.digest);
 }
 
-void encode_payload(Writer& w, const PlanHintRecord& r) {
-  w.u32(r.drone_id);
-  w.u16(static_cast<std::uint16_t>(r.granted_cells.size()));
-  for (std::int32_t cell : r.granted_cells) w.i32(cell);
-  w.u16(static_cast<std::uint16_t>(r.blocked_cells.size()));
-  for (std::int32_t cell : r.blocked_cells) w.i32(cell);
+template <class Io>
+bool fields(Io& io, GrantSlotRecord& r) {
+  return io.i32(r.cell) &&
+         io.enum8(r.state, kMaxGrantState, "bad GrantState value") &&
+         io.u32(r.holder) && io.u64(r.granted_seq) && io.u64(r.expires_seq) &&
+         io.u32(r.renewals);
 }
 
-void encode_payload(Writer& w, const TranscriptDigestRecord& r) {
-  w.u32(r.stream_id);
-  w.u32(r.entries);
-  w.u64(r.digest);
+template <class Io>
+bool fields(Io& io, JournalEndRecord& r) {
+  return io.u64(r.record_count);
 }
 
-void encode_payload(Writer& w, const GrantSlotRecord& r) {
-  w.i32(r.cell);
-  w.u8(r.state);
-  w.u32(r.holder);
-  w.u64(r.granted_seq);
-  w.u64(r.expires_seq);
-  w.u32(r.renewals);
+template <class Io>
+bool fields(Io& io, MetricSnapshotRecord& r) {
+  return io.template list<std::uint32_t>(
+      r.entries, [&io](MetricSnapshotEntry& entry) {
+        return io.text(entry.name) && io.u64(entry.value);
+      });
 }
 
-void encode_payload(Writer& w, const JournalEndRecord& r) {
-  w.u64(r.record_count);
-}
+// ------------------------------------------------------- decoder table ---
 
-void encode_payload(Writer& w, const MetricSnapshotRecord& r) {
-  w.u32(static_cast<std::uint32_t>(r.entries.size()));
-  for (const MetricSnapshotEntry& entry : r.entries) {
-    w.u16(static_cast<std::uint16_t>(entry.name.size()));
-    w.bytes(entry.name);
-    w.u64(entry.value);
-  }
-}
+using Decoder = bool (*)(Reader&, AnyRecord&);
 
-// ------------------------------------------------- per-type decoding -----
-// Each decoder must consume the payload EXACTLY (trailing garbage after a
-// valid prefix is kBadPayload — canonical encoding has no slack bytes).
-
-bool decode_payload(Reader& reader, RunConfigRecord& r, PayloadError& error) {
-  const std::size_t at = reader.offset();
-  const bool ok =
-      reader.u32(r.fusion_window) && reader.u32(r.fusion_majority) &&
-      reader.f64(r.onset_confidence) && reader.f64(r.release_confidence) &&
-      reader.u32(r.min_hold) && reader.u32(r.release_misses) &&
-      reader.f64(r.reference_distance) && reader.u64(r.attending_timeout) &&
-      reader.u64(r.sequence_gap) && reader.u64(r.confirm_timeout) &&
-      reader.u64(r.execute_ticks) && reader.u64(r.abort_ticks) &&
-      reader.u32(r.observation_queue) && reader.u32(r.cells) &&
-      reader.u64(r.grant_ttl) && reader.u32(r.fleet_queue) &&
-      reader.u64(r.retry_backoff) && reader.u64(r.retry_backoff_max) &&
-      reader.u32(r.fairness_boost_per_loss) &&
-      reader.u32(r.fairness_boost_cap);
-  if (!ok) return fail(error, at, "RunConfig payload truncated");
-  return true;
-}
-
-bool decode_payload(Reader& reader, ObservationRecord& r, PayloadError& error) {
-  std::size_t at = reader.offset();
-  if (!reader.u32(r.stream_id) || !reader.u64(r.sequence)) {
-    return fail(error, at, "Observation payload truncated");
-  }
-  if (!read_enum(reader, r.sign, kMaxSign, "bad HumanSign value", error)) {
-    return false;
-  }
-  if (!read_enum(reader, r.abort, kMaxBool, "bad abort flag", error)) {
-    return false;
-  }
-  at = reader.offset();
-  if (!reader.f64(r.confidence)) {
-    return fail(error, at, "Observation payload truncated");
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, SignEventRecord& r, PayloadError& error) {
-  std::size_t at = reader.offset();
-  if (!reader.u32(r.stream_id)) {
-    return fail(error, at, "SignEvent payload truncated");
-  }
-  if (!read_enum(reader, r.kind, kMaxSignEventKind, "bad SignEventKind value",
-                 error) ||
-      !read_enum(reader, r.label, kMaxSign, "bad HumanSign value", error)) {
-    return false;
-  }
-  at = reader.offset();
-  if (!reader.u64(r.onset_seq) || !reader.u64(r.end_seq) ||
-      !reader.f64(r.confidence)) {
-    return fail(error, at, "SignEvent payload truncated");
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, TransitionRecord& r, PayloadError& error) {
-  std::size_t at = reader.offset();
-  if (!reader.u32(r.stream_id)) {
-    return fail(error, at, "Transition payload truncated");
-  }
-  if (!read_enum(reader, r.from, kMaxDialogueState, "bad DialogueState value",
-                 error) ||
-      !read_enum(reader, r.to, kMaxDialogueState, "bad DialogueState value",
-                 error) ||
-      !read_enum(reader, r.set_ring, kMaxBool, "bad set_ring flag", error) ||
-      !read_enum(reader, r.ring, kMaxRingMode, "bad RingMode value", error) ||
-      !read_enum(reader, r.fly_pattern, kMaxBool, "bad fly_pattern flag",
-                 error) ||
-      !read_enum(reader, r.pattern, kMaxPatternType, "bad PatternType value",
-                 error) ||
-      !read_enum(reader, r.command, kMaxCommandKind,
-                 "bad DroneCommandKind value", error)) {
-    return false;
-  }
-  at = reader.offset();
-  std::uint16_t event_len = 0;
-  if (!reader.u64(r.tick) || !reader.u16(event_len)) {
-    return fail(error, at, "Transition payload truncated");
-  }
-  at = reader.offset();
-  if (!reader.bytes(r.event, event_len)) {
-    return fail(error, at, "Transition event literal overruns payload");
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, OutcomeRecordWire& r, PayloadError& error) {
-  if (!read_enum(reader, r.outcome, kMaxOutcome, "bad Outcome value", error)) {
-    return false;
-  }
-  const std::size_t at = reader.offset();
-  if (!reader.u32(r.stream_id) || !reader.u64(r.final_sequence)) {
-    return fail(error, at, "Outcome payload truncated");
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, FleetEventRecord& r, PayloadError& error) {
-  if (!read_enum(reader, r.kind, kMaxFleetEventKind, "bad FleetEvent kind",
-                 error)) {
-    return false;
-  }
-  std::size_t at = reader.offset();
-  if (!reader.u32(r.drone_id) || !reader.u64(r.sequence)) {
-    return fail(error, at, "FleetEvent payload truncated");
-  }
-  if (!read_enum(reader, r.to, kMaxDialogueState, "bad DialogueState value",
-                 error) ||
-      !read_enum(reader, r.outcome, kMaxOutcome, "bad Outcome value", error) ||
-      !read_enum(reader, r.label, kMaxSign, "bad HumanSign value", error) ||
-      !read_enum(reader, r.event_kind, kMaxSignEventKind,
-                 "bad SignEventKind value", error)) {
-    return false;
-  }
-  at = reader.offset();
-  if (!reader.u32(r.descriptor_drone_id) || !reader.i32(r.descriptor_cell) ||
-      !reader.i32(r.descriptor_human_id) ||
-      !reader.f64(r.descriptor_battery_soc) || !reader.f64(r.battery_soc)) {
-    return fail(error, at, "FleetEvent payload truncated");
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, GrantUpdateRecord& r, PayloadError& error) {
-  std::size_t at = reader.offset();
-  if (!reader.i32(r.cell)) {
-    return fail(error, at, "GrantUpdate payload truncated");
-  }
-  if (!read_enum(reader, r.state, kMaxGrantState, "bad GrantState value",
-                 error)) {
-    return false;
-  }
-  at = reader.offset();
-  if (!reader.u32(r.holder) || !reader.u64(r.granted_seq) ||
-      !reader.u64(r.expires_seq) || !reader.u32(r.renewals)) {
-    return fail(error, at, "GrantUpdate payload truncated");
-  }
-  if (!read_enum(reader, r.conflict, kMaxBool, "bad conflict flag", error)) {
-    return false;
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, ArbitrationRecord& r, PayloadError& error) {
-  const std::size_t at = reader.offset();
-  if (!reader.u32(r.loser) || !reader.u32(r.winner) ||
-      !reader.i32(r.human_id) || !reader.u64(r.sequence) ||
-      !reader.u64(r.retry_at)) {
-    return fail(error, at, "Arbitration payload truncated");
-  }
-  return read_enum(reader, r.reason, kMaxAbortReason, "bad AbortReason value",
-                   error);
-}
-
-bool decode_payload(Reader& reader, PlanHintRecord& r, PayloadError& error) {
-  std::size_t at = reader.offset();
-  std::uint16_t count = 0;
-  if (!reader.u32(r.drone_id) || !reader.u16(count)) {
-    return fail(error, at, "PlanHint payload truncated");
-  }
-  r.granted_cells.clear();
-  r.granted_cells.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    std::int32_t cell;
-    at = reader.offset();
-    if (!reader.i32(cell)) {
-      return fail(error, at, "PlanHint granted list overruns payload");
-    }
-    r.granted_cells.push_back(cell);
-  }
-  at = reader.offset();
-  if (!reader.u16(count)) {
-    return fail(error, at, "PlanHint payload truncated");
-  }
-  r.blocked_cells.clear();
-  r.blocked_cells.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    std::int32_t cell;
-    at = reader.offset();
-    if (!reader.i32(cell)) {
-      return fail(error, at, "PlanHint blocked list overruns payload");
-    }
-    r.blocked_cells.push_back(cell);
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, TranscriptDigestRecord& r,
-                    PayloadError& error) {
-  const std::size_t at = reader.offset();
-  if (!reader.u32(r.stream_id) || !reader.u32(r.entries) ||
-      !reader.u64(r.digest)) {
-    return fail(error, at, "TranscriptDigest payload truncated");
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, GrantSlotRecord& r, PayloadError& error) {
-  std::size_t at = reader.offset();
-  if (!reader.i32(r.cell)) {
-    return fail(error, at, "GrantSlot payload truncated");
-  }
-  if (!read_enum(reader, r.state, kMaxGrantState, "bad GrantState value",
-                 error)) {
-    return false;
-  }
-  at = reader.offset();
-  if (!reader.u32(r.holder) || !reader.u64(r.granted_seq) ||
-      !reader.u64(r.expires_seq) || !reader.u32(r.renewals)) {
-    return fail(error, at, "GrantSlot payload truncated");
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, JournalEndRecord& r, PayloadError& error) {
-  const std::size_t at = reader.offset();
-  if (!reader.u64(r.record_count)) {
-    return fail(error, at, "JournalEnd payload truncated");
-  }
-  return true;
-}
-
-bool decode_payload(Reader& reader, MetricSnapshotRecord& r,
-                    PayloadError& error) {
-  std::size_t at = reader.offset();
-  std::uint32_t count = 0;
-  if (!reader.u32(count)) {
-    return fail(error, at, "MetricSnapshot payload truncated");
-  }
-  r.entries.clear();
-  // No reserve(count): a corrupt count up to 2^32-1 must fail on the first
-  // truncated entry, not pre-allocate gigabytes.
-  for (std::uint32_t i = 0; i < count; ++i) {
-    MetricSnapshotEntry entry;
-    at = reader.offset();
-    std::uint16_t name_len = 0;
-    if (!reader.u16(name_len)) {
-      return fail(error, at, "MetricSnapshot payload truncated");
-    }
-    at = reader.offset();
-    if (!reader.bytes(entry.name, name_len)) {
-      return fail(error, at, "MetricSnapshot name overruns payload");
-    }
-    at = reader.offset();
-    if (!reader.u64(entry.value)) {
-      return fail(error, at, "MetricSnapshot payload truncated");
-    }
-    r.entries.push_back(std::move(entry));
-  }
-  return true;
-}
-
-template <typename Record>
-bool decode_into(std::span<const std::uint8_t> payload, std::size_t base,
-                 AnyRecord& out, PayloadError& error) {
-  Reader reader(payload, base);
+template <class Record>
+bool decode(Reader& reader, AnyRecord& out) {
   Record record;
-  if (!decode_payload(reader, record, error)) return false;
-  if (!reader.done()) {
-    return fail(error, reader.offset(), "trailing bytes after payload");
-  }
+  if (!fields(reader, record) || !reader.finish()) return false;
   out = std::move(record);
   return true;
 }
+
+template <std::size_t... I>
+constexpr std::array<Decoder, sizeof...(I)> make_decoders(
+    std::index_sequence<I...>) {
+  return {&decode<std::variant_alternative_t<I, AnyRecord>>...};
+}
+
+/// Indexed by wire type - 1, which is the AnyRecord alternative index.
+constexpr auto kDecoders = make_decoders(
+    std::make_index_sequence<std::variant_size_v<AnyRecord>>());
 
 }  // namespace
 
@@ -574,39 +322,7 @@ std::uint16_t crc16(const std::uint8_t* data, std::size_t size) noexcept {
 }
 
 RecordType record_type(const AnyRecord& record) noexcept {
-  return std::visit(
-      [](const auto& r) -> RecordType {
-        using T = std::decay_t<decltype(r)>;
-        if constexpr (std::is_same_v<T, RunConfigRecord>) {
-          return RecordType::kRunConfig;
-        } else if constexpr (std::is_same_v<T, ObservationRecord>) {
-          return RecordType::kObservation;
-        } else if constexpr (std::is_same_v<T, SignEventRecord>) {
-          return RecordType::kSignEvent;
-        } else if constexpr (std::is_same_v<T, TransitionRecord>) {
-          return RecordType::kTransition;
-        } else if constexpr (std::is_same_v<T, OutcomeRecordWire>) {
-          return RecordType::kOutcome;
-        } else if constexpr (std::is_same_v<T, FleetEventRecord>) {
-          return RecordType::kFleetEvent;
-        } else if constexpr (std::is_same_v<T, GrantUpdateRecord>) {
-          return RecordType::kGrantUpdate;
-        } else if constexpr (std::is_same_v<T, ArbitrationRecord>) {
-          return RecordType::kArbitration;
-        } else if constexpr (std::is_same_v<T, PlanHintRecord>) {
-          return RecordType::kPlanHint;
-        } else if constexpr (std::is_same_v<T, TranscriptDigestRecord>) {
-          return RecordType::kTranscriptDigest;
-        } else if constexpr (std::is_same_v<T, GrantSlotRecord>) {
-          return RecordType::kGrantSlot;
-        } else if constexpr (std::is_same_v<T, JournalEndRecord>) {
-          return RecordType::kJournalEnd;
-        } else {
-          static_assert(std::is_same_v<T, MetricSnapshotRecord>);
-          return RecordType::kMetricSnapshot;
-        }
-      },
-      record);
+  return static_cast<RecordType>(record.index() + 1);
 }
 
 void encode(std::vector<std::uint8_t>& out, const AnyRecord& record) {
@@ -617,8 +333,22 @@ void encode(std::vector<std::uint8_t>& out, const AnyRecord& record) {
   writer.u8(static_cast<std::uint8_t>(record_type(record)));
   writer.u16(0);  // payload size backpatched below
   const std::size_t payload_start = out.size();
-  std::visit([&writer](const auto& r) { encode_payload(writer, r); }, record);
+  // fields() takes a mutable record so one layout serves both directions;
+  // the Writer only reads through it.
+  std::visit(
+      [&writer](const auto& r) {
+        fields(writer, const_cast<std::decay_t<decltype(r)>&>(r));
+      },
+      record);
   const std::size_t payload_size = out.size() - payload_start;
+  // Below the cap no u16 length, count or envelope size can wrap.
+  static_assert(kMaxPayloadSize <= 0xFFFF);
+  if (payload_size > kMaxPayloadSize) {
+    // The parser would reject this record as kBadLength; a u16 length or
+    // count inside it may also have wrapped. Refuse rather than journal it.
+    out.resize(envelope_start);
+    throw std::length_error("wire record payload exceeds kMaxPayloadSize");
+  }
   out[envelope_start + 3] = static_cast<std::uint8_t>(payload_size);
   out[envelope_start + 4] = static_cast<std::uint8_t>(payload_size >> 8);
   writer.u16(crc16(out.data() + envelope_start,
@@ -660,8 +390,7 @@ ParseResult parse_record(std::span<const std::uint8_t> buffer,
     return ParseResult::kError;
   }
   const std::uint8_t type_byte = buffer[start + 2];
-  if (type_byte < static_cast<std::uint8_t>(RecordType::kRunConfig) ||
-      type_byte > static_cast<std::uint8_t>(RecordType::kMetricSnapshot)) {
+  if (type_byte < 1 || type_byte > kDecoders.size()) {
     error = {WireErrorCode::kBadRecordType, start + 2,
              "unknown record type for wire version 2"};
     return ParseResult::kError;
@@ -692,68 +421,12 @@ ParseResult parse_record(std::span<const std::uint8_t> buffer,
     return ParseResult::kError;
   }
 
-  const std::span<const std::uint8_t> payload =
-      buffer.subspan(start + kEnvelopeHeaderSize, payload_size);
-  const std::size_t payload_base = start + kEnvelopeHeaderSize;
-  PayloadError payload_error;
-  bool ok = false;
-  switch (static_cast<RecordType>(type_byte)) {
-    case RecordType::kRunConfig:
-      ok = decode_into<RunConfigRecord>(payload, payload_base, out,
-                                        payload_error);
-      break;
-    case RecordType::kObservation:
-      ok = decode_into<ObservationRecord>(payload, payload_base, out,
-                                          payload_error);
-      break;
-    case RecordType::kSignEvent:
-      ok = decode_into<SignEventRecord>(payload, payload_base, out,
-                                        payload_error);
-      break;
-    case RecordType::kTransition:
-      ok = decode_into<TransitionRecord>(payload, payload_base, out,
-                                         payload_error);
-      break;
-    case RecordType::kOutcome:
-      ok = decode_into<OutcomeRecordWire>(payload, payload_base, out,
-                                          payload_error);
-      break;
-    case RecordType::kFleetEvent:
-      ok = decode_into<FleetEventRecord>(payload, payload_base, out,
-                                         payload_error);
-      break;
-    case RecordType::kGrantUpdate:
-      ok = decode_into<GrantUpdateRecord>(payload, payload_base, out,
-                                          payload_error);
-      break;
-    case RecordType::kArbitration:
-      ok = decode_into<ArbitrationRecord>(payload, payload_base, out,
-                                          payload_error);
-      break;
-    case RecordType::kPlanHint:
-      ok = decode_into<PlanHintRecord>(payload, payload_base, out,
-                                       payload_error);
-      break;
-    case RecordType::kTranscriptDigest:
-      ok = decode_into<TranscriptDigestRecord>(payload, payload_base, out,
-                                               payload_error);
-      break;
-    case RecordType::kGrantSlot:
-      ok = decode_into<GrantSlotRecord>(payload, payload_base, out,
-                                        payload_error);
-      break;
-    case RecordType::kJournalEnd:
-      ok = decode_into<JournalEndRecord>(payload, payload_base, out,
-                                         payload_error);
-      break;
-    case RecordType::kMetricSnapshot:
-      ok = decode_into<MetricSnapshotRecord>(payload, payload_base, out,
-                                             payload_error);
-      break;
-  }
-  if (!ok) {
-    error = {WireErrorCode::kBadPayload, payload_error.offset,
-             payload_error.message};
+  Reader reader(buffer.subspan(start + kEnvelopeHeaderSize, payload_size),
+                start + kEnvelopeHeaderSize);
+  if (!kDecoders[type_byte - 1](reader, out)) {
+    error = {WireErrorCode::kBadPayload, reader.error_offset(),
+             std::string(to_string(static_cast<RecordType>(type_byte))) +
+                 ": " + reader.error()};
     return ParseResult::kError;
   }
 

@@ -284,21 +284,26 @@ struct MetricSnapshotRecord {
   [[nodiscard]] bool operator==(const MetricSnapshotRecord&) const = default;
 };
 
-/// Any parsed record. The variant index is NOT the wire type id — use
-/// record_type().
+/// Any parsed record. The alternatives are in RecordType order, so the
+/// variant index is the wire type id minus one (record_type() relies on
+/// it; the golden-bytes tests pin it). A new type goes at the end.
 using AnyRecord =
     std::variant<RunConfigRecord, ObservationRecord, SignEventRecord,
                  TransitionRecord, OutcomeRecordWire, FleetEventRecord,
                  GrantUpdateRecord, ArbitrationRecord, PlanHintRecord,
                  TranscriptDigestRecord, GrantSlotRecord, JournalEndRecord,
                  MetricSnapshotRecord>;
+static_assert(std::variant_size_v<AnyRecord> ==
+              static_cast<std::size_t>(RecordType::kMetricSnapshot));
 
 [[nodiscard]] RecordType record_type(const AnyRecord& record) noexcept;
 
 // ------------------------------------------------------------- encoding ---
 
 /// Appends `record`, fully enveloped (header + payload + CRC16), to `out`.
-/// Encoding is canonical: equal records produce equal bytes.
+/// Encoding is canonical: equal records produce equal bytes. A payload
+/// over kMaxPayloadSize (which parsing would reject) throws
+/// std::length_error and leaves `out` unchanged.
 void encode(std::vector<std::uint8_t>& out, const AnyRecord& record);
 
 /// Convenience: the enveloped bytes of a single record.

@@ -74,8 +74,9 @@ PerceptionService::PerceptionService(const RecognizerConfig& config,
                                               service_config.overflow,
                                               database_.get()));
     if (service_config_.metrics != nullptr) {
-      // Arm the shared pipeline's prepare/match/finalize spans per shard
-      // scratch (one handle set per worker, same ownership as the buffers).
+      // Arm the seven recognition stage histograms (preprocess .. match)
+      // per shard scratch (one handle set per worker, same ownership as
+      // the buffers).
       shards_.back()->scratch.metrics =
           telemetry::RecognitionStageMetrics::from(*service_config_.metrics);
     }

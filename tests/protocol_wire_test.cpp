@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -274,6 +275,170 @@ TEST(Wire, GoldenMetricSnapshotBytes) {
   EXPECT_EQ(parsed[0], wire::AnyRecord(record));
 }
 
+// Pinned layouts for the ten types the tests above do not cover. The type
+// byte doubles as a check on the AnyRecord alternative order, which must
+// match RecordType (record_type() is derived from the variant index).
+TEST(Wire, GoldenBytesForEveryOtherRecordType) {
+  struct Golden {
+    const char* name;
+    wire::AnyRecord record;
+    std::vector<std::uint8_t> bytes;
+  };
+  const Golden cases[] = {
+      {"RunConfig",
+       wire::RunConfigRecord{1, 2, 0.5, 0.25, 3, 4, 2.0, 5, 6, 7, 8, 9, 10,
+                             11, 12, 13, 14, 15, 16, 17},
+       {
+           0xDC, 0x02, 0x01, 0x7C, 0x00,                    // header, len 124
+           0x01, 0x00, 0x00, 0x00,                          // fusion_window
+           0x02, 0x00, 0x00, 0x00,                          // fusion_majority
+           0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // onset 0.5
+           0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F,  // release 0.25
+           0x03, 0x00, 0x00, 0x00,                          // min_hold
+           0x04, 0x00, 0x00, 0x00,                          // release_misses
+           0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40,  // ref distance 2
+           0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // attending_timeout
+           0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // sequence_gap
+           0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // confirm_timeout
+           0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // execute_ticks
+           0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // abort_ticks
+           0x0A, 0x00, 0x00, 0x00,                          // observation_queue
+           0x0B, 0x00, 0x00, 0x00,                          // cells
+           0x0C, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // grant_ttl
+           0x0D, 0x00, 0x00, 0x00,                          // fleet_queue
+           0x0E, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // retry_backoff
+           0x0F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // retry_backoff_max
+           0x10, 0x00, 0x00, 0x00,                          // boost_per_loss
+           0x11, 0x00, 0x00, 0x00,                          // boost_cap
+           0x0E, 0xA4,                                      // crc16
+       }},
+      {"SignEvent",
+       wire::SignEventRecord{2, 1, 3, 0x10, 0x20, 0.75},
+       {
+           0xDC, 0x02, 0x03, 0x1E, 0x00,                    // header, len 30
+           0x02, 0x00, 0x00, 0x00,                          // stream_id
+           0x01, 0x03,                                      // kind, label
+           0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // onset_seq
+           0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // end_seq
+           0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE8, 0x3F,  // confidence 0.75
+           0xCC, 0xB7,                                      // crc16
+       }},
+      {"Outcome",
+       wire::OutcomeRecordWire{4, 9, 0x1234},
+       {
+           0xDC, 0x02, 0x05, 0x0D, 0x00,                    // header, len 13
+           0x04,                                            // outcome
+           0x09, 0x00, 0x00, 0x00,                          // stream_id
+           0x34, 0x12, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // final_sequence
+           0x7C, 0xB2,                                      // crc16
+       }},
+      {"FleetEvent",
+       wire::FleetEventRecord{0, 3, 0x40, 2, 1, 3, 1, 3, -2, 5, 0.5, 1.0},
+       {
+           0xDC, 0x02, 0x06, 0x2D, 0x00,                    // header, len 45
+           0x00,                                            // kind
+           0x03, 0x00, 0x00, 0x00,                          // drone_id
+           0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // sequence
+           0x02, 0x01, 0x03, 0x01,                          // to..event_kind
+           0x03, 0x00, 0x00, 0x00,                          // descriptor drone
+           0xFE, 0xFF, 0xFF, 0xFF,                          // descriptor cell -2
+           0x05, 0x00, 0x00, 0x00,                          // descriptor human
+           0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // descriptor soc
+           0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,  // battery_soc 1.0
+           0xFB, 0xEC,                                      // crc16
+       }},
+      {"GrantUpdate",
+       wire::GrantUpdateRecord{-1, 2, 4, 0x100, 0x200, 3, 1},
+       {
+           0xDC, 0x02, 0x07, 0x1E, 0x00,                    // header, len 30
+           0xFF, 0xFF, 0xFF, 0xFF,                          // cell -1
+           0x02,                                            // state
+           0x04, 0x00, 0x00, 0x00,                          // holder
+           0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // granted_seq
+           0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // expires_seq
+           0x03, 0x00, 0x00, 0x00,                          // renewals
+           0x01,                                            // conflict
+           0xFF, 0x8D,                                      // crc16
+       }},
+      {"Arbitration",
+       wire::ArbitrationRecord{1, 2, -3, 0x50, 0x90, 1},
+       {
+           0xDC, 0x02, 0x08, 0x1D, 0x00,                    // header, len 29
+           0x01, 0x00, 0x00, 0x00,                          // loser
+           0x02, 0x00, 0x00, 0x00,                          // winner
+           0xFD, 0xFF, 0xFF, 0xFF,                          // human_id -3
+           0x50, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // sequence
+           0x90, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // retry_at
+           0x01,                                            // reason
+           0x17, 0x16,                                      // crc16
+       }},
+      {"PlanHint",
+       wire::PlanHintRecord{6, {1, -1}, {7}},
+       {
+           0xDC, 0x02, 0x09, 0x14, 0x00,                    // header, len 20
+           0x06, 0x00, 0x00, 0x00,                          // drone_id
+           0x02, 0x00,                                      // granted count
+           0x01, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF,  // 1, -1
+           0x01, 0x00,                                      // blocked count
+           0x07, 0x00, 0x00, 0x00,                          // 7
+           0x3F, 0x6C,                                      // crc16
+       }},
+      {"TranscriptDigest",
+       wire::TranscriptDigestRecord{4, 12, 0xCBF29CE484222325ull},
+       {
+           0xDC, 0x02, 0x0A, 0x10, 0x00,                    // header, len 16
+           0x04, 0x00, 0x00, 0x00,                          // stream_id
+           0x0C, 0x00, 0x00, 0x00,                          // entries
+           0x25, 0x23, 0x22, 0x84, 0xE4, 0x9C, 0xF2, 0xCB,  // digest
+           0xAE, 0xC1,                                      // crc16
+       }},
+      {"GrantSlot",
+       wire::GrantSlotRecord{5, 4, 2, 0x30, 0x60, 1},
+       {
+           0xDC, 0x02, 0x0B, 0x1D, 0x00,                    // header, len 29
+           0x05, 0x00, 0x00, 0x00,                          // cell
+           0x04,                                            // state
+           0x02, 0x00, 0x00, 0x00,                          // holder
+           0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // granted_seq
+           0x60, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // expires_seq
+           0x01, 0x00, 0x00, 0x00,                          // renewals
+           0x05, 0x30,                                      // crc16
+       }},
+      {"JournalEnd",
+       wire::JournalEndRecord{42},
+       {
+           0xDC, 0x02, 0x0C, 0x08, 0x00,                    // header, len 8
+           0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // record_count
+           0x43, 0x8A,                                      // crc16
+       }},
+  };
+
+  // Together with the three golden tests above, every type is pinned.
+  std::vector<std::uint8_t> types = {
+      static_cast<std::uint8_t>(wire::RecordType::kObservation),
+      static_cast<std::uint8_t>(wire::RecordType::kTransition),
+      static_cast<std::uint8_t>(wire::RecordType::kMetricSnapshot)};
+  for (const Golden& golden : cases) {
+    SCOPED_TRACE(golden.name);
+    EXPECT_STREQ(wire::to_string(wire::record_type(golden.record)),
+                 golden.name);
+    EXPECT_EQ(wire::encode_one(golden.record), golden.bytes);
+
+    std::vector<wire::AnyRecord> parsed;
+    wire::WireError error;
+    ASSERT_TRUE(wire::parse_all(golden.bytes, parsed, error))
+        << error.message;
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0], golden.record);
+    types.push_back(golden.bytes[2]);
+  }
+  std::sort(types.begin(), types.end());
+  ASSERT_EQ(types.size(), std::size(kAllTypes));
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    EXPECT_EQ(types[i], static_cast<std::uint8_t>(kAllTypes[i]));
+  }
+}
+
 // ----------------------------------------------------- rejection matrix --
 
 TEST(Wire, TruncationAtEveryNonBoundaryPrefixIsRejected) {
@@ -431,6 +596,31 @@ TEST(Wire, InnerLengthOverrunIsRejectedNotOverread) {
   const wire::WireError error = parse_expecting_error(bytes);
   EXPECT_EQ(error.code, wire::WireErrorCode::kBadPayload);
   EXPECT_NE(error.message.find("overruns"), std::string::npos);
+}
+
+TEST(Wire, EncoderRefusesRecordsTheParserWouldReject) {
+  // drone_id + two u16 counts + 4094 cells is exactly kMaxPayloadSize.
+  wire::PlanHintRecord largest{3, std::vector<std::int32_t>(4094, 5), {}};
+  std::vector<wire::AnyRecord> parsed;
+  wire::WireError error;
+  ASSERT_TRUE(wire::parse_all(wire::encode_one(largest), parsed, error))
+      << error.message;
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0], wire::AnyRecord(largest));
+
+  const std::vector<std::uint8_t> before =
+      wire::encode_one(wire::JournalEndRecord{1});
+  std::vector<std::uint8_t> out = before;
+  wire::PlanHintRecord too_large = largest;
+  too_large.granted_cells.push_back(6);
+  EXPECT_THROW(wire::encode(out, too_large), std::length_error);
+  EXPECT_EQ(out, before);
+
+  // 70,000 bytes would wrap the event's u16 length field.
+  wire::TransitionRecord long_event{1, 1, 3, 1, 2, 0, 4, 1, 1000,
+                                    std::string(70000, 'x')};
+  EXPECT_THROW(wire::encode(out, long_event), std::length_error);
+  EXPECT_EQ(out, before);
 }
 
 TEST(Wire, ParseAllKeepsRecordsParsedBeforeTheFault) {

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
 #include "util/statistics.hpp"
@@ -226,22 +225,6 @@ TEST(AsciiPlot, ProducesRowsAndStats) {
   EXPECT_NE(plot.find('#'), std::string::npos);
   EXPECT_NE(plot.find("n=200"), std::string::npos);
   EXPECT_EQ(ascii_plot({}, 8, 60), "(empty series)\n");
-}
-
-TEST(Log, LevelFiltering) {
-  std::ostringstream sink;
-  auto* old_sink = LogConfig::sink();
-  const LogLevel old_level = LogConfig::level();
-  LogConfig::sink() = &sink;
-  LogConfig::level() = LogLevel::kWarn;
-  HDC_LOG_DEBUG("test") << "hidden";
-  HDC_LOG_WARN("test") << "visible " << 42;
-  LogConfig::sink() = old_sink;
-  LogConfig::level() = old_level;
-  const std::string out = sink.str();
-  EXPECT_EQ(out.find("hidden"), std::string::npos);
-  EXPECT_NE(out.find("visible 42"), std::string::npos);
-  EXPECT_NE(out.find("[WARN]"), std::string::npos);
 }
 
 }  // namespace
