@@ -111,8 +111,10 @@ BinaryImage threshold(const GrayImage& src, std::uint8_t value) {
 
 namespace {
 
-/// Otsu's level for `src`: the smallest value counted as foreground.
-std::uint8_t otsu_level(const GrayImage& src) {
+using Histogram = std::array<std::uint64_t, 256>;
+
+/// Pixel count per grey level.
+Histogram histogram_of(const GrayImage& src) {
   // Four interleaved sub-histograms break the read-modify-write dependency
   // when neighbouring pixels share a bin (the common case on sky/field
   // backgrounds), letting the accumulation loop pipeline ~4x wider. The
@@ -131,14 +133,21 @@ std::uint8_t otsu_level(const GrayImage& src) {
     ++h3[pixels[i + 3]];
   }
   for (; i < count; ++i) ++h0[pixels[i]];
-  std::array<std::uint64_t, 256> histogram{};
+  Histogram histogram{};
   for (int v = 0; v < 256; ++v) {
     histogram[v] = static_cast<std::uint64_t>(h0[v]) + h1[v] + h2[v] + h3[v];
   }
+  return histogram;
+}
 
-  const double total = static_cast<double>(src.data().size());
+/// Otsu's level for `histogram`: the smallest value counted as foreground.
+std::uint8_t otsu_level(const Histogram& histogram) {
+  double total = 0.0;
   double sum_all = 0.0;
-  for (int v = 0; v < 256; ++v) sum_all += static_cast<double>(v) * static_cast<double>(histogram[v]);
+  for (int v = 0; v < 256; ++v) {
+    total += static_cast<double>(histogram[v]);
+    sum_all += static_cast<double>(v) * static_cast<double>(histogram[v]);
+  }
 
   double sum_background = 0.0;
   double weight_background = 0.0;
@@ -177,9 +186,24 @@ inline std::uint64_t at_least_16(const std::uint8_t* p, std::uint8_t value) {
 #endif
 }
 
-}  // namespace
+/// Bits of the 16 pixels at `p` that are <= `value`, pixel i in bit i.
+inline std::uint64_t at_most_16(const std::uint8_t* p, std::uint8_t value) {
+#if defined(HDC_SIMD) && defined(__SSE2__)
+  const __m128i pixels = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  const __m128i ceiling = _mm_set1_epi8(static_cast<char>(value));
+  const __m128i le = _mm_cmpeq_epi8(_mm_min_epu8(pixels, ceiling), pixels);  // min(p, v) == p
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(_mm_movemask_epi8(le)));
+#else
+  std::uint64_t bits = 0;
+  for (int i = 0; i < 16; ++i) bits |= static_cast<std::uint64_t>(p[i] <= value) << i;
+  return bits;
+#endif
+}
 
-void threshold_into(const GrayImage& src, std::uint8_t value, BitImage& out) {
+/// Packs `src` into `out`, one bit per pixel: bit = kAbove ? pixel >= value
+/// : pixel <= value.
+template <bool kAbove>
+void pack_threshold(const GrayImage& src, std::uint8_t value, BitImage& out) {
   const int w = src.width();
   out.reset(w, src.height());
   for (int y = 0; y < src.height(); ++y) {
@@ -189,24 +213,48 @@ void threshold_into(const GrayImage& src, std::uint8_t value, BitImage& out) {
       const int count = std::min(64, w - x);
       std::uint64_t word = 0;  // bits past `count` stay zero: the padding
       int b = 0;
-      for (; b + 16 <= count; b += 16) word |= at_least_16(in + x + b, value) << b;
-      for (; b < count; ++b) word |= static_cast<std::uint64_t>(in[x + b] >= value) << b;
+      for (; b + 16 <= count; b += 16) {
+        word |= (kAbove ? at_least_16(in + x + b, value) : at_most_16(in + x + b, value))
+                << b;
+      }
+      for (; b < count; ++b) {
+        const std::uint8_t p = in[x + b];
+        word |= static_cast<std::uint64_t>(kAbove ? p >= value : p <= value) << b;
+      }
       dst[x >> 6] = word;
     }
   }
 }
 
+}  // namespace
+
+void threshold_into(const GrayImage& src, std::uint8_t value, BitImage& out) {
+  pack_threshold<true>(src, value, out);
+}
+
 void otsu_threshold_into(const GrayImage& src, BinaryImage& out,
                          std::uint8_t* chosen) {
-  const std::uint8_t level = otsu_level(src);
+  const std::uint8_t level = otsu_level(histogram_of(src));
   if (chosen != nullptr) *chosen = level;
   threshold_into(src, level, out);
 }
 
 void otsu_threshold_into(const GrayImage& src, BitImage& out, std::uint8_t* chosen) {
-  const std::uint8_t level = otsu_level(src);
+  const std::uint8_t level = otsu_level(histogram_of(src));
   if (chosen != nullptr) *chosen = level;
   threshold_into(src, level, out);
+}
+
+void otsu_threshold_dark_into(const GrayImage& src, BitImage& out, std::uint8_t* chosen) {
+  // The inverted frame's histogram is the raw one reversed: the same counts
+  // in the same order, so otsu_level returns the same level L. A pixel p is
+  // inverted foreground when 255 - p >= L, i.e. p <= 255 - L.
+  const Histogram raw = histogram_of(src);
+  Histogram reversed;
+  for (int v = 0; v < 256; ++v) reversed[v] = raw[255 - v];
+  const std::uint8_t level = otsu_level(reversed);
+  if (chosen != nullptr) *chosen = level;
+  pack_threshold<false>(src, static_cast<std::uint8_t>(255 - level), out);
 }
 
 BinaryImage otsu_threshold(const GrayImage& src, std::uint8_t* chosen) {

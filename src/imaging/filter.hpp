@@ -57,6 +57,12 @@ void threshold_into(const GrayImage& src, std::uint8_t value, BitImage& out);
 void otsu_threshold_into(const GrayImage& src, BitImage& out,
                          std::uint8_t* chosen = nullptr);
 
+/// otsu_threshold_into(invert(src)) without forming the inverted frame: the
+/// same packed bits and the same level, for a foreground darker than its
+/// background. One pass less than invert_into + otsu_threshold_into.
+void otsu_threshold_dark_into(const GrayImage& src, BitImage& out,
+                              std::uint8_t* chosen = nullptr);
+
 /// invert into `out`.
 void invert_into(const GrayImage& src, GrayImage& out);
 

@@ -1,90 +1,98 @@
 #include "imaging/morphology.hpp"
 
-#include <algorithm>
-#include <cstring>
+#include <cstdint>
 
 namespace hdc::imaging {
 
 namespace {
 
-enum class MorphOp { kErode, kDilate };
+/// The 3x3 window's combine: erode keeps a pixel whose window is all
+/// foreground, dilate one whose window holds any. Pixels outside the raster
+/// are background, i.e. a zero word, for both.
+struct Erode {
+  static std::uint64_t combine(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+    return a & b & c;
+  }
+};
+struct Dilate {
+  static std::uint64_t combine(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+    return a | b | c;
+  }
+};
 
-/// Horizontal min (erode) / max (dilate) over x-radius..x+radius, in place
-/// on one packed row: `radius` rounds of combining each pixel with its two
-/// neighbours, which equals the (2r+1)-wide window. Shifts carry bits
-/// across word boundaries; pixels outside the row read as background, and
-/// dilation re-clears the padding after every round so it stays background.
-void horizontal_pass(std::uint64_t* row, int n, int radius, bool is_erode,
-                     std::uint64_t tail) {
-  for (int round = 0; round < radius; ++round) {
-    std::uint64_t before = 0;  // word i-1 as it was before this round
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t cur = row[i];
-      const std::uint64_t after = i + 1 < n ? row[i + 1] : 0;
-      const std::uint64_t right = (cur >> 1) | (after << 63);  // pixel x+1
-      const std::uint64_t left = (cur << 1) | (before >> 63);  // pixel x-1
-      row[i] = is_erode ? cur & right & left : cur | right | left;
-      before = cur;
-    }
-    row[n - 1] &= tail;
+/// Word `cur` combined with its pixels shifted one to either side; `before`
+/// and `after` are the neighbouring words whose edge bits carry in.
+template <class Op>
+std::uint64_t horizontal3(std::uint64_t before, std::uint64_t cur, std::uint64_t after) {
+  return Op::combine(cur, (cur << 1) | (before >> 63), (cur >> 1) | (after << 63));
+}
+
+/// Horizontal 3-wide pass of `src` into `out` over the whole word array as
+/// one bit string, so a row's first and last words pick up carries from the
+/// neighbouring rows. Those 2 words per row are then recomputed with
+/// background carries and the tail re-masked, which is exact for every
+/// width, 64-multiples included.
+template <class Op>
+void horizontal_into(const BitImage& src, BitImage& out) {
+  out.reset(src.width(), src.height());
+  const std::size_t n = static_cast<std::size_t>(src.words_per_row());
+  const std::size_t total = src.words().size();
+  const std::uint64_t* s = src.row(0);
+  std::uint64_t* t = out.row(0);
+  for (std::size_t i = 1; i + 1 < total; ++i) {
+    t[i] = horizontal3<Op>(s[i - 1], s[i], s[i + 1]);
+  }
+  const std::uint64_t tail = src.tail_mask();
+  for (std::size_t first = 0; first < total; first += n) {
+    const std::size_t last = first + n - 1;
+    t[first] = horizontal3<Op>(0, s[first], n > 1 ? s[first + 1] : 0);
+    t[last] = horizontal3<Op>(n > 1 ? s[last - 1] : 0, s[last], 0) & tail;
   }
 }
 
-/// Separable square-element pass: a horizontal min/max, then a vertical one
-/// that ANDs (erode) / ORs (dilate) the window's rows; pixels outside the
-/// raster count as background for both ops. `scratch` holds the horizontal
-/// result.
-void morph_into(const BitImage& src, int radius, MorphOp op, BitImage& out,
-                BitImage& scratch) {
+/// Vertical 3-tall pass of `src` into `out`: each word combined with the
+/// words one row above and below, as whole-buffer loops; the first and last
+/// rows read background outside the raster.
+template <class Op>
+void vertical_into(const BitImage& src, BitImage& out) {
+  out.reset(src.width(), src.height());
+  const std::size_t n = static_cast<std::size_t>(src.words_per_row());
+  const std::size_t total = src.words().size();
+  const std::size_t last_row = total - n;
+  const std::uint64_t* t = src.row(0);
+  std::uint64_t* o = out.row(0);
+  for (std::size_t i = n; i < last_row; ++i) o[i] = Op::combine(t[i - n], t[i], t[i + n]);
+  const bool one_row = total == n;
+  for (std::size_t i = 0; i < n; ++i) o[i] = Op::combine(0, t[i], one_row ? 0 : t[i + n]);
+  if (one_row) return;
+  for (std::size_t i = last_row; i < total; ++i) o[i] = Op::combine(t[i - n], t[i], 0);
+}
+
+/// A (2r+1)x(2r+1) erode / dilate as r rounds of the 3x3 one; with pixels
+/// outside the raster as background, erode_1 applied r times is exactly
+/// erode_r, and likewise for dilate.
+template <class Op>
+void morph_into(const BitImage& src, int radius, BitImage& out, BitImage& scratch) {
   if (radius <= 0) {
     out = src;
     return;
   }
-  const bool is_erode = op == MorphOp::kErode;
-  const int h = src.height();
-  const int n = src.words_per_row();
-  BitImage& horizontal = scratch;
-  horizontal.reset(src.width(), h);
-  out.reset(src.width(), h);
-  const std::uint64_t tail = src.tail_mask();
-
-  for (int y = 0; y < h; ++y) {
-    std::uint64_t* mid = horizontal.row(y);
-    std::memcpy(mid, src.row(y), static_cast<std::size_t>(n) * 8);
-    horizontal_pass(mid, n, radius, is_erode, tail);
-  }
-
-  for (int y = 0; y < h; ++y) {
-    std::uint64_t* dst = out.row(y);
-    const int window_top = y - radius;
-    const int window_bottom = y + radius;
-    if (is_erode) {
-      if (window_top < 0 || window_bottom >= h) continue;  // stays background
-      std::memcpy(dst, horizontal.row(window_top), static_cast<std::size_t>(n) * 8);
-      for (int yy = window_top + 1; yy <= window_bottom; ++yy) {
-        const std::uint64_t* mid = horizontal.row(yy);
-        for (int i = 0; i < n; ++i) dst[i] &= mid[i];
-      }
-    } else {
-      const int first = std::max(window_top, 0);
-      const int last = std::min(window_bottom, h - 1);
-      std::memcpy(dst, horizontal.row(first), static_cast<std::size_t>(n) * 8);
-      for (int yy = first + 1; yy <= last; ++yy) {
-        const std::uint64_t* mid = horizontal.row(yy);
-        for (int i = 0; i < n; ++i) dst[i] |= mid[i];
-      }
-    }
+  horizontal_into<Op>(src, scratch);
+  vertical_into<Op>(scratch, out);
+  for (int round = 1; round < radius; ++round) {
+    horizontal_into<Op>(out, scratch);
+    vertical_into<Op>(scratch, out);
   }
 }
 
 }  // namespace
 
 void erode_into(const BitImage& src, int radius, BitImage& out, BitImage& scratch) {
-  morph_into(src, radius, MorphOp::kErode, out, scratch);
+  morph_into<Erode>(src, radius, out, scratch);
 }
 
 void dilate_into(const BitImage& src, int radius, BitImage& out, BitImage& scratch) {
-  morph_into(src, radius, MorphOp::kDilate, out, scratch);
+  morph_into<Dilate>(src, radius, out, scratch);
 }
 
 void open_into(const BitImage& src, int radius, BitImage& out, BitImage& scratch_a,

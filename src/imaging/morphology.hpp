@@ -2,10 +2,12 @@
 // before contour tracing: opening removes salt noise, closing bridges small
 // gaps between limb segments.
 //
-// One kernel per operation, on the packed BitImage: the horizontal pass is
-// word shifts with a carry between neighbouring words, the vertical pass a
-// row AND (erode) / OR (dilate). The BinaryImage overloads pack, run that
-// kernel and unpack; only kForeground counts as foreground there.
+// One kernel, on the packed BitImage: a 3x3 erode / dilate run as two flat
+// passes over the whole word array — word shifts with carries between
+// neighbouring words, then an AND (erode) / OR (dilate) with the rows above
+// and below — and radius r as r rounds of it. The BinaryImage overloads
+// pack, run that kernel and unpack; only kForeground counts as foreground
+// there.
 #pragma once
 
 #include "imaging/bit_image.hpp"

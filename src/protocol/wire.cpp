@@ -6,6 +6,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "telemetry/trace.hpp"
+
 namespace hdc::protocol::wire {
 
 namespace {
@@ -31,12 +33,12 @@ constexpr std::array<std::uint16_t, 256> kCrc16Table = make_crc16_table();
 // Each record's payload layout is stated once, as a fields() overload
 // below, and run with a Writer (encode) or a Reader (parse). Both expose
 // the accessors fields() uses: u32/u64/i32/f64, enum8 (u8, range-checked
-// on read), text (u16 length + bytes) and list<Count> (Count-prefixed
-// items).
+// on read), sequence (u64, at most telemetry::kMaxTraceSequence on read),
+// text (u16 length + bytes) and list<Count> (Count-prefixed items).
 
 /// Appends little-endian fields to `out`; every accessor returns true.
-/// enum8 does NOT range-check: the parser is the gate, and tests rely on
-/// encoding out-of-range bytes to exercise it.
+/// enum8 and sequence do NOT range-check: the parser is the gate, and tests
+/// rely on encoding out-of-range values to exercise it.
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
@@ -51,6 +53,7 @@ class Writer {
   bool enum8(std::uint8_t v, std::uint8_t /*max*/, const char* /*what*/) {
     return put(v);
   }
+  bool sequence(std::uint64_t v) { return put(v); }
   bool text(const std::string& s) {
     put(static_cast<std::uint16_t>(s.size()));
     out_.insert(out_.end(), s.begin(), s.end());
@@ -101,6 +104,14 @@ class Reader {
     const std::size_t at = pos_;
     if (!get(v)) return false;
     return v <= max || fail(at, what);
+  }
+  /// A per-stream frame sequence that trace ids are minted from: a larger
+  /// one would alias another frame's trace id.
+  bool sequence(std::uint64_t& v) {
+    const std::size_t at = pos_;
+    if (!get(v)) return false;
+    return v <= telemetry::kMaxTraceSequence ||
+           fail(at, "sequence beyond the 48-bit trace-id range");
   }
   bool text(std::string& s) {
     std::uint16_t size = 0;
@@ -193,7 +204,7 @@ bool fields(Io& io, RunConfigRecord& r) {
 
 template <class Io>
 bool fields(Io& io, ObservationRecord& r) {
-  return io.u32(r.stream_id) && io.u64(r.sequence) &&
+  return io.u32(r.stream_id) && io.sequence(r.sequence) &&
          io.enum8(r.sign, kMaxSign, "bad HumanSign value") &&
          io.enum8(r.abort, kMaxBool, "bad abort flag") &&
          io.f64(r.confidence);
@@ -229,7 +240,7 @@ bool fields(Io& io, OutcomeRecordWire& r) {
 template <class Io>
 bool fields(Io& io, FleetEventRecord& r) {
   return io.enum8(r.kind, kMaxFleetEventKind, "bad FleetEvent kind") &&
-         io.u32(r.drone_id) && io.u64(r.sequence) &&
+         io.u32(r.drone_id) && io.sequence(r.sequence) &&
          io.enum8(r.to, kMaxDialogueState, "bad DialogueState value") &&
          io.enum8(r.outcome, kMaxOutcome, "bad Outcome value") &&
          io.enum8(r.label, kMaxSign, "bad HumanSign value") &&

@@ -133,7 +133,7 @@ struct RunConfigRecord {
 /// This is the interaction layer's replayable input stream.
 struct ObservationRecord {
   std::uint32_t stream_id{0};
-  std::uint64_t sequence{0};
+  std::uint64_t sequence{0};  ///< <= telemetry::kMaxTraceSequence on parse
   std::uint8_t sign{0};       ///< signs::HumanSign
   std::uint8_t abort{0};      ///< 1 = external abort, not a frame
   double confidence{0.0};
@@ -186,7 +186,7 @@ struct OutcomeRecordWire {
 struct FleetEventRecord {
   std::uint8_t kind{0};  ///< CoordinationService::EventKind
   std::uint32_t drone_id{0};
-  std::uint64_t sequence{0};
+  std::uint64_t sequence{0};   ///< <= telemetry::kMaxTraceSequence on parse
   std::uint8_t to{0};          ///< interaction::DialogueState (kTransition)
   std::uint8_t outcome{0};     ///< protocol::Outcome (kOutcome)
   std::uint8_t label{0};       ///< signs::HumanSign (kSignEvent)

@@ -56,18 +56,22 @@ void reset_result(RecognitionResult& result) {
 /// 1-bit raster; the byte silhouette is unpacked only for a trace.
 void trace_silhouette(const RecognizerConfig& config, const imaging::GrayImage& frame,
                       RecognizerScratch& scratch, RecognitionTrace* trace) {
-  // Stage 1: photometric pre-processing. `source` tracks the latest image
-  // without copying when a step is disabled.
+  // Stage 1: photometric pre-processing, which runs only with blur on: the
+  // integer box blur does not commute with inversion, so a dark silhouette
+  // is inverted first. Without blur the stage is empty — the inversion folds
+  // into the threshold — but its span still records the frame's sample.
+  // `source` tracks the latest image without copying.
+  const bool blur = config.preprocess_blur_sigma > 0.0;
   const imaging::GrayImage* source = &frame;
   {
     telemetry::TracedSpan span(scratch.metrics.preprocess_ns);
-    if (config.dark_silhouette) {
-      imaging::invert_into(frame, scratch.working);
-      source = &scratch.working;
-    }
-    if (config.preprocess_blur_sigma > 0.0) {
-      imaging::gaussian_blur_into(*source, config.preprocess_blur_sigma,
-                                  scratch.blurred, scratch.blur_scratch);
+    if (blur) {
+      if (config.dark_silhouette) {
+        imaging::invert_into(frame, scratch.working);
+        source = &scratch.working;
+      }
+      imaging::gaussian_blur_into(*source, config.preprocess_blur_sigma, scratch.blurred,
+                                  scratch.blur_scratch);
       source = &scratch.blurred;
     }
   }
@@ -75,7 +79,11 @@ void trace_silhouette(const RecognizerConfig& config, const imaging::GrayImage& 
   // Stage 2: binarisation.
   {
     telemetry::TracedSpan span(scratch.metrics.threshold_ns);
-    imaging::otsu_threshold_into(*source, scratch.bits);
+    if (config.dark_silhouette && !blur) {
+      imaging::otsu_threshold_dark_into(frame, scratch.bits);
+    } else {
+      imaging::otsu_threshold_into(*source, scratch.bits);
+    }
   }
 
   // Stage 3: morphology cleanup. Close first (bridge hairline gaps at limb

@@ -1,8 +1,12 @@
 // SaxSignRecognizer — the paper's recognition pipeline (§IV), end to end:
 //
-//   camera frame -> (invert, blur) -> Otsu threshold -> morphology ->
-//   largest component -> Moore contour -> centroid-distance signature ->
-//   z-normalise -> PAA -> SAX word -> string-database nearest match
+//   camera frame -> (invert, blur: blur on only) -> Otsu threshold ->
+//   morphology -> largest component -> Moore contour -> centroid-distance
+//   signature -> z-normalise -> PAA -> SAX word -> string-database match
+//
+// With blur off (the default) a dark silhouette is never inverted: the
+// threshold takes Otsu's level L of the raw histogram reversed and keeps
+// pixels p <= 255 - L, the same bits as thresholding the inverted frame.
 //
 // Rotation invariance comes from circular-shift matching of the periodic
 // contour signature; real-time behaviour from the symbolic representation
@@ -91,7 +95,7 @@ struct RecognitionTrace {
 /// One scratch per worker thread; a scratch must never be shared between
 /// concurrently processed frames.
 struct RecognizerScratch {
-  imaging::GrayImage working;        ///< inverted frame
+  imaging::GrayImage working;        ///< inverted frame (blur path only)
   imaging::GrayImage blurred;        ///< optional blur output
   imaging::GrayImage blur_scratch;   ///< box-pass ping-pong
   imaging::BitImage bits;            ///< packed threshold / morphology result

@@ -43,6 +43,12 @@ namespace hdc::telemetry {
 /// rejects every stream id above this limit.
 inline constexpr std::uint32_t kMaxTraceStreamId = 0xFFFE;
 
+/// Largest per-stream sequence with its own trace ids. make_trace_id keeps
+/// the low 48 bits of the sequence, so sequences s and s + 2^48 would share
+/// ids; the wire parser rejects journal records whose sequence exceeds this
+/// limit (docs/WIRE_FORMAT.md).
+inline constexpr std::uint64_t kMaxTraceSequence = (std::uint64_t{1} << 48) - 1;
+
 /// Deterministic trace identity for one frame of one stream. Never zero for
 /// stream_id <= kMaxTraceStreamId (the +1 keeps stream 0 / sequence 0
 /// distinguishable from "no context"), stable across live runs and journal
@@ -51,7 +57,7 @@ inline constexpr std::uint32_t kMaxTraceStreamId = 0xFFFE;
 [[nodiscard]] constexpr std::uint64_t make_trace_id(
     std::uint32_t stream_id, std::uint64_t sequence) noexcept {
   return ((static_cast<std::uint64_t>(stream_id) + 1) & 0xFFFFu) << 48 |
-         (sequence & 0xFFFF'FFFF'FFFFu);
+         (sequence & kMaxTraceSequence);
 }
 
 /// The causal identity minted at PerceptionService::submit and carried (or

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
+#include "imaging/bit_image.hpp"
 #include "imaging/draw.hpp"
 #include "imaging/morphology.hpp"
+#include "signs/scene.hpp"
 
 namespace hdc::imaging {
 namespace {
@@ -128,6 +133,97 @@ TEST(Lighting, GainBiasAndClamping) {
   EXPECT_EQ(out(1, 0), 255);  // clamped
   const GrayImage dark = adjust_lighting(img, 0.1, -20.0);
   EXPECT_EQ(dark(0, 0), 0);  // clamped at 0
+}
+
+
+// ---- Dark-foreground Otsu on the raw frame -----------------------------------
+// otsu_threshold_dark_into must equal thresholding the inverted frame: the
+// same level and the same packed bits, padding included.
+
+/// Checks otsu_threshold_dark_into(frame) against the invert-then-threshold
+/// composition it replaces.
+void expect_dark_threshold_matches_inverted(const GrayImage& frame, const std::string& where) {
+  BitImage want;
+  std::uint8_t want_level = 0;
+  otsu_threshold_into(invert(frame), want, &want_level);
+  BitImage got;
+  std::uint8_t got_level = 0;
+  otsu_threshold_dark_into(frame, got, &got_level);
+  EXPECT_EQ(got_level, want_level) << where;
+  ASSERT_EQ(got.width(), want.width()) << where;
+  ASSERT_EQ(got.height(), want.height()) << where;
+  EXPECT_TRUE(got.words() == want.words()) << where;
+
+  // The byte pipeline agrees on the same pixels.
+  std::uint8_t byte_level = 0;
+  BinaryImage byte_bits;
+  otsu_threshold_into(invert(frame), byte_bits, &byte_level);
+  EXPECT_EQ(byte_level, got_level) << where;
+  BitImage packed_bytes;
+  pack(byte_bits, packed_bytes);
+  EXPECT_TRUE(packed_bytes.words() == got.words()) << where;
+}
+
+TEST(OtsuDark, MatchesInvertedThresholdAcrossWordBoundaries) {
+  hdc::util::Rng rng(2718);
+  const std::vector<int> widths = {1,   63,  64,  65,
+                                   127, 128, 129, static_cast<int>(rng.uniform_int(2, 200))};
+  for (const int w : widths) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const int h = static_cast<int>(rng.uniform_int(1, 9));
+      GrayImage img(w, h);
+      // Two noisy populations, so the chosen level moves from trial to trial.
+      const double dark = rng.uniform(0.0, 120.0);
+      const double bright = rng.uniform(130.0, 255.0);
+      for (std::uint8_t& px : img.data()) {
+        const double mean = rng.chance(0.3) ? dark : bright;
+        px = static_cast<std::uint8_t>(
+            std::clamp(mean + rng.gaussian(0.0, 20.0), 0.0, 255.0));
+      }
+      expect_dark_threshold_matches_inverted(
+          img, "w=" + std::to_string(w) + " h=" + std::to_string(h) +
+                   " trial=" + std::to_string(trial));
+    }
+  }
+}
+
+TEST(OtsuDark, MatchesInvertedThresholdOnDegenerateHistograms) {
+  for (const int w : {1, 64, 65, 130}) {
+    // Uniform frames take the default level 128.
+    for (const int value : {0, 1, 127, 128, 200, 255}) {
+      expect_dark_threshold_matches_inverted(
+          GrayImage(w, 3, static_cast<std::uint8_t>(value)),
+          "uniform " + std::to_string(value) + " w=" + std::to_string(w));
+    }
+    // Only the extremes 0 and 255.
+    GrayImage extremes(w, 4, 255);
+    for (int x = 0; x < w; x += 3) extremes(x, 1) = 0;
+    extremes(w - 1, 3) = 0;
+    expect_dark_threshold_matches_inverted(extremes, "0/255 w=" + std::to_string(w));
+    // Two mid-range levels.
+    GrayImage two_level(w, 5, 180);
+    fill_rect(two_level, 0, 1, (w - 1) / 2, 3, 40);
+    expect_dark_threshold_matches_inverted(two_level, "two-level w=" + std::to_string(w));
+  }
+}
+
+TEST(OtsuDark, MatchesInvertedThresholdOnNoisyRenderedFrames) {
+  const std::vector<signs::ViewGeometry> views = {{5.0, 3.0, 0.0}, {3.5, 2.0, 20.0}};
+  std::uint64_t seed = 0x0d4c0000ULL;
+  for (const signs::HumanSign sign : {signs::HumanSign::kAttentionGained,
+                                      signs::HumanSign::kYes, signs::HumanSign::kNo}) {
+    for (const signs::ViewGeometry& view : views) {
+      signs::RenderOptions options;
+      options.noise_stddev = 25.0;
+      options.clutter_count = 8;
+      const std::uint64_t frame_seed = seed++;
+      hdc::util::Rng rng(frame_seed);
+      const GrayImage frame = signs::render_sign(sign, view, options, &rng);
+      ASSERT_EQ(frame.width(), 480);
+      ASSERT_EQ(frame.height(), 360);
+      expect_dark_threshold_matches_inverted(frame, "rendered seed " + std::to_string(frame_seed));
+    }
+  }
 }
 
 }  // namespace

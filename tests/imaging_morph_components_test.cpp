@@ -7,7 +7,9 @@
 #include "imaging/bit_image.hpp"
 #include "imaging/components.hpp"
 #include "imaging/draw.hpp"
+#include "imaging/filter.hpp"
 #include "imaging/morphology.hpp"
+#include "signs/scene.hpp"
 #include "util/rng.hpp"
 
 namespace hdc::imaging {
@@ -443,6 +445,81 @@ TEST(Morphology, PackedKernelsMatchPerPixelWindowAcrossWordBoundaries) {
         unpack(out, unpacked);
         ASSERT_TRUE(unpacked == reference_morph(want_erode, radius, false)) << where;
       }
+    }
+  }
+}
+
+TEST(Morphology, PackedKernelsOnOneAndTwoRowRastersAtWholeWordWidths) {
+  // Widths that fill every word exactly leave no padding bit to absorb a
+  // carry, and one- and two-row rasters have no interior row: both edges of
+  // the flat passes at once.
+  hdc::util::Rng rng(6464);
+  for (const int w : {64, 128}) {
+    for (const int h : {1, 2}) {
+      for (const double density : {0.1, 0.5, 0.9, 1.0}) {
+        for (int radius = 1; radius <= 3; ++radius) {
+          const BinaryImage img = random_raster(rng, w, h, density);
+          const std::string where = "w=" + std::to_string(w) + " h=" + std::to_string(h) +
+                                    " density=" + std::to_string(density) +
+                                    " r=" + std::to_string(radius);
+          const BinaryImage want_erode = reference_morph(img, radius, true);
+          const BinaryImage want_dilate = reference_morph(img, radius, false);
+          BitImage bits, out, scratch_a, scratch_b;
+          pack(img, bits);
+          BinaryImage unpacked;
+          erode_into(bits, radius, out, scratch_a);
+          ASSERT_TRUE(padding_is_zero(out)) << where;
+          unpack(out, unpacked);
+          ASSERT_TRUE(unpacked == want_erode) << where;
+          dilate_into(bits, radius, out, scratch_a);
+          ASSERT_TRUE(padding_is_zero(out)) << where;
+          unpack(out, unpacked);
+          ASSERT_TRUE(unpacked == want_dilate) << where;
+          close_into(bits, radius, out, scratch_a, scratch_b);
+          ASSERT_TRUE(padding_is_zero(out)) << where;
+          unpack(out, unpacked);
+          ASSERT_TRUE(unpacked == reference_morph(want_dilate, radius, true)) << where;
+          open_into(bits, radius, out, scratch_a, scratch_b);
+          ASSERT_TRUE(padding_is_zero(out)) << where;
+          unpack(out, unpacked);
+          ASSERT_TRUE(unpacked == reference_morph(want_erode, radius, false)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(Morphology, CloseThenOpenMatchesPerPixelWindowOnNoisyRenderedFrames) {
+  // The recogniser's stage 3 at its real geometry: a 480x360 σ = 25 frame
+  // with clutter, thresholded as the recogniser does, then close -> open.
+  const signs::ViewGeometry views[] = {{5.0, 3.0, 0.0}, {3.5, 2.0, 65.0}};
+  std::uint64_t seed = 0x3a0f0000ULL;
+  for (const signs::ViewGeometry& view : views) {
+    for (const signs::HumanSign sign : {signs::HumanSign::kYes, signs::HumanSign::kNo}) {
+      signs::RenderOptions options;
+      options.noise_stddev = 25.0;
+      options.clutter_count = 8;
+      const std::uint64_t frame_seed = seed++;
+      hdc::util::Rng rng(frame_seed);
+      const GrayImage frame = signs::render_sign(sign, view, options, &rng);
+      ASSERT_EQ(frame.width(), 480);
+      ASSERT_EQ(frame.height(), 360);
+      BitImage bits, closed, opened, scratch_a, scratch_b;
+      otsu_threshold_dark_into(frame, bits);
+      close_into(bits, 1, closed, scratch_a, scratch_b);
+      open_into(closed, 1, opened, scratch_a, scratch_b);
+      ASSERT_TRUE(padding_is_zero(opened));
+
+      BinaryImage binary;
+      unpack(bits, binary);
+      const BinaryImage want = reference_morph(
+          reference_morph(reference_morph(reference_morph(binary, 1, false), 1, true), 1,
+                          true),
+          1, false);
+      BinaryImage got;
+      unpack(opened, got);
+      EXPECT_GT(foreground_area(want), 0u) << "seed " << frame_seed;
+      EXPECT_TRUE(got == want) << "seed " << frame_seed;
     }
   }
 }

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/trace.hpp"
+
 namespace wire = hdc::protocol::wire;
 
 namespace {
@@ -58,6 +60,8 @@ class Fuzz {
   std::uint64_t u64() {
     return (static_cast<std::uint64_t>(rng_()) << 32) | rng_();
   }
+  /// A frame sequence within the trace-id range the parser accepts.
+  std::uint64_t sequence() { return u64() & hdc::telemetry::kMaxTraceSequence; }
   std::int32_t i32() { return static_cast<std::int32_t>(rng_()); }
   double f64() {
     return std::uniform_real_distribution<double>(-1e6, 1e6)(rng_);
@@ -106,7 +110,7 @@ class Fuzz {
         return r;
       }
       case wire::RecordType::kObservation:
-        return wire::ObservationRecord{u32(), u64(), u8(3), u8(1), f64()};
+        return wire::ObservationRecord{u32(), sequence(), u8(3), u8(1), f64()};
       case wire::RecordType::kSignEvent:
         return wire::SignEventRecord{u32(), u8(1), u8(3), u64(), u64(), f64()};
       case wire::RecordType::kTransition:
@@ -115,7 +119,7 @@ class Fuzz {
       case wire::RecordType::kOutcome:
         return wire::OutcomeRecordWire{u8(5), u32(), u64()};
       case wire::RecordType::kFleetEvent:
-        return wire::FleetEventRecord{u8(5), u32(), u64(),  u8(5),
+        return wire::FleetEventRecord{u8(5), u32(), sequence(), u8(5),
                                       u8(5), u8(3), u8(1),  u32(),
                                       i32(), i32(), f64(),  f64()};
       case wire::RecordType::kGrantUpdate:
@@ -209,14 +213,14 @@ TEST(Wire, FuzzRoundTripEveryRecordTypeIsLosslessAndCanonical) {
 // and kWireVersion MUST be bumped (docs/WIRE_FORMAT.md).
 
 TEST(Wire, GoldenObservationBytes) {
-  const wire::ObservationRecord record{7, 0x0123456789ABCDEFull, 2, 0, 0.5};
+  const wire::ObservationRecord record{7, 0x0000456789ABCDEFull, 2, 0, 0.5};
   const std::vector<std::uint8_t> expected = {
       0xDC, 0x02, 0x02, 0x16, 0x00,                    // magic ver type len
       0x07, 0x00, 0x00, 0x00,                          // stream_id
-      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // sequence
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x00, 0x00,  // sequence
       0x02, 0x00,                                      // sign, abort
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,  // confidence 0.5
-      0x21, 0x43,                                      // crc16
+      0x57, 0xF0,                                      // crc16
   };
   EXPECT_EQ(wire::encode_one(record), expected);
 
@@ -478,7 +482,7 @@ TEST(Wire, TruncationAtEveryNonBoundaryPrefixIsRejected) {
 
 TEST(Wire, EveryPossibleBitFlipIsRejected) {
   const std::vector<std::uint8_t> golden = wire::encode_one(
-      wire::ObservationRecord{7, 0x0123456789ABCDEFull, 2, 0, 0.5});
+      wire::ObservationRecord{7, 0x0000456789ABCDEFull, 2, 0, 0.5});
   for (std::size_t byte = 0; byte < golden.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<std::uint8_t> corrupt = golden;
@@ -565,6 +569,43 @@ TEST(Wire, OutOfRangeEnumIsRejectedAtTheOffendingField) {
   // sign sits 12 bytes into the payload (stream_id + sequence).
   EXPECT_EQ(error.offset, wire::kEnvelopeHeaderSize + 12);
   EXPECT_NE(error.message.find("HumanSign"), std::string::npos);
+}
+
+TEST(Wire, SequenceBeyondTheTraceIdRangeIsRejectedAtTheField) {
+  // make_trace_id keeps 48 bits of sequence: 2^48 - 1 is the last sequence
+  // with its own trace id, 2^48 would alias sequence 0.
+  constexpr std::uint64_t kLast = hdc::telemetry::kMaxTraceSequence;
+  static_assert(kLast == (std::uint64_t{1} << 48) - 1);
+  const wire::AnyRecord valid[] = {
+      wire::ObservationRecord{7, kLast, 1, 0, 0.5},
+      wire::FleetEventRecord{0, 3, kLast, 2, 1, 3, 1, 3, -2, 5, 0.5, 1.0},
+  };
+  for (const wire::AnyRecord& record : valid) {
+    std::vector<wire::AnyRecord> parsed;
+    wire::WireError error;
+    ASSERT_TRUE(wire::parse_all(wire::encode_one(record), parsed, error)) << error.message;
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0], record);
+  }
+
+  // The sequence follows stream_id (Observation) or kind + drone_id
+  // (FleetEvent) in the payload.
+  struct Case {
+    wire::AnyRecord record;
+    std::size_t sequence_offset;
+  };
+  for (const std::uint64_t sequence : {kLast + 1, ~std::uint64_t{0}}) {
+    const Case cases[] = {
+        {wire::ObservationRecord{7, sequence, 1, 0, 0.5}, 4},
+        {wire::FleetEventRecord{0, 3, sequence, 2, 1, 3, 1, 3, -2, 5, 0.5, 1.0}, 5},
+    };
+    for (const Case& c : cases) {
+      const wire::WireError error = parse_expecting_error(wire::encode_one(c.record));
+      EXPECT_EQ(error.code, wire::WireErrorCode::kBadPayload) << sequence;
+      EXPECT_EQ(error.offset, wire::kEnvelopeHeaderSize + c.sequence_offset) << sequence;
+      EXPECT_NE(error.message.find("trace-id range"), std::string::npos) << error.message;
+    }
+  }
 }
 
 TEST(Wire, TrailingPayloadGarbageIsRejected) {
