@@ -1,9 +1,11 @@
 #include "coordination/coordination_service.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/trace.hpp"
 
 namespace hdc::coordination {
 
@@ -62,6 +64,11 @@ void CoordinationService::bind(interaction::InteractionService& dialogue) {
 }
 
 void CoordinationService::register_drone(const DroneDescriptor& descriptor) {
+  if (descriptor.drone_id > telemetry::kMaxTraceStreamId) {
+    throw std::invalid_argument(
+        "CoordinationService::register_drone: drone_id above 65534 would "
+        "alias trace ids");
+  }
   FleetEvent event;
   event.kind = EventKind::kRegister;
   event.drone_id = descriptor.drone_id;

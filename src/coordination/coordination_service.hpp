@@ -137,7 +137,8 @@ class CoordinationService {
   /// Registers a drone (ordered with the event stream; a drone may be
   /// registered before or during streaming, and re-registered to move
   /// cell/human). Grants key on descriptor.cell; contention keys on
-  /// descriptor.human_id.
+  /// descriptor.human_id. Throws std::invalid_argument for a drone_id
+  /// above telemetry::kMaxTraceStreamId, which would alias trace ids.
   void register_drone(const DroneDescriptor& descriptor);
 
   /// Battery update (arbitration input), ordered with the event stream.

@@ -1,9 +1,11 @@
 #include "interaction/interaction_service.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/trace.hpp"
 
 namespace hdc::interaction {
 
@@ -108,6 +110,16 @@ void InteractionService::inject_observation(std::uint32_t stream_id,
                                             std::uint64_t sequence,
                                             signs::HumanSign sign,
                                             double confidence) {
+  if (stream_id > telemetry::kMaxTraceStreamId) {
+    throw std::invalid_argument(
+        "InteractionService::inject_observation: stream_id above 65534 would "
+        "alias trace ids");
+  }
+  if (sequence > telemetry::kMaxTraceSequence) {
+    throw std::invalid_argument(
+        "InteractionService::inject_observation: sequence above 2^48 - 1 "
+        "would alias trace ids");
+  }
   Observation observation;
   observation.stream_id = stream_id;
   observation.sequence = sequence;

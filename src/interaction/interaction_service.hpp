@@ -177,6 +177,9 @@ class InteractionService {
   /// path (and tests): re-feeding a journal's ObservationSamples through
   /// here in recorded order reproduces the recorded run. Thread-safe, but
   /// replay feeds from ONE thread so ring order equals recorded order.
+  /// Throws std::invalid_argument for a stream_id above
+  /// telemetry::kMaxTraceStreamId or a sequence above
+  /// telemetry::kMaxTraceSequence: either would alias trace ids.
   void inject_observation(std::uint32_t stream_id, std::uint64_t sequence,
                           signs::HumanSign sign, double confidence);
 

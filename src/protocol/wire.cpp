@@ -37,8 +37,8 @@ constexpr std::array<std::uint16_t, 256> kCrc16Table = make_crc16_table();
 // text (u16 length + bytes) and list<Count> (Count-prefixed items).
 
 /// Appends little-endian fields to `out`; every accessor returns true.
-/// enum8 and sequence do NOT range-check: the parser is the gate, and tests
-/// rely on encoding out-of-range values to exercise it.
+/// enum8, stream and sequence do NOT range-check: the parser is the gate,
+/// and tests rely on encoding out-of-range values to exercise it.
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
@@ -53,6 +53,7 @@ class Writer {
   bool enum8(std::uint8_t v, std::uint8_t /*max*/, const char* /*what*/) {
     return put(v);
   }
+  bool stream(std::uint32_t v) { return put(v); }
   bool sequence(std::uint64_t v) { return put(v); }
   bool text(const std::string& s) {
     put(static_cast<std::uint16_t>(s.size()));
@@ -104,6 +105,14 @@ class Reader {
     const std::size_t at = pos_;
     if (!get(v)) return false;
     return v <= max || fail(at, what);
+  }
+  /// A stream (or drone) id that trace ids are minted from: a larger one
+  /// would alias another stream's trace ids.
+  bool stream(std::uint32_t& v) {
+    const std::size_t at = pos_;
+    if (!get(v)) return false;
+    return v <= telemetry::kMaxTraceStreamId ||
+           fail(at, "stream id beyond the 16-bit trace-id range");
   }
   /// A per-stream frame sequence that trace ids are minted from: a larger
   /// one would alias another frame's trace id.
@@ -204,7 +213,7 @@ bool fields(Io& io, RunConfigRecord& r) {
 
 template <class Io>
 bool fields(Io& io, ObservationRecord& r) {
-  return io.u32(r.stream_id) && io.sequence(r.sequence) &&
+  return io.stream(r.stream_id) && io.sequence(r.sequence) &&
          io.enum8(r.sign, kMaxSign, "bad HumanSign value") &&
          io.enum8(r.abort, kMaxBool, "bad abort flag") &&
          io.f64(r.confidence);
@@ -240,7 +249,7 @@ bool fields(Io& io, OutcomeRecordWire& r) {
 template <class Io>
 bool fields(Io& io, FleetEventRecord& r) {
   return io.enum8(r.kind, kMaxFleetEventKind, "bad FleetEvent kind") &&
-         io.u32(r.drone_id) && io.sequence(r.sequence) &&
+         io.stream(r.drone_id) && io.sequence(r.sequence) &&
          io.enum8(r.to, kMaxDialogueState, "bad DialogueState value") &&
          io.enum8(r.outcome, kMaxOutcome, "bad Outcome value") &&
          io.enum8(r.label, kMaxSign, "bad HumanSign value") &&

@@ -6,7 +6,7 @@
 // working band, and each stream carries its own azimuth offset so different
 // drones see genuinely different geometry (some oblique enough to reject,
 // as in a real cohort). Stream `s`, tick `t` always renders the same frame,
-// which is what lets the streaming bench/tests gate bit-identity against
+// which is what lets the tests and perfbench gate bit-identity against
 // the sequential recogniser per stream.
 #pragma once
 

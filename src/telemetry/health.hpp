@@ -13,8 +13,8 @@
 // the pipeline touches and is fed collected traces + gauge snapshots at
 // whatever cadence the operator samples. evaluate() is const and
 // deterministic for fixed inputs; only the watchdog (observe_queues) is
-// stateful. Rendered next to MetricsRegistry::render_text() by the
-// streaming bench; enforced by tests/telemetry_health_test.cpp.
+// stateful. Enforced by tests/telemetry_health_test.cpp, and evaluated
+// on a live three-service run by tests/telemetry_pipeline_test.cpp.
 #pragma once
 
 #include <cstddef>

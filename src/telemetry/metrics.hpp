@@ -231,7 +231,7 @@ struct MetricsSnapshot {
   /// max is kept from the current snapshot — max is not delta-able, so it
   /// is an upper bound for the interval, documented as such. Lets one
   /// registry span a benchmark matrix while each cell reports only its
-  /// own percentiles (the streaming bench's per-cell stage stats).
+  /// own percentiles.
   [[nodiscard]] MetricsSnapshot delta(const MetricsSnapshot& prev) const;
 };
 

@@ -23,10 +23,11 @@
 //     ui.perfetto.dev — one process track per stream, one async track per
 //     stage, frame envelopes enclosing the stage slices;
 //   - build_tail_report(): names, for the worst-k frames, which stage or
-//     queue-wait dominated the end-to-end latency (the exemplars behind
-//     every p99 the streaming bench reports).
+//     queue-wait dominated the end-to-end latency (the exemplars behind a
+//     p99).
 //
-// The enforcing tests are tests/telemetry_trace_test.cpp; the cost gate is
+// The enforcing tests are tests/telemetry_trace_test.cpp and, on a live
+// three-service run, tests/telemetry_pipeline_test.cpp; the cost gate is
 // bench/bench_telemetry_overhead.cpp's "traced" column.
 #pragma once
 
@@ -39,14 +40,16 @@ namespace hdc::telemetry {
 
 /// Largest stream id with its own trace ids. make_trace_id keeps 16 bits of
 /// stream + 1, so stream 65535 maps to 0 (the "no context" sentinel) and
-/// streams s and s + 65536 would share ids; PerceptionService::submit
-/// rejects every stream id above this limit.
+/// streams s and s + 65536 would share ids. Every entry point rejects a
+/// stream or drone id above this limit: PerceptionService::submit,
+/// InteractionService::inject_observation, CoordinationService::register_drone
+/// and the wire parser (docs/WIRE_FORMAT.md).
 inline constexpr std::uint32_t kMaxTraceStreamId = 0xFFFE;
 
 /// Largest per-stream sequence with its own trace ids. make_trace_id keeps
 /// the low 48 bits of the sequence, so sequences s and s + 2^48 would share
-/// ids; the wire parser rejects journal records whose sequence exceeds this
-/// limit (docs/WIRE_FORMAT.md).
+/// ids; the wire parser and InteractionService::inject_observation reject
+/// a sequence above this limit (docs/WIRE_FORMAT.md).
 inline constexpr std::uint64_t kMaxTraceSequence = (std::uint64_t{1} << 48) - 1;
 
 /// Deterministic trace identity for one frame of one stream. Never zero for
@@ -223,8 +226,7 @@ struct TailReport {
   std::uint64_t threshold_ns{0};    ///< min_total_ns the caller filtered by
   std::vector<TailFrame> worst;     ///< descending total_ns, at most k
 
-  /// Machine-readable rendering (the streaming bench embeds this as its
-  /// `tail_attribution` JSON value).
+  /// Machine-readable rendering.
   [[nodiscard]] std::string render_json() const;
 };
 

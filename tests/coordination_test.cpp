@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "interaction/interaction_service.hpp"
 #include "recognition/perception_service.hpp"
 #include "signs/multi_drone_feed.hpp"
+#include "telemetry/trace.hpp"
 
 namespace hdc::coordination {
 namespace {
@@ -398,6 +401,31 @@ TEST(Service, ArbitratesDirectAdmittedContention) {
   // No source service bound for the loser: the decision is logged but no
   // abort can be delivered.
   EXPECT_EQ(service.stats().aborts_issued, 0u);
+  service.stop();
+}
+
+TEST(Service, RegisterDroneRejectsTraceAliasingIds) {
+  // make_trace_id keeps 16 bits of drone + 1: drone 65535 would get the
+  // zero "no context" id and d + 65536 would alias d.
+  ASSERT_EQ(telemetry::kMaxTraceStreamId, 65534u);
+  CoordinationConfig config;
+  config.cells = 2;
+  CoordinationService service(config);
+  service.register_drone(drone(65534, 0, 0));
+  for (const std::uint32_t bad : {65535u, 65536u, 65536u + 65534u,
+                                  std::numeric_limits<std::uint32_t>::max()}) {
+    EXPECT_THROW(service.register_drone(drone(bad, 1, 1)), std::invalid_argument)
+        << bad;
+  }
+  service.admit_outcome({protocol::Outcome::kGranted, 65534, 100});
+  service.drain();
+
+  EXPECT_EQ(service.grant(0).state, GrantState::kGranted);
+  EXPECT_EQ(service.grant(0).holder, 65534u);
+  EXPECT_EQ(service.grant(1).state, GrantState::kNone);
+  // The refused registrations admitted nothing: register + outcome only.
+  EXPECT_EQ(service.stats().events, 2u);
+  EXPECT_EQ(service.stats().unknown_drone_events, 0u);
   service.stop();
 }
 

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "interaction/scenario.hpp"
 #include "recognition/perception_service.hpp"
 #include "signs/multi_drone_feed.hpp"
+#include "telemetry/trace.hpp"
 
 namespace hdc::interaction {
 namespace {
@@ -812,6 +815,33 @@ TEST_F(InteractionEndToEnd, LedRingShowsEachDialoguePhase) {
   EXPECT_EQ(interaction.dialogue_state(0), DialogueState::kIdle);
   EXPECT_EQ(interaction.ring_mode(0), drone::RingMode::kNavigation);
   EXPECT_EQ(interaction.outcome(0), protocol::Outcome::kGranted);
+}
+
+TEST(InteractionServiceLimits, InjectObservationRejectsTraceAliasingIdentity) {
+  // make_trace_id keeps 16 bits of stream + 1 and 48 bits of sequence:
+  // past either limit two observations would share one trace id. The
+  // limits are enforced before anything is admitted.
+  ASSERT_EQ(telemetry::kMaxTraceStreamId, 65534u);
+  InteractionService service;
+  service.inject_observation(65534, telemetry::kMaxTraceSequence,
+                             HumanSign::kNeutral, 0.0);
+  for (const std::uint32_t bad : {65535u, 65536u, 65536u + 65534u,
+                                  std::numeric_limits<std::uint32_t>::max()}) {
+    EXPECT_THROW(service.inject_observation(bad, 0, HumanSign::kNeutral, 0.0),
+                 std::invalid_argument)
+        << bad;
+  }
+  for (const std::uint64_t bad :
+       {telemetry::kMaxTraceSequence + 1, ~std::uint64_t{0}}) {
+    EXPECT_THROW(service.inject_observation(0, bad, HumanSign::kNeutral, 0.0),
+                 std::invalid_argument)
+        << bad;
+  }
+  service.drain();
+  EXPECT_EQ(service.stream_stats(65534).frames, 1u);
+  EXPECT_EQ(service.stream_stats(65535).frames, 0u);
+  EXPECT_EQ(service.stream_stats(0).frames, 0u);
+  service.stop();
 }
 
 TEST_F(InteractionEndToEnd, ExternalAbortInterruptsADialogue) {

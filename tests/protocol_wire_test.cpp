@@ -60,6 +60,10 @@ class Fuzz {
   std::uint64_t u64() {
     return (static_cast<std::uint64_t>(rng_()) << 32) | rng_();
   }
+  /// A stream or drone id within the trace-id range the parser accepts.
+  std::uint32_t stream() {
+    return u32() % (hdc::telemetry::kMaxTraceStreamId + 1u);
+  }
   /// A frame sequence within the trace-id range the parser accepts.
   std::uint64_t sequence() { return u64() & hdc::telemetry::kMaxTraceSequence; }
   std::int32_t i32() { return static_cast<std::int32_t>(rng_()); }
@@ -110,7 +114,7 @@ class Fuzz {
         return r;
       }
       case wire::RecordType::kObservation:
-        return wire::ObservationRecord{u32(), sequence(), u8(3), u8(1), f64()};
+        return wire::ObservationRecord{stream(), sequence(), u8(3), u8(1), f64()};
       case wire::RecordType::kSignEvent:
         return wire::SignEventRecord{u32(), u8(1), u8(3), u64(), u64(), f64()};
       case wire::RecordType::kTransition:
@@ -119,7 +123,7 @@ class Fuzz {
       case wire::RecordType::kOutcome:
         return wire::OutcomeRecordWire{u8(5), u32(), u64()};
       case wire::RecordType::kFleetEvent:
-        return wire::FleetEventRecord{u8(5), u32(), sequence(), u8(5),
+        return wire::FleetEventRecord{u8(5), stream(), sequence(), u8(5),
                                       u8(5), u8(3), u8(1),  u32(),
                                       i32(), i32(), f64(),  f64()};
       case wire::RecordType::kGrantUpdate:
@@ -571,14 +575,18 @@ TEST(Wire, OutOfRangeEnumIsRejectedAtTheOffendingField) {
   EXPECT_NE(error.message.find("HumanSign"), std::string::npos);
 }
 
-TEST(Wire, SequenceBeyondTheTraceIdRangeIsRejectedAtTheField) {
-  // make_trace_id keeps 48 bits of sequence: 2^48 - 1 is the last sequence
-  // with its own trace id, 2^48 would alias sequence 0.
-  constexpr std::uint64_t kLast = hdc::telemetry::kMaxTraceSequence;
-  static_assert(kLast == (std::uint64_t{1} << 48) - 1);
+TEST(Wire, TraceIdentityBeyondTheTraceIdRangeIsRejectedAtTheField) {
+  // make_trace_id keeps 16 bits of stream + 1 and 48 bits of sequence:
+  // 65534 is the last stream (or drone) id with its own trace ids (65535
+  // would get the zero "no context" id, s + 65536 would alias s), and
+  // 2^48 - 1 the last sequence (2^48 would alias sequence 0).
+  constexpr std::uint32_t kLastStream = hdc::telemetry::kMaxTraceStreamId;
+  constexpr std::uint64_t kLastSequence = hdc::telemetry::kMaxTraceSequence;
+  static_assert(kLastStream == 65534u);
+  static_assert(kLastSequence == (std::uint64_t{1} << 48) - 1);
   const wire::AnyRecord valid[] = {
-      wire::ObservationRecord{7, kLast, 1, 0, 0.5},
-      wire::FleetEventRecord{0, 3, kLast, 2, 1, 3, 1, 3, -2, 5, 0.5, 1.0},
+      wire::ObservationRecord{kLastStream, kLastSequence, 1, 0, 0.5},
+      wire::FleetEventRecord{0, kLastStream, kLastSequence, 2, 1, 3, 1, 3, -2, 5, 0.5, 1.0},
   };
   for (const wire::AnyRecord& record : valid) {
     std::vector<wire::AnyRecord> parsed;
@@ -588,23 +596,26 @@ TEST(Wire, SequenceBeyondTheTraceIdRangeIsRejectedAtTheField) {
     EXPECT_EQ(parsed[0], record);
   }
 
-  // The sequence follows stream_id (Observation) or kind + drone_id
-  // (FleetEvent) in the payload.
+  // The stream id opens the Observation payload and the sequence follows
+  // it; in a FleetEvent both follow the kind byte.
   struct Case {
     wire::AnyRecord record;
-    std::size_t sequence_offset;
+    std::size_t field_offset;
   };
-  for (const std::uint64_t sequence : {kLast + 1, ~std::uint64_t{0}}) {
-    const Case cases[] = {
-        {wire::ObservationRecord{7, sequence, 1, 0, 0.5}, 4},
-        {wire::FleetEventRecord{0, 3, sequence, 2, 1, 3, 1, 3, -2, 5, 0.5, 1.0}, 5},
-    };
-    for (const Case& c : cases) {
-      const wire::WireError error = parse_expecting_error(wire::encode_one(c.record));
-      EXPECT_EQ(error.code, wire::WireErrorCode::kBadPayload) << sequence;
-      EXPECT_EQ(error.offset, wire::kEnvelopeHeaderSize + c.sequence_offset) << sequence;
-      EXPECT_NE(error.message.find("trace-id range"), std::string::npos) << error.message;
-    }
+  std::vector<Case> cases;
+  for (const std::uint32_t id : {kLastStream + 1, 65536u + 7u, ~std::uint32_t{0}}) {
+    cases.push_back({wire::ObservationRecord{id, 9, 1, 0, 0.5}, 0});
+    cases.push_back({wire::FleetEventRecord{0, id, 9, 2, 1, 3, 1, 3, -2, 5, 0.5, 1.0}, 1});
+  }
+  for (const std::uint64_t sequence : {kLastSequence + 1, ~std::uint64_t{0}}) {
+    cases.push_back({wire::ObservationRecord{7, sequence, 1, 0, 0.5}, 4});
+    cases.push_back({wire::FleetEventRecord{0, 3, sequence, 2, 1, 3, 1, 3, -2, 5, 0.5, 1.0}, 5});
+  }
+  for (const Case& c : cases) {
+    const wire::WireError error = parse_expecting_error(wire::encode_one(c.record));
+    EXPECT_EQ(error.code, wire::WireErrorCode::kBadPayload) << error.message;
+    EXPECT_EQ(error.offset, wire::kEnvelopeHeaderSize + c.field_offset) << error.message;
+    EXPECT_NE(error.message.find("trace-id range"), std::string::npos) << error.message;
   }
 }
 

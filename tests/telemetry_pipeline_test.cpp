@@ -3,14 +3,21 @@
 // recording journal, then assert every instrumented stage actually
 // reported — each span histogram has samples (no empty histograms), the
 // stage counters moved, and render_text() exposes p50/p99 for all of them.
-// This is the guarantee ISSUE/docs/OBSERVABILITY.md makes: a live run's
-// stats endpoint answers for the whole pipeline, not just the stages a
-// particular scenario happened to touch.
+// This is the guarantee docs/OBSERVABILITY.md makes: a live run's stats
+// endpoint answers for the whole pipeline, not just the stages a
+// particular scenario happened to touch. The traced run's events then go
+// through the Chrome exporter, the tail report and the health monitor, and
+// each artefact is checked for what a reader of it relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "coordination/coordination_service.hpp"
@@ -20,6 +27,7 @@
 #include "recognition/perception_service.hpp"
 #include "signs/multi_drone_feed.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/health.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/stage_names.hpp"
 #include "telemetry/trace.hpp"
@@ -39,6 +47,111 @@ constexpr std::string_view kAllStageHistograms[] = {
     telemetry::kCoordinationRenewSpan,  telemetry::kCoordinationExpireSpan,
     telemetry::kJournalAppend,
 };
+
+/// One async record of an exported Chrome trace, read back from its text.
+struct ExportedEvent {
+  std::string ph;
+  std::string cat;
+  std::string id;
+  std::string pid;
+  std::uint64_t ts_ns{0};
+};
+
+/// Value of `"key":` in one exported event line: a quoted string without
+/// its quotes, or the bare token up to the next ',' or '}'.
+std::string field_of(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return {};
+  std::size_t begin = at + tag.size();
+  if (line[begin] == '"') {
+    ++begin;
+    return line.substr(begin, line.find('"', begin) - begin);
+  }
+  return line.substr(begin, line.find_first_of(",}", begin) - begin);
+}
+
+/// The exporter writes microseconds with exactly three decimals
+/// ("12.345"); read them back as integer nanoseconds so comparisons are
+/// exact.
+std::uint64_t ns_of(const std::string& ts) {
+  const std::size_t dot = ts.find('.');
+  return std::stoull(ts.substr(0, dot)) * 1000 + std::stoull(ts.substr(dot + 1));
+}
+
+/// The exporter writes one event per line between the header line and the
+/// closing "]}"; returns every event except the process-name metadata.
+std::vector<ExportedEvent> read_async_events(const std::string& json) {
+  std::vector<ExportedEvent> events;
+  std::istringstream lines(json);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("{\"ph\":", 0) != 0) continue;
+    ExportedEvent event;
+    event.ph = field_of(line, "ph");
+    if (event.ph == "M") continue;
+    event.cat = field_of(line, "cat");
+    event.id = field_of(line, "id");
+    event.pid = field_of(line, "pid");
+    event.ts_ns = ns_of(field_of(line, "ts"));
+    events.push_back(std::move(event));
+  }
+  return events;
+}
+
+/// What a Perfetto reader of the exported trace relies on: every "b" is
+/// closed by one "e" of the same (cat, id), no slice has a negative
+/// duration, each async id stays in one process (stream), and every stage
+/// slice begins inside its frame envelope. Returns one line per violation.
+std::vector<std::string> trace_violations(const std::vector<ExportedEvent>& events) {
+  std::vector<std::string> failures;
+  std::map<std::pair<std::string, std::string>, const ExportedEvent*> open;
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> envelopes;
+  std::map<std::string, std::string> pid_of_id;
+  for (const ExportedEvent& event : events) {
+    const auto key = std::make_pair(event.cat, event.id);
+    if (event.ph == "b") {
+      if (open.count(key) != 0) {
+        failures.push_back("second b for " + event.cat + "/" + event.id);
+      }
+      open[key] = &event;
+      const auto [it, fresh] = pid_of_id.emplace(event.id, event.pid);
+      if (!fresh && it->second != event.pid) {
+        failures.push_back("id " + event.id + " spans pids " + it->second +
+                           " and " + event.pid);
+      }
+    } else if (event.ph == "e") {
+      const auto it = open.find(key);
+      if (it == open.end()) {
+        failures.push_back("e without b for " + event.cat + "/" + event.id);
+        continue;
+      }
+      const ExportedEvent& begin = *it->second;
+      open.erase(it);
+      if (event.ts_ns < begin.ts_ns) {
+        failures.push_back("negative duration for " + event.cat + "/" + event.id);
+      }
+      if (event.cat == "frame") envelopes[event.id] = {begin.ts_ns, event.ts_ns};
+    } else {
+      failures.push_back("unexpected phase " + event.ph);
+    }
+  }
+  for (const auto& [key, begin] : open) {
+    failures.push_back("b never closed for " + key.first + "/" + key.second);
+  }
+  for (const ExportedEvent& event : events) {
+    if (event.ph != "b" || event.cat == "frame") continue;
+    const auto it = envelopes.find(event.id);
+    if (it == envelopes.end()) {
+      failures.push_back("stage slice " + event.cat + "/" + event.id +
+                         " has no frame envelope");
+    } else if (event.ts_ns < it->second.first || event.ts_ns > it->second.second) {
+      failures.push_back("stage slice " + event.cat + "/" + event.id +
+                         " starts outside its envelope");
+    }
+  }
+  return failures;
+}
 
 TEST(TelemetryPipeline, EveryInstrumentedStageReportsFromALiveRun) {
   const recognition::SaxSignRecognizer reference(
@@ -173,6 +286,8 @@ TEST(TelemetryPipeline, TraceContextPropagatesAcrossAllThreeServices) {
   // outcome) and coordination (arbitrate / grant_update) — and because
   // trace ids are pure functions of (stream, sequence), a fused frame's
   // interaction events carry the SAME trace_id its recognition events do.
+  // The same events then feed the three artefacts an operator reads: the
+  // Perfetto export, the tail report and the health verdict.
   const recognition::SaxSignRecognizer reference(
       recognition::RecognizerConfig{}, recognition::DatabaseBuildOptions{});
   const interaction::CommandGrammar grammar =
@@ -233,10 +348,29 @@ TEST(TelemetryPipeline, TraceContextPropagatesAcrossAllThreeServices) {
     dialogue.drain();
     coordinator.drain();
   }
+  // The run's own accounting and one drained shard-queue sample, for the
+  // health verdict below.
+  std::vector<telemetry::StreamAccounting> accounting;
+  for (std::size_t s = 0; s < fleet.scripts.size(); ++s) {
+    const recognition::StreamStats stats =
+        perception.stream_stats(static_cast<std::uint32_t>(s));
+    accounting.push_back({static_cast<std::uint32_t>(s), stats.submitted,
+                          stats.delivered, stats.dropped, stats.rejected});
+  }
+  telemetry::FleetHealthMonitor monitor;
+  std::vector<telemetry::QueueObservation> queues;
+  const std::vector<recognition::ShardGauge> gauges = perception.shard_gauges();
+  for (std::size_t k = 0; k < gauges.size(); ++k) {
+    queues.push_back({k, gauges[k].depth, gauges[k].popped});
+  }
+  monitor.observe_queues(queues);
   perception.stop();
   dialogue.stop();
   coordinator.stop();
 
+  // Every event survives in the recorder, so each artefact below sees the
+  // whole run.
+  ASSERT_EQ(flight.overwritten(), 0u);
   const std::vector<telemetry::TraceEvent> events = flight.collect();
   ASSERT_FALSE(events.empty());
 
@@ -282,6 +416,87 @@ TEST(TelemetryPipeline, TraceContextPropagatesAcrossAllThreeServices) {
     EXPECT_LT(event.stream_id, fleet.drones.size());
     EXPECT_EQ(event.trace_id,
               telemetry::make_trace_id(event.stream_id, event.sequence));
+  }
+
+  const std::vector<telemetry::FrameTrace> frames =
+      telemetry::assemble_frames(events);
+
+  // --- the exported Perfetto trace ---------------------------------------
+  const std::string json = telemetry::export_chrome_trace(events);
+  ASSERT_EQ(json.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n", 0), 0u);
+  ASSERT_TRUE(json.ends_with("\n]}\n"));
+  const std::vector<ExportedEvent> exported = read_async_events(json);
+  // One envelope pair per frame plus one pair per stage event.
+  EXPECT_EQ(exported.size(), 2 * (frames.size() + events.size()));
+  const std::vector<std::string> failures = trace_violations(exported);
+  for (std::size_t i = 0; i < std::min<std::size_t>(failures.size(), 10); ++i) {
+    ADD_FAILURE() << failures[i];
+  }
+  EXPECT_TRUE(failures.empty()) << failures.size() << " trace violations";
+  EXPECT_EQ(std::count_if(exported.begin(), exported.end(),
+                          [](const ExportedEvent& e) {
+                            return e.ph == "b" && e.cat == "frame";
+                          }),
+            static_cast<std::ptrdiff_t>(frames.size()));
+
+  // --- tail attribution ---------------------------------------------------
+  std::uint64_t completed = 0;
+  std::uint64_t slowest_ns = 0;
+  for (const telemetry::FrameTrace& frame : frames) {
+    if (telemetry::is_terminal(frame.terminal)) continue;
+    ++completed;
+    slowest_ns = std::max(slowest_ns, frame.total_ns());
+  }
+  ASSERT_GT(completed, 0u);
+  const telemetry::TailReport tail = telemetry::build_tail_report(events, 8);
+  EXPECT_EQ(tail.frames_seen, completed);
+  ASSERT_EQ(tail.worst.size(), std::min<std::uint64_t>(8, completed));
+  EXPECT_EQ(tail.worst.front().total_ns, slowest_ns);
+  for (std::size_t i = 0; i < tail.worst.size(); ++i) {
+    const telemetry::TailFrame& frame = tail.worst[i];
+    if (i > 0) {
+      EXPECT_LE(frame.total_ns, tail.worst[i - 1].total_ns);
+    }
+    EXPECT_EQ(frame.trace_id,
+              telemetry::make_trace_id(frame.stream_id, frame.sequence));
+    // The report names the stage that ate the frame's time.
+    ASSERT_FALSE(frame.breakdown.empty()) << "worst frame " << i;
+    EXPECT_EQ(frame.dominant_stage, frame.breakdown.front().stage);
+    EXPECT_EQ(frame.dominant_ns, frame.breakdown.front().ns);
+    EXPECT_GT(frame.dominant_ns, 0u) << "worst frame " << i;
+    EXPECT_LE(frame.dominant_ns, frame.total_ns) << "worst frame " << i;
+    for (const telemetry::StageShare& share : frame.breakdown) {
+      EXPECT_LE(share.ns, frame.dominant_ns);
+    }
+  }
+
+  // --- health verdict -----------------------------------------------------
+  std::map<std::uint32_t, std::uint64_t> completed_per_stream;
+  for (const telemetry::FrameTrace& frame : frames) {
+    if (!telemetry::is_terminal(frame.terminal)) ++completed_per_stream[frame.stream_id];
+  }
+  const telemetry::HealthReport health = monitor.evaluate(events, accounting);
+  ASSERT_EQ(health.streams.size(), fleet.scripts.size());
+  for (std::size_t s = 0; s < health.streams.size(); ++s) {
+    const telemetry::StreamHealth& stream = health.streams[s];
+    const telemetry::StreamAccounting& run = accounting[s];
+    EXPECT_EQ(stream.stream_id, run.stream_id);
+    // A lossless run: every submitted frame was delivered and traced.
+    EXPECT_EQ(run.submitted, feed.script_period(s)) << "stream " << s;
+    EXPECT_EQ(run.delivered, run.submitted) << "stream " << s;
+    EXPECT_EQ(stream.frames, run.delivered) << "stream " << s;
+    EXPECT_EQ(stream.frames, completed_per_stream[run.stream_id]) << "stream " << s;
+    EXPECT_GT(stream.p99_ns, 0u) << "stream " << s;
+    EXPECT_EQ(stream.drop_rate,
+              static_cast<double>(run.dropped + run.rejected) /
+                  static_cast<double>(run.submitted))
+        << "stream " << s;
+    EXPECT_FALSE(stream.drop_violation) << "stream " << s;
+  }
+  ASSERT_EQ(health.shards.size(), perception_config.shards);
+  for (const telemetry::ShardHealth& shard : health.shards) {
+    EXPECT_EQ(shard.depth, 0u) << "shard " << shard.shard;
+    EXPECT_FALSE(shard.stalled) << "shard " << shard.shard;
   }
 }
 
