@@ -7,11 +7,11 @@
 // (src/telemetry/flight_recorder.hpp): emitting per-frame TraceEvents must
 // ride the same clock reads the histograms already pay.
 //
-// Method: the same per-frame recognition loop runs four ways — disarmed
-// handles (no registry wired), armed handles with spans globally disabled
-// (counters only), fully armed, and fully armed + a wired FlightRecorder
-// emitting one kRecognize TraceEvent per frame — interleaved rep by rep so
-// thermal/scheduler drift hits all modes equally, best-of-N per mode. Exit
+// Method: the same per-frame recognition loop runs three ways — disarmed
+// handles (no registry wired), fully armed, and fully armed + a wired
+// FlightRecorder emitting one kRecognize TraceEvent per frame — interleaved
+// rep by rep so thermal/scheduler drift hits all modes equally, best-of-N
+// per mode. Exit
 // code 1 when the fully-armed OR the traced overhead exceeds the gate (CI
 // fails on either).
 //
@@ -79,7 +79,6 @@ double timed_pass(const RecognizerConfig& config,
 struct Mode {
   std::string name;
   bool armed{false};
-  bool spans_enabled{true};
   bool traced{false};
   double best_seconds{1e300};
 };
@@ -144,10 +143,9 @@ int main(int argc, char** argv) {
   telemetry::FlightRecorder recorder;
 
   std::vector<Mode> modes = {
-      {"disarmed", false, true, false, 1e300},
-      {"counters_only", true, false, false, 1e300},
-      {"armed", true, true, false, 1e300},
-      {"traced", true, true, true, 1e300},
+      {"disarmed", false, false, 1e300},
+      {"armed", true, false, 1e300},
+      {"traced", true, true, 1e300},
   };
 
   RecognizerScratch scratch;
@@ -164,7 +162,6 @@ int main(int argc, char** argv) {
     for (Mode& mode : modes) {
       scratch.metrics =
           mode.armed ? armed_handles : telemetry::RecognitionStageMetrics{};
-      telemetry::set_enabled(mode.spans_enabled);
       const double seconds = timed_pass(
           reference.config(), reference.database(), frames, scratch, results,
           mode.armed ? armed_recognize : telemetry::Histogram{},
@@ -173,7 +170,6 @@ int main(int argc, char** argv) {
     }
   }
   scratch.metrics = telemetry::RecognitionStageMetrics{};
-  telemetry::set_enabled(true);
 
   const double base_fps = static_cast<double>(frames_count) / modes[0].best_seconds;
   util::TextTable table({"mode", "frames/sec", "vs disarmed"});
@@ -188,9 +184,9 @@ int main(int argc, char** argv) {
 
   // The gate: fully armed vs disarmed, AND armed+traced vs disarmed.
   const double overhead_pct =
-      100.0 * (modes[2].best_seconds / modes[0].best_seconds - 1.0);
+      100.0 * (modes[1].best_seconds / modes[0].best_seconds - 1.0);
   const double traced_overhead_pct =
-      100.0 * (modes[3].best_seconds / modes[0].best_seconds - 1.0);
+      100.0 * (modes[2].best_seconds / modes[0].best_seconds - 1.0);
   const bool pass = overhead_pct <= gate_pct && traced_overhead_pct <= gate_pct;
   std::cout << "armed overhead: " << util::fmt(overhead_pct, 2)
             << "%, traced overhead: " << util::fmt(traced_overhead_pct, 2)
@@ -199,7 +195,7 @@ int main(int argc, char** argv) {
 
   // Sanity: the armed passes really recorded. Every frame here has a
   // silhouette, so each of the seven recognition stage spans fires once per
-  // frame in the armed and traced reps (counters-only mode records none).
+  // frame in the armed and traced reps.
   const telemetry::MetricsSnapshot snapshot = registry.snapshot();
   for (const std::string_view name : telemetry::kRecognitionStages) {
     const telemetry::HistogramSnapshot* stage = snapshot.find_histogram(name);

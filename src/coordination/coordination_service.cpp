@@ -64,11 +64,6 @@ void CoordinationService::bind(interaction::InteractionService& dialogue) {
 }
 
 void CoordinationService::register_drone(const DroneDescriptor& descriptor) {
-  if (descriptor.drone_id > telemetry::kMaxTraceStreamId) {
-    throw std::invalid_argument(
-        "CoordinationService::register_drone: drone_id above 65534 would "
-        "alias trace ids");
-  }
   FleetEvent event;
   event.kind = EventKind::kRegister;
   event.drone_id = descriptor.drone_id;
@@ -126,11 +121,22 @@ void CoordinationService::admit_sign_event(
 }
 
 void CoordinationService::admit(FleetEvent event) {
+  // Every entry point, replay included, funnels through here. make_trace_id
+  // keeps 16 bits of the drone id and 48 of the sequence: larger values
+  // would alias another event's trace. The wire parser refuses the same
+  // records, so a parsed journal always replays.
+  if (event.drone_id > telemetry::kMaxTraceStreamId) {
+    throw std::invalid_argument(
+        "CoordinationService: drone_id above 65534 would alias trace ids");
+  }
+  if (event.sequence > telemetry::kMaxTraceSequence) {
+    throw std::invalid_argument(
+        "CoordinationService: sequence above 2^48 - 1 would alias trace ids");
+  }
   if (stopping_.load(std::memory_order_acquire)) return;
   pending_.raise();  // raise-before-push (PendingCounter contract)
-  FleetEvent evicted;
-  const util::PushOutcome outcome = ring_.push(std::move(event), &evicted);
-  if (outcome != util::PushOutcome::kEnqueued) {
+  // The ring is kBlock: push() refuses only once it is closed.
+  if (ring_.push(std::move(event)) != util::PushOutcome::kEnqueued) {
     pending_.finish(1);
     return;
   }
@@ -242,35 +248,17 @@ void CoordinationService::handle_outcome(const FleetEvent& event,
   }
   const int cell = it->second.cell;
   switch (event.outcome) {
-    case protocol::Outcome::kGranted: {
+    case protocol::Outcome::kGranted:
       // Lease born at `now`, not the outcome's own sequence: a stale
       // outcome (decided at sequence S but processed after the clock
       // passed S + ttl) must still open a full-length lease, not one
       // that is already expired — the sweep below would kill it in the
       // same breath.
-      const bool accepted = registry_.grant(cell, event.drone_id, now);
-      if (recorder_ != nullptr && telemetry::enabled()) {
-        recorder_->emit_instant(
-            telemetry::TraceContext::of(event.drone_id, event.sequence),
-            telemetry::TraceStage::kGrantUpdate,
-            accepted ? telemetry::TraceOutcome::kOk
-                     : telemetry::TraceOutcome::kConflict);
-      }
-      observe({cell, registry_.read(cell), !accepted});
+      report_grant_update(event, cell, registry_.grant(cell, event.drone_id, now));
       break;
-    }
-    case protocol::Outcome::kDenied: {
-      const bool accepted = registry_.deny(cell, event.drone_id, now);
-      if (recorder_ != nullptr && telemetry::enabled()) {
-        recorder_->emit_instant(
-            telemetry::TraceContext::of(event.drone_id, event.sequence),
-            telemetry::TraceStage::kGrantUpdate,
-            accepted ? telemetry::TraceOutcome::kOk
-                     : telemetry::TraceOutcome::kConflict);
-      }
-      observe({cell, registry_.read(cell), !accepted});
+    case protocol::Outcome::kDenied:
+      report_grant_update(event, cell, registry_.deny(cell, event.drone_id, now));
       break;
-    }
     case protocol::Outcome::kPending:
     case protocol::Outcome::kNoAttention:
     case protocol::Outcome::kNoAnswer:
@@ -301,22 +289,10 @@ void CoordinationService::handle_sign_event(const FleetEvent& event,
                     event.sequence > record.granted_seq;
   if (!live) return;
   if (event.label == signs::HumanSign::kNo) {
-    if (registry_.revoke(cell, now)) {
-      if (recorder_ != nullptr && telemetry::enabled()) {
-        recorder_->emit_instant(
-            telemetry::TraceContext::of(event.drone_id, event.sequence),
-            telemetry::TraceStage::kGrantUpdate, telemetry::TraceOutcome::kOk);
-      }
-      observe({cell, registry_.read(cell), false});
-    }
+    if (registry_.revoke(cell, now)) report_grant_update(event, cell, true);
   } else if (event.label == signs::HumanSign::kYes) {
     if (registry_.renew(cell, record.holder, now)) {
-      if (recorder_ != nullptr && telemetry::enabled()) {
-        recorder_->emit_instant(
-            telemetry::TraceContext::of(event.drone_id, event.sequence),
-            telemetry::TraceStage::kGrantUpdate, telemetry::TraceOutcome::kOk);
-      }
-      observe({cell, registry_.read(cell), false});
+      report_grant_update(event, cell, true);
     }
   }
 }
@@ -349,8 +325,15 @@ void CoordinationService::flush_pending_aborts() {
   }
 }
 
-void CoordinationService::observe(const GrantUpdate& update) {
-  if (registry_observer_) registry_observer_(update);
+void CoordinationService::report_grant_update(const FleetEvent& event, int cell,
+                                              bool accepted) {
+  if (recorder_ != nullptr) {
+    recorder_->emit_instant(
+        telemetry::TraceContext::of(event.drone_id, event.sequence),
+        telemetry::TraceStage::kGrantUpdate,
+        accepted ? telemetry::TraceOutcome::kOk : telemetry::TraceOutcome::kConflict);
+  }
+  if (registry_observer_) registry_observer_({cell, registry_.read(cell), !accepted});
 }
 
 orchard::PlanHint CoordinationService::plan_hint(std::uint32_t drone_id) const {

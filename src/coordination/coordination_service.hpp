@@ -137,8 +137,14 @@ class CoordinationService {
   /// Registers a drone (ordered with the event stream; a drone may be
   /// registered before or during streaming, and re-registered to move
   /// cell/human). Grants key on descriptor.cell; contention keys on
-  /// descriptor.human_id. Throws std::invalid_argument for a drone_id
-  /// above telemetry::kMaxTraceStreamId, which would alias trace ids.
+  /// descriptor.human_id.
+  ///
+  /// Every admission entry point (register_drone, update_battery, tick,
+  /// the admit_* wrappers and admit_recorded) throws std::invalid_argument
+  /// for a drone_id above telemetry::kMaxTraceStreamId or a sequence above
+  /// telemetry::kMaxTraceSequence: either would alias trace ids. The wire
+  /// parser refuses the same values, so admit_recorded accepts every
+  /// parsed FleetEvent.
   void register_drone(const DroneDescriptor& descriptor);
 
   /// Battery update (arbitration input), ordered with the event stream.
@@ -208,7 +214,9 @@ class CoordinationService {
   void issue_abort(interaction::InteractionService* source,
                    std::uint32_t stream_id);
   void flush_pending_aborts();
-  void observe(const GrantUpdate& update);
+  /// One registry mutation made visible: a kGrantUpdate instant on the
+  /// triggering event's trace (kConflict when refused), then the observer.
+  void report_grant_update(const FleetEvent& event, int cell, bool accepted);
   [[nodiscard]] std::uint64_t advance_clock(std::uint64_t sequence);
 
   CoordinationConfig config_;

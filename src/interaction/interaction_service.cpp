@@ -1,6 +1,5 @@
 #include "interaction/interaction_service.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -25,7 +24,6 @@ InteractionService::InteractionService(InteractionServiceConfig config,
     events_counter_ = metrics.counter(telemetry::kInteractionEvents);
     actions_counter_ = metrics.counter(telemetry::kInteractionActions);
     outcomes_counter_ = metrics.counter(telemetry::kInteractionOutcomes);
-    shed_counter_ = metrics.counter(telemetry::kInteractionShed);
     queue_depth_ = metrics.gauge(telemetry::kInteractionQueueDepth);
   }
   recorder_ = config_.recorder;
@@ -61,89 +59,37 @@ void InteractionService::on_result(const recognition::StreamResult& result) {
   observation.confidence = config_.fusion.confidence_of(result.result);
   observation.sign = observation.confidence > 0.0 ? result.result.sign
                                                   : signs::HumanSign::kNeutral;
-
-  // Backpressure decision: while the perception shards are backed up,
-  // neutral frames carry no dialogue evidence worth queueing. Opt-in, and
-  // the gauges are scanned only for neutral observations (the only shed
-  // candidates) — non-neutral frames, and everything when the option is
-  // off, must not take cross-shard ring locks on the recognition hot path.
-  if (config_.shed_neutral_when_congested &&
-      observation.sign == signs::HumanSign::kNeutral) {
-    const recognition::PerceptionService* perception =
-        watched_.load(std::memory_order_acquire);
-    if (perception != nullptr) {
-      std::size_t deepest = 0;
-      for (std::size_t s = 0; s < perception->shard_count(); ++s) {
-        deepest = std::max(deepest, perception->shard_gauge(s).depth);
-      }
-      std::size_t seen = max_watched_depth_.load(std::memory_order_relaxed);
-      while (deepest > seen && !max_watched_depth_.compare_exchange_weak(
-                                   seen, deepest, std::memory_order_relaxed)) {
-      }
-      if (deepest >= config_.congestion_depth) {
-        shed_.fetch_add(1, std::memory_order_relaxed);
-        shed_counter_.add(1);
-        if (recorder_ != nullptr && telemetry::enabled()) {
-          // A shed frame dies here: close its trace terminally.
-          recorder_->emit_instant(
-              result.trace.trace_id != 0
-                  ? result.trace
-                  : telemetry::TraceContext::of(result.stream_id,
-                                                result.sequence),
-              telemetry::TraceStage::kAdmit, telemetry::TraceOutcome::kShed);
-        }
-        return;
-      }
-    }
-  }
-  admit(std::move(observation));
+  admit(observation, /*blocking=*/true);
 }
 
 void InteractionService::abort_stream(std::uint32_t stream_id) {
-  Observation observation;
-  observation.kind = ObservationKind::kAbort;
-  observation.stream_id = stream_id;
-  admit(std::move(observation));
+  admit({ObservationKind::kAbort, stream_id}, /*blocking=*/true);
 }
 
 void InteractionService::inject_observation(std::uint32_t stream_id,
                                             std::uint64_t sequence,
                                             signs::HumanSign sign,
                                             double confidence) {
-  if (stream_id > telemetry::kMaxTraceStreamId) {
-    throw std::invalid_argument(
-        "InteractionService::inject_observation: stream_id above 65534 would "
-        "alias trace ids");
-  }
-  if (sequence > telemetry::kMaxTraceSequence) {
-    throw std::invalid_argument(
-        "InteractionService::inject_observation: sequence above 2^48 - 1 "
-        "would alias trace ids");
-  }
-  Observation observation;
-  observation.stream_id = stream_id;
-  observation.sequence = sequence;
-  observation.sign = sign;
-  observation.confidence = confidence;
-  admit(std::move(observation));
+  admit({ObservationKind::kFrame, stream_id, sequence, sign, confidence},
+        /*blocking=*/true);
 }
 
 bool InteractionService::try_abort_stream(std::uint32_t stream_id) {
-  if (stopping_.load(std::memory_order_acquire)) return false;
-  Observation observation;
-  observation.kind = ObservationKind::kAbort;
-  observation.stream_id = stream_id;
-  pending_.raise();  // same raise-before-push contract as admit()
-  if (ring_.try_push(std::move(observation)) == util::PushOutcome::kEnqueued) {
-    queue_depth_.add(1);
-    return true;
-  }
-  finish_observations(1);
-  return false;
+  return admit({ObservationKind::kAbort, stream_id}, /*blocking=*/false);
 }
 
-void InteractionService::admit(Observation observation) {
-  if (stopping_.load(std::memory_order_acquire)) return;
+bool InteractionService::admit(Observation observation, bool blocking) {
+  // make_trace_id keeps 16 bits of the stream id and 48 of the sequence:
+  // larger values would alias another observation's trace.
+  if (observation.stream_id > telemetry::kMaxTraceStreamId) {
+    throw std::invalid_argument(
+        "InteractionService: stream_id above 65534 would alias trace ids");
+  }
+  if (observation.sequence > telemetry::kMaxTraceSequence) {
+    throw std::invalid_argument(
+        "InteractionService: sequence above 2^48 - 1 would alias trace ids");
+  }
+  if (stopping_.load(std::memory_order_acquire)) return false;
   // push() consumes the observation, so its identity must be saved first
   // for the terminal trace event on the refusal path.
   const telemetry::TraceContext admitted_context =
@@ -151,16 +97,20 @@ void InteractionService::admit(Observation observation) {
   // Raise pending BEFORE the push — the worker can process the observation
   // before push() returns (PendingCounter's contract).
   pending_.raise();
-  // The ring blocks when full, so push() only refuses once it is closed.
-  if (ring_.push(std::move(observation)) == util::PushOutcome::kEnqueued) {
+  // The ring is kBlock: push() refuses only once it is closed, try_push()
+  // also when it is full.
+  const util::PushOutcome outcome = blocking ? ring_.push(std::move(observation))
+                                             : ring_.try_push(std::move(observation));
+  if (outcome == util::PushOutcome::kEnqueued) {
     queue_depth_.add(1);
-    return;
+    return true;
   }
-  if (recorder_ != nullptr && telemetry::enabled()) {
+  if (outcome == util::PushOutcome::kClosed && recorder_ != nullptr) {
     recorder_->emit_instant(admitted_context, telemetry::TraceStage::kAdmit,
                             telemetry::TraceOutcome::kClosed);
   }
   finish_observations(1);
+  return false;
 }
 
 void InteractionService::worker_loop() {
@@ -251,7 +201,7 @@ void InteractionService::notify_listener(
       record != session.reported_outcome) {
     session.reported_outcome = record;
     outcomes_counter_.add(1);
-    if (recorder_ != nullptr && telemetry::enabled()) {
+    if (recorder_ != nullptr) {
       // The outcome's trace identity derives from the record's own
       // deciding-sequence field — the propagation map's OutcomeRecord row.
       recorder_->emit_instant(
@@ -276,7 +226,7 @@ void InteractionService::apply_actions(
           action.pattern, {0.0, 0.0, params.comm_altitude}, {0.0, 1.0}, params);
     }
     ++session.acks;
-    if (recorder_ != nullptr && telemetry::enabled()) {
+    if (recorder_ != nullptr) {
       // An ack's trace identity is (stream_id, tick) — the sequence the
       // FSM acted on — per the propagation map's AckAction row.
       recorder_->emit_instant(

@@ -22,14 +22,13 @@
 //   - Per-stream sessions are created on first observation: each owns a
 //     fuser, an FSM, a drone::LedRing (the visible acknowledgement state)
 //     and the last generated drone::FlightPattern.
-//   - Backpressure: the service watches the PerceptionService's per-shard
-//     queue-depth gauges. congested() exposes the decision to producers,
-//     and (opt-in) shed_neutral_when_congested drops no-evidence
-//     observations at admission while perception is backed up — the fuser
-//     tolerates gaps by construction, so dialogue degrades gracefully
-//     instead of queueing stale neutral frames. Default OFF: with shedding
-//     off the service is fully deterministic for a given per-stream frame
-//     sequence, regardless of stream/shard/thread counts.
+//   - Backpressure: the observation ring blocks when full, so dialogue
+//     load propagates to the perception shards and nothing is lost. The
+//     service can watch a PerceptionService's per-shard queue-depth gauges;
+//     congested() exposes that reading to producers that pace submission.
+//     Admission never drops an observation, so the service is fully
+//     deterministic for a given per-stream frame sequence, regardless of
+//     stream/shard/thread counts.
 //
 // Threading contract: on_result() may be called from any thread (it is the
 // perception callback). Accessors snapshot per-session state under a
@@ -70,19 +69,15 @@ struct InteractionServiceConfig {
   /// A watched perception shard at or above this queue depth counts as
   /// congested (see congested()).
   std::size_t congestion_depth{24};
-  /// Opt-in load shedding: drop neutral (no-evidence) observations at
-  /// admission while perception is congested. Trades a slower event
-  /// offset for not queueing stale frames; leaves determinism guarantees
-  /// to uncongested runs.
-  bool shed_neutral_when_congested{false};
   /// Optional telemetry registry (must outlive the service). When set, the
   /// worker records fuse/transition spans, dialogue counters and the
   /// observation-ring depth gauge; when null every handle stays disarmed
   /// and recording is a single predictable branch.
   telemetry::MetricsRegistry* metrics{nullptr};
   /// Optional causal tracing (must outlive the service). When set, the
-  /// worker emits admit/fuse/transition/ack/outcome TraceEvents, and the
-  /// refusal paths close dying traces with terminal kShed/kClosed events.
+  /// worker emits fuse/transition/ack/outcome TraceEvents, and an
+  /// observation refused at admission closes its trace with a terminal
+  /// kClosed event.
   /// Null = disarmed, same cost contract as `metrics`.
   telemetry::FlightRecorder* recorder{nullptr};
 };
@@ -161,16 +156,17 @@ class InteractionService {
   }
 
   /// True while any watched perception shard queue is at or above
-  /// congestion_depth. Producers may consult this to pace submission;
-  /// admission uses it for opt-in neutral shedding. Always false when
-  /// nothing is watched.
+  /// congestion_depth. Producers may consult this to pace submission.
+  /// Always false when nothing is watched.
   [[nodiscard]] bool congested() const;
 
   void set_ack_observer(AckObserver observer);  ///< set before streaming
   void set_dialogue_listener(DialogueListener listener);  ///< set before streaming
 
   /// External safety abort for one stream's dialogue (processed in order
-  /// with the observation stream).
+  /// with the observation stream). Throws std::invalid_argument for a
+  /// stream_id above telemetry::kMaxTraceStreamId, which would alias trace
+  /// ids; every admission path applies the same check.
   void abort_stream(std::uint32_t stream_id);
 
   /// Admits one observation directly, bypassing perception — the replay
@@ -184,10 +180,10 @@ class InteractionService {
                           signs::HumanSign sign, double confidence);
 
   /// Non-blocking abort_stream(): returns false (and admits nothing) when
-  /// the observation ring is full, instead of waiting. The
-  /// coordination worker uses this — it consumes this service's listener
-  /// events, so blocking here could cycle with the dialogue worker
-  /// blocking on the coordination ring.
+  /// the observation ring is full, instead of waiting. Rejects the same
+  /// stream ids as abort_stream(). The coordination worker uses this — it
+  /// consumes this service's listener events, so blocking here could cycle
+  /// with the dialogue worker blocking on the coordination ring.
   [[nodiscard]] bool try_abort_stream(std::uint32_t stream_id);
 
   /// Blocks until every observation admitted before the call is processed.
@@ -213,16 +209,6 @@ class InteractionService {
   [[nodiscard]] drone::FlightPattern last_pattern(std::uint32_t stream_id) const;
   [[nodiscard]] protocol::Transcript transcript(std::uint32_t stream_id) const;
 
-  [[nodiscard]] std::uint64_t shed_observations() const noexcept {
-    return shed_.load(std::memory_order_relaxed);
-  }
-  /// Highest watched-shard queue depth seen by the admission path. Only
-  /// sampled while shed_neutral_when_congested is on — with shedding off
-  /// the admission path never touches the gauges (no cross-shard locking
-  /// on the recognition hot path); use congested() for on-demand reads.
-  [[nodiscard]] std::size_t max_watched_depth() const noexcept {
-    return max_watched_depth_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] const InteractionServiceConfig& config() const noexcept {
     return config_;
   }
@@ -267,7 +253,10 @@ class InteractionService {
   void apply_actions(Session& session, const DialogueStateMachine::Actions& actions);
   Session& session_for(std::uint32_t stream_id);
   [[nodiscard]] const Session* find_session(std::uint32_t stream_id) const;
-  void admit(Observation observation);
+  /// The one admission funnel: rejects trace-aliasing ids, then pushes
+  /// (waiting for space when `blocking`, refusing a full ring otherwise).
+  /// Returns whether the observation was admitted.
+  bool admit(Observation observation, bool blocking);
   void finish_observations(std::size_t count);
 
   InteractionServiceConfig config_;
@@ -287,20 +276,16 @@ class InteractionService {
   /// for drain() (shared machinery with PerceptionService).
   util::PendingCounter pending_;
 
-  std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::size_t> max_watched_depth_{0};
-
   // Telemetry handles (disarmed when config_.metrics is null). The counters
-  // below except shed_counter_ are incremented only on the dialogue worker
-  // while processing an admitted observation, so their totals are part of
-  // the replay-deterministic set (see telemetry/stage_names.hpp).
+  // below are incremented only on the dialogue worker while processing an
+  // admitted observation, so their totals are part of the
+  // replay-deterministic set (see telemetry/stage_names.hpp).
   telemetry::Histogram fuse_ns_;
   telemetry::Histogram transition_ns_;
   telemetry::Counter observations_counter_;
   telemetry::Counter events_counter_;
   telemetry::Counter actions_counter_;
   telemetry::Counter outcomes_counter_;
-  telemetry::Counter shed_counter_;  ///< producer-thread; NOT replay-deterministic
   telemetry::Gauge queue_depth_;
   telemetry::FlightRecorder* recorder_{nullptr};
 

@@ -295,10 +295,11 @@ wire::TranscriptDigestRecord digest_record(std::uint32_t stream_id,
 // ------------------------------------------------- metric snapshots ------
 
 const std::vector<std::string_view>& replay_deterministic_counters() {
-  // Explicit list, NOT a name-prefix filter: interaction_shed_total shares
-  // the interaction_ prefix but is incremented on producer threads (its
-  // total depends on live queue depths), so a prefix rule would silently
-  // journal a nondeterministic counter and break the replay gate.
+  // Explicit list, NOT a name-prefix filter: a counter incremented on a
+  // producer thread depends on live queue depths, so a new interaction_ or
+  // coordination_ counter joins the journal only once it is shown to count
+  // worker-side inputs alone — a prefix rule would silently journal a
+  // nondeterministic counter and break the replay gate.
   static const std::vector<std::string_view> kCounters = {
       telemetry::kInteractionObservations,
       telemetry::kInteractionEvents,

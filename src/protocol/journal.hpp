@@ -72,8 +72,8 @@ class EventJournal {
 /// while processing an admitted input — never on producer threads, never
 /// dependent on queue timing). These, and only these, go into a journal's
 /// MetricSnapshotRecord: replaying the journal must reproduce every total
-/// bit-exactly. Notably absent: interaction_shed_total (producer-side,
-/// depends on live queue depths) and all perception metrics.
+/// bit-exactly. Notably absent: all perception metrics (producer-side,
+/// they depend on live queue depths).
 [[nodiscard]] const std::vector<std::string_view>& replay_deterministic_counters();
 
 /// Filters a telemetry snapshot down to the replay-deterministic counters,

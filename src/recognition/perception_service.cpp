@@ -51,12 +51,6 @@ PerceptionService::PerceptionService(const RecognizerConfig& config,
   if (database_ == nullptr) {
     throw std::invalid_argument("PerceptionService: null database handle");
   }
-  const DynamicBackpressureConfig& dynamic =
-      service_config_.dynamic_backpressure;
-  if (dynamic.enabled && dynamic.low_water >= dynamic.high_water) {
-    throw std::invalid_argument(
-        "PerceptionService: dynamic backpressure needs low_water < high_water");
-  }
   if (telemetry::MetricsRegistry* registry = service_config_.metrics) {
     submit_ns_ = registry->histogram(telemetry::kPerceptionSubmit);
     ring_wait_ns_ = registry->histogram(telemetry::kPerceptionRingWait);
@@ -127,9 +121,6 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
   }
   StreamState& state = stream_state(stream_id);
   Shard& shard = *shards_[receipt.shard];
-  if (service_config_.dynamic_backpressure.enabled) {
-    maybe_switch_policy(shard);
-  }
 
   std::lock_guard<std::mutex> order(state.order_mutex);
   // The trace context is minted here, once the sequence this frame will
@@ -148,7 +139,7 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
   job.sequence = state.next_sequence;
   job.frame = std::move(frame);
   job.origin = &state;
-  if ((ring_wait_ns_.armed() || recorder_ != nullptr) && telemetry::enabled()) {
+  if (ring_wait_ns_.armed() || recorder_ != nullptr) {
     job.submitted_at_ns = telemetry::now_ns();
   }
   Job evicted;
@@ -171,7 +162,7 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
       evicted.origin->dropped.fetch_add(1, std::memory_order_relaxed);
       frames_submitted_.add(1);
       frames_dropped_.add(1);
-      if (recorder_ != nullptr && telemetry::enabled()) {
+      if (recorder_ != nullptr) {
         // The evicted frame's trace must not end open: close it with a
         // terminal kDropped event spanning its time in the ring.
         const std::uint64_t now = telemetry::now_ns();
@@ -212,9 +203,8 @@ void PerceptionService::shard_loop(Shard& shard) {
     queue_depth_.add(-1);
     const telemetry::TraceContext context =
         telemetry::TraceContext::of(job.stream_id, job.sequence);
-    // Frames stamped while telemetry was off carry 0 and are skipped.
-    if (job.submitted_at_ns != 0 && (ring_wait_ns_.armed() || recorder_ != nullptr) &&
-        telemetry::enabled()) {
+    // Frames carry 0 when neither the histogram nor a recorder is wired.
+    if (job.submitted_at_ns != 0) {
       const std::uint64_t popped_at_ns = telemetry::now_ns();
       ring_wait_ns_.record(
           popped_at_ns > job.submitted_at_ns ? popped_at_ns - job.submitted_at_ns : 0);
@@ -247,35 +237,13 @@ void PerceptionService::shard_loop(Shard& shard) {
     } catch (...) {
       // A throwing callback leaves a recognized frame undelivered: close
       // its trace here (a throwing pipeline already closed it via the span).
-      if (recognized && recorder_ != nullptr && telemetry::enabled()) {
+      if (recognized && recorder_ != nullptr) {
         recorder_->emit_instant(context, telemetry::TraceStage::kRecognize,
                                 telemetry::TraceOutcome::kError);
       }
       pending_.record_error(std::current_exception());
     }
     pending_.finish(1);
-  }
-}
-
-void PerceptionService::maybe_switch_policy(Shard& shard) {
-  // Only the kBlock <-> kDropOldest pair is managed: a deployment that
-  // chose kDropOldest or kReject at construction made a static decision.
-  if (service_config_.overflow != util::OverflowPolicy::kBlock) return;
-  const DynamicBackpressureConfig& dynamic =
-      service_config_.dynamic_backpressure;
-  // One decider at a time per shard: without this, two producers can both
-  // observe kBlock at high water and the switch counter ticks twice for
-  // one logical transition.
-  std::lock_guard<std::mutex> decide(shard.policy_mutex);
-  const std::size_t depth = shard.ring.size();
-  const util::OverflowPolicy current = shard.ring.policy();
-  if (current == util::OverflowPolicy::kBlock && depth >= dynamic.high_water) {
-    shard.ring.set_policy(util::OverflowPolicy::kDropOldest);
-    policy_switches_.fetch_add(1, std::memory_order_relaxed);
-  } else if (current == util::OverflowPolicy::kDropOldest &&
-             depth <= dynamic.low_water) {
-    shard.ring.set_policy(util::OverflowPolicy::kBlock);
-    policy_switches_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -300,14 +268,7 @@ ShardGauge PerceptionService::shard_gauge(std::size_t shard) const {
   }
   const util::BoundedRing<Job>& ring = shards_[shard]->ring;
   return {ring.size(), ring.capacity(), ring.evicted_count(),
-          ring.rejected_count(), ring.popped_count(), ring.policy()};
-}
-
-util::OverflowPolicy PerceptionService::shard_policy(std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::out_of_range("PerceptionService::shard_policy: bad shard index");
-  }
-  return shards_[shard]->ring.policy();
+          ring.rejected_count(), ring.popped_count()};
 }
 
 std::vector<ShardGauge> PerceptionService::shard_gauges() const {

@@ -88,28 +88,12 @@ struct SubmitReceipt {
   std::size_t shard{0};  ///< the shard this stream is pinned to
 };
 
-/// Runtime backpressure-policy switching (ROADMAP: dynamic backpressure).
-/// With `enabled`, each submit watches its shard's queue depth: at or above
-/// `high_water` a kBlock shard flips to kDropOldest (a congested live feed
-/// must prefer fresh frames over stalling the camera thread), and at or
-/// below `low_water` it flips back to kBlock (lossless again). The two
-/// thresholds are a hysteresis band so a depth hovering near one mark
-/// cannot thrash the policy. Shards configured kDropOldest/kReject at
-/// construction are left alone — the switch only manages the
-/// kBlock <-> kDropOldest pair.
-struct DynamicBackpressureConfig {
-  bool enabled{false};
-  std::size_t high_water{48};  ///< depth >= this: switch to kDropOldest
-  std::size_t low_water{8};    ///< depth <= this: switch back to kBlock
-};
-
 /// Service shape. Defaults suit a live multi-camera feed on a multi-core
 /// companion computer.
 struct PerceptionServiceConfig {
   std::size_t shards{0};           ///< worker shards; 0 = hardware concurrency
   std::size_t queue_capacity{64};  ///< frames buffered per shard ring
   util::OverflowPolicy overflow{util::OverflowPolicy::kBlock};
-  DynamicBackpressureConfig dynamic_backpressure{};
   /// Optional telemetry wiring (must outlive the service). When set, the
   /// service records submit/ring-wait/recognize spans, the per-stage
   /// recognition histograms, frame counters and a queue-depth gauge
@@ -146,9 +130,6 @@ struct ShardGauge {
   /// signal the stalled-shard watchdog keys on (depth without popped
   /// progress across observations = stalled).
   std::uint64_t popped{0};
-  /// The shard's overflow policy right now (== the configured policy
-  /// unless dynamic backpressure switched it).
-  util::OverflowPolicy policy{util::OverflowPolicy::kBlock};
 };
 
 class PerceptionService {
@@ -236,15 +217,6 @@ class PerceptionService {
   [[nodiscard]] ShardGauge shard_gauge(std::size_t shard) const;
   [[nodiscard]] std::vector<ShardGauge> shard_gauges() const;
 
-  /// One shard's overflow policy right now (dynamic backpressure may have
-  /// switched it away from the configured policy). Throws std::out_of_range
-  /// on a bad index.
-  [[nodiscard]] util::OverflowPolicy shard_policy(std::size_t shard) const;
-  /// Cumulative dynamic-backpressure switches (both directions, all shards).
-  [[nodiscard]] std::uint64_t policy_switches() const noexcept {
-    return policy_switches_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct StreamState;
 
@@ -255,8 +227,8 @@ class PerceptionService {
     std::uint64_t sequence{0};
     imaging::GrayImage frame;
     StreamState* origin{nullptr};
-    /// Submit timestamp for the ring-wait span; 0 when telemetry is off at
-    /// submit time (the pop side then skips the frame).
+    /// Submit timestamp for the ring-wait span; 0 when neither the
+    /// ring-wait histogram nor a recorder is wired (the pop side skips it).
     std::uint64_t submitted_at_ns{0};
   };
 
@@ -270,27 +242,18 @@ class PerceptionService {
     util::BoundedRing<Job> ring;
     const SignDatabase* database{nullptr};
     RecognizerScratch scratch;  ///< worker thread only
-    /// Serialises dynamic-backpressure decisions: the depth read, the
-    /// hysteresis comparison and the set_policy must be one atomic step
-    /// across producer threads or a flip double-applies and
-    /// policy_switches() over-counts.
-    std::mutex policy_mutex;
     std::thread worker;
   };
 
   SubmitReceipt submit_job(std::uint32_t stream_id, imaging::GrayImage frame);
   StreamState& stream_state(std::uint32_t stream_id);
   void shard_loop(Shard& shard);
-  /// Dynamic backpressure: applies the hysteresis switch to one shard's
-  /// ring from its observed depth (submit path, only when enabled).
-  void maybe_switch_policy(Shard& shard);
 
   RecognizerConfig config_;
   PerceptionServiceConfig service_config_;
   std::shared_ptr<const SignDatabase> database_;
   ResultCallback on_result_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> policy_switches_{0};
 
   /// Telemetry handles — disarmed (no-op) unless the config wired a
   /// registry. Recording through them is wait-free (see telemetry/).

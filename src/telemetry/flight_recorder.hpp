@@ -12,13 +12,13 @@
 // returns only events that were fully written and not yet overwritten.
 //
 // Cost contract: a pipeline stage holds a TracedSpan; with no recorder
-// wired and a disarmed histogram (or telemetry::set_enabled(false)) it
-// costs two predictable branches and zero clock reads. With a recorder, the
-// span's single clock pair feeds both the stage histogram and the trace
-// event — tracing never adds a second clock read to an already-timed
-// stage. The CI gate (bench/bench_telemetry_overhead.cpp, "traced"
-// column) holds the armed+traced frame path within the same 3% budget
-// as armed metrics alone.
+// wired and a disarmed histogram it costs two predictable branches and
+// zero clock reads. With a recorder, the span's single clock pair feeds
+// both the stage histogram and the trace event — tracing never adds a
+// second clock read to an already-timed stage. The CI gate
+// (bench/bench_telemetry_overhead.cpp, "traced" column) holds the
+// armed+traced frame path within the same 3% budget as armed metrics
+// alone.
 #pragma once
 
 #include <atomic>
@@ -116,7 +116,7 @@ class TracedSpan {
         context_(context),
         stage_(stage),
         have_context_(context.trace_id != 0),
-        armed_((histogram.armed() || recorder != nullptr) && enabled()),
+        armed_(histogram.armed() || recorder != nullptr),
         start_ns_(armed_ ? now_ns() : 0) {}
 
   /// Histogram-only span: no recorder, no trace context. Same disarmed

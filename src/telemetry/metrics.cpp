@@ -38,50 +38,6 @@ const HistogramSnapshot* MetricsSnapshot::find_histogram(
   return nullptr;
 }
 
-MetricsSnapshot MetricsSnapshot::delta(const MetricsSnapshot& prev) const {
-  MetricsSnapshot out;
-
-  const auto prev_counter = [&prev](const std::string& name) -> std::uint64_t {
-    const CounterSnapshot* entry = prev.find_counter(name);
-    return entry != nullptr ? entry->value : 0;
-  };
-
-  out.counters.reserve(counters.size());
-  for (const CounterSnapshot& entry : counters) {
-    const std::uint64_t before = prev_counter(entry.name);
-    out.counters.push_back(
-        {entry.name, entry.value >= before ? entry.value - before : 0});
-  }
-
-  // A gauge is a level, not a rate: the current level IS the interval's
-  // reading.
-  out.gauges = gauges;
-
-  out.histograms.reserve(histograms.size());
-  for (const HistogramSnapshot& entry : histograms) {
-    const HistogramSnapshot* before = prev.find_histogram(entry.name);
-    HistogramSnapshot diff;
-    diff.name = entry.name;
-    diff.buckets = entry.buckets;
-    diff.sum = entry.sum;
-    // Max cannot be subtracted; the current max is an upper bound for the
-    // interval (exact when the interval contains the all-time max).
-    diff.max = entry.max;
-    if (before != nullptr) {
-      diff.sum = entry.sum >= before->sum ? entry.sum - before->sum : 0;
-      for (std::size_t i = 0;
-           i < diff.buckets.size() && i < before->buckets.size(); ++i) {
-        diff.buckets[i] = diff.buckets[i] >= before->buckets[i]
-                              ? diff.buckets[i] - before->buckets[i]
-                              : 0;
-      }
-    }
-    for (const std::uint64_t bucket : diff.buckets) diff.count += bucket;
-    out.histograms.push_back(std::move(diff));
-  }
-  return out;
-}
-
 Counter MetricsRegistry::counter(std::string_view name) {
   const std::scoped_lock lock(mutex_);
   for (detail::CounterNode& node : counters_) {

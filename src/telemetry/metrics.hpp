@@ -40,21 +40,6 @@
 
 namespace hdc::telemetry {
 
-/// Global kill switch for the clock reads in stage spans
-/// (telemetry::TracedSpan): off, a span records no histogram sample and
-/// emits no trace event. Counters stay live regardless — they are cheap and
-/// replay-deterministic.
-namespace detail {
-inline std::atomic<bool> g_enabled{true};
-}  // namespace detail
-
-[[nodiscard]] inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-inline void set_enabled(bool on) noexcept {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
 namespace detail {
 
 inline constexpr std::size_t kStripes = 8;  // power of two
@@ -223,16 +208,6 @@ struct MetricsSnapshot {
       std::string_view name) const& noexcept;
   const CounterSnapshot* find_counter(std::string_view name) const&& = delete;
   const HistogramSnapshot* find_histogram(std::string_view name) const&& = delete;
-
-  /// The activity between `prev` and this snapshot of the SAME registry:
-  /// counters and histogram count/sum/buckets subtract element-wise (a
-  /// metric absent from `prev` keeps its full value), gauges keep their
-  /// current level (a gauge is a level, not a rate), and a histogram's
-  /// max is kept from the current snapshot — max is not delta-able, so it
-  /// is an upper bound for the interval, documented as such. Lets one
-  /// registry span a benchmark matrix while each cell reports only its
-  /// own percentiles.
-  [[nodiscard]] MetricsSnapshot delta(const MetricsSnapshot& prev) const;
 };
 
 class TelemetrySink;

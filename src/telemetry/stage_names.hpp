@@ -53,7 +53,6 @@ inline constexpr std::string_view kInteractionObservations =
 inline constexpr std::string_view kInteractionEvents = "interaction_events_total";
 inline constexpr std::string_view kInteractionActions = "interaction_actions_total";
 inline constexpr std::string_view kInteractionOutcomes = "interaction_outcomes_total";
-inline constexpr std::string_view kInteractionShed = "interaction_shed_total";
 inline constexpr std::string_view kInteractionQueueDepth = "interaction_queue_depth";
 
 // --- coordination (arbiter + grant registry worker) ----------------------

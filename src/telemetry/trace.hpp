@@ -81,7 +81,7 @@ enum class TraceStage : std::uint8_t {
   kSubmit = 0,   ///< PerceptionService::submit (admission)
   kQueueWait,    ///< shard ring residency, submit -> worker pop
   kRecognize,    ///< one frame's recognition on its shard
-  kAdmit,        ///< InteractionService admission (shed/drop/reject here)
+  kAdmit,        ///< InteractionService admission (drop/reject/close here)
   kFuse,         ///< SignEventFuser::observe
   kTransition,   ///< dialogue FSM on_event/on_tick/abort
   kAck,          ///< one applied AckAction (instant)
@@ -107,7 +107,7 @@ inline constexpr std::size_t kTraceStageCount = 10;
   return "?";
 }
 
-/// Outcome code of one trace event. kDropped / kRejected / kClosed / kShed
+/// Outcome code of one trace event. kDropped / kRejected / kClosed / kError
 /// are TERMINAL: they are the last event of their trace (no trace may end
 /// open — the backpressure paths emit them exactly where the frame dies).
 enum class TraceOutcome : std::uint8_t {
@@ -118,7 +118,6 @@ enum class TraceOutcome : std::uint8_t {
   kDropped,   ///< terminal: evicted under kDropOldest before processing
   kRejected,  ///< terminal: refused at admission under kReject
   kClosed,    ///< terminal: refused because the service is stopping
-  kShed,      ///< terminal: neutral observation shed under congestion
   kError,     ///< terminal: the pipeline threw processing this frame
 };
 
@@ -131,7 +130,6 @@ enum class TraceOutcome : std::uint8_t {
     case TraceOutcome::kDropped: return "dropped";
     case TraceOutcome::kRejected: return "rejected";
     case TraceOutcome::kClosed: return "closed";
-    case TraceOutcome::kShed: return "shed";
     case TraceOutcome::kError: return "error";
   }
   return "?";
@@ -142,7 +140,6 @@ enum class TraceOutcome : std::uint8_t {
     case TraceOutcome::kDropped:
     case TraceOutcome::kRejected:
     case TraceOutcome::kClosed:
-    case TraceOutcome::kShed:
     case TraceOutcome::kError:
       return true;
     default:

@@ -32,15 +32,6 @@ namespace hdc::util {
 /// What a full ring does with a new item.
 enum class OverflowPolicy : std::uint8_t { kBlock, kDropOldest, kReject };
 
-[[nodiscard]] constexpr const char* to_string(OverflowPolicy policy) noexcept {
-  switch (policy) {
-    case OverflowPolicy::kBlock: return "block";
-    case OverflowPolicy::kDropOldest: return "drop-oldest";
-    case OverflowPolicy::kReject: return "reject";
-  }
-  return "?";
-}
-
 /// Outcome of one push.
 enum class PushOutcome : std::uint8_t {
   kEnqueued,       ///< item admitted, nothing lost
@@ -61,14 +52,12 @@ class BoundedRing {
 
   /// Pushes one item (any thread). Under kDropOldest a full ring evicts its
   /// oldest item into `*evicted` (when non-null) before admitting `item`;
-  /// under kBlock the call waits until space frees, the ring closes, or the
-  /// policy is switched away from kBlock (see set_policy()).
+  /// under kBlock the call waits until space frees or the ring closes.
   PushOutcome push(T item, T* evicted = nullptr) {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [this] {
-      return closed_ || size_ < storage_.size() ||
-             policy_ != OverflowPolicy::kBlock;
-    });
+    if (policy_ == OverflowPolicy::kBlock) {
+      not_full_.wait(lock, [this] { return closed_ || size_ < storage_.size(); });
+    }
     return push_locked(lock, std::move(item), evicted);
   }
 
@@ -101,19 +90,6 @@ class BoundedRing {
     return true;
   }
 
-  /// Non-blocking pop; returns false when the ring is currently empty.
-  bool try_pop(T& out) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (size_ == 0) return false;
-    out = std::move(storage_[head_]);
-    head_ = next(head_);
-    --size_;
-    ++popped_;
-    lock.unlock();
-    not_full_.notify_one();
-    return true;
-  }
-
   /// Closes the ring: subsequent pushes return kClosed, blocked producers
   /// wake, and the consumer drains what remains before pop() returns false.
   void close() {
@@ -126,30 +102,10 @@ class BoundedRing {
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept { return storage_.size(); }
-  [[nodiscard]] OverflowPolicy policy() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return policy_;
-  }
-
-  /// Switches the overflow policy at runtime (dynamic backpressure: a
-  /// congested live feed flips kBlock -> kDropOldest and back). Producers
-  /// blocked on a full kBlock ring wake and re-resolve under the new
-  /// policy; queued items are untouched (FIFO order is preserved).
-  void set_policy(OverflowPolicy policy) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      policy_ = policy;
-    }
-    not_full_.notify_all();
-  }
 
   [[nodiscard]] std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return size_;
-  }
-  [[nodiscard]] bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
   }
   /// Items evicted under kDropOldest since construction.
   [[nodiscard]] std::uint64_t evicted_count() const {
@@ -209,7 +165,7 @@ class BoundedRing {
   }
 
   std::vector<T> storage_;
-  OverflowPolicy policy_;  ///< guarded by mutex_ (runtime-switchable)
+  const OverflowPolicy policy_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;

@@ -429,6 +429,72 @@ TEST(Service, RegisterDroneRejectsTraceAliasingIds) {
   service.stop();
 }
 
+TEST(Service, EveryAdmissionPathRejectsTraceAliasingIds) {
+  // One gate in admit(): every entry point accepts the last drone id
+  // (65534) and the last sequence (2^48 - 1), and refuses the next one
+  // before anything is admitted.
+  constexpr std::uint32_t kLastDrone = telemetry::kMaxTraceStreamId;
+  constexpr std::uint64_t kLastSequence = telemetry::kMaxTraceSequence;
+  ASSERT_EQ(kLastDrone, 65534u);
+  ASSERT_EQ(kLastSequence, (std::uint64_t{1} << 48) - 1);
+  const auto transition = [](std::uint32_t drone_id, std::uint64_t tick) {
+    interaction::AckAction action;
+    action.stream_id = drone_id;
+    action.to = DialogueState::kIdle;
+    action.tick = tick;
+    return action;
+  };
+  const auto sign_event = [](std::uint32_t drone_id, std::uint64_t onset) {
+    interaction::SignEvent event;
+    event.stream_id = drone_id;
+    event.kind = interaction::SignEventKind::kBegin;
+    event.onset_seq = onset;
+    return event;
+  };
+  CoordinationConfig config;
+  config.cells = 2;
+  CoordinationService service(config);
+
+  service.update_battery(kLastDrone, 0.5);
+  service.admit_transition(nullptr, transition(kLastDrone, 1));
+  service.admit_sign_event(sign_event(kLastDrone, 2));
+  service.admit_outcome({protocol::Outcome::kAborted, kLastDrone, 3});
+  for (const std::uint32_t bad : {kLastDrone + 1, 65536u + 7u,
+                                  std::numeric_limits<std::uint32_t>::max()}) {
+    EXPECT_THROW(service.update_battery(bad, 0.5), std::invalid_argument) << bad;
+    EXPECT_THROW(service.admit_transition(nullptr, transition(bad, 1)),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(service.admit_sign_event(sign_event(bad, 2)), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(service.admit_outcome({protocol::Outcome::kAborted, bad, 3}),
+                 std::invalid_argument)
+        << bad;
+  }
+
+  for (const std::uint64_t bad : {kLastSequence + 1, ~std::uint64_t{0}}) {
+    EXPECT_THROW(service.tick(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(service.admit_transition(nullptr, transition(0, bad)),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(service.admit_sign_event(sign_event(0, bad)), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(service.admit_outcome({protocol::Outcome::kAborted, 0, bad}),
+                 std::invalid_argument)
+        << bad;
+  }
+  service.admit_transition(nullptr, transition(0, kLastSequence));
+  service.admit_sign_event(sign_event(0, kLastSequence));
+  service.admit_outcome({protocol::Outcome::kAborted, 0, kLastSequence});
+  service.tick(kLastSequence);
+  service.drain();
+
+  // Only the eight in-range events reached the worker.
+  EXPECT_EQ(service.stats().events, 8u);
+  EXPECT_EQ(service.fleet_clock(), kLastSequence);
+  service.stop();
+}
+
 TEST(Service, GrantDenyAndPlanHint) {
   CoordinationConfig config;
   config.cells = 4;

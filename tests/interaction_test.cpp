@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -817,19 +818,30 @@ TEST_F(InteractionEndToEnd, LedRingShowsEachDialoguePhase) {
   EXPECT_EQ(interaction.outcome(0), protocol::Outcome::kGranted);
 }
 
-TEST(InteractionServiceLimits, InjectObservationRejectsTraceAliasingIdentity) {
+TEST(InteractionServiceLimits, AdmissionRejectsTraceAliasingIdentity) {
   // make_trace_id keeps 16 bits of stream + 1 and 48 bits of sequence:
-  // past either limit two observations would share one trace id. The
-  // limits are enforced before anything is admitted.
+  // past either limit two observations would share one trace id. Every
+  // admission path (inject_observation, abort_stream, try_abort_stream)
+  // enforces the limits before anything is admitted.
   ASSERT_EQ(telemetry::kMaxTraceStreamId, 65534u);
   InteractionService service;
+  std::atomic<int> aborts{0};
+  InteractionService::DialogueListener listener;
+  listener.on_observation = [&aborts](const InteractionService::ObservationSample& s) {
+    if (s.abort) aborts.fetch_add(1);
+  };
+  service.set_dialogue_listener(std::move(listener));
   service.inject_observation(65534, telemetry::kMaxTraceSequence,
                              HumanSign::kNeutral, 0.0);
+  service.abort_stream(65534);
+  EXPECT_TRUE(service.try_abort_stream(65534));
   for (const std::uint32_t bad : {65535u, 65536u, 65536u + 65534u,
                                   std::numeric_limits<std::uint32_t>::max()}) {
     EXPECT_THROW(service.inject_observation(bad, 0, HumanSign::kNeutral, 0.0),
                  std::invalid_argument)
         << bad;
+    EXPECT_THROW(service.abort_stream(bad), std::invalid_argument) << bad;
+    EXPECT_THROW((void)service.try_abort_stream(bad), std::invalid_argument) << bad;
   }
   for (const std::uint64_t bad :
        {telemetry::kMaxTraceSequence + 1, ~std::uint64_t{0}}) {
@@ -839,6 +851,7 @@ TEST(InteractionServiceLimits, InjectObservationRejectsTraceAliasingIdentity) {
   }
   service.drain();
   EXPECT_EQ(service.stream_stats(65534).frames, 1u);
+  EXPECT_EQ(aborts.load(), 2);
   EXPECT_EQ(service.stream_stats(65535).frames, 0u);
   EXPECT_EQ(service.stream_stats(0).frames, 0u);
   service.stop();
@@ -879,7 +892,6 @@ TEST_F(InteractionEndToEnd, WatchesPerceptionGaugesForBackpressure) {
 
   InteractionServiceConfig config = wired_config();
   config.congestion_depth = 3;
-  config.shed_neutral_when_congested = true;
   InteractionService interaction(config);
   recognition::PerceptionService perception(
       sequential_->config(), sequential_->database_ptr(),
@@ -906,15 +918,16 @@ TEST_F(InteractionEndToEnd, WatchesPerceptionGaugesForBackpressure) {
   EXPECT_TRUE(interaction.congested());
   EXPECT_EQ(perception.shard_gauge(0).depth, 4u);
 
-  // A neutral observation arriving while congested is shed at admission.
+  // Congestion is a signal for producers, not an admission filter: a
+  // neutral observation arriving while congested is still processed.
   recognition::StreamResult rejected;
   rejected.stream_id = 9;
   rejected.sequence = 0;
   rejected.result.accepted = false;
   interaction.on_result(rejected);
-  EXPECT_EQ(interaction.shed_observations(), 1u);
-  EXPECT_GE(interaction.max_watched_depth(), 4u);
-  EXPECT_EQ(interaction.stream_stats(9).frames, 0u);
+  interaction.drain();
+  EXPECT_EQ(interaction.stream_stats(9).frames, 1u);
+  EXPECT_TRUE(interaction.congested());
 
   {
     std::lock_guard<std::mutex> lock(gate_mutex);

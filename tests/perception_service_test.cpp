@@ -730,125 +730,6 @@ TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndOverflowCounters) {
   EXPECT_THROW((void)service.shard_gauge(99), std::out_of_range);
 }
 
-TEST_F(PerceptionServiceSuite, DynamicBackpressureSwitchesWithHysteresis) {
-  // capacity 8, high-water 5, low-water 1. Park the worker in the callback
-  // for sequence 0 so the queue depth is fully scripted by this thread:
-  // the submit that OBSERVES depth >= 5 flips kBlock -> kDropOldest (so a
-  // congested live feed can never block the camera), and once the worker
-  // drains, the first submit observing depth <= 1 flips back.
-  constexpr std::size_t kCapacity = 8;
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool worker_parked = false;
-  bool release_worker = false;
-
-  Collector collect;
-  PerceptionServiceConfig service_config;
-  service_config.shards = 1;
-  service_config.queue_capacity = kCapacity;
-  service_config.overflow = util::OverflowPolicy::kBlock;
-  service_config.dynamic_backpressure = {/*enabled=*/true, /*high_water=*/5,
-                                         /*low_water=*/1};
-  PerceptionService service(
-      sequential_->config(), sequential_->database_ptr(),
-      [&](const StreamResult& r) {
-        collect(r);
-        if (r.sequence == 0) {
-          std::unique_lock<std::mutex> lock(gate_mutex);
-          worker_parked = true;
-          gate_cv.notify_all();
-          gate_cv.wait(lock, [&] { return release_worker; });
-        }
-      },
-      service_config);
-
-  const imaging::GrayImage& frame = (*scripts_)[0].front();
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);
-  {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return worker_parked; });
-  }
-  // Depths observed before each push: 0,1,2,3,4 — all below the high-water
-  // mark, the policy must stay kBlock and nothing may be lost.
-  for (std::uint64_t i = 1; i <= 5; ++i) {
-    EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);
-    EXPECT_EQ(service.shard_policy(0), util::OverflowPolicy::kBlock);
-  }
-  EXPECT_EQ(service.policy_switches(), 0u);
-
-  // This submit observes depth 5 >= high_water: the switch happens NOW.
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);
-  EXPECT_EQ(service.shard_policy(0), util::OverflowPolicy::kDropOldest);
-  EXPECT_EQ(service.shard_gauge(0).policy, util::OverflowPolicy::kDropOldest);
-  EXPECT_EQ(service.policy_switches(), 1u);
-
-  // Fill to capacity and one beyond: instead of blocking the producer the
-  // shard now evicts its oldest queued frame.
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);  // depth 7
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);  // depth 8
-  EXPECT_EQ(service.submit(0, frame).status,
-            SubmitStatus::kEnqueuedDropOldest);  // evicts sequence 1
-
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    release_worker = true;
-  }
-  gate_cv.notify_all();
-  service.drain();
-
-  // Drained: the next submit observes depth 0 <= low_water and restores
-  // lossless kBlock.
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);
-  EXPECT_EQ(service.shard_policy(0), util::OverflowPolicy::kBlock);
-  EXPECT_EQ(service.policy_switches(), 2u);
-  service.drain();
-
-  // Exactly the one above-capacity frame was lost; every frame submitted
-  // below the high-water mark was delivered (sequence 1 was admitted
-  // pre-switch but evicted as the oldest — that is kDropOldest's contract,
-  // pinned above; the POLICY guarantee is that no eviction can happen
-  // while depth stays below high_water).
-  const StreamStats stats = service.stream_stats(0);
-  EXPECT_EQ(stats.submitted, 11u);
-  EXPECT_EQ(stats.delivered, 10u);
-  EXPECT_EQ(stats.dropped, 1u);
-}
-
-TEST_F(PerceptionServiceSuite, DynamicBackpressureIdleBelowLowWaterLosesNothing) {
-  // A feed the worker keeps up with never reaches the high-water mark: the
-  // policy never leaves kBlock and no frame is ever dropped.
-  Collector collect;
-  PerceptionServiceConfig service_config;
-  service_config.shards = 1;
-  service_config.queue_capacity = 4;
-  service_config.overflow = util::OverflowPolicy::kBlock;
-  service_config.dynamic_backpressure = {/*enabled=*/true, /*high_water=*/3,
-                                         /*low_water=*/1};
-  PerceptionService service(sequential_->config(), sequential_->database_ptr(),
-                            std::ref(collect), service_config);
-  for (const imaging::GrayImage& frame : (*scripts_)[0]) {
-    service.submit(0, frame);
-    service.drain();  // depth returns to 0 before the next submit
-  }
-  EXPECT_EQ(service.policy_switches(), 0u);
-  EXPECT_EQ(service.shard_policy(0), util::OverflowPolicy::kBlock);
-  const StreamStats stats = service.stream_stats(0);
-  EXPECT_EQ(stats.submitted, kFramesPerStream);
-  EXPECT_EQ(stats.delivered, kFramesPerStream);
-  EXPECT_EQ(stats.dropped, 0u);
-}
-
-TEST_F(PerceptionServiceSuite, DynamicBackpressureValidatesWatermarks) {
-  PerceptionServiceConfig service_config;
-  service_config.dynamic_backpressure = {/*enabled=*/true, /*high_water=*/4,
-                                         /*low_water=*/4};
-  EXPECT_THROW((void)PerceptionService(sequential_->config(),
-                                       sequential_->database_ptr(),
-                                       [](const StreamResult&) {},
-                                       service_config),
-               std::invalid_argument);
-}
-
 TEST_F(PerceptionServiceSuite, EmptyFrameThrowsAtSubmit) {
   PerceptionService service(
       sequential_->config(), sequential_->database_ptr(),

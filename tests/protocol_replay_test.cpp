@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "coordination/coordination_service.hpp"
@@ -289,6 +290,32 @@ TEST(Replay, RecordingIsItselfReplayableAsAJournal) {
   const ReplayReport again = driver.replay(first.journal_bytes);
   EXPECT_TRUE(again.ok) << again.mismatch;
   EXPECT_EQ(again.journal_bytes, first.journal_bytes);
+}
+
+TEST(Replay, AdmitRecordedAcceptsEveryParsedBoundaryFleetEvent) {
+  // CoordinationService refuses trace-aliasing drone ids and sequences at
+  // admission, and the wire parser refuses the same values, so a parsed
+  // journal always replays: every event kind at the last drone id (65534)
+  // and the last sequence (2^48 - 1) goes through admit_recorded.
+  constexpr std::uint32_t kLastDrone = telemetry::kMaxTraceStreamId;
+  constexpr std::uint64_t kLastSequence = telemetry::kMaxTraceSequence;
+  coordination::CoordinationConfig config;
+  config.cells = 2;
+  coordination::CoordinationService service(config);
+  constexpr std::uint8_t kKinds = 6;  // kRegister .. kTick
+  for (std::uint8_t kind = 0; kind < kKinds; ++kind) {
+    const wire::FleetEventRecord record{kind, kLastDrone, kLastSequence, 0, 0, 0, 0,
+                                        kLastDrone, 0, 0, 0.5, 0.5};
+    std::vector<wire::AnyRecord> parsed;
+    wire::WireError error;
+    ASSERT_TRUE(wire::parse_all(wire::encode_one(record), parsed, error)) << error.message;
+    ASSERT_EQ(parsed.size(), 1u);
+    service.admit_recorded(from_wire(std::get<wire::FleetEventRecord>(parsed[0])));
+  }
+  service.drain();
+  EXPECT_EQ(service.stats().events, kKinds);
+  EXPECT_EQ(service.fleet_clock(), kLastSequence);
+  service.stop();
 }
 
 TEST(Replay, JournalSaveLoadRoundTrip) {

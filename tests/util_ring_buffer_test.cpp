@@ -49,15 +49,15 @@ TEST(BoundedRing, WrapAroundKeepsFifoOrder) {
 
 TEST(BoundedRing, PoppedCountAdvancesOnBothPopPaths) {
   // popped_count() is the stalled-shard watchdog's liveness signal: it
-  // must advance once per successful pop() AND try_pop(), and never on a
-  // failed try_pop, an eviction, or a rejection.
+  // must advance once per successful pop(), before and after close(), and
+  // never on the final closed-and-drained pop, an eviction, or a rejection.
   BoundedRing<int> ring(4, OverflowPolicy::kDropOldest);
   EXPECT_EQ(ring.popped_count(), 0u);
   for (int v = 0; v < 4; ++v) ring.push(v);
   int out = -1;
   ASSERT_TRUE(ring.pop(out));
   EXPECT_EQ(ring.popped_count(), 1u);
-  ASSERT_TRUE(ring.try_pop(out));
+  ASSERT_TRUE(ring.pop(out));
   EXPECT_EQ(ring.popped_count(), 2u);
   // Evictions churn the ring's contents but are not pops.
   ring.push(4);
@@ -65,11 +65,13 @@ TEST(BoundedRing, PoppedCountAdvancesOnBothPopPaths) {
   ring.push(6);  // full again -> evicts the oldest
   const std::uint64_t before = ring.popped_count();
   EXPECT_EQ(before, 2u);
-  // Drain; every success counts once, the final failed try_pop does not.
-  while (ring.try_pop(out)) {
+  // Drain a closed ring; every success counts once, the final failed pop
+  // does not.
+  ring.close();
+  while (ring.pop(out)) {
   }
   EXPECT_EQ(ring.popped_count(), before + 4);
-  EXPECT_FALSE(ring.try_pop(out));
+  EXPECT_FALSE(ring.pop(out));
   EXPECT_EQ(ring.popped_count(), before + 4);
 }
 
@@ -233,34 +235,6 @@ TEST(BoundedRing, DropOldestUnderConcurrentLoadAccountsEveryItem) {
   EXPECT_EQ(delivered + ring.evicted_count(), kStreams * kPerStream);
   EXPECT_EQ(evicted_seen.load(), ring.evicted_count());
   EXPECT_EQ(ring.rejected_count(), 0u);
-}
-
-TEST(BoundedRing, SetPolicyWakesBlockedProducerIntoNewPolicy) {
-  BoundedRing<int> ring(1, OverflowPolicy::kBlock);
-  EXPECT_EQ(ring.push(1), PushOutcome::kEnqueued);
-
-  std::atomic<bool> producer_returned{false};
-  PushOutcome outcome = PushOutcome::kEnqueued;
-  int evicted = 0;
-  std::thread producer([&] {
-    outcome = ring.push(2, &evicted);
-    producer_returned.store(true, std::memory_order_release);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_FALSE(producer_returned.load(std::memory_order_acquire))
-      << "kBlock on a full ring must wait";
-
-  // Dynamic backpressure flips the policy: the waiting producer must wake
-  // and resolve under kDropOldest (evicting the oldest, not waiting on).
-  ring.set_policy(OverflowPolicy::kDropOldest);
-  producer.join();
-  EXPECT_EQ(outcome, PushOutcome::kEvictedOldest);
-  EXPECT_EQ(evicted, 1);
-
-  int out = 0;
-  ASSERT_TRUE(ring.pop(out));
-  EXPECT_EQ(out, 2);
-  EXPECT_EQ(ring.policy(), OverflowPolicy::kDropOldest);
 }
 
 TEST(BoundedRing, TryPushNeverBlocksUnderAnyPolicy) {
