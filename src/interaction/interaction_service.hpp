@@ -64,7 +64,9 @@ struct InteractionServiceConfig {
   FusionPolicy fusion{};
   DialogueConfig dialogue{};
   /// Observation ring slots. The ring blocks when full, propagating
-  /// dialogue backpressure to the perception shards (lossless).
+  /// dialogue backpressure to the perception shards (lossless): a shard
+  /// that finds it full sleeps until the worker has drained it to half
+  /// (queue_capacity / 2), then refills it.
   std::size_t queue_capacity{256};
   /// A watched perception shard at or above this queue depth counts as
   /// congested (see congested()).

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/stage_names.hpp"
@@ -49,13 +51,17 @@ bool EventJournal::save(const std::string& path) const {
 
 bool EventJournal::load(const std::string& path,
                         std::vector<std::uint8_t>& out) {
-  std::ifstream file(path, std::ios::binary | std::ios::ate);
+  // A directory opens as an input stream on Linux and tellg() reports a
+  // huge size, so only a regular file whose size reads back is loaded.
+  std::error_code error;
+  if (!std::filesystem::is_regular_file(path, error)) return false;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) return false;
+  std::ifstream file(path, std::ios::binary);
   if (!file) return false;
-  const std::streamsize size = file.tellg();
-  if (size < 0) return false;
   out.resize(static_cast<std::size_t>(size));
-  file.seekg(0);
-  file.read(reinterpret_cast<char*>(out.data()), size);
+  file.read(reinterpret_cast<char*>(out.data()),
+            static_cast<std::streamsize>(size));
   return static_cast<bool>(file);
 }
 

@@ -53,6 +53,53 @@ std::string first_mismatch(const Buckets& recorded, const Buckets& replayed) {
   return "";
 }
 
+/// Why the replayed services would refuse `config` or one of the recorded
+/// `fleet_events`, naming the first bad field, or "" when they accept all
+/// of it. Checked here, once, so a CRC-valid journal with a hostile header
+/// is a mismatch instead of a throw from a service constructor, a giant
+/// allocation, or a grant on a cell the registry does not have.
+std::string refused_input(const wire::RunConfigRecord& config,
+                          const std::vector<wire::AnyRecord>& fleet_events) {
+  std::ostringstream out;
+  const std::pair<const char*, std::uint32_t> sizes[] = {
+      {"fusion_window", config.fusion_window},
+      {"observation_queue", config.observation_queue},
+      {"cells", config.cells},
+      {"fleet_queue", config.fleet_queue},
+  };
+  for (const auto& [name, value] : sizes) {
+    if (value == 0 || value > kMaxReplayCapacity) {
+      out << "RunConfig " << name << " = " << value << " is outside [1, "
+          << kMaxReplayCapacity << "]";
+      return out.str();
+    }
+  }
+  if (config.fusion_majority == 0 ||
+      config.fusion_majority > config.fusion_window) {
+    out << "RunConfig fusion_majority = " << config.fusion_majority
+        << " is outside [1, fusion_window]";
+    return out.str();
+  }
+  if (config.release_misses == 0) {
+    return "RunConfig release_misses = 0 must be positive";
+  }
+  if (config.grant_ttl == 0) return "RunConfig grant_ttl = 0 must be positive";
+  constexpr auto kRegister = static_cast<std::uint8_t>(
+      coordination::CoordinationService::EventKind::kRegister);
+  for (std::size_t i = 0; i < fleet_events.size(); ++i) {
+    const auto& event = std::get<wire::FleetEventRecord>(fleet_events[i]);
+    if (event.kind == kRegister &&
+        (event.descriptor_cell < 0 ||
+         static_cast<std::uint32_t>(event.descriptor_cell) >= config.cells)) {
+      out << "FleetEvent " << i << " descriptor_cell = "
+          << event.descriptor_cell << " is outside [0, RunConfig cells = "
+          << config.cells << ")";
+      return out.str();
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 ReplayDriver::ReplayDriver(ReplayOptions options)
@@ -99,6 +146,9 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
 
   const auto& run_config =
       std::get<wire::RunConfigRecord>(recorded.of(wire::RecordType::kRunConfig).front());
+  report.mismatch =
+      refused_input(run_config, recorded.of(wire::RecordType::kFleetEvent));
+  if (!report.mismatch.empty()) return report;
 
   EventJournal replay_journal;
   JournalRecorder recorder(replay_journal);

@@ -23,7 +23,11 @@
 //
 // Any malformed journal — truncated, bit-flipped, future-versioned,
 // missing its JournalEnd trailer — is rejected with the precise offset
-// and reason; replay never runs on bytes that don't verify.
+// and reason; replay never runs on bytes that don't verify. A journal
+// that verifies but whose RunConfig the services would refuse (a zero or
+// oversized ring, window or cell count, a zero lease), or that registers a
+// drone in a cell outside the grid, parses and is reported as a mismatch
+// naming the field, before any service is built.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +43,12 @@ class FlightRecorder;
 }  // namespace hdc::telemetry
 
 namespace hdc::protocol {
+
+/// Largest ring, fusion window or cell count a journal's RunConfig may ask
+/// the replayed services to allocate. The header's sizes are u32 on the
+/// wire, so without a cap a 58 KB journal could demand a 2^32 - 1 slot
+/// ring; the default rings hold 256 and 1024 items.
+inline constexpr std::uint32_t kMaxReplayCapacity = 1U << 16;
 
 struct ReplayOptions {
   /// The command grammar the recorded services ran with (grammars are

@@ -29,6 +29,25 @@ constexpr std::array<std::uint16_t, 256> make_crc16_table() {
 
 constexpr std::array<std::uint16_t, 256> kCrc16Table = make_crc16_table();
 
+/// Slicing-by-8 tables (Kounavis & Berry, 2005): kCrc16Slices[k][b] is the
+/// register after byte b followed by k zero bytes, so eight input bytes
+/// fold in with one lookup each and no dependency between the lookups.
+constexpr std::array<std::array<std::uint16_t, 256>, 8> make_crc16_slices() {
+  std::array<std::array<std::uint16_t, 256>, 8> slices{};
+  slices[0] = kCrc16Table;
+  for (std::size_t k = 1; k < slices.size(); ++k) {
+    for (std::size_t byte = 0; byte < 256; ++byte) {
+      const std::uint16_t prev = slices[k - 1][byte];
+      slices[k][byte] = static_cast<std::uint16_t>(
+          (prev << 8) ^ kCrc16Table[prev >> 8]);
+    }
+  }
+  return slices;
+}
+
+constexpr std::array<std::array<std::uint16_t, 256>, 8> kCrc16Slices =
+    make_crc16_slices();
+
 // ------------------------------------------------------ field accessors --
 // Each record's payload layout is stated once, as a fields() overload
 // below, and run with a Writer (encode) or a Reader (parse). Both expose
@@ -334,9 +353,19 @@ constexpr auto kDecoders = make_decoders(
 
 std::uint16_t crc16(const std::uint8_t* data, std::size_t size) noexcept {
   std::uint16_t crc = 0xFFFFU;
-  for (std::size_t i = 0; i < size; ++i) {
+  // The register's high byte lines up with the first byte of each block and
+  // its low byte with the second; the block's k-th byte is followed by
+  // 7 - k more, hence slice 7 - k.
+  const auto& t = kCrc16Slices;
+  for (; size >= 8; data += 8, size -= 8) {
+    crc = static_cast<std::uint16_t>(
+        t[7][data[0] ^ (crc >> 8)] ^ t[6][data[1] ^ (crc & 0xFFU)] ^
+        t[5][data[2]] ^ t[4][data[3]] ^ t[3][data[4]] ^ t[2][data[5]] ^
+        t[1][data[6]] ^ t[0][data[7]]);
+  }
+  for (; size > 0; ++data, --size) {
     crc = static_cast<std::uint16_t>((crc << 8) ^
-                                     kCrc16Table[(crc >> 8) ^ data[i]]);
+                                     kCrc16Table[(crc >> 8) ^ *data]);
   }
   return crc;
 }

@@ -7,7 +7,11 @@
 // policy decision the caller makes per deployment:
 //
 //   kBlock      — the producer waits for space (lossless; backpressure
-//                 propagates to the feed, e.g. a file replay).
+//                 propagates to the feed, e.g. a file replay). A producer
+//                 that finds the ring full sleeps until the consumer has
+//                 drained it to at most half full (capacity / 2), so a
+//                 producer that outruns its consumer is woken once per
+//                 half-ring drain instead of once per pop.
 //   kDropOldest — the oldest queued item is evicted to admit the new one
 //                 (a live feed prefers fresh frames over stale ones).
 //   kReject     — the new item is refused (the caller decides what to do,
@@ -52,11 +56,15 @@ class BoundedRing {
 
   /// Pushes one item (any thread). Under kDropOldest a full ring evicts its
   /// oldest item into `*evicted` (when non-null) before admitting `item`;
-  /// under kBlock the call waits until space frees or the ring closes.
+  /// under kBlock a full ring makes the call wait until the consumer has
+  /// drained it to at most capacity / 2 items, or the ring closes.
   PushOutcome push(T item, T* evicted = nullptr) {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (policy_ == OverflowPolicy::kBlock) {
-      not_full_.wait(lock, [this] { return closed_ || size_ < storage_.size(); });
+    if (policy_ == OverflowPolicy::kBlock && !closed_ &&
+        size_ == storage_.size()) {
+      ++waiting_producers_;
+      not_full_.wait(lock, [this] { return closed_ || size_ <= half(); });
+      --waiting_producers_;
     }
     return push_locked(lock, std::move(item), evicted);
   }
@@ -85,8 +93,9 @@ class BoundedRing {
     head_ = next(head_);
     --size_;
     ++popped_;
+    const bool wake = waiting_producers_ > 0 && size_ <= half();
     lock.unlock();
-    not_full_.notify_one();
+    if (wake) not_full_.notify_all();
     return true;
   }
 
@@ -133,6 +142,9 @@ class BoundedRing {
     return capacity;
   }
 
+  /// The fill level a blocked kBlock producer waits for.
+  [[nodiscard]] std::size_t half() const noexcept { return storage_.size() / 2; }
+
   [[nodiscard]] std::size_t next(std::size_t i) const noexcept {
     return i + 1 == storage_.size() ? 0 : i + 1;
   }
@@ -172,6 +184,7 @@ class BoundedRing {
   std::size_t head_{0};  ///< oldest occupied slot
   std::size_t tail_{0};  ///< next free slot
   std::size_t size_{0};
+  std::size_t waiting_producers_{0};  ///< kBlock producers asleep in push()
   bool closed_{false};
   std::uint64_t evicted_{0};
   std::uint64_t rejected_{0};

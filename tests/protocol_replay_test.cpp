@@ -332,6 +332,8 @@ TEST(Replay, JournalSaveLoadRoundTrip) {
 
   std::vector<std::uint8_t> missing;
   EXPECT_FALSE(EventJournal::load("does_not_exist.journal.tmp", missing));
+  // A directory is not a journal: refused, not a huge allocation.
+  EXPECT_FALSE(EventJournal::load(HDC_SOURCE_DIR "/tests", missing));
 }
 
 TEST(Replay, CorruptedJournalIsRejectedWithPreciseOffset) {
@@ -391,6 +393,88 @@ TEST(Replay, JournalEndCountMismatchIsRejected) {
   EXPECT_FALSE(report.ok);
   EXPECT_FALSE(report.parsed);
   EXPECT_NE(report.mismatch.find("record count"), std::string::npos)
+      << report.mismatch;
+}
+
+// A CRC-valid journal of a RunConfig header and its trailer. Replay must
+// refuse a header the services would throw on, naming the field.
+ReplayReport replay_config(const wire::RunConfigRecord& config) {
+  EventJournal journal;
+  journal.append(config);
+  journal.append(wire::JournalEndRecord{1});
+  return ReplayDriver().replay(journal.bytes());
+}
+
+void expect_refused(const ReplayReport& report, const std::string& field) {
+  EXPECT_TRUE(report.parsed);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.mismatch.find("RunConfig " + field + " = "),
+            std::string::npos)
+      << report.mismatch;
+  EXPECT_EQ(report.observations_fed, 0u);
+}
+
+TEST(Replay, ZeroFusionWindowIsRefusedNotThrown) {
+  wire::RunConfigRecord config;
+  config.fusion_window = 0;
+  expect_refused(replay_config(config), "fusion_window");
+}
+
+TEST(Replay, ZeroObservationQueueIsRefusedNotThrown) {
+  wire::RunConfigRecord config;
+  config.observation_queue = 0;
+  expect_refused(replay_config(config), "observation_queue");
+}
+
+TEST(Replay, ZeroCellsIsRefusedNotThrown) {
+  wire::RunConfigRecord config;
+  config.cells = 0;
+  expect_refused(replay_config(config), "cells");
+}
+
+TEST(Replay, ZeroGrantTtlIsRefusedNotThrown) {
+  wire::RunConfigRecord config;
+  config.grant_ttl = 0;
+  expect_refused(replay_config(config), "grant_ttl");
+}
+
+TEST(Replay, RegisteredCellOutsideTheGridIsRefusedNotThrown) {
+  // A drone registered in cell 9 of a 4-cell grid, then a sign event for
+  // it: the registry would throw on the cell lookup.
+  wire::RunConfigRecord config;
+  config.cells = 4;
+  wire::FleetEventRecord registration;
+  registration.kind = 0;  // kRegister
+  registration.descriptor_cell = 9;
+  wire::FleetEventRecord sign = registration;
+  sign.kind = 4;  // kSignEvent
+  sign.sequence = 2;
+  EventJournal journal;
+  journal.append(config);
+  journal.append(registration);
+  journal.append(sign);
+  journal.append(wire::JournalEndRecord{3});
+  const ReplayReport report = ReplayDriver().replay(journal.bytes());
+  EXPECT_TRUE(report.parsed);
+  EXPECT_FALSE(report.ok);
+  EXPECT_NE(report.mismatch.find("FleetEvent 0 descriptor_cell = 9"),
+            std::string::npos)
+      << report.mismatch;
+  EXPECT_EQ(report.fleet_events_fed, 0u);
+}
+
+TEST(Replay, QueuesAboveTheReplayCapacityAreRefused) {
+  wire::RunConfigRecord config;
+  config.observation_queue = 0xFFFFFFFFU;
+  expect_refused(replay_config(config), "observation_queue");
+  config.observation_queue = kMaxReplayCapacity;
+  config.fleet_queue = kMaxReplayCapacity + 1;
+  expect_refused(replay_config(config), "fleet_queue");
+  // At the limit every size is accepted; the bare journal then replays.
+  config.fleet_queue = kMaxReplayCapacity;
+  const ReplayReport report = replay_config(config);
+  EXPECT_TRUE(report.parsed);
+  EXPECT_EQ(report.mismatch.find("RunConfig"), std::string::npos)
       << report.mismatch;
 }
 

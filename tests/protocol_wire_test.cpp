@@ -173,6 +173,33 @@ TEST(Wire, Crc16MatchesCcittFalseCheckValue) {
   EXPECT_EQ(wire::crc16(check, sizeof(check)), 0x29B1);
 }
 
+TEST(Wire, Crc16MatchesABitwiseReferenceAtEveryLengthAndAlignment) {
+  // crc16 folds eight bytes per step and the rest one at a time; lengths
+  // 0-130 at start offsets 0-7 cover every block count, every tail length
+  // and every alignment of the eight-byte loads.
+  const auto bitwise = [](const std::uint8_t* data, std::size_t size) {
+    std::uint16_t crc = 0xFFFFU;
+    for (std::size_t i = 0; i < size; ++i) {
+      crc = static_cast<std::uint16_t>(crc ^ (data[i] << 8));
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 0x8000U) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021U)
+                              : static_cast<std::uint16_t>(crc << 1);
+      }
+    }
+    return crc;
+  };
+  std::mt19937 rng(0xC0FFEEu);
+  std::vector<std::uint8_t> buffer(8 + 130);
+  for (std::uint8_t& byte : buffer) byte = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 130; ++size) {
+      const std::uint8_t* data = buffer.data() + offset;
+      EXPECT_EQ(wire::crc16(data, size), bitwise(data, size))
+          << "offset " << offset << ", size " << size;
+    }
+  }
+}
+
 TEST(Wire, EmptyBufferParsesToZeroRecords) {
   std::vector<wire::AnyRecord> records;
   wire::WireError error;

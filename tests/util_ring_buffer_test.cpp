@@ -1,5 +1,6 @@
 // BoundedRing: FIFO order, fill-to-capacity behaviour under each overflow
-// policy (block / drop-oldest / reject), eviction/rejection accounting,
+// policy (block / drop-oldest / reject), the half-drain wake of a blocked
+// producer, eviction/rejection accounting,
 // close() semantics, and cross-thread per-stream sequence monotonicity
 // under a multi-producer load.
 #include "util/ring_buffer.hpp"
@@ -128,6 +129,44 @@ TEST(BoundedRing, BlockPolicyWaitsForSpace) {
   EXPECT_TRUE(second_pushed.load());
   ASSERT_TRUE(ring.pop(out));
   EXPECT_EQ(out, 2);
+}
+
+TEST(BoundedRing, BlockedProducerWakesAtHalfEmpty) {
+  // A producer that finds a kBlock ring full sleeps until the consumer has
+  // drained it to capacity / 2, not until the first free slot: one wake
+  // per half-ring drain instead of one per pop.
+  BoundedRing<int> ring(8, OverflowPolicy::kBlock);
+  for (int v = 0; v < 8; ++v) ASSERT_EQ(ring.push(v), PushOutcome::kEnqueued);
+  std::atomic<bool> started{false};
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    started.store(true);
+    EXPECT_EQ(ring.push(8), PushOutcome::kEnqueued);  // ring full: sleeps
+    pushed.store(true);
+  });
+  // The producer must be asleep on the full ring before the pops start;
+  // one that arrived at a 5-item ring would push at once.
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  int out = -1;
+  for (int v = 0; v < 3; ++v) {
+    ASSERT_TRUE(ring.pop(out));
+    EXPECT_EQ(out, v);
+  }
+  // Five items left, above half: the producer is still asleep.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(ring.size(), 5u);
+  EXPECT_FALSE(pushed.load());
+  // The fourth pop leaves four (half of eight) and wakes it.
+  ASSERT_TRUE(ring.pop(out));
+  EXPECT_EQ(out, 3);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(ring.size(), 5u);
+  for (int v = 4; v <= 8; ++v) {
+    ASSERT_TRUE(ring.pop(out));
+    EXPECT_EQ(out, v);
+  }
 }
 
 TEST(BoundedRing, CloseWakesBlockedProducerWithClosed) {
