@@ -11,12 +11,12 @@ namespace hdc::coordination {
 
 CoordinationService::CoordinationService(CoordinationConfig config)
     : config_(config),
-      // kBlock: fleet events are sparse (a handful per dialogue, not per
-      // frame), so the ring essentially never fills; if it ever does, the
+      // Fleet events are sparse (a handful per dialogue, not per frame),
+      // so the ring essentially never fills; if it ever does, the
       // dialogue workers pause rather than lose an outcome. The reverse
       // edge (aborts into InteractionService) is non-blocking, so the pair
       // cannot deadlock.
-      ring_(config.queue_capacity, util::OverflowPolicy::kBlock),
+      ring_(config.queue_capacity),
       registry_(config.cells, config.grant_ttl),
       arbiter_(config.arbitration) {
   if (config_.metrics != nullptr) {
@@ -135,7 +135,7 @@ void CoordinationService::admit(FleetEvent event) {
   }
   if (stopping_.load(std::memory_order_acquire)) return;
   pending_.raise();  // raise-before-push (PendingCounter contract)
-  // The ring is kBlock: push() refuses only once it is closed.
+  // push() refuses only once the ring is closed.
   if (ring_.push(std::move(event)) != util::PushOutcome::kEnqueued) {
     pending_.finish(1);
     return;

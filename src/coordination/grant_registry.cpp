@@ -92,13 +92,6 @@ GrantRecord GrantRegistry::read(int cell) const {
   }
 }
 
-void GrantRegistry::snapshot(std::vector<GrantRecord>& out) const {
-  out.resize(slots_.size());
-  for (std::size_t cell = 0; cell < slots_.size(); ++cell) {
-    out[cell] = read(static_cast<int>(cell));
-  }
-}
-
 bool GrantRegistry::held_by(int cell, std::uint32_t holder,
                             std::uint64_t now) const {
   const GrantRecord record = read(cell);

@@ -78,8 +78,6 @@ class GrantRegistry {
 
   /// Consistent snapshot of one cell's slot (throws std::out_of_range).
   [[nodiscard]] GrantRecord read(int cell) const;
-  /// Snapshot of all cells into `out` (resized; index == cell id).
-  void snapshot(std::vector<GrantRecord>& out) const;
   /// True when `holder` holds a live (unexpired at `now`) grant on `cell`.
   [[nodiscard]] bool held_by(int cell, std::uint32_t holder,
                              std::uint64_t now) const;

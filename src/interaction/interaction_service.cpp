@@ -12,7 +12,7 @@ InteractionService::InteractionService(InteractionServiceConfig config,
                                        CommandGrammar grammar)
     : config_(config),
       grammar_(std::move(grammar)),
-      ring_(config.queue_capacity, util::OverflowPolicy::kBlock) {
+      ring_(config.queue_capacity) {
   // Surface a misconfigured fusion policy here, at build time, instead of
   // on the worker thread when the first stream's session is created.
   (void)SignEventFuser(config_.fusion, 0);
@@ -97,8 +97,8 @@ bool InteractionService::admit(Observation observation, bool blocking) {
   // Raise pending BEFORE the push — the worker can process the observation
   // before push() returns (PendingCounter's contract).
   pending_.raise();
-  // The ring is kBlock: push() refuses only once it is closed, try_push()
-  // also when it is full.
+  // push() refuses only once the ring is closed, try_push() also when it
+  // is full.
   const util::PushOutcome outcome = blocking ? ring_.push(std::move(observation))
                                              : ring_.try_push(std::move(observation));
   if (outcome == util::PushOutcome::kEnqueued) {

@@ -345,10 +345,6 @@ void JournalRecorder::record_config(const wire::RunConfigRecord& config) {
   journal_->append(config);
 }
 
-void JournalRecorder::on_snapshot(const telemetry::MetricsSnapshot& snapshot) {
-  journal_->append(metric_snapshot_record(snapshot));
-}
-
 void JournalRecorder::attach_interaction(
     interaction::InteractionService& dialogue,
     coordination::CoordinationService* coordinator) {
@@ -413,7 +409,9 @@ void JournalRecorder::finalize(interaction::InteractionService& dialogue,
   }
   // The run's one deterministic telemetry checkpoint: services are drained,
   // so the replay-deterministic counters have their final totals.
-  if (metrics_ != nullptr) metrics_->publish(*this);
+  if (metrics_ != nullptr) {
+    journal_->append(metric_snapshot_record(metrics_->snapshot()));
+  }
   wire::JournalEndRecord end;
   end.record_count = journal_->record_count();
   journal_->append(end);

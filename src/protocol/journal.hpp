@@ -35,7 +35,6 @@
 #include "interaction/interaction_service.hpp"
 #include "protocol/wire.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/sink.hpp"
 
 namespace hdc::protocol {
 
@@ -128,17 +127,11 @@ class EventJournal {
 
 /// Hooks an EventJournal into the live services. One recorder per run;
 /// install the hooks BEFORE streaming (they take the services' listener /
-/// tap slots). Also a TelemetrySink: published snapshots land in the
-/// journal as MetricSnapshotRecords (finalize() publishes once, at the
-/// run's deterministic checkpoint, when set_metrics() wired a registry).
-class JournalRecorder : public telemetry::TelemetrySink {
+/// tap slots). finalize() also journals one MetricSnapshotRecord, at the
+/// run's deterministic checkpoint, when set_metrics() wired a registry.
+class JournalRecorder {
  public:
   explicit JournalRecorder(EventJournal& journal) : journal_(&journal) {}
-
-  /// TelemetrySink: appends the snapshot's replay-deterministic counter
-  /// totals to the journal. Callers other than finalize() must publish
-  /// only at deterministic checkpoints (see sink.hpp).
-  void on_snapshot(const telemetry::MetricsSnapshot& snapshot) override;
 
   /// Writes the journal header. Call first, before streaming.
   void record_config(const wire::RunConfigRecord& config);

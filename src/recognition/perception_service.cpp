@@ -12,14 +12,12 @@ namespace hdc::recognition {
 /// assignment *and* the ring push of concurrent same-stream submitters, so
 /// frames of a stream always enqueue in sequence order (the per-stream
 /// ordering guarantee rests on this). Counters are atomics because shard
-/// workers bump `delivered`/`dropped` without taking the mutex.
+/// workers bump `delivered` without taking the mutex.
 struct PerceptionService::StreamState {
   std::mutex order_mutex;
   std::uint64_t next_sequence{0};  ///< guarded by order_mutex
   std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> delivered{0};
-  std::atomic<std::uint64_t> dropped{0};
-  std::atomic<std::uint64_t> rejected{0};
 };
 
 namespace {
@@ -56,17 +54,14 @@ PerceptionService::PerceptionService(const RecognizerConfig& config,
     ring_wait_ns_ = registry->histogram(telemetry::kPerceptionRingWait);
     recognize_ns_ = registry->histogram(telemetry::kPerceptionRecognize);
     frames_submitted_ = registry->counter(telemetry::kPerceptionFramesSubmitted);
-    frames_dropped_ = registry->counter(telemetry::kPerceptionFramesDropped);
-    frames_rejected_ = registry->counter(telemetry::kPerceptionFramesRejected);
     queue_depth_ = registry->gauge(telemetry::kPerceptionQueueDepth);
   }
   recorder_ = service_config_.recorder;
   const std::size_t shard_count = resolve_shards(service_config.shards);
   shards_.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
-    shards_.push_back(std::make_unique<Shard>(service_config.queue_capacity,
-                                              service_config.overflow,
-                                              database_.get()));
+    shards_.push_back(
+        std::make_unique<Shard>(service_config.queue_capacity, database_.get()));
     if (service_config_.metrics != nullptr) {
       // Arm the seven recognition stage histograms (preprocess .. match)
       // per shard scratch (one handle set per worker, same ownership as
@@ -124,9 +119,9 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
 
   std::lock_guard<std::mutex> order(state.order_mutex);
   // The trace context is minted here, once the sequence this frame will
-  // claim is known. A rejected/closed submit never consumes the sequence,
-  // so its terminal trace carries the stream's next UNCONSUMED sequence —
-  // exactly which admission attempt died.
+  // claim is known. A submit refused by a closed ring never consumes the
+  // sequence, so its terminal trace carries the stream's next UNCONSUMED
+  // sequence — exactly which admission attempt died.
   const telemetry::TraceContext trace_context =
       telemetry::TraceContext::of(stream_id, state.next_sequence);
   span.set_context(trace_context);
@@ -142,55 +137,16 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
   if (ring_wait_ns_.armed() || recorder_ != nullptr) {
     job.submitted_at_ns = telemetry::now_ns();
   }
-  Job evicted;
-  const util::PushOutcome outcome = shard.ring.push(std::move(job), &evicted);
-  switch (outcome) {
-    case util::PushOutcome::kEnqueued:
-      receipt.status = SubmitStatus::kEnqueued;
-      receipt.sequence = state.next_sequence++;
-      state.submitted.fetch_add(1, std::memory_order_relaxed);
-      frames_submitted_.add(1);
-      queue_depth_.add(1);
-      break;
-    case util::PushOutcome::kEvictedOldest: {
-      // The new frame is in; the shard's oldest queued frame (possibly from
-      // another stream) will never be processed — account it now. Queue
-      // depth is net zero: one frame in, one evicted out.
-      receipt.status = SubmitStatus::kEnqueuedDropOldest;
-      receipt.sequence = state.next_sequence++;
-      state.submitted.fetch_add(1, std::memory_order_relaxed);
-      evicted.origin->dropped.fetch_add(1, std::memory_order_relaxed);
-      frames_submitted_.add(1);
-      frames_dropped_.add(1);
-      if (recorder_ != nullptr) {
-        // The evicted frame's trace must not end open: close it with a
-        // terminal kDropped event spanning its time in the ring.
-        const std::uint64_t now = telemetry::now_ns();
-        recorder_->emit({telemetry::make_trace_id(evicted.stream_id,
-                                                  evicted.sequence),
-                         evicted.stream_id, evicted.sequence,
-                         telemetry::TraceStage::kQueueWait,
-                         telemetry::TraceOutcome::kDropped,
-                         evicted.submitted_at_ns != 0 ? evicted.submitted_at_ns
-                                                      : now,
-                         now});
-      }
-      pending_.finish(1);
-      break;
-    }
-    case util::PushOutcome::kRejected:
-      receipt.status = SubmitStatus::kRejected;
-      state.rejected.fetch_add(1, std::memory_order_relaxed);
-      frames_rejected_.add(1);
-      span.set_outcome(telemetry::TraceOutcome::kRejected);  // terminal
-      pending_.finish(1);
-      break;
-    case util::PushOutcome::kClosed:
-      receipt.status = SubmitStatus::kStopped;
-      span.set_outcome(telemetry::TraceOutcome::kClosed);  // terminal
-      pending_.finish(1);
-      break;
+  if (shard.ring.push(std::move(job)) == util::PushOutcome::kClosed) {
+    receipt.status = SubmitStatus::kStopped;
+    span.set_outcome(telemetry::TraceOutcome::kClosed);  // terminal
+    pending_.finish(1);
+    return receipt;
   }
+  receipt.sequence = state.next_sequence++;
+  state.submitted.fetch_add(1, std::memory_order_relaxed);
+  frames_submitted_.add(1);
+  queue_depth_.add(1);
   return receipt;
 }
 
@@ -253,7 +209,7 @@ void PerceptionService::stop() noexcept {
   std::lock_guard<std::mutex> guard(stop_mutex_);
   if (stopped_) return;
   stopping_.store(true, std::memory_order_release);
-  // close() wakes producers blocked on a full kBlock ring (their submit
+  // close() wakes producers blocked on a full ring (their submit
   // returns kStopped) and lets each worker drain its remaining queue.
   for (std::unique_ptr<Shard>& shard : shards_) shard->ring.close();
   for (std::unique_ptr<Shard>& shard : shards_) {
@@ -267,8 +223,7 @@ ShardGauge PerceptionService::shard_gauge(std::size_t shard) const {
     throw std::out_of_range("PerceptionService::shard_gauge: bad shard index");
   }
   const util::BoundedRing<Job>& ring = shards_[shard]->ring;
-  return {ring.size(), ring.capacity(), ring.evicted_count(),
-          ring.rejected_count(), ring.popped_count()};
+  return {ring.size(), ring.capacity(), ring.popped_count()};
 }
 
 std::vector<ShardGauge> PerceptionService::shard_gauges() const {
@@ -309,9 +264,7 @@ StreamStats PerceptionService::stream_stats(std::uint32_t stream_id) const {
   if (it == streams_.end()) return {};
   const StreamState& state = *it->second;
   return {state.submitted.load(std::memory_order_relaxed),
-          state.delivered.load(std::memory_order_relaxed),
-          state.dropped.load(std::memory_order_relaxed),
-          state.rejected.load(std::memory_order_relaxed)};
+          state.delivered.load(std::memory_order_relaxed)};
 }
 
 StreamStats PerceptionService::total_stats() const {
@@ -321,8 +274,6 @@ StreamStats PerceptionService::total_stats() const {
     const StreamState& state = *entry.second;
     total.submitted += state.submitted.load(std::memory_order_relaxed);
     total.delivered += state.delivered.load(std::memory_order_relaxed);
-    total.dropped += state.dropped.load(std::memory_order_relaxed);
-    total.rejected += state.rejected.load(std::memory_order_relaxed);
   }
   return total;
 }

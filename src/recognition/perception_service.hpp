@@ -11,8 +11,9 @@
 //   - A router pins each stream to one of K worker shards (stable
 //     stream -> shard affinity, so a shard's scratch arena stays warm for
 //     the frame geometry it keeps seeing) via a bounded MPSC ring
-//     (util::BoundedRing) with a configurable overflow policy: block,
-//     drop-oldest (live feeds prefer fresh frames) or reject.
+//     (util::BoundedRing). Admission is lossless: submit() on a full ring
+//     waits for space, so backpressure reaches the camera feed and no
+//     admitted frame is ever lost.
 //   - Every shard owns a RecognizerScratch, pops one frame at a time and
 //     runs it through recognize_frame_into — the same canonical pipeline as
 //     SaxSignRecognizer, so payloads are bit-identical to sequential
@@ -26,14 +27,13 @@
 //
 // Ordering guarantee: within a stream, callbacks arrive in strictly
 // increasing sequence order (one shard per stream, FIFO ring, one worker
-// per shard). Across streams there is no ordering. Under kDropOldest the
-// delivered sequences stay monotonic but may skip the evicted (always the
-// oldest queued) frames.
+// per shard), and every admitted sequence is delivered. Across streams
+// there is no ordering.
 //
 // Threading contract: the result callback runs on shard worker threads,
 // potentially concurrently for different streams — it must be thread-safe
 // and must not call submit()/drain()/stop() on this service (a callback
-// that re-enters submit() on a full kBlock ring would deadlock the shard).
+// that re-enters submit() on a full ring would deadlock the shard).
 #pragma once
 
 #include <atomic>
@@ -72,18 +72,15 @@ struct StreamResult {
 
 /// What happened to a submitted frame at admission time.
 enum class SubmitStatus : std::uint8_t {
-  kEnqueued,            ///< admitted, nothing lost
-  kEnqueuedDropOldest,  ///< admitted; the shard's oldest queued frame was evicted
-  kRejected,            ///< refused (kReject policy, ring full)
-  kStopped,             ///< refused (service stopping/stopped)
+  kEnqueued,  ///< admitted; it will be delivered
+  kStopped,   ///< refused (service stopping/stopped)
 };
 
 struct SubmitReceipt {
   SubmitStatus status{SubmitStatus::kEnqueued};
   /// The per-stream sequence assigned to the frame. Only an ADMITTED frame
-  /// consumes a sequence number — a rejected or stopped submit leaves the
-  /// stream's counter untouched, so delivered sequences under kReject stay
-  /// contiguous while kDropOldest eviction shows up as gaps.
+  /// consumes a sequence number — a stopped submit leaves the stream's
+  /// counter untouched, so delivered sequences stay contiguous.
   std::uint64_t sequence{0};
   std::size_t shard{0};  ///< the shard this stream is pinned to
 };
@@ -93,6 +90,8 @@ struct SubmitReceipt {
 struct PerceptionServiceConfig {
   std::size_t shards{0};           ///< worker shards; 0 = hardware concurrency
   std::size_t queue_capacity{64};  ///< frames buffered per shard ring
+  /// Not read: a full ring always blocks (util::OverflowPolicy has the one
+  /// value kBlock). The field stays only so configs that assign it compile.
   util::OverflowPolicy overflow{util::OverflowPolicy::kBlock};
   /// Optional telemetry wiring (must outlive the service). When set, the
   /// service records submit/ring-wait/recognize spans, the per-stage
@@ -102,30 +101,26 @@ struct PerceptionServiceConfig {
   telemetry::MetricsRegistry* metrics{nullptr};
   /// Optional causal tracing (must outlive the service). When set, every
   /// frame's submit/queue-wait/recognize stages emit TraceEvents into the
-  /// flight recorder, including terminal kDropped/kRejected events on the
-  /// backpressure paths — no trace ends open. Null = same disarmed cost
+  /// flight recorder, including a terminal submit/closed event for a frame
+  /// refused by stop() — no trace ends open. Null = same disarmed cost
   /// contract as `metrics`.
   telemetry::FlightRecorder* recorder{nullptr};
 };
 
 /// Per-stream accounting snapshot.
 struct StreamStats {
-  std::uint64_t submitted{0};  ///< frames admitted (incl. later-evicted)
+  std::uint64_t submitted{0};  ///< frames admitted
   std::uint64_t delivered{0};  ///< callbacks fired
-  std::uint64_t dropped{0};    ///< evicted under kDropOldest before processing
-  std::uint64_t rejected{0};   ///< refused at submit under kReject
 };
 
 /// Live gauge of one shard's ingress ring (ROADMAP: per-shard queue-depth
 /// gauges). `depth` is instantaneous — by the time the caller reads it the
 /// worker may have drained frames — so treat it as a congestion signal, not
 /// an exact count. Downstream consumers (e.g. InteractionService) use it
-/// for backpressure decisions; dashboards use the cumulative counters.
+/// for backpressure decisions; dashboards use the cumulative pop count.
 struct ShardGauge {
-  std::size_t depth{0};         ///< frames queued right now
-  std::size_t capacity{0};      ///< ring capacity
-  std::uint64_t evicted{0};     ///< cumulative kDropOldest evictions
-  std::uint64_t rejected{0};    ///< cumulative kReject refusals
+  std::size_t depth{0};     ///< frames queued right now
+  std::size_t capacity{0};  ///< ring capacity
   /// Cumulative frames ever popped by the shard worker — the liveness
   /// signal the stalled-shard watchdog keys on (depth without popped
   /// progress across observations = stalled).
@@ -168,9 +163,9 @@ class PerceptionService {
   SubmitReceipt submit(std::uint32_t stream_id, imaging::GrayImage&& frame);
 
   /// Blocks until every frame admitted by a submit() that returned before
-  /// this call has been delivered (or evicted). Rethrows the first pipeline
-  /// exception raised on a shard, if any (the error slot is cleared, so the
-  /// next drain() reports only newer failures).
+  /// this call has been delivered. Rethrows the first pipeline exception
+  /// raised on a shard, if any (the error slot is cleared, so the next
+  /// drain() reports only newer failures).
   ///
   /// drain() is a checkpoint, NOT a terminator: the service keeps running.
   /// The full contract of interleaving drain() with submit():
@@ -220,8 +215,8 @@ class PerceptionService {
  private:
   struct StreamState;
 
-  /// One queued frame. Carries its origin so eviction and delivery can be
-  /// accounted to the right stream without a registry lookup.
+  /// One queued frame. Carries its origin so delivery can be accounted to
+  /// the right stream without a registry lookup.
   struct Job {
     std::uint32_t stream_id{0};
     std::uint64_t sequence{0};
@@ -236,9 +231,8 @@ class PerceptionService {
   /// Each shard holds a raw pointer into the service's single shared
   /// database — all K pointers compare equal by construction.
   struct Shard {
-    Shard(std::size_t capacity, util::OverflowPolicy policy,
-          const SignDatabase* db)
-        : ring(capacity, policy), database(db) {}
+    Shard(std::size_t capacity, const SignDatabase* db)
+        : ring(capacity), database(db) {}
     util::BoundedRing<Job> ring;
     const SignDatabase* database{nullptr};
     RecognizerScratch scratch;  ///< worker thread only
@@ -261,8 +255,6 @@ class PerceptionService {
   telemetry::Histogram ring_wait_ns_;
   telemetry::Histogram recognize_ns_;
   telemetry::Counter frames_submitted_;
-  telemetry::Counter frames_dropped_;
-  telemetry::Counter frames_rejected_;
   telemetry::Gauge queue_depth_;
   telemetry::FlightRecorder* recorder_{nullptr};
 
@@ -271,7 +263,7 @@ class PerceptionService {
   mutable std::shared_mutex streams_mutex_;
   std::unordered_map<std::uint32_t, std::unique_ptr<StreamState>> streams_;
 
-  /// Admitted frames not yet delivered/evicted, plus the first pipeline
+  /// Admitted frames not yet delivered, plus the first pipeline
   /// error for drain() (util::PendingCounter keeps the raise-before-push
   /// / lock-free-finish invariants in one place for every service).
   util::PendingCounter pending_;

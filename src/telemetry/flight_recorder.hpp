@@ -49,7 +49,7 @@ class FlightRecorder {
   void emit(const TraceEvent& event);
 
   /// Zero-duration event stamped with one clock read — for stages that
-  /// mark a point in the causal story (acks, outcomes, terminal drops)
+  /// mark a point in the causal story (acks, outcomes, terminal refusals)
   /// rather than a measured interval.
   void emit_instant(const TraceContext& context, TraceStage stage,
                     TraceOutcome outcome);
@@ -105,8 +105,8 @@ class FlightRecorder {
 /// construction (set_context) for sites where the sequence is only known
 /// under a lock; an event is emitted only when a recorder is wired AND a
 /// context was set. set_outcome() tags the event (default kOk) — terminal
-/// outcomes (kRejected, kClosed) are how backpressure paths close their
-/// traces.
+/// outcomes (kClosed, kError) are how refusal and failure paths close
+/// their traces.
 class TracedSpan {
  public:
   TracedSpan(Histogram histogram, FlightRecorder* recorder,

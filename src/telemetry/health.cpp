@@ -20,7 +20,7 @@ void FleetHealthMonitor::observe_queues(
 
 HealthReport FleetHealthMonitor::evaluate(
     const std::vector<TraceEvent>& events,
-    const std::vector<StreamAccounting>& streams) const {
+    std::vector<std::uint32_t> stream_ids) const {
   HealthReport report;
 
   // Envelope totals of completed traces, bucketed per stream.
@@ -30,17 +30,12 @@ HealthReport FleetHealthMonitor::evaluate(
     totals[frame.stream_id].push_back(frame.total_ns());
   }
 
-  std::vector<StreamAccounting> sorted = streams;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const StreamAccounting& a, const StreamAccounting& b) {
-              return a.stream_id < b.stream_id;
-            });
-
-  for (const StreamAccounting& accounting : sorted) {
+  std::sort(stream_ids.begin(), stream_ids.end());
+  for (const std::uint32_t stream_id : stream_ids) {
     StreamHealth health;
-    health.stream_id = accounting.stream_id;
+    health.stream_id = stream_id;
 
-    if (auto it = totals.find(accounting.stream_id); it != totals.end()) {
+    if (auto it = totals.find(stream_id); it != totals.end()) {
       std::vector<std::uint64_t>& samples = it->second;
       std::sort(samples.begin(), samples.end());
       health.frames = samples.size();
@@ -49,20 +44,9 @@ HealthReport FleetHealthMonitor::evaluate(
       health.p99_ns = samples[std::min(rank, samples.size()) - 1];
     }
 
-    const std::uint64_t lost = accounting.dropped + accounting.rejected;
-    if (accounting.submitted > 0) {
-      health.drop_rate = static_cast<double>(lost) /
-                         static_cast<double>(accounting.submitted);
-    }
     health.latency_violation =
         health.frames > 0 && health.p99_ns > config_.frame_latency_p99_budget_ns;
-    health.drop_violation = health.drop_rate > config_.drop_rate_ceiling;
-
-    if (health.latency_violation || health.drop_violation) {
-      health.status = HealthStatus::kCritical;
-    } else if (lost > 0) {
-      health.status = HealthStatus::kWarn;
-    }
+    if (health.latency_violation) health.status = HealthStatus::kCritical;
     report.streams.push_back(health);
   }
 
@@ -88,10 +72,8 @@ std::string HealthReport::render_text() const {
   out << "fleet_health " << to_string(status) << "\n";
   for (const StreamHealth& stream : streams) {
     out << "stream " << stream.stream_id << " " << to_string(stream.status)
-        << " frames=" << stream.frames << " p99_ns=" << stream.p99_ns
-        << " drop_rate=" << stream.drop_rate;
+        << " frames=" << stream.frames << " p99_ns=" << stream.p99_ns;
     if (stream.latency_violation) out << " [latency over budget]";
-    if (stream.drop_violation) out << " [drop rate over ceiling]";
     out << "\n";
   }
   for (const ShardHealth& shard : shards) {
@@ -110,11 +92,8 @@ std::string HealthReport::render_json() const {
     out << "{\"stream\": " << stream.stream_id << ", \"status\": \""
         << to_string(stream.status) << "\", \"frames\": " << stream.frames
         << ", \"p99_ns\": " << stream.p99_ns
-        << ", \"drop_rate\": " << stream.drop_rate
         << ", \"latency_violation\": "
-        << (stream.latency_violation ? "true" : "false")
-        << ", \"drop_violation\": "
-        << (stream.drop_violation ? "true" : "false") << "}";
+        << (stream.latency_violation ? "true" : "false") << "}";
   }
   out << "], \"shards\": [";
   for (std::size_t i = 0; i < shards.size(); ++i) {

@@ -1,13 +1,15 @@
 // Fleet health monitor: per-stream SLO evaluation over the flight
-// recorder's causal traces plus stream/queue accounting.
+// recorder's causal traces plus shard-queue samples.
 //
-// Three SLO dimensions per HealthSloConfig:
+// Two SLO dimensions per HealthSloConfig:
 //   - frame->completion p99 budget, computed from trace envelope totals
-//     (dropped/rejected traces excluded — they never completed);
-//   - drop-rate ceiling, (dropped + rejected) / submitted per stream;
+//     (closed/errored traces excluded — they never completed);
 //   - stalled-shard watchdog: a shard whose queue shows depth but whose
 //     pop counter has not advanced across N observe_queues() calls is
 //     stalled (the gauge is "stale" — depth without progress).
+//
+// Admission is lossless (util::BoundedRing blocks when full), so there is
+// no frame-loss rate to bound.
 //
 // The monitor is deliberately a pull-model evaluator: it holds no locks
 // the pipeline touches and is fed collected traces + gauge snapshots at
@@ -30,33 +32,20 @@ namespace hdc::telemetry {
 struct HealthSloConfig {
   /// p99 budget for a frame's end-to-end trace envelope.
   std::uint64_t frame_latency_p99_budget_ns = 50'000'000;
-  /// Ceiling on (dropped + rejected) / submitted per stream.
-  double drop_rate_ceiling = 0.05;
   /// Consecutive observe_queues() calls with depth > 0 and no pop
   /// progress before a shard is declared stalled.
   std::size_t stall_observations = 3;
 };
 
-enum class HealthStatus : std::uint8_t { kOk = 0, kWarn, kCritical };
+enum class HealthStatus : std::uint8_t { kOk = 0, kCritical };
 
 [[nodiscard]] constexpr const char* to_string(HealthStatus status) noexcept {
   switch (status) {
     case HealthStatus::kOk: return "ok";
-    case HealthStatus::kWarn: return "warn";
     case HealthStatus::kCritical: return "critical";
   }
   return "?";
 }
-
-/// Per-stream frame accounting, supplied by the caller (the telemetry
-/// layer cannot depend on recognition's stream stats — callers convert).
-struct StreamAccounting {
-  std::uint32_t stream_id{0};
-  std::uint64_t submitted{0};
-  std::uint64_t delivered{0};
-  std::uint64_t dropped{0};
-  std::uint64_t rejected{0};
-};
 
 /// One shard-queue sample for the stalled-shard watchdog: current depth
 /// plus the monotonic count of frames ever popped from that shard's ring.
@@ -70,9 +59,7 @@ struct StreamHealth {
   std::uint32_t stream_id{0};
   std::uint64_t frames{0};      ///< completed traces evaluated
   std::uint64_t p99_ns{0};      ///< envelope-total p99 (0 when no frames)
-  double drop_rate{0.0};
   bool latency_violation{false};
-  bool drop_violation{false};
   HealthStatus status{HealthStatus::kOk};
 };
 
@@ -101,12 +88,12 @@ class FleetHealthMonitor {
   /// Progress (or an empty queue) resets the count.
   void observe_queues(const std::vector<QueueObservation>& queues);
 
-  /// Evaluates per-stream SLOs over collected trace events + accounting,
-  /// folding in the watchdog's current stall verdicts. Pure with respect
-  /// to the inputs; deterministic ordering in the report.
+  /// Evaluates per-stream SLOs over collected trace events for each of
+  /// `stream_ids`, folding in the watchdog's current stall verdicts. Pure
+  /// with respect to the inputs; deterministic ordering in the report.
   [[nodiscard]] HealthReport evaluate(
       const std::vector<TraceEvent>& events,
-      const std::vector<StreamAccounting>& streams) const;
+      std::vector<std::uint32_t> stream_ids) const;
 
   [[nodiscard]] const HealthSloConfig& config() const noexcept {
     return config_;

@@ -1,9 +1,9 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <sstream>
-
-#include "telemetry/sink.hpp"
 
 namespace hdc::telemetry {
 
@@ -11,7 +11,12 @@ std::uint64_t HistogramSnapshot::percentile(double q) const noexcept {
   if (count == 0 || buckets.empty()) return 0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  std::uint64_t rank = static_cast<std::uint64_t>(q * static_cast<double>(count));
+  // Nearest rank ceil(q * count). The product is shrunk by a few ulps
+  // first, so rounding error cannot lift an exact product (0.07 * 100
+  // evaluates to 7.000000000000001) to the next rank.
+  const double product = q * static_cast<double>(count);
+  std::uint64_t rank =
+      static_cast<std::uint64_t>(std::ceil(product * (1.0 - 4 * DBL_EPSILON)));
   if (rank < 1) rank = 1;
   if (rank > count) rank = count;
   std::uint64_t cumulative = 0;
@@ -135,13 +140,6 @@ std::string MetricsRegistry::render_text(const MetricsSnapshot& snapshot) {
     out << entry.name << "_max " << entry.max << '\n';
   }
   return out.str();
-}
-
-void MetricsRegistry::publish(TelemetrySink& sink) const { sink.on_snapshot(snapshot()); }
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry instance;
-  return instance;
 }
 
 }  // namespace hdc::telemetry

@@ -210,8 +210,6 @@ struct MetricsSnapshot {
   const HistogramSnapshot* find_histogram(std::string_view name) const&& = delete;
 };
 
-class TelemetrySink;
-
 /// Named-metric registry. Get-or-create by name is mutex-guarded (cold
 /// path); recording through the returned handles is wait-free. Nodes have
 /// stable addresses for the registry's lifetime (deque storage), so handles
@@ -234,12 +232,6 @@ class MetricsRegistry {
   /// tests/telemetry_metrics_test.cpp; spec in docs/OBSERVABILITY.md.
   [[nodiscard]] std::string render_text() const;
   [[nodiscard]] static std::string render_text(const MetricsSnapshot& snapshot);
-
-  /// Push a fresh snapshot to a sink (e.g. protocol::JournalRecorder).
-  void publish(TelemetrySink& sink) const;
-
-  /// Process-wide default instance for callers without wiring of their own.
-  [[nodiscard]] static MetricsRegistry& global();
 
  private:
   mutable std::mutex mutex_;

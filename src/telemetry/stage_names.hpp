@@ -24,10 +24,6 @@ inline constexpr std::string_view kPerceptionRingWait = "perception_ring_wait_ns
 inline constexpr std::string_view kPerceptionRecognize = "perception_recognize_ns";
 inline constexpr std::string_view kPerceptionFramesSubmitted =
     "perception_frames_submitted_total";
-inline constexpr std::string_view kPerceptionFramesDropped =
-    "perception_frames_dropped_total";
-inline constexpr std::string_view kPerceptionFramesRejected =
-    "perception_frames_rejected_total";
 inline constexpr std::string_view kPerceptionQueueDepth = "perception_queue_depth";
 
 // --- recognition (inside the shared pipeline; one per stage, §IV) -------

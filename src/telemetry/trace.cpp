@@ -147,7 +147,7 @@ TailReport build_tail_report(const std::vector<TraceEvent>& events,
   std::vector<FrameTrace> frames = assemble_frames(events);
   std::vector<TailFrame> candidates;
   for (const FrameTrace& frame : frames) {
-    // A dropped/rejected trace never completed: it cannot be an exemplar
+    // A closed/errored trace never completed: it cannot be an exemplar
     // for a completion-latency percentile.
     if (is_terminal(frame.terminal)) continue;
     ++report.frames_seen;

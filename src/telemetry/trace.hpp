@@ -81,7 +81,7 @@ enum class TraceStage : std::uint8_t {
   kSubmit = 0,   ///< PerceptionService::submit (admission)
   kQueueWait,    ///< shard ring residency, submit -> worker pop
   kRecognize,    ///< one frame's recognition on its shard
-  kAdmit,        ///< InteractionService admission (drop/reject/close here)
+  kAdmit,        ///< InteractionService admission (a refusal closes here)
   kFuse,         ///< SignEventFuser::observe
   kTransition,   ///< dialogue FSM on_event/on_tick/abort
   kAck,          ///< one applied AckAction (instant)
@@ -107,16 +107,14 @@ inline constexpr std::size_t kTraceStageCount = 10;
   return "?";
 }
 
-/// Outcome code of one trace event. kDropped / kRejected / kClosed / kError
-/// are TERMINAL: they are the last event of their trace (no trace may end
-/// open — the backpressure paths emit them exactly where the frame dies).
+/// Outcome code of one trace event. kClosed / kError are TERMINAL: they
+/// are the last event of their trace (no trace may end open — the refusal
+/// and failure paths emit them exactly where the frame dies).
 enum class TraceOutcome : std::uint8_t {
   kOk = 0,    ///< stage completed normally
   kAccepted,  ///< recognition accepted the frame
   kNoMatch,   ///< recognition rejected the frame (not an error)
   kConflict,  ///< grant refused: the cell was held by another drone
-  kDropped,   ///< terminal: evicted under kDropOldest before processing
-  kRejected,  ///< terminal: refused at admission under kReject
   kClosed,    ///< terminal: refused because the service is stopping
   kError,     ///< terminal: the pipeline threw processing this frame
 };
@@ -127,8 +125,6 @@ enum class TraceOutcome : std::uint8_t {
     case TraceOutcome::kAccepted: return "accepted";
     case TraceOutcome::kNoMatch: return "no_match";
     case TraceOutcome::kConflict: return "conflict";
-    case TraceOutcome::kDropped: return "dropped";
-    case TraceOutcome::kRejected: return "rejected";
     case TraceOutcome::kClosed: return "closed";
     case TraceOutcome::kError: return "error";
   }
@@ -137,8 +133,6 @@ enum class TraceOutcome : std::uint8_t {
 
 [[nodiscard]] constexpr bool is_terminal(TraceOutcome outcome) noexcept {
   switch (outcome) {
-    case TraceOutcome::kDropped:
-    case TraceOutcome::kRejected:
     case TraceOutcome::kClosed:
     case TraceOutcome::kError:
       return true;
@@ -215,9 +209,9 @@ struct TailFrame {
 /// Tail-latency attribution: joins the recorder's per-frame stories
 /// against a latency threshold (typically the frame->ack or submit->result
 /// p99 from the histogram layer) and names the dominant stage of each of
-/// the worst-k frames. Frames that ended in a terminal drop/reject are
-/// excluded — they never completed, so they cannot explain a completion
-/// percentile.
+/// the worst-k frames. Frames that ended in a terminal outcome (closed or
+/// error) are excluded — they never completed, so they cannot explain a
+/// completion percentile.
 struct TailReport {
   std::uint64_t frames_seen{0};     ///< completed traces considered
   std::uint64_t threshold_ns{0};    ///< min_total_ns the caller filtered by

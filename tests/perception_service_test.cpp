@@ -1,15 +1,16 @@
 // PerceptionService: streamed results bit-identical to the sequential
 // SaxSignRecognizer per stream, callbacks in sequence order per stream
 // (across every stream/shard ratio), one shared SignDatabase instance
-// across shards and engines (pointer equality), drop-oldest backpressure
-// losing only the oldest queued frames, reject accounting, and shutdown
-// semantics.
+// across shards and engines (pointer equality), live shard gauges, and
+// shutdown semantics, including a submitter blocked on a full ring being
+// released by stop().
 #include "recognition/perception_service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <limits>
@@ -44,7 +45,7 @@ void append_payload(const RecognitionResult& result, std::string& out) {
 
 /// Thread-safe per-stream collector that also asserts the ordering
 /// contract the moment it is violated: within a stream, sequences must be
-/// strictly increasing (contiguity is NOT required — drop-oldest skips).
+/// strictly increasing.
 class Collector {
  public:
   void operator()(const StreamResult& r) {
@@ -164,8 +165,6 @@ TEST_F(PerceptionServiceSuite, BitIdenticalAndInOrderAcrossStreamShardRatios) {
     const StreamStats totals = service.total_stats();
     EXPECT_EQ(totals.submitted, kStreams * kFramesPerStream);
     EXPECT_EQ(totals.delivered, kStreams * kFramesPerStream);
-    EXPECT_EQ(totals.dropped, 0u);
-    EXPECT_EQ(totals.rejected, 0u);
   }
 }
 
@@ -193,255 +192,6 @@ TEST_F(PerceptionServiceSuite, ShardsShareExactlyOneDatabaseInstance) {
   EXPECT_EQ(&other.database(), db.get());
   EXPECT_EQ(other.shard_database(1), db.get());
   EXPECT_EQ(&seq_b.database(), db.get());
-}
-
-TEST_F(PerceptionServiceSuite, DropOldestLosesOnlyTheOldestFramesUnderOverload) {
-  // Gate the single shard inside the callback for sequence 0, fill the
-  // 4-slot ring (sequences 1-4), then submit five more frames. Each of
-  // those must evict the oldest queued frame: 1,2,3,4,5 drop; 6,7,8,9
-  // survive. Delivered = {0, 6, 7, 8, 9}.
-  constexpr std::size_t kCapacity = 4;
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool worker_parked = false;
-  bool release_worker = false;
-
-  Collector collect;
-  PerceptionServiceConfig service_config;
-  service_config.shards = 1;
-  service_config.queue_capacity = kCapacity;
-  service_config.overflow = util::OverflowPolicy::kDropOldest;
-  PerceptionService service(
-      sequential_->config(), sequential_->database_ptr(),
-      [&](const StreamResult& r) {
-        collect(r);
-        if (r.sequence == 0) {
-          std::unique_lock<std::mutex> lock(gate_mutex);
-          worker_parked = true;
-          gate_cv.notify_all();
-          gate_cv.wait(lock, [&] { return release_worker; });
-        }
-      },
-      service_config);
-
-  const imaging::GrayImage& frame = (*scripts_)[0].front();
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);
-  {
-    // The worker has popped sequence 0 and is parked in the callback; the
-    // ring is empty and nothing else can be consumed until release.
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return worker_parked; });
-  }
-  for (std::uint64_t i = 1; i <= kCapacity; ++i) {
-    const SubmitReceipt receipt = service.submit(0, frame);
-    EXPECT_EQ(receipt.status, SubmitStatus::kEnqueued);
-    EXPECT_EQ(receipt.sequence, i);
-  }
-  for (std::uint64_t i = kCapacity + 1; i <= 2 * kCapacity + 1; ++i) {
-    const SubmitReceipt receipt = service.submit(0, frame);
-    EXPECT_EQ(receipt.status, SubmitStatus::kEnqueuedDropOldest);
-    EXPECT_EQ(receipt.sequence, i);
-  }
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    release_worker = true;
-  }
-  gate_cv.notify_all();
-  service.drain();
-
-  const std::vector<std::uint64_t> seqs = collect.sequences(0);
-  const std::vector<std::uint64_t> want = {0, 6, 7, 8, 9};
-  EXPECT_EQ(seqs, want) << "survivors must be the newest frames, in order";
-  const StreamStats stats = service.stream_stats(0);
-  EXPECT_EQ(stats.submitted, 10u);
-  EXPECT_EQ(stats.delivered, 5u);
-  EXPECT_EQ(stats.dropped, 5u);
-  EXPECT_EQ(stats.rejected, 0u);
-}
-
-TEST_F(PerceptionServiceSuite, RejectPolicyRefusesWithoutConsumingSequences) {
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool worker_parked = false;
-  bool release_worker = false;
-
-  Collector collect;
-  PerceptionServiceConfig service_config;
-  service_config.shards = 1;
-  service_config.queue_capacity = 2;
-  service_config.overflow = util::OverflowPolicy::kReject;
-  PerceptionService service(
-      sequential_->config(), sequential_->database_ptr(),
-      [&](const StreamResult& r) {
-        collect(r);
-        if (r.sequence == 0) {
-          std::unique_lock<std::mutex> lock(gate_mutex);
-          worker_parked = true;
-          gate_cv.notify_all();
-          gate_cv.wait(lock, [&] { return release_worker; });
-        }
-      },
-      service_config);
-
-  const imaging::GrayImage& frame = (*scripts_)[0].front();
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);
-  {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return worker_parked; });
-  }
-  EXPECT_EQ(service.submit(0, frame).sequence, 1u);  // fills slot 1
-  EXPECT_EQ(service.submit(0, frame).sequence, 2u);  // fills slot 2
-  for (int i = 0; i < 3; ++i) {
-    const SubmitReceipt receipt = service.submit(0, frame);
-    EXPECT_EQ(receipt.status, SubmitStatus::kRejected);
-  }
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    release_worker = true;
-  }
-  gate_cv.notify_all();
-  service.drain();
-
-  // Rejected frames never consumed a sequence: delivery is contiguous.
-  const std::vector<std::uint64_t> want = {0, 1, 2};
-  EXPECT_EQ(collect.sequences(0), want);
-  const StreamStats stats = service.stream_stats(0);
-  EXPECT_EQ(stats.submitted, 3u);
-  EXPECT_EQ(stats.delivered, 3u);
-  EXPECT_EQ(stats.rejected, 3u);
-  EXPECT_EQ(stats.dropped, 0u);
-}
-
-TEST_F(PerceptionServiceSuite, DropOldestEmitsTerminalDroppedTraceEvents) {
-  // Same overload script as DropOldestLosesOnlyTheOldestFramesUnderOverload,
-  // with a flight recorder wired: every evicted frame's trace must be
-  // CLOSED by a terminal kQueueWait/kDropped event — no trace ends open.
-  constexpr std::size_t kCapacity = 4;
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool worker_parked = false;
-  bool release_worker = false;
-
-  telemetry::FlightRecorder recorder;
-  Collector collect;
-  PerceptionServiceConfig service_config;
-  service_config.shards = 1;
-  service_config.queue_capacity = kCapacity;
-  service_config.overflow = util::OverflowPolicy::kDropOldest;
-  service_config.recorder = &recorder;
-  PerceptionService service(
-      sequential_->config(), sequential_->database_ptr(),
-      [&](const StreamResult& r) {
-        collect(r);
-        if (r.sequence == 0) {
-          std::unique_lock<std::mutex> lock(gate_mutex);
-          worker_parked = true;
-          gate_cv.notify_all();
-          gate_cv.wait(lock, [&] { return release_worker; });
-        }
-      },
-      service_config);
-
-  const imaging::GrayImage& frame = (*scripts_)[0].front();
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);
-  {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return worker_parked; });
-  }
-  for (std::uint64_t i = 1; i <= 2 * kCapacity + 1; ++i) {
-    (void)service.submit(0, frame);
-  }
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    release_worker = true;
-  }
-  gate_cv.notify_all();
-  service.drain();
-
-  const StreamStats stats = service.stream_stats(0);
-  EXPECT_EQ(stats.dropped, 5u);
-
-  std::set<std::uint64_t> dropped_sequences;
-  std::set<std::uint64_t> recognized_sequences;
-  for (const telemetry::TraceEvent& event : recorder.collect()) {
-    if (event.outcome == telemetry::TraceOutcome::kDropped) {
-      EXPECT_EQ(event.stage, telemetry::TraceStage::kQueueWait);
-      EXPECT_EQ(event.trace_id,
-                telemetry::make_trace_id(event.stream_id, event.sequence));
-      EXPECT_GE(event.t_end_ns, event.t_start_ns);  // ring-residency interval
-      dropped_sequences.insert(event.sequence);
-    }
-    if (event.stage == telemetry::TraceStage::kRecognize) {
-      recognized_sequences.insert(event.sequence);
-    }
-  }
-  // One terminal kDropped per evicted frame — count matches stats.dropped,
-  // and no dropped frame also has a recognize event (it died in the ring).
-  const std::set<std::uint64_t> want = {1, 2, 3, 4, 5};
-  EXPECT_EQ(dropped_sequences, want);
-  for (const std::uint64_t seq : dropped_sequences) {
-    EXPECT_EQ(recognized_sequences.count(seq), 0u)
-        << "sequence " << seq << " was both dropped and recognized";
-  }
-}
-
-TEST_F(PerceptionServiceSuite, RejectPolicyEmitsTerminalRejectedTraceEvents) {
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool worker_parked = false;
-  bool release_worker = false;
-
-  telemetry::FlightRecorder recorder;
-  Collector collect;
-  PerceptionServiceConfig service_config;
-  service_config.shards = 1;
-  service_config.queue_capacity = 2;
-  service_config.overflow = util::OverflowPolicy::kReject;
-  service_config.recorder = &recorder;
-  PerceptionService service(
-      sequential_->config(), sequential_->database_ptr(),
-      [&](const StreamResult& r) {
-        collect(r);
-        if (r.sequence == 0) {
-          std::unique_lock<std::mutex> lock(gate_mutex);
-          worker_parked = true;
-          gate_cv.notify_all();
-          gate_cv.wait(lock, [&] { return release_worker; });
-        }
-      },
-      service_config);
-
-  const imaging::GrayImage& frame = (*scripts_)[0].front();
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);
-  {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return worker_parked; });
-  }
-  EXPECT_EQ(service.submit(0, frame).sequence, 1u);
-  EXPECT_EQ(service.submit(0, frame).sequence, 2u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kRejected);
-  }
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    release_worker = true;
-  }
-  gate_cv.notify_all();
-  service.drain();
-
-  // Each refused submit closes its (never-started) trace with a terminal
-  // kSubmit/kRejected event. Rejected submits do not consume a sequence,
-  // so all three carry the stream's unconsumed next sequence (3).
-  std::size_t rejected_events = 0;
-  for (const telemetry::TraceEvent& event : recorder.collect()) {
-    if (event.outcome != telemetry::TraceOutcome::kRejected) continue;
-    ++rejected_events;
-    EXPECT_EQ(event.stage, telemetry::TraceStage::kSubmit);
-    EXPECT_EQ(event.stream_id, 0u);
-    EXPECT_EQ(event.sequence, 3u);
-  }
-  EXPECT_EQ(rejected_events, 3u);
-  EXPECT_EQ(service.stream_stats(0).rejected, 3u);
 }
 
 TEST_F(PerceptionServiceSuite, DeliveredResultsCarryTheirTraceContext) {
@@ -569,7 +319,6 @@ TEST_F(PerceptionServiceSuite, StreamIdsAboveTraceLimitThrowAtSubmit) {
     EXPECT_THROW((void)service.submit(bad, frame), std::invalid_argument) << bad;
     const StreamStats stats = service.stream_stats(bad);
     EXPECT_EQ(stats.submitted, 0u) << bad;
-    EXPECT_EQ(stats.rejected, 0u) << bad;
   }
   // The refused submits consumed nothing: the next admitted frame is 1.
   EXPECT_EQ(service.submit(65534, frame).sequence, 1u);
@@ -589,7 +338,7 @@ TEST_F(PerceptionServiceSuite, StreamIdsAboveTraceLimitThrowAtSubmit) {
 TEST_F(PerceptionServiceSuite, ConcurrentSameStreamSubmittersStayOrdered) {
   // Two threads race submit() on ONE stream: sequence assignment and ring
   // admission are atomic together, so delivery must still be strictly
-  // increasing with no gaps (block policy, nothing dropped). Blank frames
+  // increasing with no gaps (the ring is lossless). Blank frames
   // keep the pipeline fast (they reject as kNoSilhouette).
   constexpr std::uint64_t kPerThread = 50;
   Collector collect;
@@ -676,7 +425,88 @@ TEST_F(PerceptionServiceSuite, DrainIsACheckpointNotATerminator) {
   EXPECT_EQ(service.submit(0, (*scripts_)[0][0]).status, SubmitStatus::kStopped);
 }
 
-TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndOverflowCounters) {
+TEST_F(PerceptionServiceSuite, BlockedSubmitterIsReleasedByStopWithStopped) {
+  // stop() is perception's only refusal path: a submitter asleep on a full
+  // ring wakes with kStopped, claims no sequence, and closes its trace
+  // with a terminal submit/closed event.
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool worker_parked = false;
+  bool release_worker = false;
+
+  telemetry::FlightRecorder recorder;
+  Collector collect;
+  PerceptionServiceConfig service_config;
+  service_config.shards = 1;
+  service_config.queue_capacity = 2;
+  service_config.recorder = &recorder;
+  PerceptionService service(
+      sequential_->config(), sequential_->database_ptr(),
+      [&](const StreamResult& r) {
+        collect(r);
+        if (r.sequence == 0) {
+          std::unique_lock<std::mutex> lock(gate_mutex);
+          worker_parked = true;
+          gate_cv.notify_all();
+          gate_cv.wait(lock, [&] { return release_worker; });
+        }
+      },
+      service_config);
+
+  const imaging::GrayImage& frame = (*scripts_)[0].front();
+  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kEnqueued);
+  {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return worker_parked; });
+  }
+  EXPECT_EQ(service.submit(0, frame).sequence, 1u);  // fills slot 1
+  EXPECT_EQ(service.submit(0, frame).sequence, 2u);  // fills slot 2
+  ASSERT_EQ(service.shard_gauge(0).depth, 2u);
+
+  std::atomic<bool> started{false};
+  SubmitReceipt blocked_receipt;
+  std::thread submitter([&] {
+    started.store(true);
+    blocked_receipt = service.submit(0, frame);  // ring full: sleeps
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // stop() closes the ring (waking the submitter), then joins the parked
+  // worker, so it runs on its own thread until the worker is released.
+  std::thread stopper([&] { service.stop(); });
+  submitter.join();
+  EXPECT_EQ(blocked_receipt.status, SubmitStatus::kStopped);
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    release_worker = true;
+  }
+  gate_cv.notify_all();
+  stopper.join();
+
+  // The frames queued before stop() are still delivered; the refused one
+  // claimed no sequence.
+  const std::vector<std::uint64_t> want = {0, 1, 2};
+  EXPECT_EQ(collect.sequences(0), want);
+  const StreamStats stats = service.stream_stats(0);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.delivered, 3u);
+
+  // Its trace ends in one terminal kSubmit/kClosed event carrying the
+  // stream's unconsumed next sequence (3).
+  std::size_t closed_events = 0;
+  for (const telemetry::TraceEvent& event : recorder.collect()) {
+    if (event.outcome != telemetry::TraceOutcome::kClosed) continue;
+    ++closed_events;
+    EXPECT_EQ(event.stage, telemetry::TraceStage::kSubmit);
+    EXPECT_EQ(event.stream_id, 0u);
+    EXPECT_EQ(event.sequence, 3u);
+    EXPECT_EQ(event.trace_id, telemetry::make_trace_id(0, 3));
+  }
+  EXPECT_EQ(closed_events, 1u);
+}
+
+TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndPopCount) {
   // Park the single shard worker inside the callback so the ring depth is
   // fully deterministic while we read the gauges.
   std::mutex gate_mutex;
@@ -694,13 +524,12 @@ TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndOverflowCounters) {
           gate_cv.wait(lock, [&] { return release_worker; });
         }
       },
-      {/*shards=*/1, /*queue_capacity=*/4, util::OverflowPolicy::kReject});
+      {/*shards=*/1, /*queue_capacity=*/4, util::OverflowPolicy::kBlock});
 
   ShardGauge gauge = service.shard_gauge(0);
   EXPECT_EQ(gauge.depth, 0u);
   EXPECT_EQ(gauge.capacity, 4u);
-  EXPECT_EQ(gauge.evicted, 0u);
-  EXPECT_EQ(gauge.rejected, 0u);
+  EXPECT_EQ(gauge.popped, 0u);
 
   const imaging::GrayImage& frame = (*scripts_)[0].front();
   service.submit(0, frame);
@@ -711,14 +540,14 @@ TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndOverflowCounters) {
   for (int i = 0; i < 3; ++i) service.submit(0, frame);  // queue 3 behind it
   gauge = service.shard_gauge(0);
   EXPECT_EQ(gauge.depth, 3u);
+  EXPECT_EQ(gauge.popped, 1u);
   EXPECT_EQ(service.shard_gauges().size(), 1u);
   EXPECT_EQ(service.shard_gauges()[0].depth, 3u);
 
-  service.submit(0, frame);  // fills the ring
-  EXPECT_EQ(service.submit(0, frame).status, SubmitStatus::kRejected);
+  service.submit(0, frame);  // fills the ring to capacity
   gauge = service.shard_gauge(0);
-  EXPECT_EQ(gauge.depth, 4u);
-  EXPECT_EQ(gauge.rejected, 1u);
+  EXPECT_EQ(gauge.depth, gauge.capacity);
+  EXPECT_EQ(gauge.popped, 1u);
 
   {
     std::lock_guard<std::mutex> lock(gate_mutex);
@@ -726,7 +555,9 @@ TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndOverflowCounters) {
   }
   gate_cv.notify_all();
   service.drain();
-  EXPECT_EQ(service.shard_gauge(0).depth, 0u);
+  gauge = service.shard_gauge(0);
+  EXPECT_EQ(gauge.depth, 0u);
+  EXPECT_EQ(gauge.popped, 5u);
   EXPECT_THROW((void)service.shard_gauge(99), std::out_of_range);
 }
 

@@ -1,6 +1,6 @@
-// FleetHealthMonitor: per-stream SLO evaluation (latency p99 budget,
-// drop-rate ceiling), the stalled-shard watchdog's stale-round counting,
-// and the deterministic text/JSON renderings.
+// FleetHealthMonitor: per-stream SLO evaluation (latency p99 budget), the
+// stalled-shard watchdog's stale-round counting, and the deterministic
+// text/JSON renderings.
 #include "telemetry/health.hpp"
 
 #include <gtest/gtest.h>
@@ -24,14 +24,27 @@ TEST(FleetHealth, AllGreenWhenWithinBudgets) {
   for (std::uint64_t seq = 0; seq < 10; ++seq) {
     events.push_back(completed(0, seq, 1'000'000));  // 1 ms, budget 50 ms
   }
-  const std::vector<StreamAccounting> streams = {{0, 10, 10, 0, 0}};
-  const HealthReport report = monitor.evaluate(events, streams);
+  const HealthReport report = monitor.evaluate(events, {0});
   EXPECT_EQ(report.status, HealthStatus::kOk);
   ASSERT_EQ(report.streams.size(), 1u);
   EXPECT_EQ(report.streams[0].frames, 10u);
   EXPECT_EQ(report.streams[0].p99_ns, 1'000'000u);
   EXPECT_FALSE(report.streams[0].latency_violation);
-  EXPECT_FALSE(report.streams[0].drop_violation);
+}
+
+TEST(FleetHealth, ReportsEveryNamedStreamInIdOrder) {
+  // Streams come back sorted by id; a named stream with no completed
+  // trace is reported with zero frames and no violation.
+  FleetHealthMonitor monitor;
+  const std::vector<TraceEvent> events = {completed(4, 0, 1'000'000)};
+  const HealthReport report = monitor.evaluate(events, {4, 1});
+  ASSERT_EQ(report.streams.size(), 2u);
+  EXPECT_EQ(report.streams[0].stream_id, 1u);
+  EXPECT_EQ(report.streams[0].frames, 0u);
+  EXPECT_EQ(report.streams[0].status, HealthStatus::kOk);
+  EXPECT_EQ(report.streams[1].stream_id, 4u);
+  EXPECT_EQ(report.streams[1].frames, 1u);
+  EXPECT_EQ(report.status, HealthStatus::kOk);
 }
 
 TEST(FleetHealth, LatencyBudgetViolationIsCritical) {
@@ -46,34 +59,14 @@ TEST(FleetHealth, LatencyBudgetViolationIsCritical) {
     events.push_back(completed(0, seq, 1'000'000));
   }
   events.push_back(completed(0, 99, 10'000'000));
-  const std::vector<StreamAccounting> streams = {{0, 100, 100, 0, 0}};
-  EXPECT_EQ(monitor.evaluate(events, streams).status, HealthStatus::kOk);
+  EXPECT_EQ(monitor.evaluate(events, {0}).status, HealthStatus::kOk);
 
   // ...but two outliers push the p99 sample itself over budget.
   events.push_back(completed(0, 100, 10'000'000));
-  const std::vector<StreamAccounting> more = {{0, 101, 101, 0, 0}};
-  const HealthReport report = monitor.evaluate(events, more);
+  const HealthReport report = monitor.evaluate(events, {0});
   EXPECT_EQ(report.status, HealthStatus::kCritical);
   EXPECT_TRUE(report.streams[0].latency_violation);
   EXPECT_EQ(report.streams[0].p99_ns, 10'000'000u);
-}
-
-TEST(FleetHealth, DropRateCeilingPerStream) {
-  FleetHealthMonitor monitor;  // ceiling 0.05
-  const std::vector<TraceEvent> events = {completed(0, 0, 1000),
-                                          completed(1, 0, 1000)};
-  // Stream 0 lost 1 of 100 (1 % — warn territory, not critical); stream 1
-  // lost 10 of 100 (10 % — over the ceiling).
-  const std::vector<StreamAccounting> streams = {{0, 100, 99, 1, 0},
-                                                 {1, 100, 90, 4, 6}};
-  const HealthReport report = monitor.evaluate(events, streams);
-  ASSERT_EQ(report.streams.size(), 2u);
-  EXPECT_EQ(report.streams[0].status, HealthStatus::kWarn);
-  EXPECT_FALSE(report.streams[0].drop_violation);
-  EXPECT_EQ(report.streams[1].status, HealthStatus::kCritical);
-  EXPECT_TRUE(report.streams[1].drop_violation);
-  EXPECT_DOUBLE_EQ(report.streams[1].drop_rate, 0.10);
-  EXPECT_EQ(report.status, HealthStatus::kCritical);
 }
 
 TEST(FleetHealth, TerminatedTracesAreExcludedFromLatency) {
@@ -81,12 +74,11 @@ TEST(FleetHealth, TerminatedTracesAreExcludedFromLatency) {
   config.frame_latency_p99_budget_ns = 2'000'000;
   FleetHealthMonitor monitor(config);
   std::vector<TraceEvent> events = {completed(0, 0, 1'000'000)};
-  // A dropped frame that sat in the queue for 100 ms must not count
-  // against the completion-latency budget.
+  // A frame whose trace closed after 100 ms without completing must not
+  // count against the completion-latency budget.
   events.push_back({make_trace_id(0, 1), 0, 1, TraceStage::kQueueWait,
-                    TraceOutcome::kDropped, 1000, 100'001'000});
-  const std::vector<StreamAccounting> streams = {{0, 2, 1, 1, 0}};
-  const HealthReport report = monitor.evaluate(events, streams);
+                    TraceOutcome::kClosed, 1000, 100'001'000});
+  const HealthReport report = monitor.evaluate(events, {0});
   EXPECT_EQ(report.streams[0].frames, 1u);
   EXPECT_FALSE(report.streams[0].latency_violation);
 }
@@ -133,8 +125,7 @@ TEST(FleetHealth, RenderTextShape) {
   FleetHealthMonitor monitor;
   monitor.observe_queues({{0, 0, 5}});
   const std::vector<TraceEvent> events = {completed(2, 0, 1'000'000)};
-  const std::vector<StreamAccounting> streams = {{2, 1, 1, 0, 0}};
-  const std::string text = monitor.evaluate(events, streams).render_text();
+  const std::string text = monitor.evaluate(events, {2}).render_text();
   EXPECT_NE(text.find("fleet_health ok"), std::string::npos);
   EXPECT_NE(text.find("stream 2 ok"), std::string::npos);
   EXPECT_NE(text.find("shard 0"), std::string::npos);
@@ -143,8 +134,7 @@ TEST(FleetHealth, RenderTextShape) {
 TEST(FleetHealth, RenderJsonShape) {
   FleetHealthMonitor monitor;
   const std::vector<TraceEvent> events = {completed(1, 0, 3'000'000)};
-  const std::vector<StreamAccounting> streams = {{1, 1, 1, 0, 0}};
-  const std::string json = monitor.evaluate(events, streams).render_json();
+  const std::string json = monitor.evaluate(events, {1}).render_json();
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"stream\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"p99_ns\": 3000000"), std::string::npos);

@@ -1,6 +1,7 @@
 // Telemetry registry tests: bucket geometry (index/lower-bound inverses,
-// exact unit buckets, the <= 12.5% width bound), percentile error against
-// exact sorted samples, concurrent multi-thread recording vs a serial
+// exact unit buckets, the <= 12.5% width bound), the nearest-rank
+// percentile on exact unit buckets, percentile error against exact sorted
+// samples, concurrent multi-thread recording vs a serial
 // ground truth, snapshot-during-write consistency (monotonic, never torn
 // below the field level), the pinned render_text() exposition format, and
 // the disarmed-handle no-op contract.
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/sink.hpp"
 
 namespace hdc::telemetry {
 namespace {
@@ -81,15 +82,46 @@ TEST(Histogram, PercentilesStayWithinTheBucketWidthOfExactSortedSamples) {
   ASSERT_EQ(snap->count, samples.size());
 
   for (const double q : {0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    // The same rank convention percentile() uses, against the exact sort.
-    std::uint64_t rank =
-        static_cast<std::uint64_t>(q * static_cast<double>(samples.size()));
+    // The same rank convention percentile() uses, ceil(q * n), against the
+    // exact sort (every q * n here is an exact product).
+    std::uint64_t rank = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(samples.size())));
     rank = std::clamp<std::uint64_t>(rank, 1, samples.size());
     const double exact = static_cast<double>(samples[rank - 1]);
     const double reported = static_cast<double>(snap->percentile(q));
     EXPECT_LE(std::abs(reported - exact), exact * 0.125 + 1.0)
         << "q=" << q << " exact=" << exact << " reported=" << reported;
   }
+}
+
+TEST(Histogram, PercentileIsTheNearestRankSampleOnUnitBuckets) {
+  // Values below 8 land in exact unit buckets, so percentile(q) must be
+  // exactly the ceil(q * n)-th smallest sample.
+  const auto percentile_of = [](const std::vector<std::uint64_t>& values,
+                                double q) {
+    MetricsRegistry registry;
+    Histogram histogram = registry.histogram("unit_ns");
+    for (const std::uint64_t value : values) histogram.record(value);
+    const MetricsSnapshot snapshot = registry.snapshot();
+    return snapshot.find_histogram("unit_ns")->percentile(q);
+  };
+  // {4, 6, 6}: the median is the 2nd sample.
+  EXPECT_EQ(percentile_of({4, 6, 6}, 0.5), 6u);
+  EXPECT_EQ(percentile_of({4, 6, 6}, 0.9), 6u);
+  // 1..7: p50 is the 4th sample, p99 the 7th (the maximum).
+  const std::vector<std::uint64_t> one_to_seven = {1, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(percentile_of(one_to_seven, 0.01), 1u);
+  EXPECT_EQ(percentile_of(one_to_seven, 0.5), 4u);
+  EXPECT_EQ(percentile_of(one_to_seven, 0.99), 7u);
+  EXPECT_EQ(percentile_of(one_to_seven, 1.0), 7u);
+  // An exact product is not bumped to the next rank: 0.5 * 4 is rank 2,
+  // and 0.07 * 100 (7.000000000000001 in doubles) is rank 7.
+  EXPECT_EQ(percentile_of({1, 2, 3, 4}, 0.5), 2u);
+  EXPECT_EQ(percentile_of({1, 2, 3, 4}, 0.25), 1u);
+  std::vector<std::uint64_t> hundred(7, 1);
+  hundred.resize(100, 2);
+  EXPECT_EQ(percentile_of(hundred, 0.07), 1u);
+  EXPECT_EQ(percentile_of(hundred, 0.08), 2u);
 }
 
 TEST(Histogram, PercentileOfEmptyHistogramIsZero) {
@@ -278,7 +310,7 @@ TEST(RenderText, PinnedExpositionFormat) {
       "# TYPE queue_depth gauge\n"
       "queue_depth -2\n"
       "# TYPE stage_ns summary\n"
-      "stage_ns{quantile=\"0.5\"} 4\n"
+      "stage_ns{quantile=\"0.5\"} 6\n"
       "stage_ns{quantile=\"0.9\"} 6\n"
       "stage_ns{quantile=\"0.99\"} 6\n"
       "stage_ns_count 3\n"
@@ -293,29 +325,6 @@ TEST(RenderText, EntriesAreSortedByName) {
   (void)registry.counter("alpha_total");
   const std::string text = registry.render_text();
   EXPECT_LT(text.find("alpha_total"), text.find("zeta_total"));
-}
-
-// ----------------------------------------------------------------- sink --
-
-TEST(Sink, PublishDeliversOneAggregatedSnapshot) {
-  struct CapturingSink : TelemetrySink {
-    std::vector<MetricsSnapshot> snapshots;
-    void on_snapshot(const MetricsSnapshot& snapshot) override {
-      snapshots.push_back(snapshot);
-    }
-  };
-
-  MetricsRegistry registry;
-  Counter counter = registry.counter("published_total");
-  counter.add(9);
-
-  CapturingSink sink;
-  registry.publish(sink);
-  ASSERT_EQ(sink.snapshots.size(), 1u);
-  const CounterSnapshot* entry =
-      sink.snapshots.front().find_counter("published_total");
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->value, 9u);
 }
 
 }  // namespace

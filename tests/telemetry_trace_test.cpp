@@ -211,12 +211,12 @@ TEST(TracedSpanTest, SetContextArmsEmissionAfterConstruction) {
     TracedSpan span(Histogram{}, &recorder, TraceContext{},
                     TraceStage::kSubmit);
     span.set_context(TraceContext::of(4, 7));
-    span.set_outcome(TraceOutcome::kRejected);
+    span.set_outcome(TraceOutcome::kClosed);
   }
   const std::vector<TraceEvent> collected = recorder.collect();
   ASSERT_EQ(collected.size(), 1u);
   EXPECT_EQ(collected[0].trace_id, make_trace_id(4, 7));
-  EXPECT_EQ(collected[0].outcome, TraceOutcome::kRejected);
+  EXPECT_EQ(collected[0].outcome, TraceOutcome::kClosed);
 }
 
 TEST(TracedSpanTest, FullyDisarmedEmitsNothing) {
@@ -368,10 +368,10 @@ TEST(TailReportTest, NamesTheDominantStage) {
 
 TEST(TailReportTest, ExcludesTerminatedFramesAndHonoursThreshold) {
   std::vector<TraceEvent> events;
-  // A dropped frame with a huge envelope must NOT appear: it never
+  // A closed frame with a huge envelope must NOT appear: it never
   // completed, so it cannot explain a completion percentile.
   events.push_back(event_of(0, 0, TraceStage::kQueueWait,
-                            TraceOutcome::kDropped, 0, 1'000'000));
+                            TraceOutcome::kClosed, 0, 1'000'000));
   // Two completed frames, one under the threshold.
   events.push_back(event_of(0, 1, TraceStage::kRecognize,
                             TraceOutcome::kAccepted, 0, 500));
@@ -379,7 +379,7 @@ TEST(TailReportTest, ExcludesTerminatedFramesAndHonoursThreshold) {
                             TraceOutcome::kAccepted, 0, 5000));
 
   const TailReport report = build_tail_report(events, 10, 1000);
-  EXPECT_EQ(report.frames_seen, 2u);  // the dropped frame is not counted
+  EXPECT_EQ(report.frames_seen, 2u);  // the closed frame is not counted
   EXPECT_EQ(report.threshold_ns, 1000u);
   ASSERT_EQ(report.worst.size(), 1u);
   EXPECT_EQ(report.worst[0].sequence, 2u);

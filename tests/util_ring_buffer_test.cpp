@@ -1,8 +1,7 @@
-// BoundedRing: FIFO order, fill-to-capacity behaviour under each overflow
-// policy (block / drop-oldest / reject), the half-drain wake of a blocked
-// producer, eviction/rejection accounting,
-// close() semantics, and cross-thread per-stream sequence monotonicity
-// under a multi-producer load.
+// BoundedRing: FIFO order, lossless fill-to-capacity behaviour (push()
+// blocks, try_push() refuses), the half-drain wake of a blocked producer,
+// the pop count, close() semantics, and cross-thread per-stream sequence
+// monotonicity under a multi-producer load.
 #include "util/ring_buffer.hpp"
 
 #include <gtest/gtest.h>
@@ -51,8 +50,8 @@ TEST(BoundedRing, WrapAroundKeepsFifoOrder) {
 TEST(BoundedRing, PoppedCountAdvancesOnBothPopPaths) {
   // popped_count() is the stalled-shard watchdog's liveness signal: it
   // must advance once per successful pop(), before and after close(), and
-  // never on the final closed-and-drained pop, an eviction, or a rejection.
-  BoundedRing<int> ring(4, OverflowPolicy::kDropOldest);
+  // never on the final closed-and-drained pop or a refused try_push().
+  BoundedRing<int> ring(4);
   EXPECT_EQ(ring.popped_count(), 0u);
   for (int v = 0; v < 4; ++v) ring.push(v);
   int out = -1;
@@ -60,10 +59,10 @@ TEST(BoundedRing, PoppedCountAdvancesOnBothPopPaths) {
   EXPECT_EQ(ring.popped_count(), 1u);
   ASSERT_TRUE(ring.pop(out));
   EXPECT_EQ(ring.popped_count(), 2u);
-  // Evictions churn the ring's contents but are not pops.
+  // A try_push() refused by a full ring is not a pop.
   ring.push(4);
   ring.push(5);
-  ring.push(6);  // full again -> evicts the oldest
+  EXPECT_EQ(ring.try_push(6), PushOutcome::kFull);
   const std::uint64_t before = ring.popped_count();
   EXPECT_EQ(before, 2u);
   // Drain a closed ring; every success counts once, the final failed pop
@@ -76,43 +75,8 @@ TEST(BoundedRing, PoppedCountAdvancesOnBothPopPaths) {
   EXPECT_EQ(ring.popped_count(), before + 4);
 }
 
-TEST(BoundedRing, DropOldestEvictsExactlyTheOldest) {
-  BoundedRing<int> ring(3, OverflowPolicy::kDropOldest);
-  for (int v = 0; v < 3; ++v) ring.push(v);
-  // Ring holds {0,1,2}; pushing 3 and 4 must evict 0 then 1.
-  int evicted = -1;
-  EXPECT_EQ(ring.push(3, &evicted), PushOutcome::kEvictedOldest);
-  EXPECT_EQ(evicted, 0);
-  EXPECT_EQ(ring.push(4, &evicted), PushOutcome::kEvictedOldest);
-  EXPECT_EQ(evicted, 1);
-  EXPECT_EQ(ring.evicted_count(), 2u);
-  EXPECT_EQ(ring.rejected_count(), 0u);
-  // Survivors are the newest three, still in order.
-  int out = -1;
-  for (const int expect : {2, 3, 4}) {
-    ASSERT_TRUE(ring.pop(out));
-    EXPECT_EQ(out, expect);
-  }
-}
-
-TEST(BoundedRing, RejectPolicyRefusesWhenFullAndCounts) {
-  BoundedRing<int> ring(2, OverflowPolicy::kReject);
-  EXPECT_EQ(ring.push(1), PushOutcome::kEnqueued);
-  EXPECT_EQ(ring.push(2), PushOutcome::kEnqueued);
-  EXPECT_EQ(ring.push(3), PushOutcome::kRejected);
-  EXPECT_EQ(ring.push(4), PushOutcome::kRejected);
-  EXPECT_EQ(ring.rejected_count(), 2u);
-  EXPECT_EQ(ring.evicted_count(), 0u);
-  EXPECT_EQ(ring.size(), 2u);
-  // Space frees -> pushes succeed again.
-  int out = -1;
-  ASSERT_TRUE(ring.pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_EQ(ring.push(5), PushOutcome::kEnqueued);
-}
-
 TEST(BoundedRing, BlockPolicyWaitsForSpace) {
-  BoundedRing<int> ring(1, OverflowPolicy::kBlock);
+  BoundedRing<int> ring(1);
   EXPECT_EQ(ring.push(1), PushOutcome::kEnqueued);
   std::atomic<bool> second_pushed{false};
   std::thread producer([&] {
@@ -132,10 +96,10 @@ TEST(BoundedRing, BlockPolicyWaitsForSpace) {
 }
 
 TEST(BoundedRing, BlockedProducerWakesAtHalfEmpty) {
-  // A producer that finds a kBlock ring full sleeps until the consumer has
+  // A producer that finds the ring full sleeps until the consumer has
   // drained it to capacity / 2, not until the first free slot: one wake
   // per half-ring drain instead of one per pop.
-  BoundedRing<int> ring(8, OverflowPolicy::kBlock);
+  BoundedRing<int> ring(8);
   for (int v = 0; v < 8; ++v) ASSERT_EQ(ring.push(v), PushOutcome::kEnqueued);
   std::atomic<bool> started{false};
   std::atomic<bool> pushed{false};
@@ -170,7 +134,7 @@ TEST(BoundedRing, BlockedProducerWakesAtHalfEmpty) {
 }
 
 TEST(BoundedRing, CloseWakesBlockedProducerWithClosed) {
-  BoundedRing<int> ring(1, OverflowPolicy::kBlock);
+  BoundedRing<int> ring(1);
   EXPECT_EQ(ring.push(1), PushOutcome::kEnqueued);
   std::atomic<bool> woke{false};
   std::thread producer([&] {
@@ -193,7 +157,7 @@ TEST(BoundedRing, CloseWakesBlockedProducerWithClosed) {
 
 TEST(BoundedRing, CrossThreadPerStreamSequenceMonotonicity) {
   // 4 producers, one stream each, pushing numbered items through a small
-  // ring under kBlock (lossless). The single consumer must observe every
+  // ring (lossless: push() blocks). The single consumer must observe every
   // stream's sequence strictly increasing and contiguous — FIFO admission
   // plus per-producer program order is exactly the guarantee the
   // PerceptionService ordering contract builds on.
@@ -203,7 +167,7 @@ TEST(BoundedRing, CrossThreadPerStreamSequenceMonotonicity) {
   };
   constexpr std::size_t kStreams = 4;
   constexpr std::uint64_t kPerStream = 500;
-  BoundedRing<Item> ring(8, OverflowPolicy::kBlock);
+  BoundedRing<Item> ring(8);
 
   std::vector<std::thread> producers;
   for (std::uint32_t s = 0; s < kStreams; ++s) {
@@ -230,84 +194,23 @@ TEST(BoundedRing, CrossThreadPerStreamSequenceMonotonicity) {
   EXPECT_EQ(ring.size(), 0u);
 }
 
-TEST(BoundedRing, DropOldestUnderConcurrentLoadAccountsEveryItem) {
-  // Overload a tiny drop-oldest ring from several producers while the
-  // consumer drains slowly-ish: every pushed item is either delivered or
-  // counted evicted, and delivered items stay per-stream monotonic
-  // (drop-oldest may skip sequences but never reorders).
-  struct Item {
-    std::uint32_t stream{0};
-    std::uint64_t sequence{0};
-  };
-  constexpr std::size_t kStreams = 3;
-  constexpr std::uint64_t kPerStream = 400;
-  BoundedRing<Item> ring(4, OverflowPolicy::kDropOldest);
-
-  std::atomic<std::uint64_t> evicted_seen{0};
-  std::vector<std::thread> producers;
-  for (std::uint32_t s = 0; s < kStreams; ++s) {
-    producers.emplace_back([&, s] {
-      for (std::uint64_t i = 0; i < kPerStream; ++i) {
-        Item evicted;
-        if (ring.push({s, i}, &evicted) == PushOutcome::kEvictedOldest) {
-          evicted_seen.fetch_add(1);
-        }
-      }
-    });
-  }
-
-  std::vector<std::int64_t> last_seen(kStreams, -1);
-  std::uint64_t delivered = 0;
-  Item item;
-  std::thread consumer([&] {
-    while (ring.pop(item)) {
-      ASSERT_LT(item.stream, kStreams);
-      EXPECT_GT(static_cast<std::int64_t>(item.sequence), last_seen[item.stream]);
-      last_seen[item.stream] = static_cast<std::int64_t>(item.sequence);
-      ++delivered;
-    }
-  });
-  for (std::thread& t : producers) t.join();
-  ring.close();
-  consumer.join();
-
-  EXPECT_EQ(delivered + ring.evicted_count(), kStreams * kPerStream);
-  EXPECT_EQ(evicted_seen.load(), ring.evicted_count());
-  EXPECT_EQ(ring.rejected_count(), 0u);
-}
-
-TEST(BoundedRing, TryPushNeverBlocksUnderAnyPolicy) {
-  // kBlock + full: refused immediately (this is what lets two workers feed
-  // each other's rings without a blocking cycle). NOT counted as a policy
-  // rejection — the caller owns the retry.
+TEST(BoundedRing, TryPushRefusesAFullRingWithoutBlocking) {
+  // A full ring: refused at once with kFull (this is what lets two workers
+  // feed each other's rings without a blocking cycle; the caller owns the
+  // retry), and the queued item is untouched.
   {
-    BoundedRing<int> ring(1, OverflowPolicy::kBlock);
+    BoundedRing<int> ring(1);
     EXPECT_EQ(ring.try_push(1), PushOutcome::kEnqueued);
-    EXPECT_EQ(ring.try_push(2), PushOutcome::kRejected);
-    EXPECT_EQ(ring.rejected_count(), 0u);
+    EXPECT_EQ(ring.try_push(2), PushOutcome::kFull);
+    EXPECT_EQ(ring.size(), 1u);
     int out = 0;
     ASSERT_TRUE(ring.pop(out));
     EXPECT_EQ(out, 1);
     EXPECT_EQ(ring.try_push(3), PushOutcome::kEnqueued);
   }
-  // kDropOldest + full: evicts, same as push().
-  {
-    BoundedRing<int> ring(1, OverflowPolicy::kDropOldest);
-    EXPECT_EQ(ring.try_push(1), PushOutcome::kEnqueued);
-    int evicted = 0;
-    EXPECT_EQ(ring.try_push(2, &evicted), PushOutcome::kEvictedOldest);
-    EXPECT_EQ(evicted, 1);
-  }
-  // kReject + full: refused AND counted, same as push().
-  {
-    BoundedRing<int> ring(1, OverflowPolicy::kReject);
-    EXPECT_EQ(ring.try_push(1), PushOutcome::kEnqueued);
-    EXPECT_EQ(ring.try_push(2), PushOutcome::kRejected);
-    EXPECT_EQ(ring.rejected_count(), 1u);
-  }
   // Closed: kClosed, like push().
   {
-    BoundedRing<int> ring(2, OverflowPolicy::kBlock);
+    BoundedRing<int> ring(2);
     ring.close();
     EXPECT_EQ(ring.try_push(1), PushOutcome::kClosed);
   }
