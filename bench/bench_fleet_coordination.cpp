@@ -68,7 +68,7 @@ CellResult run_cell(const recognition::SaxSignRecognizer& reference,
   cell.shards = shards;
   for (std::size_t s = 0; s < drones; ++s) cell.frames_total += scripts[s].size();
 
-  std::vector<Clock::time_point> outcome_at(drones);  // dialogue worker writes
+  std::vector<Clock::time_point> outcome_at(drones);  // ack observer writes
   std::vector<double> grant_latencies_ms;             // coordination worker writes
   std::vector<coordination::GrantUpdate> grant_log;   // coordination worker writes
   double seconds = 0.0;

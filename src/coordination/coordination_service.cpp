@@ -12,10 +12,10 @@ namespace hdc::coordination {
 CoordinationService::CoordinationService(CoordinationConfig config)
     : config_(config),
       // Fleet events are sparse (a handful per dialogue, not per frame),
-      // so the ring essentially never fills; if it ever does, the
-      // dialogue workers pause rather than lose an outcome. The reverse
-      // edge (aborts into InteractionService) is non-blocking, so the pair
-      // cannot deadlock.
+      // so the ring essentially never fills; if it ever does, the shards
+      // running dialogue pause rather than lose an outcome. The reverse
+      // edge (request_abort into InteractionService) never blocks, so the
+      // pair cannot deadlock.
       ring_(config.queue_capacity),
       registry_(config.cells, config.grant_ttl),
       arbiter_(config.arbitration) {
@@ -49,18 +49,11 @@ void CoordinationService::admit_recorded(const FleetEvent& event) {
 }
 
 void CoordinationService::bind(interaction::InteractionService& dialogue) {
-  interaction::InteractionService::DialogueListener listener;
   interaction::InteractionService* source = &dialogue;
-  listener.on_event = [this](const interaction::SignEvent& event) {
-    admit_sign_event(event);
-  };
-  listener.on_transition = [this, source](const interaction::AckAction& action) {
-    admit_transition(source, action);
-  };
-  listener.on_outcome = [this](const protocol::OutcomeRecord& record) {
-    admit_outcome(record);
-  };
-  dialogue.set_dialogue_listener(std::move(listener));
+  dialogue.set_dialogue_listener(
+      [this, source](const interaction::InteractionService::DialogueStep& step) {
+        admit_step(source, step);
+      });
 }
 
 void CoordinationService::register_drone(const DroneDescriptor& descriptor) {
@@ -120,6 +113,16 @@ void CoordinationService::admit_sign_event(
   admit(std::move(event));
 }
 
+void CoordinationService::admit_step(
+    interaction::InteractionService* source,
+    const interaction::InteractionService::DialogueStep& step) {
+  for (const interaction::SignEvent& event : step.events) admit_sign_event(event);
+  for (const interaction::AckAction& action : step.actions) {
+    admit_transition(source, action);
+  }
+  if (step.outcome) admit_outcome(*step.outcome);
+}
+
 void CoordinationService::admit(FleetEvent event) {
   // Every entry point, replay included, funnels through here. make_trace_id
   // keeps 16 bits of the drone id and 48 of the sequence: larger values
@@ -147,7 +150,6 @@ void CoordinationService::worker_loop() {
   FleetEvent event;
   while (ring_.pop(event)) {
     queue_depth_.add(-1);
-    flush_pending_aborts();
     try {
       process(event);
     } catch (...) {
@@ -155,7 +157,6 @@ void CoordinationService::worker_loop() {
     }
     pending_.finish(1);
   }
-  flush_pending_aborts();
 }
 
 std::uint64_t CoordinationService::advance_clock(std::uint64_t sequence) {
@@ -231,8 +232,13 @@ void CoordinationService::handle_transition(const FleetEvent& event) {
       std::lock_guard<std::mutex> lock(log_mutex_);
       arbitration_log_.push_back(decision);
     }
+    // No known source (direct-admitted or replayed events): the decision
+    // is still logged; there is nobody to deliver the abort to.
     const auto it = sources_.find(decision.loser);
-    issue_abort(it == sources_.end() ? nullptr : it->second, decision.loser);
+    if (it != sources_.end()) {
+      it->second->request_abort(decision.loser);
+      aborts_issued_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -297,34 +303,6 @@ void CoordinationService::handle_sign_event(const FleetEvent& event,
   }
 }
 
-void CoordinationService::issue_abort(interaction::InteractionService* source,
-                                      std::uint32_t stream_id) {
-  if (source == nullptr) {
-    // No known source (direct-admitted events): the decision is still
-    // logged; there is nobody to deliver the abort to.
-    return;
-  }
-  if (source->try_abort_stream(stream_id)) {
-    aborts_issued_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    aborts_deferred_.fetch_add(1, std::memory_order_relaxed);
-    pending_aborts_.emplace_back(source, stream_id);
-  }
-}
-
-void CoordinationService::flush_pending_aborts() {
-  if (pending_aborts_.empty()) return;
-  std::vector<std::pair<interaction::InteractionService*, std::uint32_t>> retry;
-  retry.swap(pending_aborts_);
-  for (const auto& [source, stream_id] : retry) {
-    if (source->try_abort_stream(stream_id)) {
-      aborts_issued_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      pending_aborts_.emplace_back(source, stream_id);
-    }
-  }
-}
-
 void CoordinationService::report_grant_update(const FleetEvent& event, int cell,
                                               bool accepted) {
   if (recorder_ != nullptr) {
@@ -370,7 +348,7 @@ CoordinationStats CoordinationService::stats() const noexcept {
           arbitrations_.load(std::memory_order_relaxed),
           deferrals_.load(std::memory_order_relaxed),
           aborts_issued_.load(std::memory_order_relaxed),
-          aborts_deferred_.load(std::memory_order_relaxed),
+          /*aborts_deferred=*/0,
           unknown_drone_events_.load(std::memory_order_relaxed)};
 }
 

@@ -1,13 +1,14 @@
 // CoordinationService — fleet-level arbitration of dialogue outcomes and
 // the granted-space hand-off to the orchard mission planner.
 //
-//   InteractionService 0 ─┐ DialogueListener (events/transitions/outcomes)
+//   InteractionService 0 ─┐ DialogueListener (one step per processed input)
 //   InteractionService 1 ─┤
 //          ...            │ bounded MPSC ring ─> coordination worker
 //   InteractionService N ─┘                       │
 //                                                 ├─ SessionArbiter: who keeps
 //                                                 │  a contended human; losers
-//                                                 │  abort + retry backoff
+//                                                 │  get request_abort() +
+//                                                 │  retry backoff
 //                                                 ├─ GrantRegistry: per-cell
 //                                                 │  space-grant leases
 //                                                 v
@@ -18,24 +19,28 @@
 // acknowledge -> COORDINATE -> plan. Design points, mirroring how
 // InteractionService layered on PerceptionService:
 //   - All fleet logic runs on ONE worker behind a bounded ring, fed by the
-//     dialogue workers of any number of bound InteractionServices (MPSC).
-//     Arbiter and registry writer state need no locks.
+//     threads that run dialogue (perception shards, replay) for any number
+//     of bound InteractionServices (MPSC). Arbiter and registry writer
+//     state need no locks.
 //   - Time is the fleet clock: the max frame sequence observed across all
 //     streams (streams advance in near-lockstep; grant TTLs and retry
 //     backoffs live in this domain, no wall clock anywhere).
 //   - Aborts issued to losing drones go through the owning
-//     InteractionService's NON-BLOCKING try_abort_stream(): the dialogue
-//     worker feeds our ring and we feed its ring, so a blocking push on
-//     either side could deadlock the pair. A refused abort is retried
-//     before each subsequent event.
+//     InteractionService's request_abort(), which only counts the abort;
+//     the loser's next input applies it. The worker never waits on a
+//     dialogue session, so a shard blocked on a full ring here can always
+//     be released, and the pair cannot deadlock.
 //   - plan_hint()/grant() read the registry's per-cell seqlocks: mission
 //     planning threads never block the worker, the worker never waits for
 //     them.
 //
 // Shutdown order: stop the PerceptionService(s) first (no new frames),
-// then the InteractionService(s) (no new listener events), then this
-// service. stop() is idempotent and the destructor calls it; with all
-// three layers stopped, destruction order is free.
+// then the InteractionService(s) (they apply pending aborts, then send no
+// new listener steps), then this service. A checkpoint that must settle
+// aborts drains perception, dialogue and this service in rounds: an abort
+// requested in one round is applied by the next round's dialogue drain.
+// stop() is idempotent and the destructor calls it; with all three layers
+// stopped, destruction order is free.
 #pragma once
 
 #include <atomic>
@@ -78,8 +83,10 @@ struct CoordinationStats {
   std::uint64_t events{0};           ///< fleet events processed
   std::uint64_t arbitrations{0};     ///< contention decisions made
   std::uint64_t deferrals{0};        ///< retries refused inside a backoff
-  std::uint64_t aborts_issued{0};    ///< aborts delivered to losing streams
-  std::uint64_t aborts_deferred{0};  ///< non-blocking abort refused, queued for retry
+  std::uint64_t aborts_issued{0};    ///< aborts requested of losing streams
+  /// Always 0: an abort request cannot be refused. Kept only because the
+  /// benchmark still reads it.
+  std::uint64_t aborts_deferred{0};
   std::uint64_t unknown_drone_events{0};  ///< outcomes/events from unregistered drones
 };
 
@@ -162,6 +169,11 @@ class CoordinationService {
                         const interaction::AckAction& action);
   void admit_outcome(const protocol::OutcomeRecord& record);
   void admit_sign_event(const interaction::SignEvent& event);
+  /// One dialogue step as bind()'s listener forwards it: its sign events,
+  /// then its transitions (aborts routed back to `source`), then its
+  /// decided outcome.
+  void admit_step(interaction::InteractionService* source,
+                  const interaction::InteractionService::DialogueStep& step);
 
   void set_registry_observer(RegistryObserver observer);  ///< set before streaming
   void set_event_tap(EventTap tap);  ///< set before streaming
@@ -211,9 +223,6 @@ class CoordinationService {
   void handle_transition(const FleetEvent& event);
   void handle_outcome(const FleetEvent& event, std::uint64_t now);
   void handle_sign_event(const FleetEvent& event, std::uint64_t now);
-  void issue_abort(interaction::InteractionService* source,
-                   std::uint32_t stream_id);
-  void flush_pending_aborts();
   /// One registry mutation made visible: a kGrantUpdate instant on the
   /// triggering event's trace (kConflict when refused), then the observer.
   void report_grant_update(const FleetEvent& event, int cell, bool accepted);
@@ -229,8 +238,6 @@ class CoordinationService {
   /// Which InteractionService produced each drone's transitions (abort
   /// routing); learned from the transition stream.
   std::unordered_map<std::uint32_t, interaction::InteractionService*> sources_;
-  std::vector<std::pair<interaction::InteractionService*, std::uint32_t>>
-      pending_aborts_;
   SessionArbiter::Decisions decisions_scratch_;
 
   RegistryObserver registry_observer_;
@@ -254,7 +261,6 @@ class CoordinationService {
   std::atomic<std::uint64_t> arbitrations_{0};
   std::atomic<std::uint64_t> deferrals_{0};
   std::atomic<std::uint64_t> aborts_issued_{0};
-  std::atomic<std::uint64_t> aborts_deferred_{0};
   std::atomic<std::uint64_t> unknown_drone_events_{0};
 
   util::PendingCounter pending_;

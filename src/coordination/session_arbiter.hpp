@@ -18,7 +18,7 @@
 //      identical-priority contenders always resolve the same way.
 //
 // The loser is told to abort (CoordinationService routes that to the
-// owning InteractionService's external-abort hook) and is put on a
+// owning InteractionService's request_abort()) and is put on a
 // deferred-retry backoff: a new attempt before `retry_at` is aborted
 // immediately, and every consecutive loss doubles the backoff up to the
 // policy cap. A completed or ended dialogue clears the drone's standing.

@@ -2,19 +2,35 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/trace.hpp"
 
 namespace hdc::interaction {
 
+namespace {
+
+/// make_trace_id keeps 16 bits of the stream id and 48 of the sequence:
+/// larger values would alias another input's trace.
+void check_trace_identity(std::uint32_t stream_id, std::uint64_t sequence = 0) {
+  if (stream_id > telemetry::kMaxTraceStreamId) {
+    throw std::invalid_argument(
+        "InteractionService: stream_id above 65534 would alias trace ids");
+  }
+  if (sequence > telemetry::kMaxTraceSequence) {
+    throw std::invalid_argument(
+        "InteractionService: sequence above 2^48 - 1 would alias trace ids");
+  }
+}
+
+}  // namespace
+
 InteractionService::InteractionService(InteractionServiceConfig config,
                                        CommandGrammar grammar)
-    : config_(config),
-      grammar_(std::move(grammar)),
-      ring_(config.queue_capacity) {
+    : config_(config), grammar_(std::move(grammar)) {
   // Surface a misconfigured fusion policy here, at build time, instead of
-  // on the worker thread when the first stream's session is created.
+  // on a shard thread when the first stream's session is created.
   (void)SignEventFuser(config_.fusion, 0);
   if (config_.metrics != nullptr) {
     telemetry::MetricsRegistry& metrics = *config_.metrics;
@@ -24,10 +40,8 @@ InteractionService::InteractionService(InteractionServiceConfig config,
     events_counter_ = metrics.counter(telemetry::kInteractionEvents);
     actions_counter_ = metrics.counter(telemetry::kInteractionActions);
     outcomes_counter_ = metrics.counter(telemetry::kInteractionOutcomes);
-    queue_depth_ = metrics.gauge(telemetry::kInteractionQueueDepth);
   }
   recorder_ = config_.recorder;
-  worker_ = std::thread([this] { worker_loop(); });
 }
 
 InteractionService::~InteractionService() { stop(); }
@@ -53,153 +67,100 @@ bool InteractionService::congested() const {
 }
 
 void InteractionService::on_result(const recognition::StreamResult& result) {
-  Observation observation;
-  observation.stream_id = result.stream_id;
-  observation.sequence = result.sequence;
-  observation.confidence = config_.fusion.confidence_of(result.result);
-  observation.sign = observation.confidence > 0.0 ? result.result.sign
-                                                  : signs::HumanSign::kNeutral;
-  admit(observation, /*blocking=*/true);
+  ObservationSample sample;
+  sample.stream_id = result.stream_id;
+  sample.sequence = result.sequence;
+  sample.confidence = config_.fusion.confidence_of(result.result);
+  sample.sign = sample.confidence > 0.0 ? result.result.sign
+                                        : signs::HumanSign::kNeutral;
+  admit(sample);
 }
 
 void InteractionService::abort_stream(std::uint32_t stream_id) {
-  admit({ObservationKind::kAbort, stream_id}, /*blocking=*/true);
+  admit({stream_id, 0, signs::HumanSign::kNeutral, 0.0, /*abort=*/true});
 }
 
 void InteractionService::inject_observation(std::uint32_t stream_id,
                                             std::uint64_t sequence,
                                             signs::HumanSign sign,
                                             double confidence) {
-  admit({ObservationKind::kFrame, stream_id, sequence, sign, confidence},
-        /*blocking=*/true);
+  admit({stream_id, sequence, sign, confidence, /*abort=*/false});
 }
 
-bool InteractionService::try_abort_stream(std::uint32_t stream_id) {
-  return admit({ObservationKind::kAbort, stream_id}, /*blocking=*/false);
+void InteractionService::request_abort(std::uint32_t stream_id) {
+  check_trace_identity(stream_id);
+  session_for(stream_id).requested_aborts.fetch_add(1, std::memory_order_release);
 }
 
-bool InteractionService::admit(Observation observation, bool blocking) {
-  // make_trace_id keeps 16 bits of the stream id and 48 of the sequence:
-  // larger values would alias another observation's trace.
-  if (observation.stream_id > telemetry::kMaxTraceStreamId) {
-    throw std::invalid_argument(
-        "InteractionService: stream_id above 65534 would alias trace ids");
-  }
-  if (observation.sequence > telemetry::kMaxTraceSequence) {
-    throw std::invalid_argument(
-        "InteractionService: sequence above 2^48 - 1 would alias trace ids");
-  }
-  if (stopping_.load(std::memory_order_acquire)) return false;
-  // push() consumes the observation, so its identity must be saved first
-  // for the terminal trace event on the refusal path.
-  const telemetry::TraceContext admitted_context =
-      telemetry::TraceContext::of(observation.stream_id, observation.sequence);
-  // Raise pending BEFORE the push — the worker can process the observation
-  // before push() returns (PendingCounter's contract).
-  pending_.raise();
-  // push() refuses only once the ring is closed, try_push() also when it
-  // is full.
-  const util::PushOutcome outcome = blocking ? ring_.push(std::move(observation))
-                                             : ring_.try_push(std::move(observation));
-  if (outcome == util::PushOutcome::kEnqueued) {
-    queue_depth_.add(1);
-    return true;
-  }
-  if (outcome == util::PushOutcome::kClosed && recorder_ != nullptr) {
-    recorder_->emit_instant(admitted_context, telemetry::TraceStage::kAdmit,
-                            telemetry::TraceOutcome::kClosed);
-  }
-  finish_observations(1);
-  return false;
-}
-
-void InteractionService::worker_loop() {
-  Observation observation;
-  while (ring_.pop(observation)) {
-    queue_depth_.add(-1);
-    try {
-      process(observation);
-    } catch (...) {
-      pending_.record_error(std::current_exception());
+void InteractionService::admit(const ObservationSample& sample) {
+  check_trace_identity(sample.stream_id, sample.sequence);
+  if (stopping_.load(std::memory_order_acquire)) {
+    if (recorder_ != nullptr) {
+      recorder_->emit_instant(
+          telemetry::TraceContext::of(sample.stream_id, sample.sequence),
+          telemetry::TraceStage::kAdmit, telemetry::TraceOutcome::kClosed);
     }
-    finish_observations(1);
-  }
-}
-
-void InteractionService::process(const Observation& observation) {
-  Session& session = session_for(observation.stream_id);
-  std::lock_guard<std::mutex> lock(session.mutex);
-  actions_scratch_.clear();
-  observations_counter_.add(1);
-
-  if (listener_.on_observation) {
-    ObservationSample sample;
-    sample.stream_id = observation.stream_id;
-    sample.abort = observation.kind == ObservationKind::kAbort;
-    // Aborts carry no frame; stamp the stream's last processed sequence so
-    // the journal entry still orders against the frame stream.
-    sample.sequence = sample.abort ? session.last_sequence : observation.sequence;
-    sample.sign = observation.sign;
-    sample.confidence = observation.confidence;
-    listener_.on_observation(sample);
-  }
-
-  if (observation.kind == ObservationKind::kAbort) {
-    {
-      // Aborts carry no frame: their trace anchors to the last processed
-      // sequence, the same identity the journal sample records.
-      telemetry::TracedSpan span(
-          transition_ns_, recorder_,
-          telemetry::TraceContext::of(observation.stream_id,
-                                      session.last_sequence),
-          telemetry::TraceStage::kTransition);
-      session.fsm.abort(session.last_sequence, actions_scratch_);
-    }
-    apply_actions(session, actions_scratch_);
-    notify_listener(session, events_scratch_, 0, actions_scratch_);
     return;
   }
+  Session& session = session_for(sample.stream_id);
+  std::lock_guard<std::mutex> lock(session.mutex);
+  apply_requested_aborts(session);
+  process(session, sample);
+}
 
-  ++session.frames;
-  session.last_sequence = observation.sequence;
-  const telemetry::TraceContext trace_context =
-      telemetry::TraceContext::of(observation.stream_id, observation.sequence);
-  std::size_t emitted = 0;
-  {
-    telemetry::TracedSpan span(fuse_ns_, recorder_, trace_context,
-                               telemetry::TraceStage::kFuse);
-    emitted = session.fuser.observe(observation.sequence, observation.sign,
-                                    observation.confidence, events_scratch_);
+void InteractionService::apply_requested_aborts(Session& session) {
+  for (std::uint32_t n = session.requested_aborts.exchange(
+           0, std::memory_order_acquire);
+       n > 0; --n) {
+    process(session, {session.stream_id, 0, signs::HumanSign::kNeutral, 0.0,
+                      /*abort=*/true});
   }
-  events_counter_.add(emitted);
-  {
+}
+
+void InteractionService::process(Session& session, ObservationSample sample) {
+  session.actions.clear();
+  observations_counter_.add(1);
+  std::size_t emitted = 0;
+  if (sample.abort) {
+    // Aborts carry no frame: stamp the stream's last processed sequence, so
+    // the journal entry still orders against the frame stream and the trace
+    // anchors to the same identity.
+    sample.sequence = session.last_sequence;
+    telemetry::TracedSpan span(
+        transition_ns_, recorder_,
+        telemetry::TraceContext::of(sample.stream_id, sample.sequence),
+        telemetry::TraceStage::kTransition);
+    session.fsm.abort(session.last_sequence, session.actions);
+  } else {
+    ++session.frames;
+    session.last_sequence = sample.sequence;
+    const telemetry::TraceContext trace_context =
+        telemetry::TraceContext::of(sample.stream_id, sample.sequence);
+    {
+      telemetry::TracedSpan span(fuse_ns_, recorder_, trace_context,
+                                 telemetry::TraceStage::kFuse);
+      emitted = session.fuser.observe(sample.sequence, sample.sign,
+                                      sample.confidence, session.events);
+    }
+    events_counter_.add(emitted);
     telemetry::TracedSpan span(transition_ns_, recorder_, trace_context,
                                telemetry::TraceStage::kTransition);
     for (std::size_t i = 0; i < emitted; ++i) {
-      session.fsm.on_event(events_scratch_[i], actions_scratch_);
+      session.fsm.on_event(session.events[i], session.actions);
     }
-    session.fsm.on_tick(observation.sequence, actions_scratch_);
+    session.fsm.on_tick(sample.sequence, session.actions);
   }
-  apply_actions(session, actions_scratch_);
-  notify_listener(session, events_scratch_, emitted, actions_scratch_);
-}
+  apply_actions(session);
 
-void InteractionService::notify_listener(
-    Session& session, const SignEventFuser::Events& events,
-    std::size_t event_count, const DialogueStateMachine::Actions& actions) {
-  if (listener_.on_event) {
-    for (std::size_t i = 0; i < event_count; ++i) listener_.on_event(events[i]);
-  }
-  if (listener_.on_transition) {
-    for (const AckAction& action : actions) listener_.on_transition(action);
-  }
   // Outcome decisions are detected (and counted) regardless of whether a
   // listener is attached, so interaction_outcomes_total does not depend on
   // the listener configuration.
+  std::optional<protocol::OutcomeRecord> decided;
   const protocol::OutcomeRecord record = session.fsm.outcome_record();
   if (record.outcome != protocol::Outcome::kPending &&
       record != session.reported_outcome) {
     session.reported_outcome = record;
+    decided = record;
     outcomes_counter_.add(1);
     if (recorder_ != nullptr) {
       // The outcome's trace identity derives from the record's own
@@ -208,14 +169,16 @@ void InteractionService::notify_listener(
           telemetry::TraceContext::of(record.stream_id, record.final_sequence),
           telemetry::TraceStage::kOutcome, telemetry::TraceOutcome::kOk);
     }
-    if (listener_.on_outcome) listener_.on_outcome(record);
+  }
+  if (listener_) {
+    listener_({sample, std::span<const SignEvent>(session.events.data(), emitted),
+               session.actions, decided});
   }
 }
 
-void InteractionService::apply_actions(
-    Session& session, const DialogueStateMachine::Actions& actions) {
-  if (!actions.empty()) actions_counter_.add(actions.size());
-  for (const AckAction& action : actions) {
+void InteractionService::apply_actions(Session& session) {
+  if (!session.actions.empty()) actions_counter_.add(session.actions.size());
+  for (const AckAction& action : session.actions) {
     if (action.set_ring) session.led.set_mode(action.ring);
     if (action.fly_pattern) {
       // Anchor at the communication altitude, facing the signaller (+y,
@@ -233,7 +196,10 @@ void InteractionService::apply_actions(
           telemetry::TraceContext::of(action.stream_id, action.tick),
           telemetry::TraceStage::kAck, telemetry::TraceOutcome::kOk);
     }
-    if (ack_observer_) ack_observer_(action);
+    if (ack_observer_) {
+      std::lock_guard<std::mutex> lock(ack_mutex_);
+      ack_observer_(action);
+    }
   }
 }
 
@@ -262,19 +228,35 @@ const InteractionService::Session* InteractionService::find_session(
   return it == sessions_.end() ? nullptr : it->second.get();
 }
 
-void InteractionService::finish_observations(std::size_t count) {
-  pending_.finish(count);
+void InteractionService::sweep_requested_aborts() {
+  // Collect first, process after: the map lock must not be held while a
+  // listener may block on the coordination ring, or request_abort() for a
+  // new stream would wait on it from the coordination worker.
+  std::vector<Session*> pending;
+  {
+    std::shared_lock<std::shared_mutex> lock(sessions_mutex_);
+    for (const auto& [stream_id, session] : sessions_) {
+      if (session->requested_aborts.load(std::memory_order_acquire) > 0) {
+        pending.push_back(session.get());
+      }
+    }
+  }
+  for (Session* session : pending) {
+    std::lock_guard<std::mutex> lock(session->mutex);
+    apply_requested_aborts(*session);
+  }
 }
 
-void InteractionService::drain() { pending_.drain(); }
+void InteractionService::drain() { sweep_requested_aborts(); }
 
 void InteractionService::stop() noexcept {
-  std::lock_guard<std::mutex> guard(stop_mutex_);
-  if (stopped_) return;
-  stopping_.store(true, std::memory_order_release);
-  ring_.close();
-  if (worker_.joinable()) worker_.join();
-  stopped_ = true;
+  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
+  try {
+    sweep_requested_aborts();
+  } catch (...) {
+    // Shutdown does not report processing errors; drain() before stop()
+    // to see them.
+  }
 }
 
 InteractionStreamStats InteractionService::stream_stats(

@@ -11,12 +11,11 @@
 
 namespace hdc::protocol {
 
-void EventJournal::append(const wire::AnyRecord& record) {
-  telemetry::TracedSpan span(append_ns_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  wire::encode(buffer_, record);
-  ++records_;
-  records_counter_.add(1);
+void EventJournal::Batch::append(const wire::AnyRecord& record) {
+  telemetry::TracedSpan span(journal_->append_ns_);
+  wire::encode(journal_->buffer_, record);
+  ++journal_->records_;
+  journal_->records_counter_.add(1);
 }
 
 void EventJournal::instrument(telemetry::MetricsRegistry& metrics) {
@@ -215,8 +214,7 @@ wire::RunConfigRecord make_run_config(
   config.confirm_timeout = dialogue.confirm_timeout;
   config.execute_ticks = dialogue.execute_ticks;
   config.abort_ticks = dialogue.abort_ticks;
-  config.observation_queue =
-      static_cast<std::uint32_t>(interaction_config.queue_capacity);
+  // observation_queue keeps the record's default, 256 (see wire.hpp).
   config.cells = static_cast<std::uint32_t>(coordination_config.cells);
   config.grant_ttl = coordination_config.grant_ttl;
   config.fleet_queue =
@@ -247,7 +245,6 @@ interaction::InteractionServiceConfig interaction_config_of(
   out.dialogue.confirm_timeout = config.confirm_timeout;
   out.dialogue.execute_ticks = config.execute_ticks;
   out.dialogue.abort_ticks = config.abort_ticks;
-  out.queue_capacity = config.observation_queue;
   return out;
 }
 
@@ -301,10 +298,10 @@ wire::TranscriptDigestRecord digest_record(std::uint32_t stream_id,
 // ------------------------------------------------- metric snapshots ------
 
 const std::vector<std::string_view>& replay_deterministic_counters() {
-  // Explicit list, NOT a name-prefix filter: a counter incremented on a
-  // producer thread depends on live queue depths, so a new interaction_ or
+  // Explicit list, NOT a name-prefix filter: a counter incremented on
+  // admission depends on live queue depths, so a new interaction_ or
   // coordination_ counter joins the journal only once it is shown to count
-  // worker-side inputs alone — a prefix rule would silently journal a
+  // processed inputs alone — a prefix rule would silently journal a
   // nondeterministic counter and break the replay gate.
   static const std::vector<std::string_view> kCounters = {
       telemetry::kInteractionObservations,
@@ -348,28 +345,26 @@ void JournalRecorder::record_config(const wire::RunConfigRecord& config) {
 void JournalRecorder::attach_interaction(
     interaction::InteractionService& dialogue,
     coordination::CoordinationService* coordinator) {
-  interaction::InteractionService::DialogueListener listener;
   EventJournal* journal = journal_;
   interaction::InteractionService* source = &dialogue;
-  listener.on_observation =
-      [journal](const interaction::InteractionService::ObservationSample& s) {
-        journal->append(to_wire(s));
-      };
-  listener.on_event = [journal,
-                       coordinator](const interaction::SignEvent& event) {
-    journal->append(to_wire(event));
-    if (coordinator != nullptr) coordinator->admit_sign_event(event);
-  };
-  listener.on_transition = [journal, coordinator,
-                            source](const interaction::AckAction& action) {
-    journal->append(to_wire(action));
-    if (coordinator != nullptr) coordinator->admit_transition(source, action);
-  };
-  listener.on_outcome = [journal, coordinator](const OutcomeRecord& record) {
-    journal->append(to_wire(record));
-    if (coordinator != nullptr) coordinator->admit_outcome(record);
-  };
-  dialogue.set_dialogue_listener(std::move(listener));
+  dialogue.set_dialogue_listener(
+      [journal, coordinator,
+       source](const interaction::InteractionService::DialogueStep& step) {
+        {
+          EventJournal::Batch batch = journal->batch();
+          batch.append(to_wire(step.sample));
+          for (const interaction::SignEvent& event : step.events) {
+            batch.append(to_wire(event));
+          }
+          for (const interaction::AckAction& action : step.actions) {
+            batch.append(to_wire(action));
+          }
+          if (step.outcome) batch.append(to_wire(*step.outcome));
+        }
+        // Forwarded after the batch releases the journal: the coordination
+        // worker appends too, and admit_step() may wait on its ring.
+        if (coordinator != nullptr) coordinator->admit_step(source, step);
+      });
 }
 
 void JournalRecorder::attach_coordination(

@@ -3,26 +3,28 @@
 // hooks that fill it from the live services.
 //
 // What gets recorded, and why replay works (see ARCHITECTURE.md):
-//   - The dialogue worker's INPUTS (every ObservationSample, via the
-//     DialogueListener's on_observation tap) and OUTPUTS (sign events,
-//     transitions, outcomes) in processing order. Observations are the
-//     interaction layer's replayable input unit: re-feeding them from one
-//     thread reproduces the ring order, hence the processing order, hence
-//     every output bit-identically.
+//   - The interaction layer's INPUTS (every ObservationSample) and OUTPUTS
+//     (sign events, transitions, outcomes), one DialogueStep at a time, in
+//     processing order. Observations are the interaction layer's
+//     replayable input unit: re-feeding them from one thread in recorded
+//     order reproduces every output bit-identically.
 //   - The coordination worker's INPUTS (every FleetEvent, via the event
 //     tap, in the exact order the single worker consumed them) and
-//     OUTPUTS (grant updates via the registry observer). Cross-worker
+//     OUTPUTS (grant updates via the registry observer). Cross-thread
 //     interleavings that are nondeterministic live become explicit data.
 //   - A finalize() section: arbitration log, final grant slots, final plan
 //     hints, per-stream transcript digests + outcomes, and a JournalEnd
 //     trailer — the expected end state a replay must reproduce.
 //
-// Threading: EventJournal::append() is mutex-guarded — the dialogue worker
-// and the coordination worker both append. Within one record TYPE the
-// writer is unique, so per-type record order is deterministic; the
-// interleaving BETWEEN types from different workers is not (the replay
-// driver therefore compares per-type, and full-byte only between two
-// sequential replays, which are single-threaded stage by stage).
+// Threading: EventJournal is mutex-guarded — K perception shards (running
+// dialogue) and the coordination worker all append. The recorder appends
+// each DialogueStep's records under ONE lock (EventJournal::Batch), so every
+// interaction record type's global order is the order of the Observation
+// records — exactly what a single-threaded replay of those observations
+// produces — however the shards interleave. Coordination record types have
+// a single writer. Only the interleaving BETWEEN the two groups is
+// nondeterministic live, so the replay driver compares per type, and full
+// bytes only between two sequential replays.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,22 @@ namespace hdc::protocol {
 /// Append-only journal buffer: wire-enveloped records, in append order.
 class EventJournal {
  public:
-  void append(const wire::AnyRecord& record);
+  /// Holds the journal lock: records appended through one Batch are
+  /// contiguous, with no other writer's record between them.
+  class Batch {
+   public:
+    void append(const wire::AnyRecord& record);
+
+   private:
+    friend class EventJournal;
+    explicit Batch(EventJournal& journal)
+        : journal_(&journal), lock_(journal.mutex_) {}
+    EventJournal* journal_;
+    std::lock_guard<std::mutex> lock_;
+  };
+
+  [[nodiscard]] Batch batch() { return Batch(*this); }
+  void append(const wire::AnyRecord& record) { batch().append(record); }
 
   /// Arms the append-latency span + record counter (disarmed by default;
   /// `metrics` must outlive this journal). Call before streaming.
@@ -67,9 +84,9 @@ class EventJournal {
 };
 
 /// The counter names whose totals are a pure function of a run's recorded
-/// input sequence (incremented only on the dialogue / coordination workers
-/// while processing an admitted input — never on producer threads, never
-/// dependent on queue timing). These, and only these, go into a journal's
+/// input sequence (incremented only while the interaction layer or the
+/// coordination worker processes an admitted input — never on admission,
+/// never dependent on queue timing). These, and only these, go into a journal's
 /// MetricSnapshotRecord: replaying the journal must reproduce every total
 /// bit-exactly. Notably absent: all perception metrics (producer-side,
 /// they depend on live queue depths).
@@ -136,10 +153,10 @@ class JournalRecorder {
   /// Writes the journal header. Call first, before streaming.
   void record_config(const wire::RunConfigRecord& config);
 
-  /// Installs a recording DialogueListener on `dialogue`. Every
-  /// observation/event/transition/outcome is journaled, then forwarded to
-  /// `coordinator` (exactly what CoordinationService::bind() would have
-  /// received). Pass nullptr for record-only wiring — the replay driver
+  /// Installs a recording DialogueListener on `dialogue`. Each step's
+  /// observation/events/transitions/outcome are journaled as one Batch, then
+  /// forwarded to `coordinator` (exactly what CoordinationService::bind()
+  /// would have received). Pass nullptr for record-only wiring — the replay driver
   /// does, because during replay the coordination layer is fed from the
   /// recorded FleetEvents, not from the re-run dialogues.
   void attach_interaction(interaction::InteractionService& dialogue,

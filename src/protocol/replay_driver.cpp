@@ -164,7 +164,7 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
     recorder.set_metrics(&metrics);
   }
 
-  // Stage 1: the interaction layer, fed single-threaded in recorded order
+  // Stage 1: the interaction layer, fed on this thread in recorded order
   // (record-only wiring — stage 2 gets the RECORDED fleet events, so the
   // replayed dialogue outputs must not reach the coordinator too).
   interaction::InteractionServiceConfig dialogue_config =
@@ -186,8 +186,6 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
     }
     ++report.observations_fed;
   }
-  dialogue.drain();
-  dialogue.stop();
 
   // Stage 2: the coordination layer, fed the recorded worker inputs.
   coordination::CoordinationConfig coordination_config =

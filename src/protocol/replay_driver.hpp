@@ -3,13 +3,13 @@
 //
 // Replay decouples the two layers the live run coupled through threads:
 //   1. A fresh InteractionService (built from the journal's RunConfig +
-//      the caller's grammar) is fed the recorded ObservationRecords from
-//      ONE thread, in recorded order — single producer in, FIFO ring out,
-//      so the dialogue worker processes them in the recorded order and
-//      every fused event / transition / outcome / transcript entry falls
-//      out bit-identically. Recorded aborts are re-issued as aborts: the
-//      arbitration EFFECTS replay from the observation stream, without
-//      needing the coordination layer's timing.
+//      the caller's grammar) is fed the recorded ObservationRecords in a
+//      plain loop on the calling thread, in recorded order — each is
+//      processed before the call returns, so every fused event /
+//      transition / outcome / transcript entry falls out bit-identically.
+//      Recorded aborts are re-issued as aborts: the arbitration EFFECTS
+//      replay from the observation stream, without needing the
+//      coordination layer's timing.
 //   2. A fresh CoordinationService is fed the recorded FleetEventRecords
 //      in recorded (single-worker processing) order — reproducing every
 //      arbitration decision, grant mutation, and plan hint.
@@ -18,8 +18,9 @@
 // journal has a deterministic byte layout (two replays of the same
 // journal are byte-identical — the CI determinism gate diffs exactly
 // that). Against the RECORDED journal, comparison is per record type,
-// because the live run's two workers interleave types nondeterministically
-// while each type has a single writer.
+// because the live run interleaves interaction and coordination records
+// nondeterministically while each type's order is deterministic (see
+// journal.hpp's Threading paragraph).
 //
 // Any malformed journal — truncated, bit-flipped, future-versioned,
 // missing its JournalEnd trailer — is rejected with the precise offset
@@ -47,7 +48,8 @@ namespace hdc::protocol {
 /// Largest ring, fusion window or cell count a journal's RunConfig may ask
 /// the replayed services to allocate. The header's sizes are u32 on the
 /// wire, so without a cap a 58 KB journal could demand a 2^32 - 1 slot
-/// ring; the default rings hold 256 and 1024 items.
+/// ring; the default fleet ring holds 1024 items. observation_queue is
+/// checked against the same range although nothing allocates it.
 inline constexpr std::uint32_t kMaxReplayCapacity = 1U << 16;
 
 struct ReplayOptions {

@@ -115,7 +115,9 @@ struct RunConfigRecord {
   std::uint64_t confirm_timeout{90};
   std::uint64_t execute_ticks{48};
   std::uint64_t abort_ticks{16};
-  // interaction::InteractionServiceConfig
+  // The size of a ring the interaction layer no longer has: recorders write
+  // 256 and nothing reads it back, but it stays on the wire (and range
+  // checked on replay) so existing journals keep their bytes.
   std::uint32_t observation_queue{256};
   // coordination::CoordinationConfig + ArbitrationPolicy
   std::uint32_t cells{64};
@@ -129,7 +131,7 @@ struct RunConfigRecord {
   [[nodiscard]] bool operator==(const RunConfigRecord&) const = default;
 };
 
-/// One observation as processed by the dialogue worker (frame or abort).
+/// One observation as the interaction layer processed it (frame or abort).
 /// This is the interaction layer's replayable input stream.
 struct ObservationRecord {
   std::uint32_t stream_id{0};

@@ -6,7 +6,7 @@
 //   <layer>_<what>            gauge (queue depths)
 //
 // Counters under the `interaction_` / `coordination_` layers that are
-// incremented only while a worker processes an admitted input are the
+// incremented only while an admitted input is processed are the
 // REPLAY-DETERMINISTIC set (protocol::replay_deterministic_counters()):
 // their totals are a pure function of the recorded input sequence, so a
 // journal snapshot of them must reproduce bit-exactly on replay.
@@ -41,7 +41,7 @@ inline constexpr std::string_view kRecognitionStages[] = {
     kRecognitionMatch,
 };
 
-// --- interaction (fuser + dialogue FSM worker) ---------------------------
+// --- interaction (fuser + dialogue FSM, on the caller's thread) ----------
 inline constexpr std::string_view kInteractionFuse = "interaction_fuse_ns";
 inline constexpr std::string_view kInteractionTransition = "interaction_transition_ns";
 inline constexpr std::string_view kInteractionObservations =
@@ -49,7 +49,6 @@ inline constexpr std::string_view kInteractionObservations =
 inline constexpr std::string_view kInteractionEvents = "interaction_events_total";
 inline constexpr std::string_view kInteractionActions = "interaction_actions_total";
 inline constexpr std::string_view kInteractionOutcomes = "interaction_outcomes_total";
-inline constexpr std::string_view kInteractionQueueDepth = "interaction_queue_depth";
 
 // --- coordination (arbiter + grant registry worker) ----------------------
 inline constexpr std::string_view kCoordinationArbitrate = "coordination_arbitrate_ns";

@@ -81,7 +81,8 @@ enum class TraceStage : std::uint8_t {
   kSubmit = 0,   ///< PerceptionService::submit (admission)
   kQueueWait,    ///< shard ring residency, submit -> worker pop
   kRecognize,    ///< one frame's recognition on its shard
-  kAdmit,        ///< InteractionService admission (a refusal closes here)
+  kAdmit,        ///< InteractionService admission (an input refused after
+                 ///< stop() closes its trace here)
   kFuse,         ///< SignEventFuser::observe
   kTransition,   ///< dialogue FSM on_event/on_tick/abort
   kAck,          ///< one applied AckAction (instant)

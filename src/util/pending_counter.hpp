@@ -1,5 +1,5 @@
 // In-flight work accounting shared by the streaming services
-// (PerceptionService, InteractionService): producers raise() BEFORE
+// (PerceptionService, CoordinationService): producers raise() BEFORE
 // publishing an item — the consumer may finish it before the publish call
 // even returns, and the decrement must never precede the increment —
 // workers finish() it, and drain() blocks until everything raised before

@@ -10,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "coordination/coordination_service.hpp"
@@ -17,6 +18,9 @@
 #include "coordination/grant_registry.hpp"
 #include "coordination/session_arbiter.hpp"
 #include "interaction/interaction_service.hpp"
+#include "protocol/journal.hpp"
+#include "protocol/replay_driver.hpp"
+#include "protocol/wire.hpp"
 #include "recognition/perception_service.hpp"
 #include "signs/multi_drone_feed.hpp"
 #include "telemetry/trace.hpp"
@@ -404,6 +408,76 @@ TEST(Service, ArbitratesDirectAdmittedContention) {
   service.stop();
 }
 
+/// Every journaled Observation record of `stream`, in journal order.
+std::vector<protocol::wire::ObservationRecord> journaled_samples(
+    const protocol::EventJournal& journal, std::uint32_t stream) {
+  std::vector<protocol::wire::AnyRecord> records;
+  protocol::wire::WireError error;
+  EXPECT_TRUE(protocol::wire::parse_all(journal.bytes(), records, error));
+  std::vector<protocol::wire::ObservationRecord> samples;
+  for (const protocol::wire::AnyRecord& record : records) {
+    const auto* o = std::get_if<protocol::wire::ObservationRecord>(&record);
+    if (o != nullptr && o->stream_id == stream) samples.push_back(*o);
+  }
+  return samples;
+}
+
+TEST(Service, ArbitrationAbortLandsBeforeTheLosersNextFrame) {
+  // Drone 0 attends human 7 first; drone 1's attention then loses the
+  // arbitration. The coordinator only requests the abort; the loser's next
+  // frame applies it before its own input.
+  CoordinationConfig config;
+  config.cells = 2;
+  CoordinationService coordinator(config);
+  interaction::InteractionService dialogue;
+  protocol::EventJournal journal;
+  protocol::JournalRecorder recorder(journal);
+  recorder.attach_interaction(dialogue, &coordinator);
+  recorder.attach_coordination(coordinator);
+  coordinator.register_drone(drone(0, 0, 7));
+  coordinator.register_drone(drone(1, 1, 7));
+
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 8; ++i) {
+    dialogue.inject_observation(0, ++seq, signs::HumanSign::kAttentionGained, 0.9);
+  }
+  // Settle the coordinator after every frame, so the abort is requested
+  // right after the frame whose transition lost.
+  for (int i = 0; i < 12; ++i) {
+    dialogue.inject_observation(1, ++seq, signs::HumanSign::kAttentionGained, 0.9);
+    coordinator.drain();
+  }
+  dialogue.drain();
+  coordinator.drain();
+
+  const auto log = coordinator.arbitration_log();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].loser, 1u);
+  EXPECT_EQ(dialogue.outcome(1), protocol::Outcome::kAborted);
+
+  const auto samples = journaled_samples(journal, 1);
+  ASSERT_EQ(samples.size(), 13u);  // 12 frames + 1 abort
+  const auto abort = std::find_if(
+      samples.begin(), samples.end(),
+      [](const protocol::wire::ObservationRecord& o) { return o.abort != 0; });
+  ASSERT_NE(abort, samples.end());
+  ASSERT_NE(abort, samples.begin());
+  ASSERT_NE(abort + 1, samples.end());
+  // Stamped with the losing frame, and applied before the next one.
+  EXPECT_EQ(abort->sequence, (abort - 1)->sequence);
+  EXPECT_EQ((abort + 1)->sequence, abort->sequence + 1);
+  EXPECT_EQ((abort + 1)->abort, 0);
+  EXPECT_EQ(dialogue.outcome_record(1).final_sequence, abort->sequence);
+
+  const auto aborts = std::count_if(
+      samples.begin(), samples.end(),
+      [](const protocol::wire::ObservationRecord& o) { return o.abort != 0; });
+  EXPECT_EQ(coordinator.stats().aborts_issued, static_cast<std::uint64_t>(aborts));
+  EXPECT_EQ(coordinator.stats().aborts_deferred, 0u);
+  dialogue.stop();
+  coordinator.stop();
+}
+
 TEST(Service, RegisterDroneRejectsTraceAliasingIds) {
   // make_trace_id keeps 16 bits of drone + 1: drone 65535 would get the
   // zero "no context" id and d + 65536 would alias d.
@@ -768,12 +842,19 @@ class FleetEndToEnd : public ::testing::Test {
 recognition::SaxSignRecognizer* FleetEndToEnd::reference_ = nullptr;
 
 /// Runs `fleet` through the full stack and returns after everything
-/// settled (including the abort round trip).
+/// settled (including the abort round trip). With a `recorder`, the
+/// journal hooks take bind()'s place.
 void run_fleet(const recognition::SaxSignRecognizer& reference,
                const ContentionFleet& fleet,
                CoordinationService& coordinator,
-               interaction::InteractionService& dialogue) {
-  coordinator.bind(dialogue);
+               interaction::InteractionService& dialogue,
+               protocol::JournalRecorder* recorder = nullptr) {
+  if (recorder != nullptr) {
+    recorder->attach_interaction(dialogue, &coordinator);
+    recorder->attach_coordination(coordinator);
+  } else {
+    coordinator.bind(dialogue);
+  }
   for (const DroneDescriptor& descriptor : fleet.drones) {
     coordinator.register_drone(descriptor);
   }
@@ -846,6 +927,46 @@ TEST_F(FleetEndToEnd, ContentionPairResolvesAsScripted) {
 
   dialogue.stop();
   coordinator.stop();
+}
+
+TEST_F(FleetEndToEnd, FullCoordinationRingCannotDeadlockTheShards) {
+  // A one-slot coordination ring keeps both shards blocked on it while
+  // they hold a session lock; the coordination worker requests aborts
+  // without one, so the run still completes. Which drone of a pair wins
+  // still races on thread timing (ROADMAP "Deterministic fleet order"),
+  // so only completion and the replay are asserted.
+  const interaction::CommandGrammar grammar =
+      interaction::CommandGrammar::standard();
+  const ContentionFleet fleet = make_contention_fleet(8, grammar);
+
+  CoordinationConfig config;
+  config.cells = fleet.pairs.size();
+  config.grant_ttl = 1'000'000;
+  config.queue_capacity = 1;
+  interaction::InteractionServiceConfig dialogue_config;
+  dialogue_config.fusion =
+      interaction::FusionPolicy::matching(reference_->config());
+
+  protocol::EventJournal journal;
+  protocol::JournalRecorder recorder(journal);
+  recorder.record_config(protocol::make_run_config(dialogue_config, config));
+  CoordinationService coordinator(config);
+  interaction::InteractionService dialogue(
+      dialogue_config, interaction::CommandGrammar(grammar.rules()));
+
+  run_fleet(*reference_, fleet, coordinator, dialogue, &recorder);
+  dialogue.stop();
+  coordinator.stop();
+
+  std::vector<std::uint32_t> streams;
+  for (std::uint32_t s = 0; s < fleet.scripts.size(); ++s) {
+    EXPECT_NE(dialogue.outcome(s), protocol::Outcome::kPending) << "stream " << s;
+    streams.push_back(s);
+  }
+  recorder.finalize(dialogue, streams, coordinator);
+  const protocol::ReplayReport report =
+      protocol::ReplayDriver().replay(journal.bytes());
+  EXPECT_TRUE(report.ok) << report.mismatch;
 }
 
 TEST_F(FleetEndToEnd, GrantThenRevokeEndToEnd) {

@@ -8,18 +8,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "interaction/scenario.hpp"
+#include "protocol/journal.hpp"
+#include "protocol/wire.hpp"
 #include "recognition/perception_service.hpp"
 #include "signs/multi_drone_feed.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/trace.hpp"
 
 namespace hdc::interaction {
@@ -181,7 +188,7 @@ TEST(SignEventFuser, LabelSwitchClosesThenOpensInOneObserve) {
 
 TEST(SignEventFuser, ServiceRejectsInvalidPolicyAtConstruction) {
   // A bad fusion policy must fail when the service is built, not later on
-  // the dialogue worker when the first session is created.
+  // a shard thread when the first session is created.
   InteractionServiceConfig config;
   config.fusion.majority = config.fusion.window + 4;
   EXPECT_THROW(InteractionService{config}, std::invalid_argument);
@@ -821,27 +828,26 @@ TEST_F(InteractionEndToEnd, LedRingShowsEachDialoguePhase) {
 TEST(InteractionServiceLimits, AdmissionRejectsTraceAliasingIdentity) {
   // make_trace_id keeps 16 bits of stream + 1 and 48 bits of sequence:
   // past either limit two observations would share one trace id. Every
-  // admission path (inject_observation, abort_stream, try_abort_stream)
+  // admission path (inject_observation, abort_stream, request_abort)
   // enforces the limits before anything is admitted.
   ASSERT_EQ(telemetry::kMaxTraceStreamId, 65534u);
   InteractionService service;
   std::atomic<int> aborts{0};
-  InteractionService::DialogueListener listener;
-  listener.on_observation = [&aborts](const InteractionService::ObservationSample& s) {
-    if (s.abort) aborts.fetch_add(1);
-  };
-  service.set_dialogue_listener(std::move(listener));
+  service.set_dialogue_listener(
+      [&aborts](const InteractionService::DialogueStep& step) {
+        if (step.sample.abort) aborts.fetch_add(1);
+      });
   service.inject_observation(65534, telemetry::kMaxTraceSequence,
                              HumanSign::kNeutral, 0.0);
   service.abort_stream(65534);
-  EXPECT_TRUE(service.try_abort_stream(65534));
+  service.request_abort(65534);
   for (const std::uint32_t bad : {65535u, 65536u, 65536u + 65534u,
                                   std::numeric_limits<std::uint32_t>::max()}) {
     EXPECT_THROW(service.inject_observation(bad, 0, HumanSign::kNeutral, 0.0),
                  std::invalid_argument)
         << bad;
     EXPECT_THROW(service.abort_stream(bad), std::invalid_argument) << bad;
-    EXPECT_THROW((void)service.try_abort_stream(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(service.request_abort(bad), std::invalid_argument) << bad;
   }
   for (const std::uint64_t bad :
        {telemetry::kMaxTraceSequence + 1, ~std::uint64_t{0}}) {
@@ -855,6 +861,113 @@ TEST(InteractionServiceLimits, AdmissionRejectsTraceAliasingIdentity) {
   EXPECT_EQ(service.stream_stats(65535).frames, 0u);
   EXPECT_EQ(service.stream_stats(0).frames, 0u);
   service.stop();
+}
+
+TEST(InteractionServiceLimits, InputsRefusedAfterStopCloseTheirTraces) {
+  // No trace may end open: every input refused after stop() gets exactly
+  // one terminal admit/closed instant on its (stream, sequence) trace.
+  telemetry::FlightRecorder recorder(64);
+  InteractionServiceConfig config;
+  config.recorder = &recorder;
+  InteractionService service(config);
+  service.stop();
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    service.inject_observation(7, seq, HumanSign::kYes, 0.9);
+  }
+  const std::vector<telemetry::TraceEvent> events = recorder.collect();
+  ASSERT_EQ(events.size(), 3u);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    const auto it = std::find_if(
+        events.begin(), events.end(),
+        [seq](const telemetry::TraceEvent& e) { return e.sequence == seq; });
+    ASSERT_NE(it, events.end()) << seq;
+    EXPECT_EQ(it->trace_id, telemetry::TraceContext::of(7, seq).trace_id);
+    EXPECT_EQ(it->stage, telemetry::TraceStage::kAdmit);
+    EXPECT_EQ(it->outcome, telemetry::TraceOutcome::kClosed);
+  }
+  EXPECT_EQ(service.stream_stats(7).frames, 0u);
+}
+
+/// (sequence, abort) of every journaled Observation record, in journal order.
+std::vector<std::pair<std::uint64_t, bool>> journaled_samples(
+    const protocol::EventJournal& journal) {
+  std::vector<protocol::wire::AnyRecord> records;
+  protocol::wire::WireError error;
+  EXPECT_TRUE(protocol::wire::parse_all(journal.bytes(), records, error));
+  std::vector<std::pair<std::uint64_t, bool>> samples;
+  for (const protocol::wire::AnyRecord& record : records) {
+    if (const auto* o = std::get_if<protocol::wire::ObservationRecord>(&record)) {
+      samples.emplace_back(o->sequence, o->abort != 0);
+    }
+  }
+  return samples;
+}
+
+TEST(InteractionServiceAborts, RequestedAbortsApplyAtTheNextInputOrAtDrain) {
+  InteractionService service;
+  protocol::EventJournal journal;
+  protocol::JournalRecorder recorder(journal);
+  recorder.attach_interaction(service, nullptr);
+  using Samples = std::vector<std::pair<std::uint64_t, bool>>;
+
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    service.inject_observation(4, seq, HumanSign::kNeutral, 0.0);
+  }
+  // A request only counts the abort: nothing is processed yet.
+  service.request_abort(4);
+  EXPECT_EQ(journaled_samples(journal),
+            (Samples{{1, false}, {2, false}, {3, false}}));
+  // The stream's next frame applies it first, stamped with the last
+  // processed sequence.
+  service.inject_observation(4, 4, HumanSign::kNeutral, 0.0);
+  EXPECT_EQ(journaled_samples(journal),
+            (Samples{{1, false}, {2, false}, {3, false}, {3, true}, {4, false}}));
+
+  // With no further frame, drain() applies them: two requests, two aborts.
+  service.request_abort(4);
+  service.request_abort(4);
+  EXPECT_EQ(journaled_samples(journal).size(), 5u);
+  service.drain();
+  EXPECT_EQ(journaled_samples(journal),
+            (Samples{{1, false}, {2, false}, {3, false}, {3, true}, {4, false},
+                     {4, true}, {4, true}}));
+  service.drain();
+  EXPECT_EQ(journaled_samples(journal).size(), 7u);
+  EXPECT_EQ(service.stream_stats(4).frames, 4u);
+}
+
+TEST_F(InteractionEndToEnd, AckObserverIsNeverEnteredConcurrently) {
+  // Three shards run dialogue at once, but ack observer calls are
+  // serialized: the observer below keeps unsynchronised state and lingers
+  // in each call, so two shards entering together would be caught.
+  InteractionService interaction(wired_config());
+  std::atomic<bool> in_call{false};
+  std::atomic<bool> overlapped{false};
+  std::size_t acks = 0;
+  interaction.set_ack_observer([&](const AckAction&) {
+    if (in_call.exchange(true)) overlapped.store(true);
+    ++acks;
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    in_call.store(false);
+  });
+  recognition::PerceptionServiceConfig perception_config;
+  perception_config.shards = 3;
+  recognition::PerceptionService perception(
+      sequential_->config(), sequential_->database_ptr(),
+      interaction.callback(), perception_config);
+  std::vector<std::thread> producers;
+  for (std::uint32_t s = 0; s < kStreams; ++s) {
+    producers.emplace_back([&, s] {
+      for (const imaging::GrayImage& frame : (*scripts_)[s]) {
+        perception.submit(s, frame);
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  perception.drain();
+  perception.stop();
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_GE(acks, 5 * kStreams);
 }
 
 TEST_F(InteractionEndToEnd, ExternalAbortInterruptsADialogue) {
