@@ -69,8 +69,8 @@ CellResult run_cell(const recognition::SaxSignRecognizer& reference,
   for (std::size_t s = 0; s < drones; ++s) cell.frames_total += scripts[s].size();
 
   std::vector<Clock::time_point> outcome_at(drones);  // ack observer writes
-  std::vector<double> grant_latencies_ms;             // coordination worker writes
-  std::vector<coordination::GrantUpdate> grant_log;   // coordination worker writes
+  std::vector<double> grant_latencies_ms;             // registry observer writes
+  std::vector<coordination::GrantUpdate> grant_log;   // registry observer writes
   double seconds = 0.0;
   std::string failure;
 
@@ -128,7 +128,6 @@ CellResult run_cell(const recognition::SaxSignRecognizer& reference,
   for (int round = 0; round < 3; ++round) {
     perception.drain();
     dialogue.drain();
-    coordinator.drain();
   }
   seconds = wall.elapsed_seconds();
 

@@ -11,12 +11,6 @@ namespace hdc::coordination {
 
 CoordinationService::CoordinationService(CoordinationConfig config)
     : config_(config),
-      // Fleet events are sparse (a handful per dialogue, not per frame),
-      // so the ring essentially never fills; if it ever does, the shards
-      // running dialogue pause rather than lose an outcome. The reverse
-      // edge (request_abort into InteractionService) never blocks, so the
-      // pair cannot deadlock.
-      ring_(config.queue_capacity),
       registry_(config.cells, config.grant_ttl),
       arbiter_(config.arbitration) {
   if (config_.metrics != nullptr) {
@@ -25,14 +19,10 @@ CoordinationService::CoordinationService(CoordinationConfig config)
     events_counter_ = metrics.counter(telemetry::kCoordinationEvents);
     arbitrations_counter_ = metrics.counter(telemetry::kCoordinationArbitrations);
     deferrals_counter_ = metrics.counter(telemetry::kCoordinationDeferrals);
-    queue_depth_ = metrics.gauge(telemetry::kCoordinationQueueDepth);
     registry_.instrument(metrics);
   }
   recorder_ = config_.recorder;
-  worker_ = std::thread([this] { worker_loop(); });
 }
-
-CoordinationService::~CoordinationService() { stop(); }
 
 void CoordinationService::set_registry_observer(RegistryObserver observer) {
   registry_observer_ = std::move(observer);
@@ -45,7 +35,7 @@ void CoordinationService::set_event_tap(EventTap tap) {
 void CoordinationService::admit_recorded(const FleetEvent& event) {
   FleetEvent copy = event;
   copy.source = nullptr;  // recorded pointers are meaningless; see header
-  admit(std::move(copy));
+  admit(copy);
 }
 
 void CoordinationService::bind(interaction::InteractionService& dialogue) {
@@ -61,7 +51,7 @@ void CoordinationService::register_drone(const DroneDescriptor& descriptor) {
   event.kind = EventKind::kRegister;
   event.drone_id = descriptor.drone_id;
   event.descriptor = descriptor;
-  admit(std::move(event));
+  admit(event);
 }
 
 void CoordinationService::update_battery(std::uint32_t drone_id, double soc) {
@@ -69,14 +59,14 @@ void CoordinationService::update_battery(std::uint32_t drone_id, double soc) {
   event.kind = EventKind::kBattery;
   event.drone_id = drone_id;
   event.battery_soc = soc;
-  admit(std::move(event));
+  admit(event);
 }
 
 void CoordinationService::tick(std::uint64_t sequence) {
   FleetEvent event;
   event.kind = EventKind::kTick;
   event.sequence = sequence;
-  admit(std::move(event));
+  admit(event);
 }
 
 void CoordinationService::admit_transition(
@@ -88,7 +78,7 @@ void CoordinationService::admit_transition(
   event.sequence = action.tick;
   event.source = source;
   event.to = action.to;
-  admit(std::move(event));
+  admit(event);
 }
 
 void CoordinationService::admit_outcome(const protocol::OutcomeRecord& record) {
@@ -97,7 +87,7 @@ void CoordinationService::admit_outcome(const protocol::OutcomeRecord& record) {
   event.drone_id = record.stream_id;
   event.sequence = record.final_sequence;
   event.outcome = record.outcome;
-  admit(std::move(event));
+  admit(event);
 }
 
 void CoordinationService::admit_sign_event(
@@ -110,7 +100,7 @@ void CoordinationService::admit_sign_event(
                        : sign_event.end_seq;
   event.label = sign_event.label;
   event.event_kind = sign_event.kind;
-  admit(std::move(event));
+  admit(event);
 }
 
 void CoordinationService::admit_step(
@@ -123,7 +113,7 @@ void CoordinationService::admit_step(
   if (step.outcome) admit_outcome(*step.outcome);
 }
 
-void CoordinationService::admit(FleetEvent event) {
+void CoordinationService::admit(const FleetEvent& event) {
   // Every entry point, replay included, funnels through here. make_trace_id
   // keeps 16 bits of the drone id and 48 of the sequence: larger values
   // would alias another event's trace. The wire parser refuses the same
@@ -136,36 +126,18 @@ void CoordinationService::admit(FleetEvent event) {
     throw std::invalid_argument(
         "CoordinationService: sequence above 2^48 - 1 would alias trace ids");
   }
-  if (stopping_.load(std::memory_order_acquire)) return;
-  pending_.raise();  // raise-before-push (PendingCounter contract)
-  // push() refuses only once the ring is closed.
-  if (ring_.push(std::move(event)) != util::PushOutcome::kEnqueued) {
-    pending_.finish(1);
-    return;
-  }
-  queue_depth_.add(1);
-}
-
-void CoordinationService::worker_loop() {
-  FleetEvent event;
-  while (ring_.pop(event)) {
-    queue_depth_.add(-1);
-    try {
-      process(event);
-    } catch (...) {
-      pending_.record_error(std::current_exception());
-    }
-    pending_.finish(1);
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (stopped_) return;
+  process(event);
 }
 
 std::uint64_t CoordinationService::advance_clock(std::uint64_t sequence) {
-  std::uint64_t now = fleet_clock_.load(std::memory_order_relaxed);
-  while (sequence > now && !fleet_clock_.compare_exchange_weak(
-                               now, sequence, std::memory_order_release,
-                               std::memory_order_relaxed)) {
-  }
-  return std::max(now, sequence);
+  // Only process() writes the clock, under mutex_; the atomic is for
+  // plan_hint() and fleet_clock() readers.
+  const std::uint64_t now =
+      std::max(fleet_clock_.load(std::memory_order_relaxed), sequence);
+  fleet_clock_.store(now, std::memory_order_release);
+  return now;
 }
 
 void CoordinationService::process(const FleetEvent& event) {
@@ -228,10 +200,7 @@ void CoordinationService::handle_transition(const FleetEvent& event) {
       deferrals_.fetch_add(1, std::memory_order_relaxed);
       deferrals_counter_.add(1);
     }
-    {
-      std::lock_guard<std::mutex> lock(log_mutex_);
-      arbitration_log_.push_back(decision);
-    }
+    arbitration_log_.push_back(decision);
     // No known source (direct-admitted or replayed events): the decision
     // is still logged; there is nobody to deliver the abort to.
     const auto it = sources_.find(decision.loser);
@@ -353,18 +322,12 @@ CoordinationStats CoordinationService::stats() const noexcept {
 }
 
 std::vector<ArbitrationDecision> CoordinationService::arbitration_log() const {
-  std::lock_guard<std::mutex> lock(log_mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
   return arbitration_log_;
 }
 
-void CoordinationService::drain() { pending_.drain(); }
-
 void CoordinationService::stop() noexcept {
-  std::lock_guard<std::mutex> guard(stop_mutex_);
-  if (stopped_) return;
-  stopping_.store(true, std::memory_order_release);
-  ring_.close();
-  if (worker_.joinable()) worker_.join();
+  std::lock_guard<std::mutex> lock(mutex_);
   stopped_ = true;
 }
 

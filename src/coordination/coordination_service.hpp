@@ -3,7 +3,7 @@
 //
 //   InteractionService 0 ─┐ DialogueListener (one step per processed input)
 //   InteractionService 1 ─┤
-//          ...            │ bounded MPSC ring ─> coordination worker
+//          ...            │ admit() on the caller's thread, under ONE mutex
 //   InteractionService N ─┘                       │
 //                                                 ├─ SessionArbiter: who keeps
 //                                                 │  a contended human; losers
@@ -13,34 +13,35 @@
 //                                                 │  space-grant leases
 //                                                 v
 //                      plan_hint(drone) ──> orchard::MissionController
-//                      (seqlock reads — never blocks the worker)
+//                      (seqlock reads — never take the mutex)
 //
 // This closes the last vertical gap of the stack: perceive -> decide ->
 // acknowledge -> COORDINATE -> plan. Design points, mirroring how
 // InteractionService layered on PerceptionService:
-//   - All fleet logic runs on ONE worker behind a bounded ring, fed by the
-//     threads that run dialogue (perception shards, replay) for any number
-//     of bound InteractionServices (MPSC). Arbiter and registry writer
-//     state need no locks.
+//   - Fleet events run on the thread that admits them, with no queue or
+//     thread of their own: a perception shard inside the dialogue
+//     listener, the replay thread, or a mission/test thread calling
+//     register_drone / update_battery / tick. One mutex serializes them, so
+//     arbiter and registry writer state see one event at a time, and the
+//     order events take that mutex is the order they are processed in.
 //   - Time is the fleet clock: the max frame sequence observed across all
 //     streams (streams advance in near-lockstep; grant TTLs and retry
 //     backoffs live in this domain, no wall clock anywhere).
-//   - Aborts issued to losing drones go through the owning
-//     InteractionService's request_abort(), which only counts the abort;
-//     the loser's next input applies it. The worker never waits on a
-//     dialogue session, so a shard blocked on a full ring here can always
-//     be released, and the pair cannot deadlock.
+//   - Lock order: a dialogue session mutex, then this service's mutex, then
+//     the journal lock. Aborts issued to losing drones go through the
+//     owning InteractionService's request_abort(), which only counts the
+//     abort and takes no session lock; the loser's next input applies it.
+//     So a shard holding its own session and this mutex never waits on
+//     another session, and two shards cannot deadlock.
 //   - plan_hint()/grant() read the registry's per-cell seqlocks: mission
-//     planning threads never block the worker, the worker never waits for
-//     them.
+//     planning threads and shards never block on them.
 //
 // Shutdown order: stop the PerceptionService(s) first (no new frames),
 // then the InteractionService(s) (they apply pending aborts, then send no
 // new listener steps), then this service. A checkpoint that must settle
-// aborts drains perception, dialogue and this service in rounds: an abort
-// requested in one round is applied by the next round's dialogue drain.
-// stop() is idempotent and the destructor calls it; with all three layers
-// stopped, destruction order is free.
+// aborts drains perception and dialogue in rounds: an abort requested in
+// one round is applied by the next round's dialogue drain. stop() is
+// idempotent; with all three layers stopped, destruction order is free.
 #pragma once
 
 #include <atomic>
@@ -48,7 +49,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -57,28 +57,26 @@
 #include "coordination/session_arbiter.hpp"
 #include "interaction/interaction_service.hpp"
 #include "orchard/mission.hpp"
-#include "util/pending_counter.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace hdc::coordination {
 
 struct CoordinationConfig {
   std::size_t cells{64};            ///< orchard cell count (tree ids 0..cells-1)
   std::uint64_t grant_ttl{600};     ///< lease length, fleet-clock frames
-  std::size_t queue_capacity{1024}; ///< fleet-event ring slots
   ArbitrationPolicy arbitration{};
   /// Optional telemetry registry (must outlive the service). When set, the
-  /// worker records the arbitrate span, event/arbitration/deferral
-  /// counters and the ring-depth gauge, and the GrantRegistry is
-  /// instrumented with its grant/renew/expire spans + mutation counters.
+  /// service records the arbitrate span and event/arbitration/deferral
+  /// counters, and the GrantRegistry is instrumented with its
+  /// grant/renew/expire spans + mutation counters.
   telemetry::MetricsRegistry* metrics{nullptr};
   /// Optional causal tracing (must outlive the service). When set, the
-  /// worker emits arbitrate spans and grant-update events carrying the
+  /// service emits arbitrate spans and grant-update events carrying the
   /// triggering (drone_id, sequence) trace identity. Null = disarmed.
   telemetry::FlightRecorder* recorder{nullptr};
 };
 
-/// Aggregate counters (relaxed atomics: exact after drain()).
+/// Aggregate counters (relaxed atomics: exact once every admitting call
+/// has returned).
 struct CoordinationStats {
   std::uint64_t events{0};           ///< fleet events processed
   std::uint64_t arbitrations{0};     ///< contention decisions made
@@ -101,10 +99,10 @@ class CoordinationService {
     kTick,
   };
 
-  /// One fleet event. Small tagged struct instead of a variant: the ring
-  /// copies it around and every field is trivially copyable. Public (with
-  /// EventKind) because the event journal records these verbatim — a
-  /// FleetEvent IS the coordination worker's replayable input unit.
+  /// One fleet event. Small tagged struct instead of a variant: every field
+  /// is trivially copyable. Public (with EventKind) because the event
+  /// journal records these verbatim — a FleetEvent IS the coordination
+  /// layer's replayable input unit.
   struct FleetEvent {
     EventKind kind{EventKind::kTransition};
     std::uint32_t drone_id{0};
@@ -119,18 +117,18 @@ class CoordinationService {
   };
 
   /// Observes every registry mutation (grant/deny/revoke/renew + refused
-  /// conflicting grants) on the coordination worker. Benches timestamp
-  /// outcome -> grant-visible with this. Must not re-enter the service.
+  /// conflicting grants), on the admitting thread under the service mutex.
+  /// Benches timestamp outcome -> grant-visible with this. Must not
+  /// re-enter the service.
   using RegistryObserver = std::function<void(const GrantUpdate&)>;
 
-  /// Observes every fleet event at the head of process(), on the
-  /// coordination worker — i.e. in the exact order the single worker
-  /// consumed them, which is the order a replay must re-feed them in.
-  /// The journal recorder hangs off this. Must not re-enter the service.
+  /// Observes every fleet event at the head of process(), under the
+  /// service mutex — i.e. in the exact order the events were processed,
+  /// which is the order a replay must re-feed them in. The journal
+  /// recorder hangs off this. Must not re-enter the service.
   using EventTap = std::function<void(const FleetEvent&)>;
 
   explicit CoordinationService(CoordinationConfig config = {});
-  ~CoordinationService();
 
   CoordinationService(const CoordinationService&) = delete;
   CoordinationService& operator=(const CoordinationService&) = delete;
@@ -151,7 +149,9 @@ class CoordinationService {
   /// for a drone_id above telemetry::kMaxTraceStreamId or a sequence above
   /// telemetry::kMaxTraceSequence: either would alias trace ids. The wire
   /// parser refuses the same values, so admit_recorded accepts every
-  /// parsed FleetEvent.
+  /// parsed FleetEvent. Each processes the event before it returns; an
+  /// exception thrown while processing (say, by the registry observer)
+  /// propagates to the caller, and the service takes the next event.
   void register_drone(const DroneDescriptor& descriptor);
 
   /// Battery update (arbitration input), ordered with the event stream.
@@ -184,19 +184,19 @@ class CoordinationService {
   /// recorded abort observations of the interaction layer.
   void admit_recorded(const FleetEvent& event);
 
-  /// Blocks until every event admitted before the call is processed
-  /// (PendingCounter checkpoint contract, as everywhere in this codebase).
-  void drain();
+  /// Every admission is processed before it returns, so there is nothing
+  /// to wait for. Kept only because the benchmark still calls it.
+  void drain() {}
 
-  /// Graceful shutdown: drains the ring, joins the worker. Idempotent.
+  /// Shutdown: every event admitted after it is ignored. Idempotent.
   void stop() noexcept;
 
   // --- read side ---------------------------------------------------------
 
   /// The mission planner's view for one drone: cells it currently holds a
   /// live grant on, and cells every drone must keep clear of (denied or
-  /// revoked). Seqlock reads — safe from any thread, never blocks the
-  /// worker.
+  /// revoked). Seqlock reads — safe from any thread, never takes the
+  /// service mutex.
   [[nodiscard]] orchard::PlanHint plan_hint(std::uint32_t drone_id) const;
 
   /// One cell's grant slot (seqlock read; throws std::out_of_range).
@@ -209,16 +209,18 @@ class CoordinationService {
   [[nodiscard]] RegistryStats registry_stats() const noexcept {
     return registry_.stats();
   }
-  /// Every arbitration decision so far, in decision order (mutex-guarded
-  /// copy; the scripted scenarios assert exact expected outcomes on this).
+  /// Every arbitration decision so far, in decision order (copy under the
+  /// service mutex; the scripted scenarios assert exact expected outcomes
+  /// on this).
   [[nodiscard]] std::vector<ArbitrationDecision> arbitration_log() const;
   [[nodiscard]] const CoordinationConfig& config() const noexcept {
     return config_;
   }
 
  private:
-  void admit(FleetEvent event);
-  void worker_loop();
+  /// The one admission funnel: rejects trace-aliasing ids, then processes
+  /// `event` under mutex_ unless stop() ran.
+  void admit(const FleetEvent& event);
   void process(const FleetEvent& event);
   void handle_transition(const FleetEvent& event);
   void handle_outcome(const FleetEvent& event, std::uint64_t now);
@@ -229,10 +231,12 @@ class CoordinationService {
   [[nodiscard]] std::uint64_t advance_clock(std::uint64_t sequence);
 
   CoordinationConfig config_;
-  util::BoundedRing<FleetEvent> ring_;
   GrantRegistry registry_;
 
-  // --- worker-owned state (no locks needed) ---
+  /// Serializes processing, so registry_ has one writer at a time; guards
+  /// the state below it, through arbitration_log_.
+  mutable std::mutex mutex_;
+  bool stopped_{false};
   SessionArbiter arbiter_;
   std::unordered_map<std::uint32_t, DroneDescriptor> drones_;
   /// Which InteractionService produced each drone's transitions (abort
@@ -240,20 +244,18 @@ class CoordinationService {
   std::unordered_map<std::uint32_t, interaction::InteractionService*> sources_;
   SessionArbiter::Decisions decisions_scratch_;
 
+  std::vector<ArbitrationDecision> arbitration_log_;
+
   RegistryObserver registry_observer_;
   EventTap event_tap_;
 
-  mutable std::mutex log_mutex_;
-  std::vector<ArbitrationDecision> arbitration_log_;
-
-  // Telemetry handles (disarmed when config_.metrics is null). All except
-  // queue_depth_ are driven only by the single coordination worker, so
-  // their totals are replay-deterministic (telemetry/stage_names.hpp).
+  // Telemetry handles (disarmed when config_.metrics is null). They are
+  // driven only while an admitted event is processed, so their totals are
+  // replay-deterministic (telemetry/stage_names.hpp).
   telemetry::Histogram arbitrate_ns_;
   telemetry::Counter events_counter_;
   telemetry::Counter arbitrations_counter_;
   telemetry::Counter deferrals_counter_;
-  telemetry::Gauge queue_depth_;
   telemetry::FlightRecorder* recorder_{nullptr};
 
   std::atomic<std::uint64_t> fleet_clock_{0};
@@ -262,13 +264,6 @@ class CoordinationService {
   std::atomic<std::uint64_t> deferrals_{0};
   std::atomic<std::uint64_t> aborts_issued_{0};
   std::atomic<std::uint64_t> unknown_drone_events_{0};
-
-  util::PendingCounter pending_;
-
-  std::atomic<bool> stopping_{false};
-  bool stopped_{false};  ///< guarded by stop_mutex_
-  std::mutex stop_mutex_;
-  std::thread worker_;
 };
 
 }  // namespace hdc::coordination

@@ -1,12 +1,13 @@
 // GrantRegistry — the fleet's ledger of negotiated space-grants, one slot
 // per orchard cell, readable by mission planners without ever blocking the
-// coordination worker.
+// thread that mutates it.
 //
-// Write side (single writer — CoordinationService's worker): a dialogue
-// outcome of kGranted opens a lease {holder, granted_seq, expires_seq =
-// granted_seq + ttl}; kDenied marks the cell keep-clear for the same TTL;
-// a human No event after the grant revokes it; a Yes re-confirmation
-// renews the lease; expire() sweeps leases the fleet clock has passed.
+// Write side (one writer at a time — CoordinationService, under its mutex,
+// on whichever thread admitted the event): a dialogue outcome of kGranted
+// opens a lease {holder, granted_seq, expires_seq = granted_seq + ttl};
+// kDenied marks the cell keep-clear for the same TTL; a human No event
+// after the grant revokes it; a Yes re-confirmation renews the lease;
+// expire() sweeps leases the fleet clock has passed.
 // The single-holder invariant is structural: a cell is ONE slot, and a
 // grant request against a cell another drone validly holds is REFUSED and
 // counted (`conflicts`) — so "exactly one drone holds any cell's grant at
@@ -47,13 +48,13 @@ class GrantRegistry {
   GrantRegistry(std::size_t cells, std::uint64_t ttl);
 
   /// Arms telemetry handles (grant/renew/expire latency spans + mutation
-  /// counters mirroring RegistryStats). Call before the single writer
-  /// starts mutating; the registry keeps no back-pointer, so `metrics`
-  /// must outlive this object. All mutations run on the one writer
-  /// thread, so the mirrored counters are replay-deterministic.
+  /// counters mirroring RegistryStats). Call before the first mutation;
+  /// the registry keeps no back-pointer, so `metrics` must outlive this
+  /// object. Mutations are serialized in event-processing order, so the
+  /// mirrored counters are replay-deterministic.
   void instrument(telemetry::MetricsRegistry& metrics);
 
-  // --- write side: single writer only ---------------------------------
+  // --- write side: one writer at a time (the caller serializes) --------
 
   /// Opens (or, for the current holder, renews) a lease. Returns false —
   /// and counts a conflict — when another drone validly holds the cell.

@@ -34,12 +34,12 @@
 // perpetually re-engaging neighbour.
 //
 // Like the dialogue FSM, the arbiter is synchronous, thread-free and
-// deterministic: CoordinationService's single worker owns it, time is the
-// fleet clock (max frame sequence observed), and all decisions are
-// returned to the caller to act on. The worker wraps each on_phase call
-// in the coordination_arbitrate_ns telemetry span and mirrors
-// contentions/deferrals into the fleet counters, so arbitration latency
-// and decision mix are visible at runtime (docs/OBSERVABILITY.md).
+// deterministic: CoordinationService owns it and calls it under its one
+// mutex, time is the fleet clock (max frame sequence observed), and all
+// decisions are returned to the caller to act on. The service wraps each
+// on_phase call in the coordination_arbitrate_ns telemetry span and
+// mirrors contentions/deferrals into the fleet counters, so arbitration
+// latency and decision mix are visible at runtime (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>

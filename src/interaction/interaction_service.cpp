@@ -230,8 +230,9 @@ const InteractionService::Session* InteractionService::find_session(
 
 void InteractionService::sweep_requested_aborts() {
   // Collect first, process after: the map lock must not be held while a
-  // listener may block on the coordination ring, or request_abort() for a
-  // new stream would wait on it from the coordination worker.
+  // listener waits on the coordinator's mutex, because the coordinator
+  // calls request_abort() under that mutex, and for a new stream that
+  // takes the map lock exclusively.
   std::vector<Session*> pending;
   {
     std::shared_lock<std::shared_mutex> lock(sessions_mutex_);

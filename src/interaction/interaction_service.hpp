@@ -29,11 +29,11 @@
 //     takes the stream's mutex (its next frame, abort_stream(),
 //     inject_observation(), drain() or stop()) applies each pending abort
 //     before its own input. Live, an abort lands at the loser's next frame.
-//   - Backpressure: a listener that blocks (a full coordination ring) blocks
-//     the calling shard, so dialogue load reaches the perception rings and
-//     nothing is lost. The service is deterministic for a given per-stream
-//     input sequence, regardless of stream/shard/thread counts. The service
-//     can watch a PerceptionService's per-shard queue-depth gauges;
+//   - Backpressure: a listener that blocks (on the coordinator's mutex)
+//     blocks the calling shard, so dialogue load reaches the perception
+//     rings and nothing is lost. The service is deterministic for a given
+//     per-stream input sequence, regardless of stream/shard/thread counts.
+//     The service can watch a PerceptionService's per-shard queue-depth gauges;
 //     congested() exposes that reading to producers that pace submission.
 //
 // Threading contract: on_result(), inject_observation(), abort_stream(),
@@ -190,10 +190,10 @@ class InteractionService {
   /// Asks for an abort of one stream's dialogue without taking its session
   /// lock: raises the stream's count of pending aborts, never blocks and
   /// never fails. The next caller that takes the stream's mutex applies it
-  /// (see the header comment). The coordination worker uses this — it
-  /// consumes this service's listener steps, so waiting for a session a
-  /// shard holds while that shard waits on the coordination ring would
-  /// deadlock. Rejects the same stream ids as abort_stream().
+  /// (see the header comment). CoordinationService calls this from inside
+  /// a listener step: the calling shard holds its own session mutex and
+  /// the coordinator's, so waiting here for another stream's session could
+  /// deadlock two shards. Rejects the same stream ids as abort_stream().
   void request_abort(std::uint32_t stream_id);
 
   /// Applies every pending requested abort. Inputs are processed on the

@@ -214,11 +214,10 @@ wire::RunConfigRecord make_run_config(
   config.confirm_timeout = dialogue.confirm_timeout;
   config.execute_ticks = dialogue.execute_ticks;
   config.abort_ticks = dialogue.abort_ticks;
-  // observation_queue keeps the record's default, 256 (see wire.hpp).
+  // observation_queue and fleet_queue keep the record's defaults, 256 and
+  // 1024 (see wire.hpp).
   config.cells = static_cast<std::uint32_t>(coordination_config.cells);
   config.grant_ttl = coordination_config.grant_ttl;
-  config.fleet_queue =
-      static_cast<std::uint32_t>(coordination_config.queue_capacity);
   const coordination::ArbitrationPolicy& arbitration =
       coordination_config.arbitration;
   config.retry_backoff = arbitration.retry_backoff;
@@ -253,7 +252,6 @@ coordination::CoordinationConfig coordination_config_of(
   coordination::CoordinationConfig out;
   out.cells = config.cells;
   out.grant_ttl = config.grant_ttl;
-  out.queue_capacity = config.fleet_queue;
   out.arbitration.retry_backoff = config.retry_backoff;
   out.arbitration.retry_backoff_max = config.retry_backoff_max;
   out.arbitration.fairness_boost_per_loss =
@@ -361,8 +359,9 @@ void JournalRecorder::attach_interaction(
           }
           if (step.outcome) batch.append(to_wire(*step.outcome));
         }
-        // Forwarded after the batch releases the journal: the coordination
-        // worker appends too, and admit_step() may wait on its ring.
+        // Forwarded after the batch releases the journal: the lock order
+        // is coordinator mutex, then journal lock, and the coordinator
+        // appends its own records under its mutex.
         if (coordinator != nullptr) coordinator->admit_step(source, step);
       });
 }

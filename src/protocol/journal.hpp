@@ -8,23 +8,25 @@
 //     processing order. Observations are the interaction layer's
 //     replayable input unit: re-feeding them from one thread in recorded
 //     order reproduces every output bit-identically.
-//   - The coordination worker's INPUTS (every FleetEvent, via the event
-//     tap, in the exact order the single worker consumed them) and
-//     OUTPUTS (grant updates via the registry observer). Cross-thread
+//   - The coordination layer's INPUTS (every FleetEvent, via the event
+//     tap, in the exact order the service processed them) and OUTPUTS
+//     (grant updates via the registry observer). Cross-thread
 //     interleavings that are nondeterministic live become explicit data.
 //   - A finalize() section: arbitration log, final grant slots, final plan
 //     hints, per-stream transcript digests + outcomes, and a JournalEnd
 //     trailer — the expected end state a replay must reproduce.
 //
-// Threading: EventJournal is mutex-guarded — K perception shards (running
-// dialogue) and the coordination worker all append. The recorder appends
-// each DialogueStep's records under ONE lock (EventJournal::Batch), so every
-// interaction record type's global order is the order of the Observation
-// records — exactly what a single-threaded replay of those observations
-// produces — however the shards interleave. Coordination record types have
-// a single writer. Only the interleaving BETWEEN the two groups is
-// nondeterministic live, so the replay driver compares per type, and full
-// bytes only between two sequential replays.
+// Threading: EventJournal is mutex-guarded — K perception shards append,
+// running dialogue and then, inside its listener, coordination. The
+// recorder appends each DialogueStep's records under ONE lock
+// (EventJournal::Batch), so every interaction record type's global order
+// is the order of the Observation records — exactly what a single-threaded
+// replay of those observations produces — however the shards interleave.
+// Coordination records are appended under the coordinator's mutex (lock
+// order: coordinator, then journal), so their order is the processing
+// order. Only the interleaving BETWEEN the two groups is nondeterministic
+// live, so the replay driver compares per type, and full bytes only between
+// two sequential replays.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +86,9 @@ class EventJournal {
 };
 
 /// The counter names whose totals are a pure function of a run's recorded
-/// input sequence (incremented only while the interaction layer or the
-/// coordination worker processes an admitted input — never on admission,
-/// never dependent on queue timing). These, and only these, go into a journal's
+/// input sequence (incremented only while the interaction or coordination
+/// layer processes an admitted input — never on admission, never dependent
+/// on queue timing). These, and only these, go into a journal's
 /// MetricSnapshotRecord: replaying the journal must reproduce every total
 /// bit-exactly. Notably absent: all perception metrics (producer-side,
 /// they depend on live queue depths).

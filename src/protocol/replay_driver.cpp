@@ -12,7 +12,7 @@ namespace hdc::protocol {
 namespace {
 
 /// Records of one journal, bucketed by type (bucket order == append order,
-/// which per type is the single writer's deterministic order).
+/// which per type is a deterministic order: see journal.hpp).
 struct Buckets {
   std::array<std::vector<wire::AnyRecord>,
              std::variant_size_v<wire::AnyRecord>>
@@ -187,7 +187,7 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
     ++report.observations_fed;
   }
 
-  // Stage 2: the coordination layer, fed the recorded worker inputs.
+  // Stage 2: the coordination layer, fed the recorded fleet events.
   coordination::CoordinationConfig coordination_config =
       coordination_config_of(run_config);
   coordination_config.metrics = &metrics;
@@ -200,7 +200,6 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
         from_wire(std::get<wire::FleetEventRecord>(any)));
     ++report.fleet_events_fed;
   }
-  coordinator.drain();
   coordinator.stop();
 
   // Finalize over the same stream ids the recording finalized over.

@@ -11,8 +11,8 @@
 //      replay from the observation stream, without needing the
 //      coordination layer's timing.
 //   2. A fresh CoordinationService is fed the recorded FleetEventRecords
-//      in recorded (single-worker processing) order — reproducing every
-//      arbitration decision, grant mutation, and plan hint.
+//      in recorded (processing) order — reproducing every arbitration
+//      decision, grant mutation, and plan hint.
 // Both stages journal themselves through the same recorder hooks as the
 // live run; the stages run strictly one after the other, so the REPLAY
 // journal has a deterministic byte layout (two replays of the same
@@ -26,9 +26,9 @@
 // missing its JournalEnd trailer — is rejected with the precise offset
 // and reason; replay never runs on bytes that don't verify. A journal
 // that verifies but whose RunConfig the services would refuse (a zero or
-// oversized ring, window or cell count, a zero lease), or that registers a
-// drone in a cell outside the grid, parses and is reported as a mismatch
-// naming the field, before any service is built.
+// oversized size field, a zero lease), or that registers a drone in a
+// cell outside the grid, parses and is reported as a mismatch naming the
+// field, before any service is built.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +45,11 @@ class FlightRecorder;
 
 namespace hdc::protocol {
 
-/// Largest ring, fusion window or cell count a journal's RunConfig may ask
-/// the replayed services to allocate. The header's sizes are u32 on the
-/// wire, so without a cap a 58 KB journal could demand a 2^32 - 1 slot
-/// ring; the default fleet ring holds 1024 items. observation_queue is
-/// checked against the same range although nothing allocates it.
+/// Largest fusion window or cell count a journal's RunConfig may ask the
+/// replayed services to allocate. The header's sizes are u32 on the wire,
+/// so without a cap a 58 KB journal could demand a 2^32 - 1 cell registry.
+/// observation_queue and fleet_queue are checked against the same range
+/// although nothing allocates them.
 inline constexpr std::uint32_t kMaxReplayCapacity = 1U << 16;
 
 struct ReplayOptions {

@@ -115,14 +115,15 @@ struct RunConfigRecord {
   std::uint64_t confirm_timeout{90};
   std::uint64_t execute_ticks{48};
   std::uint64_t abort_ticks{16};
-  // The size of a ring the interaction layer no longer has: recorders write
-  // 256 and nothing reads it back, but it stays on the wire (and range
-  // checked on replay) so existing journals keep their bytes.
+  // observation_queue and fleet_queue sized rings the services no longer
+  // have: recorders write these defaults and nothing reads them back, but
+  // they stay on the wire (and range checked on replay) so existing
+  // journals keep their bytes.
   std::uint32_t observation_queue{256};
   // coordination::CoordinationConfig + ArbitrationPolicy
   std::uint32_t cells{64};
   std::uint64_t grant_ttl{600};
-  std::uint32_t fleet_queue{1024};
+  std::uint32_t fleet_queue{1024};  // unread, see observation_queue
   std::uint64_t retry_backoff{64};
   std::uint64_t retry_backoff_max{512};
   std::uint32_t fairness_boost_per_loss{1};
@@ -182,7 +183,7 @@ struct OutcomeRecordWire {
 };
 
 /// CoordinationService::FleetEvent on the wire — one record per event the
-/// coordination worker processed, in processing order: the coordination
+/// coordination service processed, in processing order: the coordination
 /// layer's replayable input stream. Unused fields for a given kind are
 /// zero (the in-memory struct defaults), so encoding is canonical.
 struct FleetEventRecord {

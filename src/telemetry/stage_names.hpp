@@ -50,7 +50,7 @@ inline constexpr std::string_view kInteractionEvents = "interaction_events_total
 inline constexpr std::string_view kInteractionActions = "interaction_actions_total";
 inline constexpr std::string_view kInteractionOutcomes = "interaction_outcomes_total";
 
-// --- coordination (arbiter + grant registry worker) ----------------------
+// --- coordination (arbiter + grant registry, on the admitting thread) ----
 inline constexpr std::string_view kCoordinationArbitrate = "coordination_arbitrate_ns";
 inline constexpr std::string_view kCoordinationGrantSpan = "coordination_grant_ns";
 inline constexpr std::string_view kCoordinationRenewSpan = "coordination_renew_ns";
@@ -68,7 +68,6 @@ inline constexpr std::string_view kCoordinationRenewals =
     "coordination_renewals_total";
 inline constexpr std::string_view kCoordinationExpiries =
     "coordination_expiries_total";
-inline constexpr std::string_view kCoordinationQueueDepth = "coordination_queue_depth";
 
 // --- protocol (event journal) --------------------------------------------
 inline constexpr std::string_view kJournalAppend = "journal_append_ns";

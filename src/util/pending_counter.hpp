@@ -1,12 +1,11 @@
-// In-flight work accounting shared by the streaming services
-// (PerceptionService, CoordinationService): producers raise() BEFORE
-// publishing an item — the consumer may finish it before the publish call
-// even returns, and the decrement must never precede the increment —
-// workers finish() it, and drain() blocks until everything raised before
-// the call is finished, rethrowing the first recorded worker error (the
-// slot clears, so the next drain reports only newer failures). finish()
-// takes the mutex only on the ->0 transition, so the per-item hot path
-// never locks.
+// In-flight work accounting for PerceptionService's shard rings: producers
+// raise() BEFORE publishing an item — the consumer may finish it before
+// the publish call even returns, and the decrement must never precede the
+// increment — workers finish() it, and drain() blocks until everything
+// raised before the call is finished, rethrowing the first recorded worker
+// error (the slot clears, so the next drain reports only newer failures).
+// finish() takes the mutex only on the ->0 transition, so the per-item hot
+// path never locks.
 #pragma once
 
 #include <atomic>

@@ -10,6 +10,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -394,7 +395,6 @@ TEST(Service, ArbitratesDirectAdmittedContention) {
 
   service.admit_transition(nullptr, transition_to(0, DialogueState::kAttending, 10));
   service.admit_transition(nullptr, transition_to(1, DialogueState::kAttending, 12));
-  service.drain();
 
   const auto log = service.arbitration_log();
   ASSERT_EQ(log.size(), 1u);
@@ -405,6 +405,85 @@ TEST(Service, ArbitratesDirectAdmittedContention) {
   // No source service bound for the loser: the decision is logged but no
   // abort can be delivered.
   EXPECT_EQ(service.stats().aborts_issued, 0u);
+  service.stop();
+}
+
+TEST(Service, ProcessingErrorReachesTheAdmittingCaller) {
+  // Events are processed on the admitting thread: an observer's exception
+  // comes out of the admit call itself, and the next event still runs.
+  CoordinationConfig config;
+  config.cells = 2;
+  CoordinationService service(config);
+  service.register_drone(drone(0, 0, 0));
+  service.register_drone(drone(1, 1, 1));
+  bool fail = true;
+  service.set_registry_observer([&fail](const GrantUpdate&) {
+    if (std::exchange(fail, false)) throw std::runtime_error("observer");
+  });
+
+  EXPECT_THROW(service.admit_outcome({protocol::Outcome::kGranted, 0, 10}),
+               std::runtime_error);
+  service.admit_outcome({protocol::Outcome::kGranted, 1, 11});
+
+  EXPECT_EQ(service.stats().events, 4u);
+  // The grant the observer was told about stands; so does the next one.
+  EXPECT_EQ(service.grant(0).holder, 0u);
+  EXPECT_EQ(service.grant(1).state, GrantState::kGranted);
+  EXPECT_EQ(service.grant(1).holder, 1u);
+  EXPECT_EQ(service.registry_stats().grants, 2u);
+  service.stop();
+}
+
+TEST(Service, ConcurrentAdmissionIsExactWhenTheCallersReturn) {
+  // Four threads each run kHumans contention pairs (drone 2h beats drone
+  // 2h + 1 on battery), then grant the winner the human's cell. Every
+  // admission is processed before it returns, so right after join — with
+  // no checkpoint call — the counters, the log and the registry are exact.
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kHumans = 50;  // per thread
+  constexpr std::uint32_t kPairs = kThreads * kHumans;
+  CoordinationConfig config;
+  config.cells = kPairs;
+  config.grant_ttl = 1'000'000;
+  CoordinationService service(config);
+  for (std::uint32_t h = 0; h < kPairs; ++h) {
+    const int human = static_cast<int>(h);
+    service.register_drone(drone(2 * h, human, human, 0.9));
+    service.register_drone(drone(2 * h + 1, human, human, 0.2));
+  }
+
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&service, t] {
+      for (std::uint32_t h = t * kHumans; h < (t + 1) * kHumans; ++h) {
+        const std::uint64_t seq = 10 + h;
+        service.admit_transition(nullptr,
+                                 transition_to(2 * h, DialogueState::kAttending, seq));
+        service.admit_transition(
+            nullptr, transition_to(2 * h + 1, DialogueState::kAttending, seq));
+        service.admit_outcome({protocol::Outcome::kGranted, 2 * h, seq});
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(service.stats().events, 2 * kPairs + 3 * kPairs);
+  EXPECT_EQ(service.stats().arbitrations, kPairs);
+  std::vector<ArbitrationDecision> log = service.arbitration_log();
+  ASSERT_EQ(log.size(), kPairs);
+  std::sort(log.begin(), log.end(),
+            [](const ArbitrationDecision& a, const ArbitrationDecision& b) {
+              return a.human_id < b.human_id;
+            });
+  for (std::uint32_t h = 0; h < kPairs; ++h) {
+    EXPECT_EQ(log[h].human_id, static_cast<int>(h));
+    EXPECT_EQ(log[h].winner, 2 * h);
+    EXPECT_EQ(log[h].loser, 2 * h + 1);
+    EXPECT_EQ(log[h].reason, AbortReason::kLostArbitration);
+    EXPECT_EQ(service.grant(static_cast<int>(h)).holder, 2 * h);
+  }
+  EXPECT_EQ(service.registry_stats().grants, kPairs);
+  EXPECT_EQ(service.registry_stats().conflicts, 0u);
   service.stop();
 }
 
@@ -441,14 +520,12 @@ TEST(Service, ArbitrationAbortLandsBeforeTheLosersNextFrame) {
   for (int i = 0; i < 8; ++i) {
     dialogue.inject_observation(0, ++seq, signs::HumanSign::kAttentionGained, 0.9);
   }
-  // Settle the coordinator after every frame, so the abort is requested
-  // right after the frame whose transition lost.
+  // The coordinator processes each frame's step before inject_observation
+  // returns, so the abort is requested right after the losing frame.
   for (int i = 0; i < 12; ++i) {
     dialogue.inject_observation(1, ++seq, signs::HumanSign::kAttentionGained, 0.9);
-    coordinator.drain();
   }
   dialogue.drain();
-  coordinator.drain();
 
   const auto log = coordinator.arbitration_log();
   ASSERT_EQ(log.size(), 1u);
@@ -492,7 +569,6 @@ TEST(Service, RegisterDroneRejectsTraceAliasingIds) {
         << bad;
   }
   service.admit_outcome({protocol::Outcome::kGranted, 65534, 100});
-  service.drain();
 
   EXPECT_EQ(service.grant(0).state, GrantState::kGranted);
   EXPECT_EQ(service.grant(0).holder, 65534u);
@@ -561,9 +637,8 @@ TEST(Service, EveryAdmissionPathRejectsTraceAliasingIds) {
   service.admit_sign_event(sign_event(0, kLastSequence));
   service.admit_outcome({protocol::Outcome::kAborted, 0, kLastSequence});
   service.tick(kLastSequence);
-  service.drain();
 
-  // Only the eight in-range events reached the worker.
+  // Only the eight in-range events were processed.
   EXPECT_EQ(service.stats().events, 8u);
   EXPECT_EQ(service.fleet_clock(), kLastSequence);
   service.stop();
@@ -581,7 +656,6 @@ TEST(Service, GrantDenyAndPlanHint) {
   service.admit_outcome({protocol::Outcome::kGranted, 0, 100});
   service.admit_outcome({protocol::Outcome::kDenied, 1, 110});
   service.admit_outcome({protocol::Outcome::kGranted, 2, 120});
-  service.drain();
 
   EXPECT_EQ(service.grant(0).state, GrantState::kGranted);
   EXPECT_EQ(service.grant(0).holder, 0u);
@@ -607,7 +681,6 @@ TEST(Service, LateGrantFromAbortedLoserIsRefusedAsConflict) {
   // abort landed after its execute finished — the registry refuses it.
   service.admit_outcome({protocol::Outcome::kGranted, 0, 100});
   service.admit_outcome({protocol::Outcome::kGranted, 1, 120});
-  service.drain();
 
   EXPECT_EQ(service.grant(0).holder, 0u);
   EXPECT_EQ(service.registry_stats().conflicts, 1u);
@@ -626,16 +699,13 @@ TEST(Service, HumanNoRevokesAndYesRenews) {
   // A Yes at the grant sequence itself is the confirming dialogue's echo,
   // not a post-grant renewal — ignored.
   service.admit_sign_event(begin_event(0, signs::HumanSign::kYes, 100));
-  service.drain();
   EXPECT_EQ(service.registry_stats().renewals, 0u);
 
   service.admit_sign_event(begin_event(0, signs::HumanSign::kYes, 200));
-  service.drain();
   EXPECT_EQ(service.registry_stats().renewals, 1u);
   EXPECT_EQ(service.grant(0).expires_seq, 700u);
 
   service.admit_sign_event(begin_event(0, signs::HumanSign::kNo, 300));
-  service.drain();
   EXPECT_EQ(service.grant(0).state, GrantState::kRevoked);
   EXPECT_EQ(service.registry_stats().revocations, 1u);
   // Blocked for everyone now...
@@ -643,7 +713,6 @@ TEST(Service, HumanNoRevokesAndYesRenews) {
   EXPECT_EQ(service.plan_hint(0).blocked_cells, (std::vector<int>{0}));
   // ...but only for one keep-clear TTL; then the cell is negotiable again.
   service.tick(300 + config.grant_ttl);
-  service.drain();
   EXPECT_EQ(service.grant(0).state, GrantState::kExpired);
   EXPECT_TRUE(service.plan_hint(0).blocked_cells.empty());
   service.stop();
@@ -656,15 +725,12 @@ TEST(Service, LeaseExpiresWhenFleetClockPassesTtl) {
   CoordinationService service(config);
   service.register_drone(drone(0, 0, 0));
   service.admit_outcome({protocol::Outcome::kGranted, 0, 100});
-  service.drain();
   EXPECT_EQ(service.grant(0).state, GrantState::kGranted);
 
   service.tick(149);
-  service.drain();
   EXPECT_EQ(service.grant(0).state, GrantState::kGranted);
 
   service.tick(150);  // expires_seq reached: the quiet fleet loses the lease
-  service.drain();
   EXPECT_EQ(service.grant(0).state, GrantState::kExpired);
   EXPECT_TRUE(service.plan_hint(0).granted_cells.empty());
   EXPECT_EQ(service.fleet_clock(), 150u);
@@ -674,7 +740,6 @@ TEST(Service, LeaseExpiresWhenFleetClockPassesTtl) {
 TEST(Service, UnknownDroneOutcomeIsCountedNotCrashed) {
   CoordinationService service;
   service.admit_outcome({protocol::Outcome::kGranted, 42, 10});
-  service.drain();
   EXPECT_EQ(service.stats().unknown_drone_events, 1u);
   EXPECT_EQ(service.registry_stats().grants, 0u);
   service.stop();
@@ -767,7 +832,6 @@ TEST(Service, StaleOutcomeCannotRegressLeaseExpiry) {
   // Interleaved out-of-order delivery: another stale sequence while the
   // clock holds at 1000 (sequences must never move it backwards).
   service.admit_outcome({protocol::Outcome::kGranted, 1, 900});
-  service.drain();
 
   EXPECT_EQ(service.fleet_clock(), 1000u);
   EXPECT_EQ(service.grant(0).state, GrantState::kGranted);
@@ -777,11 +841,9 @@ TEST(Service, StaleOutcomeCannotRegressLeaseExpiry) {
   EXPECT_EQ(service.grant(1).expires_seq, 1500u);
 
   service.tick(1499);
-  service.drain();
   EXPECT_EQ(service.grant(0).state, GrantState::kGranted);
   EXPECT_EQ(service.grant(1).state, GrantState::kGranted);
   service.tick(1500);
-  service.drain();
   EXPECT_EQ(service.grant(0).state, GrantState::kExpired);
   EXPECT_EQ(service.grant(1).state, GrantState::kExpired);
   service.stop();
@@ -795,17 +857,14 @@ TEST(Service, StaleRenewalNeverShortensLease) {
   service.register_drone(drone(0, 0, 0));
 
   service.admit_outcome({protocol::Outcome::kGranted, 0, 1000});
-  service.drain();
   EXPECT_EQ(service.grant(0).expires_seq, 1500u);
 
   service.admit_sign_event(begin_event(0, signs::HumanSign::kYes, 1400));
-  service.drain();
   EXPECT_EQ(service.grant(0).expires_seq, 1900u);
 
   // A reordered stale Yes (fused at frame 1100, delivered late) is still
   // a valid post-grant renewal, but must never pull the expiry back in.
   service.admit_sign_event(begin_event(0, signs::HumanSign::kYes, 1100));
-  service.drain();
   EXPECT_EQ(service.grant(0).state, GrantState::kGranted);
   EXPECT_EQ(service.grant(0).expires_seq, 1900u);
   service.stop();
@@ -879,7 +938,6 @@ void run_fleet(const recognition::SaxSignRecognizer& reference,
   for (int round = 0; round < 3; ++round) {
     perception.drain();
     dialogue.drain();
-    coordinator.drain();
   }
   perception.stop();
 }
@@ -929,12 +987,13 @@ TEST_F(FleetEndToEnd, ContentionPairResolvesAsScripted) {
   coordinator.stop();
 }
 
-TEST_F(FleetEndToEnd, FullCoordinationRingCannotDeadlockTheShards) {
-  // A one-slot coordination ring keeps both shards blocked on it while
-  // they hold a session lock; the coordination worker requests aborts
-  // without one, so the run still completes. Which drone of a pair wins
-  // still races on thread timing (ROADMAP "Deterministic fleet order"),
-  // so only completion and the replay are asserted.
+TEST_F(FleetEndToEnd, InlineArbitrationCannotDeadlockTheShards) {
+  // Both shards arbitrate inline while holding their own session lock and
+  // wait on each other at the coordinator's mutex; the coordinator
+  // requests aborts without taking the loser's session lock, so the run
+  // still completes. Which drone of a pair wins still races on thread
+  // timing (ROADMAP "Deterministic fleet order"), so only completion and
+  // the replay are asserted.
   const interaction::CommandGrammar grammar =
       interaction::CommandGrammar::standard();
   const ContentionFleet fleet = make_contention_fleet(8, grammar);
@@ -942,7 +1001,6 @@ TEST_F(FleetEndToEnd, FullCoordinationRingCannotDeadlockTheShards) {
   CoordinationConfig config;
   config.cells = fleet.pairs.size();
   config.grant_ttl = 1'000'000;
-  config.queue_capacity = 1;
   interaction::InteractionServiceConfig dialogue_config;
   dialogue_config.fusion =
       interaction::FusionPolicy::matching(reference_->config());

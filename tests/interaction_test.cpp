@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -20,6 +21,8 @@
 #include <utility>
 #include <variant>
 #include <vector>
+
+#include <unistd.h>
 
 #include "interaction/scenario.hpp"
 #include "protocol/journal.hpp"
@@ -346,7 +349,9 @@ TEST(GrammarLoader, MalformedInputsFailWithOriginAndLine) {
 }
 
 TEST(GrammarLoader, LoadsFileAndPicksDefaultVocabulary) {
-  const std::string path = ::testing::TempDir() + "/hdc_loader_test.grammar";
+  // One file per process: parallel copies of this binary must not collide.
+  const std::string path = ::testing::TempDir() + "/hdc_loader_test." +
+                           std::to_string(::getpid()) + ".grammar";
   {
     std::ofstream out(path);
     out << "[scout]\nYes -> Approach\n[default]\nNo No -> Leave\n";
@@ -369,6 +374,7 @@ TEST(GrammarLoader, LoadsFileAndPicksDefaultVocabulary) {
     out << "[a]\nYes -> Land\n[b]\nNo -> Leave\n";
   }
   EXPECT_THROW((void)CommandGrammar::load(path), std::runtime_error);
+  std::remove(path.c_str());
   EXPECT_THROW((void)CommandGrammar::load("/nonexistent/x.grammar"),
                std::runtime_error);
 }

@@ -90,7 +90,6 @@ std::vector<std::uint8_t> record_direct_run(bool instrumented = true) {
       {0, interaction::SignEventKind::kBegin, signs::HumanSign::kYes,
        200, 200, 0.9});
   coordinator.tick(700);  // lease born at 100 expires at 600
-  coordinator.drain();
 
   dialogue.stop();
   coordinator.stop();
@@ -175,7 +174,6 @@ std::vector<std::uint8_t> record_contention_run(
   for (int round = 0; round < 3; ++round) {
     perception.drain();
     dialogue.drain();
-    coordinator.drain();
   }
   perception.stop();
   dialogue.stop();
@@ -312,7 +310,6 @@ TEST(Replay, AdmitRecordedAcceptsEveryParsedBoundaryFleetEvent) {
     ASSERT_EQ(parsed.size(), 1u);
     service.admit_recorded(from_wire(std::get<wire::FleetEventRecord>(parsed[0])));
   }
-  service.drain();
   EXPECT_EQ(service.stats().events, kKinds);
   EXPECT_EQ(service.fleet_clock(), kLastSequence);
   service.stop();

@@ -210,7 +210,6 @@ TEST(TelemetryPipeline, EveryInstrumentedStageReportsFromALiveRun) {
   for (int round = 0; round < 3; ++round) {
     perception.drain();
     dialogue.drain();
-    coordinator.drain();
   }
 
   // Tail: walk a winner through a fresh grant, a Yes-begin renewal, then a
@@ -223,7 +222,6 @@ TEST(TelemetryPipeline, EveryInstrumentedStageReportsFromALiveRun) {
       {winner, interaction::SignEventKind::kBegin, signs::HumanSign::kYes,
        base + 10, base + 10, 0.9});
   coordinator.tick(base + coordination_config.grant_ttl + 200);
-  coordinator.drain();
 
   perception.stop();
   dialogue.stop();
@@ -346,7 +344,6 @@ TEST(TelemetryPipeline, TraceContextPropagatesAcrossAllThreeServices) {
   for (int round = 0; round < 3; ++round) {
     perception.drain();
     dialogue.drain();
-    coordinator.drain();
   }
   // The run's own accounting and one drained shard-queue sample, for the
   // health verdict below.
