@@ -131,25 +131,17 @@ void CoordinationService::admit(const FleetEvent& event) {
   process(event);
 }
 
-std::uint64_t CoordinationService::advance_clock(std::uint64_t sequence) {
-  // Only process() writes the clock, under mutex_; the atomic is for
-  // plan_hint() and fleet_clock() readers.
-  const std::uint64_t now =
-      std::max(fleet_clock_.load(std::memory_order_relaxed), sequence);
-  fleet_clock_.store(now, std::memory_order_release);
-  return now;
-}
-
 void CoordinationService::process(const FleetEvent& event) {
   if (event_tap_) event_tap_(event);
-  events_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.events;
   events_counter_.add(1);
   // `now` is the monotone fleet clock AFTER observing this event. Handlers
   // must timestamp every registry mutation with `now`, never the event's
   // raw sequence: an out-of-order (stale) sequence would otherwise open a
   // lease in the past — born expired, or expiring earlier than a lease the
   // same cell already had — regressing lease-expiry decisions.
-  const std::uint64_t now = advance_clock(event.sequence);
+  fleet_clock_ = std::max(fleet_clock_, event.sequence);
+  const std::uint64_t now = fleet_clock_;
 
   switch (event.kind) {
     case EventKind::kRegister:
@@ -169,7 +161,7 @@ void CoordinationService::process(const FleetEvent& event) {
       handle_sign_event(event, now);
       break;
     case EventKind::kTick:
-      break;  // advance_clock + the sweep below are the whole effect
+      break;  // the clock advance + the sweep below are the whole effect
   }
 
   // Lease sweep: TTLs live in the fleet clock, so any event that advanced
@@ -188,16 +180,15 @@ void CoordinationService::handle_transition(const FleetEvent& event) {
         arbitrate_ns_, recorder_,
         telemetry::TraceContext::of(event.drone_id, event.sequence),
         telemetry::TraceStage::kArbitrate);
-    arbiter_.on_phase(event.drone_id, event.to,
-                      fleet_clock_.load(std::memory_order_relaxed),
+    arbiter_.on_phase(event.drone_id, event.to, fleet_clock_,
                       decisions_scratch_);
   }
   for (const ArbitrationDecision& decision : decisions_scratch_) {
     if (decision.reason == AbortReason::kLostArbitration) {
-      arbitrations_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.arbitrations;
       arbitrations_counter_.add(1);
     } else {
-      deferrals_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.deferrals;
       deferrals_counter_.add(1);
     }
     arbitration_log_.push_back(decision);
@@ -206,7 +197,7 @@ void CoordinationService::handle_transition(const FleetEvent& event) {
     const auto it = sources_.find(decision.loser);
     if (it != sources_.end()) {
       it->second->request_abort(decision.loser);
-      aborts_issued_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.aborts_issued;
     }
   }
 }
@@ -215,7 +206,7 @@ void CoordinationService::handle_outcome(const FleetEvent& event,
                                          std::uint64_t now) {
   const auto it = drones_.find(event.drone_id);
   if (it == drones_.end()) {
-    unknown_drone_events_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.unknown_drone_events;
     arbiter_.on_dialogue_end(event.drone_id,
                              event.outcome == protocol::Outcome::kGranted,
                              event.sequence);
@@ -285,24 +276,19 @@ void CoordinationService::report_grant_update(const FleetEvent& event, int cell,
 
 orchard::PlanHint CoordinationService::plan_hint(std::uint32_t drone_id) const {
   orchard::PlanHint hint;
-  const std::uint64_t now = fleet_clock();
+  std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t cell = 0; cell < registry_.cell_count(); ++cell) {
     const GrantRecord record = registry_.read(static_cast<int>(cell));
+    if (fleet_clock_ >= record.expires_seq) continue;  // lease over
     switch (record.state) {
       case GrantState::kGranted:
-        if (record.holder == drone_id && now < record.expires_seq) {
+        if (record.holder == drone_id) {
           hint.granted_cells.push_back(static_cast<int>(cell));
         }
         break;
       case GrantState::kDenied:
-        if (now < record.expires_seq) {
-          hint.blocked_cells.push_back(static_cast<int>(cell));
-        }
-        break;
       case GrantState::kRevoked:
-        if (now < record.expires_seq) {
-          hint.blocked_cells.push_back(static_cast<int>(cell));
-        }
+        hint.blocked_cells.push_back(static_cast<int>(cell));
         break;
       case GrantState::kNone:
       case GrantState::kExpired:
@@ -312,13 +298,24 @@ orchard::PlanHint CoordinationService::plan_hint(std::uint32_t drone_id) const {
   return hint;
 }
 
-CoordinationStats CoordinationService::stats() const noexcept {
-  return {events_.load(std::memory_order_relaxed),
-          arbitrations_.load(std::memory_order_relaxed),
-          deferrals_.load(std::memory_order_relaxed),
-          aborts_issued_.load(std::memory_order_relaxed),
-          /*aborts_deferred=*/0,
-          unknown_drone_events_.load(std::memory_order_relaxed)};
+GrantRecord CoordinationService::grant(int cell) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return registry_.read(cell);
+}
+
+std::uint64_t CoordinationService::fleet_clock() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return fleet_clock_;
+}
+
+CoordinationStats CoordinationService::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
+}
+
+RegistryStats CoordinationService::registry_stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return registry_.stats();
 }
 
 std::vector<ArbitrationDecision> CoordinationService::arbitration_log() const {

@@ -13,7 +13,7 @@
 //                                                 │  space-grant leases
 //                                                 v
 //                      plan_hint(drone) ──> orchard::MissionController
-//                      (seqlock reads — never take the mutex)
+//                      (under the same mutex: one moment between events)
 //
 // This closes the last vertical gap of the stack: perceive -> decide ->
 // acknowledge -> COORDINATE -> plan. Design points, mirroring how
@@ -22,8 +22,8 @@
 //     thread of their own: a perception shard inside the dialogue
 //     listener, the replay thread, or a mission/test thread calling
 //     register_drone / update_battery / tick. One mutex serializes them, so
-//     arbiter and registry writer state see one event at a time, and the
-//     order events take that mutex is the order they are processed in.
+//     arbiter and registry see one event at a time, and the order events
+//     take that mutex is the order they are processed in.
 //   - Time is the fleet clock: the max frame sequence observed across all
 //     streams (streams advance in near-lockstep; grant TTLs and retry
 //     backoffs live in this domain, no wall clock anywhere).
@@ -33,8 +33,11 @@
 //     abort and takes no session lock; the loser's next input applies it.
 //     So a shard holding its own session and this mutex never waits on
 //     another session, and two shards cannot deadlock.
-//   - plan_hint()/grant() read the registry's per-cell seqlocks: mission
-//     planning threads and shards never block on them.
+//   - Every reader (plan_hint, grant, fleet_clock, stats, registry_stats,
+//     arbitration_log) takes the same mutex, so fleet clock, registry and
+//     counters are plain state and each read sees whole events only. No
+//     shard reads while it admits: readers are mission planners, tests
+//     and end-of-run snapshots.
 //
 // Shutdown order: stop the PerceptionService(s) first (no new frames),
 // then the InteractionService(s) (they apply pending aborts, then send no
@@ -44,7 +47,6 @@
 // idempotent; with all three layers stopped, destruction order is free.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -75,8 +77,7 @@ struct CoordinationConfig {
   telemetry::FlightRecorder* recorder{nullptr};
 };
 
-/// Aggregate counters (relaxed atomics: exact once every admitting call
-/// has returned).
+/// Aggregate counters, as of the last processed event.
 struct CoordinationStats {
   std::uint64_t events{0};           ///< fleet events processed
   std::uint64_t arbitrations{0};     ///< contention decisions made
@@ -193,25 +194,22 @@ class CoordinationService {
 
   // --- read side ---------------------------------------------------------
 
+  // Every reader takes the service mutex, so it never sees half an event.
+  // Must not be called from the registry observer or the event tap.
+
   /// The mission planner's view for one drone: cells it currently holds a
   /// live grant on, and cells every drone must keep clear of (denied or
-  /// revoked). Seqlock reads — safe from any thread, never takes the
-  /// service mutex.
+  /// revoked), all as of one fleet-clock value.
   [[nodiscard]] orchard::PlanHint plan_hint(std::uint32_t drone_id) const;
 
-  /// One cell's grant slot (seqlock read; throws std::out_of_range).
-  [[nodiscard]] GrantRecord grant(int cell) const { return registry_.read(cell); }
+  /// One cell's grant slot (throws std::out_of_range).
+  [[nodiscard]] GrantRecord grant(int cell) const;
 
-  [[nodiscard]] std::uint64_t fleet_clock() const noexcept {
-    return fleet_clock_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] CoordinationStats stats() const noexcept;
-  [[nodiscard]] RegistryStats registry_stats() const noexcept {
-    return registry_.stats();
-  }
-  /// Every arbitration decision so far, in decision order (copy under the
-  /// service mutex; the scripted scenarios assert exact expected outcomes
-  /// on this).
+  [[nodiscard]] std::uint64_t fleet_clock() const;
+  [[nodiscard]] CoordinationStats stats() const;
+  [[nodiscard]] RegistryStats registry_stats() const;
+  /// Every arbitration decision so far, in decision order (the scripted
+  /// scenarios assert exact expected outcomes on this).
   [[nodiscard]] std::vector<ArbitrationDecision> arbitration_log() const;
   [[nodiscard]] const CoordinationConfig& config() const noexcept {
     return config_;
@@ -228,15 +226,14 @@ class CoordinationService {
   /// One registry mutation made visible: a kGrantUpdate instant on the
   /// triggering event's trace (kConflict when refused), then the observer.
   void report_grant_update(const FleetEvent& event, int cell, bool accepted);
-  [[nodiscard]] std::uint64_t advance_clock(std::uint64_t sequence);
 
   CoordinationConfig config_;
-  GrantRegistry registry_;
 
-  /// Serializes processing, so registry_ has one writer at a time; guards
-  /// the state below it, through arbitration_log_.
+  /// Serializes processing and every reader; guards the state below it,
+  /// through stats_.
   mutable std::mutex mutex_;
   bool stopped_{false};
+  GrantRegistry registry_;
   SessionArbiter arbiter_;
   std::unordered_map<std::uint32_t, DroneDescriptor> drones_;
   /// Which InteractionService produced each drone's transitions (abort
@@ -245,6 +242,9 @@ class CoordinationService {
   SessionArbiter::Decisions decisions_scratch_;
 
   std::vector<ArbitrationDecision> arbitration_log_;
+  /// The max sequence processed so far (see tick()).
+  std::uint64_t fleet_clock_{0};
+  CoordinationStats stats_;
 
   RegistryObserver registry_observer_;
   EventTap event_tap_;
@@ -257,13 +257,6 @@ class CoordinationService {
   telemetry::Counter arbitrations_counter_;
   telemetry::Counter deferrals_counter_;
   telemetry::FlightRecorder* recorder_{nullptr};
-
-  std::atomic<std::uint64_t> fleet_clock_{0};
-  std::atomic<std::uint64_t> events_{0};
-  std::atomic<std::uint64_t> arbitrations_{0};
-  std::atomic<std::uint64_t> deferrals_{0};
-  std::atomic<std::uint64_t> aborts_issued_{0};
-  std::atomic<std::uint64_t> unknown_drone_events_{0};
 };
 
 }  // namespace hdc::coordination

@@ -1,13 +1,11 @@
 // GrantRegistry — the fleet's ledger of negotiated space-grants, one slot
-// per orchard cell, readable by mission planners without ever blocking the
-// thread that mutates it.
+// per orchard cell.
 //
-// Write side (one writer at a time — CoordinationService, under its mutex,
-// on whichever thread admitted the event): a dialogue outcome of kGranted
-// opens a lease {holder, granted_seq, expires_seq = granted_seq + ttl};
-// kDenied marks the cell keep-clear for the same TTL; a human No event
-// after the grant revokes it; a Yes re-confirmation renews the lease;
-// expire() sweeps leases the fleet clock has passed.
+// A dialogue outcome of kGranted opens a lease {holder, granted_seq,
+// expires_seq = granted_seq + ttl}; kDenied marks the cell keep-clear for
+// the same TTL; a human No event after the grant revokes it; a Yes
+// re-confirmation renews the lease; expire() sweeps leases the fleet clock
+// has passed.
 // The single-holder invariant is structural: a cell is ONE slot, and a
 // grant request against a cell another drone validly holds is REFUSED and
 // counted (`conflicts`) — so "exactly one drone holds any cell's grant at
@@ -15,15 +13,10 @@
 // interleaving gets (e.g. an arbitration abort landing after the loser's
 // dialogue already completed).
 //
-// Read side (any thread): each slot is a seqlock — an even/odd version
-// counter around release-stored / acquire-loaded atomic fields. Readers
-// retry the (rare) race instead of taking a lock, so plan_hint() on a
-// mission thread never stalls the dialogue-outcome path, and the writer
-// never waits on readers. All fields are std::atomic, so the race the seqlock tolerates
-// is benign by construction (TSAN-clean, pinned in tests).
+// A plain single-threaded value: CoordinationService owns one and touches
+// it, readers included, only under its mutex.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -54,8 +47,6 @@ class GrantRegistry {
   /// mirrored counters are replay-deterministic.
   void instrument(telemetry::MetricsRegistry& metrics);
 
-  // --- write side: one writer at a time (the caller serializes) --------
-
   /// Opens (or, for the current holder, renews) a lease. Returns false —
   /// and counts a conflict — when another drone validly holds the cell.
   bool grant(int cell, std::uint32_t holder, std::uint64_t sequence);
@@ -65,7 +56,8 @@ class GrantRegistry {
   /// live lease (the holder being denied afresh does replace its own).
   bool deny(int cell, std::uint32_t by, std::uint64_t sequence);
   /// Human withdrew consent after granting: the cell becomes keep-clear
-  /// for one TTL (like a denial), then ages out. False if no live grant.
+  /// for one TTL (like a denial), then ages out. False if no live grant
+  /// at `sequence` — a lease that ran out stays ended, swept or not.
   bool revoke(int cell, std::uint64_t sequence);
   /// Extends the holder's lease (human re-confirmed). False when `holder`
   /// does not hold a live grant on the cell (e.g. it was just revoked —
@@ -75,52 +67,23 @@ class GrantRegistry {
   /// Returns how many flipped to kExpired.
   std::size_t expire(std::uint64_t now);
 
-  // --- read side: any thread, lock-free for the writer -----------------
-
-  /// Consistent snapshot of one cell's slot (throws std::out_of_range).
-  [[nodiscard]] GrantRecord read(int cell) const;
-  /// True when `holder` holds a live (unexpired at `now`) grant on `cell`.
-  [[nodiscard]] bool held_by(int cell, std::uint32_t holder,
-                             std::uint64_t now) const;
-
+  /// Copy of one cell's slot (throws std::out_of_range).
+  [[nodiscard]] GrantRecord read(int cell) const { return slots_[index(cell)]; }
   [[nodiscard]] std::size_t cell_count() const noexcept { return slots_.size(); }
-  [[nodiscard]] std::uint64_t ttl() const noexcept { return ttl_; }
-  /// Counters are relaxed atomics — exact after drain(), monotonic always.
-  [[nodiscard]] RegistryStats stats() const noexcept;
+  [[nodiscard]] RegistryStats stats() const noexcept { return stats_; }
 
  private:
-  /// One cell's seqlock slot. Writers bump `version` to odd, mutate, bump
-  /// back to even; readers retry while odd or changed.
-  struct Slot {
-    std::atomic<std::uint32_t> version{0};
-    std::atomic<std::uint8_t> state{static_cast<std::uint8_t>(GrantState::kNone)};
-    std::atomic<std::uint32_t> holder{0};
-    std::atomic<std::uint64_t> granted_seq{0};
-    std::atomic<std::uint64_t> expires_seq{0};
-    std::atomic<std::uint32_t> renewals{0};
-  };
-
-  Slot& slot(int cell);
-  const Slot& slot(int cell) const;
-  /// Writer-side: publish `record` into `slot` under a version bump.
-  void publish(Slot& slot, const GrantRecord& record);
-  /// Writer-side read (no retry needed: we are the only writer).
-  [[nodiscard]] static GrantRecord writer_read(const Slot& slot);
+  /// `cell` as a slot index (throws std::out_of_range).
+  [[nodiscard]] std::size_t index(int cell) const;
   /// True when the slot holds a grant that is still live at `now`.
   [[nodiscard]] static bool live_grant(const GrantRecord& record,
                                        std::uint64_t now) noexcept {
     return record.state == GrantState::kGranted && now < record.expires_seq;
   }
 
-  std::vector<Slot> slots_;
+  std::vector<GrantRecord> slots_;
   std::uint64_t ttl_;
-
-  std::atomic<std::uint64_t> grants_{0};
-  std::atomic<std::uint64_t> denials_{0};
-  std::atomic<std::uint64_t> revocations_{0};
-  std::atomic<std::uint64_t> renewals_{0};
-  std::atomic<std::uint64_t> expiries_{0};
-  std::atomic<std::uint64_t> conflicts_{0};
+  RegistryStats stats_;
 
   // Telemetry handles (disarmed until instrument()).
   telemetry::Histogram grant_ns_;

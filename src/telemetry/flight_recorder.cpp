@@ -61,7 +61,10 @@ void FlightRecorder::emit(const TraceEvent& event) {
   // 2 * (i / capacity + 1); collect() validates against that to detect
   // overwrites without locking the writer out. Release field stores (not a
   // standalone fence, which ThreadSanitizer does not model) order the odd
-  // version before every payload store; see GrantRegistry::publish.
+  // version before every payload store, so a reader that acquires any
+  // payload value written here sees the odd version (or newer) on its
+  // re-read and retries (cf. Boehm, "Can seqlocks get along with
+  // programming memory models?").
   const std::uint64_t version = slot.version.load(std::memory_order_relaxed);
   slot.version.store(version + 1, std::memory_order_relaxed);
   slot.trace_id.store(event.trace_id, std::memory_order_release);

@@ -3,9 +3,9 @@
 //
 // Each writer thread owns one lane (registered on first emit; a deque
 // keeps lane addresses stable). Within a lane the writer is single and
-// readers are concurrent, so every slot is a tiny seqlock — the same
-// idiom GrantRegistry uses: release field stores / acquire field loads
-// and no standalone fences, so ThreadSanitizer checks it. collect()
+// readers are concurrent, so every slot is a tiny seqlock: release field
+// stores / acquire field loads and no standalone fences, so
+// ThreadSanitizer checks it. collect()
 // validates each slot's version against the exact value its logical index
 // implies, so a reader can tell "overwritten while I was reading" from
 // "consistent" without ever blocking the writer: export-during-write

@@ -1,8 +1,8 @@
 // Coordination layer tests: SessionArbiter priority/backoff determinism,
-// GrantRegistry lifecycle + seqlock coherence under concurrent reads,
-// CoordinationService event handling (direct admission — deterministic,
-// no rendering), and the scripted contention scenarios end to end through
-// perception -> interaction -> coordination.
+// GrantRegistry lifecycle, CoordinationService event handling (direct
+// admission — deterministic, no rendering) and whole-event reads while
+// another thread admits, and the scripted contention scenarios end to
+// end through perception -> interaction -> coordination.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -214,6 +214,14 @@ TEST(Arbiter, ThreeWayContentionLeavesOneStanding) {
 
 // --------------------------------------------------------------- registry --
 
+/// True when `holder` holds a grant on `cell` that is still live at `now`.
+bool held_by(const GrantRegistry& registry, int cell, std::uint32_t holder,
+             std::uint64_t now) {
+  const GrantRecord record = registry.read(cell);
+  return record.state == GrantState::kGranted && record.holder == holder &&
+         now < record.expires_seq;
+}
+
 TEST(Registry, GrantLifecycleWithTtl) {
   GrantRegistry registry(4, 100);
   EXPECT_TRUE(registry.grant(2, 7, 1000));
@@ -222,8 +230,8 @@ TEST(Registry, GrantLifecycleWithTtl) {
   EXPECT_EQ(record.holder, 7u);
   EXPECT_EQ(record.granted_seq, 1000u);
   EXPECT_EQ(record.expires_seq, 1100u);
-  EXPECT_TRUE(registry.held_by(2, 7, 1050));
-  EXPECT_FALSE(registry.held_by(2, 7, 1100));  // lease end is exclusive
+  EXPECT_TRUE(held_by(registry, 2, 7, 1050));
+  EXPECT_FALSE(held_by(registry, 2, 7, 1100));  // lease end is exclusive
 
   EXPECT_EQ(registry.expire(1099), 0u);
   EXPECT_EQ(registry.expire(1100), 1u);
@@ -317,6 +325,18 @@ TEST(Registry, RevokeWithoutGrantIsFalse) {
   EXPECT_FALSE(registry.revoke(0, 20));  // only live grants revoke
 }
 
+TEST(Registry, ExpiredButUnsweptGrantCannotBeRevoked) {
+  GrantRegistry registry(1, 100);
+  EXPECT_TRUE(registry.grant(0, 3, 10));
+  // The lease ended at 110. No expire() has run, so the slot still reads
+  // kGranted, but there is no live grant left to revoke.
+  EXPECT_EQ(registry.read(0).state, GrantState::kGranted);
+  EXPECT_FALSE(registry.revoke(0, 200));
+  EXPECT_EQ(registry.stats().revocations, 0u);
+  EXPECT_EQ(registry.expire(200), 1u);
+  EXPECT_EQ(registry.read(0).state, GrantState::kExpired);
+}
+
 TEST(Registry, ValidatesCellAndConstruction) {
   EXPECT_THROW(GrantRegistry(0, 10), std::invalid_argument);
   EXPECT_THROW(GrantRegistry(1, 0), std::invalid_argument);
@@ -324,43 +344,6 @@ TEST(Registry, ValidatesCellAndConstruction) {
   EXPECT_THROW((void)registry.read(-1), std::out_of_range);
   EXPECT_THROW((void)registry.read(2), std::out_of_range);
   EXPECT_THROW((void)registry.grant(5, 0, 0), std::out_of_range);
-}
-
-TEST(Registry, SeqlockReadersOnlyEverSeeCoherentRecords) {
-  // One writer re-granting a cell with ever-increasing sequences; several
-  // readers hammering read(). Every published record maintains
-  // expires == granted + ttl and holder == granted_seq % 7, so ANY torn
-  // read (mixing two publishes) breaks an invariant the readers check.
-  // All slot fields are atomics — this is data-race-free by construction
-  // (TSAN-clean), the seqlock only provides snapshot consistency.
-  constexpr std::uint64_t kTtl = 1000;
-  GrantRegistry registry(1, kTtl);
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> incoherent{0};
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        const GrantRecord record = registry.read(0);
-        if (record.state != GrantState::kGranted) continue;
-        if (record.expires_seq != record.granted_seq + kTtl ||
-            record.holder != record.granted_seq % 7) {
-          incoherent.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-
-  for (std::uint64_t seq = 1; seq <= 20000; ++seq) {
-    // Alternate grant and revoke+regrant so state keeps changing; the
-    // holder is derived from the sequence to make torn reads detectable.
-    registry.revoke(0, seq);
-    ASSERT_TRUE(registry.grant(0, static_cast<std::uint32_t>(seq % 7), seq));
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : readers) t.join();
-  EXPECT_EQ(incoherent.load(), 0u);
 }
 
 // ------------------------------------------------- service (direct admit) --
@@ -734,6 +717,82 @@ TEST(Service, LeaseExpiresWhenFleetClockPassesTtl) {
   EXPECT_EQ(service.grant(0).state, GrantState::kExpired);
   EXPECT_TRUE(service.plan_hint(0).granted_cells.empty());
   EXPECT_EQ(service.fleet_clock(), 150u);
+  service.stop();
+}
+
+TEST(Service, NoAfterLeaseEndDoesNotDependOnASweep) {
+  // The lease runs out at 110. A human No at 200 finds no live grant to
+  // revoke, whether or not an unrelated event swept the lease first.
+  for (const bool swept : {false, true}) {
+    SCOPED_TRACE(swept ? "tick(150) before the No" : "no sweep before the No");
+    CoordinationConfig config;
+    config.cells = 1;
+    config.grant_ttl = 100;
+    CoordinationService service(config);
+    service.register_drone(drone(0, 0, 0));
+    service.admit_outcome({protocol::Outcome::kGranted, 0, 10});
+    if (swept) service.tick(150);
+    service.admit_sign_event(begin_event(0, signs::HumanSign::kNo, 200));
+    EXPECT_TRUE(service.plan_hint(0).blocked_cells.empty());
+    EXPECT_EQ(service.registry_stats().revocations, 0u);
+    EXPECT_EQ(service.grant(0).state, GrantState::kExpired);
+    service.stop();
+  }
+}
+
+TEST(Service, ReadersSeeWholeEventsWhileAnotherThreadAdmits) {
+  // One thread admits No-then-Granted pairs on one cell, the holder
+  // derived from the sequence; three readers poll meanwhile. Readers take
+  // the service mutex, so every kGranted record they see is one whole
+  // event's: expires == granted + ttl and holder == granted_seq % 7.
+  constexpr std::uint64_t kTtl = 1000;
+  constexpr std::uint64_t kPairs = 10000;
+  CoordinationConfig config;
+  config.cells = 1;
+  config.grant_ttl = kTtl;
+  CoordinationService service(config);
+  for (std::uint32_t id = 0; id < 7; ++id) {
+    service.register_drone(drone(id, 0, static_cast<int>(id)));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> incoherent{0};
+
+  std::vector<std::thread> readers;
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::uint64_t last_events = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const GrantRecord record = service.grant(0);
+        if (record.state == GrantState::kGranted &&
+            (record.expires_seq != record.granted_seq + kTtl ||
+             record.holder != record.granted_seq % 7)) {
+          incoherent.fetch_add(1, std::memory_order_relaxed);
+        }
+        // The one cell is granted or kept clear, never both.
+        const orchard::PlanHint hint = service.plan_hint(r);
+        if (hint.granted_cells.size() + hint.blocked_cells.size() > 1) {
+          incoherent.fetch_add(1, std::memory_order_relaxed);
+        }
+        const std::uint64_t events = service.stats().events;
+        if (events < last_events) {
+          incoherent.fetch_add(1, std::memory_order_relaxed);
+        }
+        last_events = events;
+      }
+    });
+  }
+
+  for (std::uint64_t seq = 1; seq <= kPairs; ++seq) {
+    const auto holder = static_cast<std::uint32_t>(seq % 7);
+    service.admit_sign_event(begin_event(holder, signs::HumanSign::kNo, seq));
+    service.admit_outcome({protocol::Outcome::kGranted, holder, seq});
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(incoherent.load(), 0u);
+  EXPECT_EQ(service.registry_stats().grants, kPairs);
+  EXPECT_EQ(service.registry_stats().revocations, kPairs - 1);
+  EXPECT_EQ(service.registry_stats().conflicts, 0u);
   service.stop();
 }
 
