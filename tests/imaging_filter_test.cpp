@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "imaging/bit_image.hpp"
@@ -222,6 +224,140 @@ TEST(OtsuDark, MatchesInvertedThresholdOnNoisyRenderedFrames) {
       ASSERT_EQ(frame.width(), 480);
       ASSERT_EQ(frame.height(), 360);
       expect_dark_threshold_matches_inverted(frame, "rendered seed " + std::to_string(frame_seed));
+    }
+  }
+}
+
+// ---- Uniform 32-pixel blocks in the Otsu histogram ---------------------------
+// The histogram adds a block of 32 identical pixels to its bin in one step. A
+// frame of one grey value takes the default level 128; a single odd pixel moves
+// the level, so a block check that ignores any byte changes the result.
+
+/// Otsu's level for `frame` (inverted when `dark`): one counter per grey level
+/// and the textbook between-class-variance loop.
+std::uint8_t reference_otsu_level(const GrayImage& frame, bool dark) {
+  std::array<double, 256> counts{};
+  for (const std::uint8_t p : frame.data()) counts[dark ? 255 - p : p] += 1.0;
+  double total = 0.0;
+  double sum_all = 0.0;
+  for (int v = 0; v < 256; ++v) {
+    total += counts[v];
+    sum_all += v * counts[v];
+  }
+  double weight_background = 0.0;
+  double sum_background = 0.0;
+  double best_variance = -1.0;
+  int level = 128;
+  for (int t = 0; t < 256; ++t) {
+    weight_background += counts[t];
+    if (weight_background == 0.0) continue;
+    const double weight_foreground = total - weight_background;
+    if (weight_foreground == 0.0) break;
+    sum_background += t * counts[t];
+    const double diff =
+        sum_background / weight_background - (sum_all - sum_background) / weight_foreground;
+    const double variance = weight_background * weight_foreground * diff * diff;
+    if (variance > best_variance) {
+      best_variance = variance;
+      level = t + 1;
+    }
+  }
+  return static_cast<std::uint8_t>(level);
+}
+
+/// Checks the byte, packed and dark Otsu thresholds of `frame` against the
+/// reference level and the bits it implies.
+void expect_otsu_matches_reference(const GrayImage& frame, const std::string& where) {
+  const std::uint8_t level = reference_otsu_level(frame, false);
+  BinaryImage want(frame.width(), frame.height());
+  for (std::size_t i = 0; i < frame.data().size(); ++i) {
+    want.data()[i] = frame.data()[i] >= level ? kForeground : kBackground;
+  }
+  std::uint8_t byte_level = 0;
+  BinaryImage byte_bits;
+  otsu_threshold_into(frame, byte_bits, &byte_level);
+  EXPECT_EQ(byte_level, level) << where;
+  EXPECT_EQ(byte_bits, want) << where;
+
+  BitImage want_packed;
+  pack(want, want_packed);
+  std::uint8_t packed_level = 0;
+  BitImage packed;
+  otsu_threshold_into(frame, packed, &packed_level);
+  EXPECT_EQ(packed_level, level) << where;
+  EXPECT_TRUE(packed.words() == want_packed.words()) << where;
+
+  // Dark foreground: Otsu on the inverted frame, pixel p set when p <= 255 - L.
+  const std::uint8_t dark_level = reference_otsu_level(frame, true);
+  BinaryImage want_dark(frame.width(), frame.height());
+  for (std::size_t i = 0; i < frame.data().size(); ++i) {
+    want_dark.data()[i] = frame.data()[i] <= 255 - dark_level ? kForeground : kBackground;
+  }
+  BitImage want_dark_packed;
+  pack(want_dark, want_dark_packed);
+  std::uint8_t got_dark_level = 0;
+  BitImage dark;
+  otsu_threshold_dark_into(frame, dark, &got_dark_level);
+  EXPECT_EQ(got_dark_level, dark_level) << where;
+  EXPECT_TRUE(dark.words() == want_dark_packed.words()) << where;
+}
+
+TEST(Otsu, CountsEveryPixelOfUniformBlocks) {
+  constexpr int kBlock = 32;
+  // Background and odd values: far apart, one bit apart in the low and the
+  // high bit of the byte, and the extremes. No pair has 127 as its lower value,
+  // which would give level 128, the same as the uniform frame.
+  const std::vector<std::pair<int, int>> values = {
+      {200, 30}, {30, 200}, {128, 129}, {129, 128}, {77, 77 ^ 0x80}, {0, 255}, {255, 254}};
+  for (const int w : {1, 31, 32, 33, 63, 64, 65, 480}) {
+    for (const int h : {1, 2, 3, 5}) {
+      const int count = w * h;
+      const int blocks = count / kBlock;
+      // Every offset of the first and the last full block, the first pixel of
+      // every block, and every pixel of the scalar tail.
+      std::vector<int> positions;
+      for (int offset = 0; offset < kBlock && blocks > 0; ++offset) {
+        positions.push_back(offset);
+        positions.push_back((blocks - 1) * kBlock + offset);
+      }
+      for (int b = 0; b < blocks; ++b) positions.push_back(b * kBlock);
+      for (int i = blocks * kBlock; i < count; ++i) positions.push_back(i);
+      std::sort(positions.begin(), positions.end());
+      positions.erase(std::unique(positions.begin(), positions.end()), positions.end());
+
+      for (const auto& [background, odd] : values) {
+        const std::string frame_name = "w=" + std::to_string(w) + " h=" + std::to_string(h) +
+                                       " background=" + std::to_string(background) +
+                                       " odd=" + std::to_string(odd);
+        GrayImage frame(w, h, static_cast<std::uint8_t>(background));
+        expect_otsu_matches_reference(frame, frame_name + " uniform");
+        for (const int at : positions) {
+          frame.data()[static_cast<std::size_t>(at)] = static_cast<std::uint8_t>(odd);
+          if (count > 1) {
+            ASSERT_NE(reference_otsu_level(frame, false), 128) << frame_name;
+            ASSERT_NE(reference_otsu_level(frame, true), 128) << frame_name;
+          }
+          expect_otsu_matches_reference(frame, frame_name + " at=" + std::to_string(at));
+          frame.data()[static_cast<std::size_t>(at)] = static_cast<std::uint8_t>(background);
+        }
+      }
+    }
+  }
+
+  // With two grey levels the level is the lower one + 1 whatever the counts.
+  // Three runs of 40, 120 and 220: as the middle run grows into the bright
+  // one, the level crosses from 121 to 41 at one split, and a block counted
+  // as 31 or 33 pixels moves that split.
+  for (const int w : {33, 480}) {
+    GrayImage frame(w, 5);
+    const int count = w * 5;
+    const int dark_end = count / 3;
+    for (int middle_end = dark_end; middle_end <= count; ++middle_end) {
+      for (int i = 0; i < count; ++i) {
+        frame.data()[static_cast<std::size_t>(i)] = i < dark_end ? 40 : i < middle_end ? 120 : 220;
+      }
+      expect_otsu_matches_reference(frame, "three runs w=" + std::to_string(w) +
+                                               " middle_end=" + std::to_string(middle_end));
     }
   }
 }
