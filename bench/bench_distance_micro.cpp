@@ -136,7 +136,6 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
     return;
   }
   out << "{\n  \"bench\": \"distance_micro\",\n"
-      << "  \"kernel\": \"" << timeseries::rotation_kernel() << "\",\n"
       << "  \"speedup_at_128\": " << speedup_at_128 << ",\n"
       << "  \"target_met\": " << (target_met ? "true" : "false") << ",\n"
       << "  \"cells\": [\n";
@@ -175,8 +174,6 @@ int main(int argc, char** argv) {
   const std::size_t templates = 16;  // a realistic multi-altitude database
   const std::vector<std::size_t> lengths = {32, 128, 512};
 
-  std::cout << "rotation-invariant distance kernel: " << timeseries::rotation_kernel()
-            << "\n";
   util::TextTable table(
       {"n", "pairs", "ref pairs/s", "kernel pairs/s", "speedup", "identical"});
   std::vector<CellResult> cells;

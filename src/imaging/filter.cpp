@@ -5,7 +5,10 @@
 #include <cmath>
 #include <cstring>
 
-#if defined(HDC_SIMD) && defined(__SSE2__)
+// The packed threshold compares 16 pixels per SSE2 instruction wherever the
+// platform has SSE2 (every x86-64 target); other targets take the scalar
+// loop, which packs the same bits.
+#if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
 
@@ -190,7 +193,7 @@ std::uint8_t otsu_level(const Histogram& histogram) {
 
 /// Bits of the 16 pixels at `p` that are >= `value`, pixel i in bit i.
 inline std::uint64_t at_least_16(const std::uint8_t* p, std::uint8_t value) {
-#if defined(HDC_SIMD) && defined(__SSE2__)
+#if defined(__SSE2__)
   const __m128i pixels = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   const __m128i floor = _mm_set1_epi8(static_cast<char>(value));
   const __m128i ge = _mm_cmpeq_epi8(_mm_max_epu8(pixels, floor), pixels);  // max(p, v) == p
@@ -204,7 +207,7 @@ inline std::uint64_t at_least_16(const std::uint8_t* p, std::uint8_t value) {
 
 /// Bits of the 16 pixels at `p` that are <= `value`, pixel i in bit i.
 inline std::uint64_t at_most_16(const std::uint8_t* p, std::uint8_t value) {
-#if defined(HDC_SIMD) && defined(__SSE2__)
+#if defined(__SSE2__)
   const __m128i pixels = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   const __m128i ceiling = _mm_set1_epi8(static_cast<char>(value));
   const __m128i le = _mm_cmpeq_epi8(_mm_min_epu8(pixels, ceiling), pixels);  // min(p, v) == p

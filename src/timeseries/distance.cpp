@@ -5,18 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#if defined(HDC_SIMD) && defined(__AVX2__) && defined(__FMA__)
-#include <immintrin.h>
-#define HDC_ROTATION_KERNEL_NAME "avx2-fma"
-#define HDC_ROTATION_KERNEL_AVX2 1
-#elif defined(HDC_SIMD) && defined(__ARM_NEON)
-#include <arm_neon.h>
-#define HDC_ROTATION_KERNEL_NAME "neon"
-#define HDC_ROTATION_KERNEL_NEON 1
-#else
-#define HDC_ROTATION_KERNEL_NAME "unrolled-scalar"
-#endif
-
 namespace hdc::timeseries {
 
 double euclidean_sq(const Series& a, const Series& b) {
@@ -35,102 +23,15 @@ double euclidean(const Series& a, const Series& b) {
 
 namespace {
 
-// Inner kernels. Four independent accumulators break the serial-add
-// dependency chain so the CPU (and the auto-vectoriser at the baseline ISA)
-// can overlap the multiply-adds; the AVX2/NEON variants do the same with
-// explicit vector lanes. All variants reassociate the sum, so they agree
-// with strict left-to-right accumulation only within a tolerance — which is
-// why euclidean_rotation_invariant_reference is pinned within 1e-9, not
-// bitwise.
-#if defined(HDC_ROTATION_KERNEL_AVX2)
-
-double dot_n(const double* a, const double* b, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4), acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 8), _mm256_loadu_pd(b + i + 8), acc2);
-    acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 12), _mm256_loadu_pd(b + i + 12), acc3);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i), acc0);
-  }
-  const __m256d acc = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-double squared_diff_n(const double* a, const double* b, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-    const __m256d d1 =
-        _mm256_sub_pd(_mm256_loadu_pd(a + i + 4), _mm256_loadu_pd(b + i + 4));
-    acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-    acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
-#elif defined(HDC_ROTATION_KERNEL_NEON)
-
-double dot_n(const double* a, const double* b, std::size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = vfmaq_f64(acc0, vld1q_f64(a + i), vld1q_f64(b + i));
-    acc1 = vfmaq_f64(acc1, vld1q_f64(a + i + 2), vld1q_f64(b + i + 2));
-    acc2 = vfmaq_f64(acc2, vld1q_f64(a + i + 4), vld1q_f64(b + i + 4));
-    acc3 = vfmaq_f64(acc3, vld1q_f64(a + i + 6), vld1q_f64(b + i + 6));
-  }
-  for (; i + 2 <= n; i += 2) {
-    acc0 = vfmaq_f64(acc0, vld1q_f64(a + i), vld1q_f64(b + i));
-  }
-  double sum = vaddvq_f64(vaddq_f64(vaddq_f64(acc0, acc1), vaddq_f64(acc2, acc3)));
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-double squared_diff_n(const double* a, const double* b, std::size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float64x2_t d0 = vsubq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
-    const float64x2_t d1 = vsubq_f64(vld1q_f64(a + i + 2), vld1q_f64(b + i + 2));
-    acc0 = vfmaq_f64(acc0, d0, d0);
-    acc1 = vfmaq_f64(acc1, d1, d1);
-  }
-  double sum = vaddvq_f64(vaddq_f64(acc0, acc1));
-  for (; i < n; ++i) {
-    const double d = a[i] - b[i];
-    sum += d * d;
-  }
-  return sum;
-}
-
-#else
-
+// Inner kernels, the only ones on every target. Four independent
+// accumulators break the serial-add dependency chain so the CPU (and the
+// auto-vectoriser at the baseline ISA) can overlap the multiply-adds. The
+// sum is reassociated, so it agrees with strict left-to-right accumulation
+// only within a tolerance — which is why
+// euclidean_rotation_invariant_reference is pinned within 1e-9, not
+// bitwise. The build turns off FP contraction, so `s += a * b` rounds the
+// product and the sum separately, and the result has the same bits whether
+// or not the target has FMA.
 double dot_n(const double* a, const double* b, std::size_t n) {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   std::size_t i = 0;
@@ -166,8 +67,6 @@ double squared_diff_n(const double* a, const double* b, std::size_t n) {
   return sum;
 }
 
-#endif
-
 /// One template's best rotation against a query.
 struct RotationMatch {
   double distance;
@@ -198,8 +97,6 @@ RotationMatch best_rotation(const double* a, const RotationTemplate& t) {
 }
 
 }  // namespace
-
-const char* rotation_kernel() noexcept { return HDC_ROTATION_KERNEL_NAME; }
 
 void make_rotation_template_into(const Series& b, RotationTemplate& out) {
   const std::size_t n = b.size();

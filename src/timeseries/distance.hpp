@@ -14,8 +14,7 @@
 //      shows the only k-dependent term is the dot product, so minimising
 //      d_k is exactly maximising dot(a, doubled + k): the scan becomes n
 //      straight-line dot products that auto-vectorise (4-accumulator
-//      unroll; AVX2/NEON intrinsics when HDC_SIMD is on and the target
-//      supports them — see rotation_kernel()).
+//      unroll, one portable kernel on every target).
 //
 // The distance actually *returned* is recomputed at the winning shift with
 // the direct sum-of-squared-differences form: the identity form loses
@@ -86,12 +85,6 @@ void make_rotation_template_into(const Series& b, RotationTemplate& out);
 /// sums are not bit-identical). O(n^2), no allocation.
 [[nodiscard]] double euclidean_rotation_invariant_reference(
     const Series& a, const Series& b, std::size_t* best_shift = nullptr);
-
-/// Which inner-loop implementation this build compiled in:
-/// "avx2-fma", "neon", or "unrolled-scalar" (4-accumulator, relies on the
-/// compiler's baseline auto-vectorisation). Recorded in bench JSON so perf
-/// snapshots are comparable across machines.
-[[nodiscard]] const char* rotation_kernel() noexcept;
 
 /// Pearson correlation coefficient in [-1, 1]; 0 when either side is flat
 /// or shorter than 2. O(n), no allocation.

@@ -64,6 +64,47 @@ TEST(Threshold, FixedValue) {
   EXPECT_EQ(out(3, 0), kForeground);
 }
 
+TEST(Threshold, PackedMatchesByteAtEveryLevel) {
+  // The packed threshold compares 16 pixels at a time (SSE2 on x86-64, a
+  // scalar loop elsewhere) and packs the rest one by one. The widths cover a
+  // row shorter than one 16-pixel block, whole blocks, a scalar tail and the
+  // 64-bit word boundary; every other pixel is an extreme value. pack() runs
+  // the same packed threshold, so the words are also built pixel by pixel.
+  constexpr std::array<std::uint8_t, 6> kEdges = {0, 254, 255, 1, 127, 128};
+  hdc::util::Rng rng(1603);
+  for (const int w : {1, 15, 16, 17, 63, 64, 65, 129}) {
+    GrayImage src(w, 6);
+    for (std::size_t i = 0; i < src.data().size(); ++i) {
+      src.data()[i] = i % 2 == 0 ? kEdges[(i / 2) % kEdges.size()]
+                                 : static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+    for (int value = 0; value <= 255; ++value) {
+      const std::string where = "w=" + std::to_string(w) + " value=" + std::to_string(value);
+      BinaryImage bytes;
+      threshold_into(src, static_cast<std::uint8_t>(value), bytes);
+      BitImage want;
+      pack(bytes, want);
+      std::vector<std::uint64_t> want_words(want.words().size(), 0);
+      for (int y = 0; y < src.height(); ++y) {
+        for (int x = 0; x < w; ++x) {
+          want_words[static_cast<std::size_t>(y * want.words_per_row() + x / 64)] |=
+              static_cast<std::uint64_t>(src(x, y) >= value) << (x % 64);
+        }
+      }
+      BitImage got;
+      threshold_into(src, static_cast<std::uint8_t>(value), got);
+      ASSERT_EQ(got.width(), w) << where;
+      ASSERT_EQ(got.height(), src.height()) << where;
+      EXPECT_TRUE(got.words() == want.words()) << where;
+      EXPECT_TRUE(got.words() == want_words) << where;
+      for (int y = 0; y < got.height(); ++y) {
+        EXPECT_EQ(got.row(y)[got.words_per_row() - 1] & ~got.tail_mask(), 0u)
+            << where << " padding of row " << y;
+      }
+    }
+  }
+}
+
 TEST(Otsu, SeparatesBimodalImage) {
   GrayImage img(40, 40, 30);
   fill_rect(img, 10, 10, 29, 29, 220);

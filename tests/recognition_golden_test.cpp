@@ -5,10 +5,10 @@
 // payloads stay unchanged across commits (e.g. when the matching kernel or
 // the database query is restructured).
 //
-// distance/margin are pinned as hex-float bits. Bits are compared exactly
-// when this build's rotation_kernel() is the kernel the table was captured
-// with; another kernel reassociates the dot products differently, so its
-// floats are compared within 1e-9 instead (discrete fields stay exact).
+// distance/margin are pinned as hex-float bits and compared bit for bit on
+// every build. There is one rotation kernel and the build turns off FP
+// contraction, so a target with FMA must reproduce the table exactly, as
+// one without does.
 //
 // Regenerate (only when a payload change is intended, and say why in the
 // commit):  HDC_PRINT_GOLDEN=1 ./recognition_golden_test
@@ -18,20 +18,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "recognition/recognizer.hpp"
 #include "signs/scene.hpp"
-#include "timeseries/distance.hpp"
 #include "util/rng.hpp"
 
 namespace hdc::recognition {
 namespace {
-
-/// The rotation kernel the table below was captured with.
-constexpr const char* kGoldenKernel = "unrolled-scalar";
 
 struct GoldenFrame {
   const char* name;
@@ -123,8 +118,6 @@ std::vector<RecognitionResult> recognize_all() {
 }
 
 void print_table(const std::vector<RecognitionResult>& results) {
-  std::printf("// captured with rotation_kernel() = \"%s\"\n",
-              timeseries::rotation_kernel());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RecognitionResult& r = results[i];
     std::printf("    {%s, %s, RejectReason::k%s, \"%s\", %a, %a},  // %s\n",
@@ -134,14 +127,9 @@ void print_table(const std::vector<RecognitionResult>& results) {
   }
 }
 
-void expect_float(double actual, double golden, bool bitwise, const char* what,
-                  const char* frame) {
-  if (bitwise) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual), std::bit_cast<std::uint64_t>(golden))
-        << frame << " " << what << ": " << actual << " vs golden " << golden;
-  } else {
-    EXPECT_NEAR(actual, golden, 1e-9) << frame << " " << what;
-  }
+void expect_float(double actual, double golden, const char* what, const char* frame) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual), std::bit_cast<std::uint64_t>(golden))
+      << frame << " " << what << ": " << actual << " vs golden " << golden;
 }
 
 TEST(RecognitionGolden, PayloadsMatchCapturedTable) {
@@ -150,7 +138,6 @@ TEST(RecognitionGolden, PayloadsMatchCapturedTable) {
   static_assert(std::size(kFrames) >= 12, "4 signs x 3 views plus noisy frames");
   ASSERT_EQ(results.size(), std::size(kGolden)) << "golden table out of date";
 
-  const bool bitwise = std::strcmp(timeseries::rotation_kernel(), kGoldenKernel) == 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RecognitionResult& r = results[i];
     const GoldenPayload& g = kGolden[i];
@@ -159,8 +146,8 @@ TEST(RecognitionGolden, PayloadsMatchCapturedTable) {
     EXPECT_EQ(r.sign, g.sign) << frame;
     EXPECT_EQ(r.reject_reason, g.reject_reason) << frame;
     EXPECT_EQ(r.sax_word, g.sax_word) << frame;
-    expect_float(r.distance, g.distance, bitwise, "distance", frame);
-    expect_float(r.margin, g.margin, bitwise, "margin", frame);
+    expect_float(r.distance, g.distance, "distance", frame);
+    expect_float(r.margin, g.margin, "margin", frame);
   }
 }
 
