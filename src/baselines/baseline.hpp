@@ -6,14 +6,16 @@
 //   - Hu invariant moments of the silhouette
 //   - Freeman chain-code curvature histograms of the contour
 //   - direct template correlation of the normalised silhouette raster
-// All share the SAX pipeline's silhouette-extraction front end so the
-// comparison isolates the *representation and matching* stage (bench ABL-2).
+// All run the SAX pipeline's own packed silhouette front end (threshold,
+// morphology and largest component on a BitImage), so the comparison
+// isolates the *representation and matching* stage (bench ABL-2).
 #pragma once
 
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "imaging/bit_image.hpp"
 #include "imaging/contour.hpp"
 #include "imaging/image.hpp"
 #include "signs/scene.hpp"
@@ -21,10 +23,11 @@
 
 namespace hdc::baselines {
 
-/// Silhouette front end shared by every baseline: invert -> Otsu ->
-/// close/open -> largest component. Mirrors the SAX pipeline's stages 1-4.
-[[nodiscard]] imaging::BinaryImage extract_silhouette(const imaging::GrayImage& frame,
-                                                      std::size_t min_area = 120);
+/// Silhouette front end shared by every baseline: dark-foreground Otsu ->
+/// close/open (radius 1) -> largest component, on the packed raster. The
+/// SAX pipeline's stages 1-4 with blur off, run by the same kernels.
+[[nodiscard]] imaging::BitImage extract_silhouette(const imaging::GrayImage& frame,
+                                                   std::size_t min_area = 120);
 
 /// Classification outcome of a baseline recogniser.
 struct BaselineResult {

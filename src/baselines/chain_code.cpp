@@ -24,6 +24,13 @@ namespace {
   return sum;
 }
 
+/// Outer contour of a frame's silhouette.
+[[nodiscard]] imaging::Contour silhouette_contour(const imaging::GrayImage& frame) {
+  imaging::Contour contour;
+  imaging::trace_boundary_into(extract_silhouette(frame), contour);
+  return contour;
+}
+
 }  // namespace
 
 std::vector<int> freeman_chain_code(const imaging::Contour& contour) {
@@ -62,15 +69,14 @@ void ChainCodeRecognizer::train(const signs::ViewGeometry& view,
   templates_.clear();
   for (const signs::HumanSign sign : signs::kAllSigns) {
     const imaging::GrayImage frame = signs::render_sign(sign, view, options);
-    const imaging::Contour contour =
-        imaging::trace_boundary(extract_silhouette(frame));
+    const imaging::Contour contour = silhouette_contour(frame);
     templates_.push_back({sign, curvature_histogram(freeman_chain_code(contour))});
   }
 }
 
 BaselineResult ChainCodeRecognizer::classify(const imaging::GrayImage& frame) const {
   BaselineResult result;
-  const imaging::Contour contour = imaging::trace_boundary(extract_silhouette(frame));
+  const imaging::Contour contour = silhouette_contour(frame);
   if (contour.size() < 8 || templates_.empty()) return result;
 
   const std::array<double, 8> histogram =

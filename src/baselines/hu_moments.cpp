@@ -1,6 +1,8 @@
 #include "baselines/hu_moments.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace hdc::baselines {
@@ -26,37 +28,31 @@ namespace {
 
 }  // namespace
 
-std::array<double, 7> hu_moments(const imaging::BinaryImage& mask) {
+std::array<double, 7> hu_moments(const imaging::BitImage& mask) {
   // Raw moments m_pq over foreground pixels.
   double m00 = 0, m10 = 0, m01 = 0;
-  for (int y = 0; y < mask.height(); ++y) {
-    for (int x = 0; x < mask.width(); ++x) {
-      if (mask(x, y) != imaging::kForeground) continue;
-      m00 += 1.0;
-      m10 += x;
-      m01 += y;
-    }
-  }
+  imaging::for_each_foreground(mask, [&](int x, int y) {
+    m00 += 1.0;
+    m10 += x;
+    m01 += y;
+  });
   if (m00 == 0.0) return {};
   const double cx = m10 / m00;
   const double cy = m01 / m00;
 
   // Central moments mu_pq up to order 3.
   double mu20 = 0, mu02 = 0, mu11 = 0, mu30 = 0, mu03 = 0, mu21 = 0, mu12 = 0;
-  for (int y = 0; y < mask.height(); ++y) {
-    for (int x = 0; x < mask.width(); ++x) {
-      if (mask(x, y) != imaging::kForeground) continue;
-      const double dx = x - cx;
-      const double dy = y - cy;
-      mu20 += dx * dx;
-      mu02 += dy * dy;
-      mu11 += dx * dy;
-      mu30 += dx * dx * dx;
-      mu03 += dy * dy * dy;
-      mu21 += dx * dx * dy;
-      mu12 += dx * dy * dy;
-    }
-  }
+  imaging::for_each_foreground(mask, [&](int x, int y) {
+    const double dx = x - cx;
+    const double dy = y - cy;
+    mu20 += dx * dx;
+    mu02 += dy * dy;
+    mu11 += dx * dy;
+    mu30 += dx * dx * dx;
+    mu03 += dy * dy * dy;
+    mu21 += dx * dx * dy;
+    mu12 += dx * dy * dy;
+  });
 
   // Scale-normalised moments eta_pq = mu_pq / m00^(1 + (p+q)/2).
   const auto eta = [m00](double mu, int order) {
@@ -89,21 +85,14 @@ void HuMomentsRecognizer::train(const signs::ViewGeometry& view,
   templates_.clear();
   for (const signs::HumanSign sign : signs::kAllSigns) {
     const imaging::GrayImage frame = signs::render_sign(sign, view, options);
-    const imaging::BinaryImage mask = extract_silhouette(frame);
-    templates_.push_back({sign, hu_moments(mask)});
+    templates_.push_back({sign, hu_moments(extract_silhouette(frame))});
   }
 }
 
 BaselineResult HuMomentsRecognizer::classify(const imaging::GrayImage& frame) const {
   BaselineResult result;
-  const imaging::BinaryImage mask = extract_silhouette(frame);
-  bool any = false;
-  for (const auto& v : mask.data()) {
-    if (v == imaging::kForeground) {
-      any = true;
-      break;
-    }
-  }
+  const imaging::BitImage mask = extract_silhouette(frame);
+  const bool any = std::ranges::any_of(mask.words(), [](std::uint64_t w) { return w != 0; });
   if (!any || templates_.empty()) return result;
 
   const std::array<double, 7> features = hu_moments(mask);

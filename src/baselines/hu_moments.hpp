@@ -10,8 +10,8 @@
 
 namespace hdc::baselines {
 
-/// The seven Hu invariants of a binary mask.
-[[nodiscard]] std::array<double, 7> hu_moments(const imaging::BinaryImage& mask);
+/// The seven Hu invariants of a packed mask.
+[[nodiscard]] std::array<double, 7> hu_moments(const imaging::BitImage& mask);
 
 class HuMomentsRecognizer final : public BaselineRecognizer {
  public:

@@ -1,5 +1,6 @@
 #include "baselines/template_match.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -30,18 +31,14 @@ namespace {
 
 }  // namespace
 
-std::vector<double> normalized_grid(const imaging::BinaryImage& mask) {
+std::vector<double> normalized_grid(const imaging::BitImage& mask) {
   int min_x = mask.width(), min_y = mask.height(), max_x = -1, max_y = -1;
-  for (int y = 0; y < mask.height(); ++y) {
-    for (int x = 0; x < mask.width(); ++x) {
-      if (mask(x, y) == imaging::kForeground) {
-        min_x = std::min(min_x, x);
-        min_y = std::min(min_y, y);
-        max_x = std::max(max_x, x);
-        max_y = std::max(max_y, y);
-      }
-    }
-  }
+  imaging::for_each_foreground(mask, [&](int x, int y) {
+    min_x = std::min(min_x, x);
+    min_y = std::min(min_y, y);
+    max_x = std::max(max_x, x);
+    max_y = std::max(max_y, y);
+  });
   std::vector<double> grid(static_cast<std::size_t>(kTemplateGrid) * kTemplateGrid, 0.0);
   if (max_x < min_x || max_y < min_y) return grid;
   const double scale_x = static_cast<double>(max_x - min_x + 1) / kTemplateGrid;
@@ -50,7 +47,7 @@ std::vector<double> normalized_grid(const imaging::BinaryImage& mask) {
     for (int gx = 0; gx < kTemplateGrid; ++gx) {
       const int sx = min_x + static_cast<int>((gx + 0.5) * scale_x);
       const int sy = min_y + static_cast<int>((gy + 0.5) * scale_y);
-      if (mask.in_bounds(sx, sy) && mask(sx, sy) == imaging::kForeground) {
+      if (mask.test(sx, sy)) {
         grid[static_cast<std::size_t>(gy) * kTemplateGrid + gx] = 1.0;
       }
     }

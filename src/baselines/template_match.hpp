@@ -14,7 +14,7 @@ inline constexpr int kTemplateGrid = 64;
 
 /// Crops `mask` to its foreground bounding box and resamples to the grid;
 /// all-background masks produce an all-zero grid.
-[[nodiscard]] std::vector<double> normalized_grid(const imaging::BinaryImage& mask);
+[[nodiscard]] std::vector<double> normalized_grid(const imaging::BitImage& mask);
 
 class TemplateMatchRecognizer final : public BaselineRecognizer {
  public:

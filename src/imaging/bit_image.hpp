@@ -4,6 +4,7 @@
 // zeros, so a 480x360 silhouette costs 2880 words instead of 172800 bytes.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -57,6 +58,20 @@ class BitImage {
   int words_per_row_{0};
   std::vector<std::uint64_t> words_;
 };
+
+/// Calls f(x, y) for every foreground pixel of `bits`, in raster order: the
+/// order a per-pixel scan meets them, so sums over them round the same way.
+template <class F>
+void for_each_foreground(const BitImage& bits, F&& f) {
+  for (int y = 0; y < bits.height(); ++y) {
+    const std::uint64_t* row = bits.row(y);
+    for (int i = 0; i < bits.words_per_row(); ++i) {
+      for (std::uint64_t word = row[i]; word != 0; word &= word - 1) {
+        f(i * 64 + std::countr_zero(word), y);
+      }
+    }
+  }
+}
 
 /// Packs a BinaryImage: only kForeground pixels become foreground bits.
 void pack(const BinaryImage& src, BitImage& out);

@@ -147,61 +147,14 @@ void largest_component_mask_into(const BitImage& bits, std::size_t min_area,
   }
 }
 
-void label_components_into(const BinaryImage& binary, Labeling& out,
-                           LabelScratch& scratch) {
-  pack(binary, scratch.packed);
-  label_components_into(scratch.packed, out.components, scratch);
-  out.labels.reset(binary.width(), binary.height(), 0);
-  for (std::size_t i = 0; i < scratch.runs.size(); ++i) {
-    const Run& run = scratch.runs[i];
-    std::int32_t* row = &out.labels(0, run.y);
-    std::fill(row + run.x0, row + run.x1, scratch.run_label[i] + 1);
-  }
-}
-
-Labeling label_components(const BinaryImage& binary) {
-  Labeling result;
-  LabelScratch scratch;
-  label_components_into(binary, result, scratch);
-  return result;
-}
-
+// Perfbench only, goes after ROADMAP item 1.
 void largest_component_mask_into(const BinaryImage& binary, std::size_t min_area,
                                  BinaryImage& mask, Labeling& labeling,
                                  LabelScratch& scratch) {
   pack(binary, scratch.packed);
   largest_component_mask_into(scratch.packed, min_area, scratch.packed_mask,
                               labeling.components, scratch);
-  labeling.labels = {};
   unpack(scratch.packed_mask, mask);
-}
-
-BinaryImage largest_component_mask(const BinaryImage& binary, std::size_t min_area) {
-  BinaryImage mask;
-  Labeling labeling;
-  LabelScratch scratch;
-  largest_component_mask_into(binary, min_area, mask, labeling, scratch);
-  return mask;
-}
-
-BinaryImage remove_small_components(const BinaryImage& binary, std::size_t min_area) {
-  const Labeling labeling = label_components(binary);
-  BinaryImage out(binary.width(), binary.height(), kBackground);
-  // keep[label] is 0x00/0xFF per component size; the fill is then a pure
-  // table gather over the label raster, no per-pixel branching.
-  std::vector<std::uint8_t> keep(labeling.components.size() + 1, kBackground);
-  for (const Component& comp : labeling.components) {
-    if (comp.area >= min_area) {
-      keep[static_cast<std::size_t>(comp.label)] = kForeground;
-    }
-  }
-  const std::int32_t* lab = labeling.labels.data().data();
-  std::uint8_t* dst = out.data().data();
-  const std::size_t count = out.data().size();
-  for (std::size_t i = 0; i < count; ++i) {
-    dst[i] = keep[static_cast<std::size_t>(lab[i])];
-  }
-  return out;
 }
 
 }  // namespace hdc::imaging

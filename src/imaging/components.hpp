@@ -6,8 +6,7 @@
 // & Suzuki, IEEE TIP 2008). Each row's foreground runs come from
 // count-trailing-zeros over its words; union-find joins runs of adjacent
 // rows that overlap under 8-connectivity; components are numbered in raster
-// order of their first pixel. The BinaryImage entry points pack, run that
-// kernel and, where asked, paint the runs back out.
+// order of their first pixel.
 #pragma once
 
 #include <cstdint>
@@ -27,22 +26,12 @@ struct Component {
   hdc::util::Vec2 centroid{};
 };
 
-/// Result of labelling: a label raster (0 = background, 1..n components) and
-/// per-component statistics.
+/// Perfbench only, goes after ROADMAP item 1: the component list of the byte
+/// largest_component_mask_into, and the type of RecognizerScratch::labeling,
+/// whose `components` perfbench reads.
 struct Labeling {
-  Image<std::int32_t> labels;
   std::vector<Component> components;  ///< indexed by label-1
 };
-
-/// 8-connectivity labelling; only kForeground pixels are foreground.
-/// Labels run 1..n in raster order of each component's first pixel.
-[[nodiscard]] Labeling label_components(const BinaryImage& binary);
-
-/// Returns a binary mask of the largest component (empty image -> all
-/// background). Components below `min_area` pixels are ignored; if none
-/// qualify the mask is all background.
-[[nodiscard]] BinaryImage largest_component_mask(const BinaryImage& binary,
-                                                 std::size_t min_area = 1);
 
 /// A horizontal run of foreground pixels: x in [x0, x1) on row y.
 struct Run {
@@ -56,12 +45,16 @@ struct Run {
 struct LabelScratch {
   std::vector<Run> runs;               ///< every run, in raster order
   std::vector<std::int32_t> run_label;  ///< union-find parent, then component index
-  BitImage packed;                      ///< BinaryImage entry points: packed input
-  BitImage packed_mask;                 ///< BinaryImage entry points: packed mask
+  /// Perfbench only, goes after ROADMAP item 1: the byte
+  /// largest_component_mask_into's packed input and mask.
+  BitImage packed;
+  BitImage packed_mask;
 };
 
-/// Packed labelling: fills `components` exactly as label_components would
-/// (same numbering and statistics) without building a label raster.
+/// 8-connectivity labelling: fills `components`, numbered 1..n in raster
+/// order of each component's first pixel. `scratch.runs` holds every
+/// foreground run and `scratch.run_label[i]` the component index (label - 1)
+/// of run i.
 void label_components_into(const BitImage& bits, std::vector<Component>& components,
                            LabelScratch& scratch);
 
@@ -72,20 +65,12 @@ void largest_component_mask_into(const BitImage& bits, std::size_t min_area,
                                  BitImage& mask, std::vector<Component>& components,
                                  LabelScratch& scratch);
 
-/// label_components into a caller-owned Labeling; identical to the
-/// allocating version, which delegates here.
-void label_components_into(const BinaryImage& binary, Labeling& out,
-                           LabelScratch& scratch);
-
-/// largest_component_mask into `mask`. Fills `labeling.components` with
-/// every component; `labeling.labels` is left empty (no label raster is
-/// built).
+/// Perfbench only, goes after ROADMAP item 1: packs `binary`, runs the
+/// packed largest_component_mask_into and unpacks the mask into `mask`;
+/// `labeling.components` receives every component. Only kForeground bytes
+/// count as foreground.
 void largest_component_mask_into(const BinaryImage& binary, std::size_t min_area,
                                  BinaryImage& mask, Labeling& labeling,
                                  LabelScratch& scratch);
-
-/// Removes every component smaller than `min_area` (despeckle).
-[[nodiscard]] BinaryImage remove_small_components(const BinaryImage& binary,
-                                                  std::size_t min_area);
 
 }  // namespace hdc::imaging

@@ -98,6 +98,7 @@ void trace_boundary_into(const BitImage& mask, Contour& contour) {
   if (contour.size() > 1 && contour.back() == contour.front()) contour.pop_back();
 }
 
+// Perfbench only, goes after ROADMAP item 1.
 void trace_boundary_into(const BinaryImage& mask, Contour& contour) {
   if (mask.empty()) {
     contour.clear();
@@ -106,12 +107,6 @@ void trace_boundary_into(const BinaryImage& mask, Contour& contour) {
   BitImage packed;
   pack(mask, packed);
   trace_boundary_into(packed, contour);
-}
-
-Contour trace_boundary(const BinaryImage& mask) {
-  Contour contour;
-  trace_boundary_into(mask, contour);
-  return contour;
 }
 
 Vec2 contour_centroid(const Contour& contour) {

@@ -17,12 +17,6 @@ using hdc::util::Vec2;
 /// coordinates, i.e. counter-clockwise in a y-up frame).
 using Contour = std::vector<Vec2>;
 
-/// Traces the outer boundary of the first foreground region found in raster
-/// scan order. Returns an empty contour when the image has no foreground.
-/// The trace follows 8-connected Moore neighbours; only kForeground pixels
-/// are foreground.
-[[nodiscard]] Contour trace_boundary(const BinaryImage& mask);
-
 /// Centroid of a contour (mean of boundary points); (0,0) for empty input.
 [[nodiscard]] Vec2 contour_centroid(const Contour& contour);
 
@@ -37,15 +31,18 @@ using Contour = std::vector<Vec2>;
 /// length. Required so the signature is invariant to boundary pixel density.
 [[nodiscard]] Contour resample_by_arc_length(const Contour& contour, std::size_t count);
 
-// Buffer-reusing overloads for the streaming pipeline; bit-identical to the
-// allocating versions, which delegate here. `out` must not alias the input.
-
-/// trace_boundary on a packed mask into `out` (cleared, capacity kept); the
-/// one tracer — neighbour tests are bit tests.
+/// Traces the outer boundary of the first foreground region found in raster
+/// scan order into `out` (cleared, capacity kept); empty when the mask has no
+/// foreground. The trace follows 8-connected Moore neighbours, and neighbour
+/// tests are bit tests.
 void trace_boundary_into(const BitImage& mask, Contour& out);
 
-/// trace_boundary into `out`: packs `mask`, then traces it as above.
+/// Perfbench only, goes after ROADMAP item 1: packs `mask` (only kForeground
+/// bytes count), then traces it as above.
 void trace_boundary_into(const BinaryImage& mask, Contour& out);
+
+// Buffer-reusing overload; bit-identical to the allocating version, which
+// delegates here. `out` must not alias the input.
 
 /// resample_by_arc_length into `out` (cleared, capacity kept).
 void resample_by_arc_length_into(const Contour& contour, std::size_t count,

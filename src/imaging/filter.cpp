@@ -94,6 +94,7 @@ GrayImage gaussian_blur(const GrayImage& src, double sigma) {
   return out;
 }
 
+// Perfbench only, goes after ROADMAP item 1.
 void threshold_into(const GrayImage& src, std::uint8_t value, BinaryImage& out) {
   out.reset(src.width(), src.height());
   const std::uint8_t* in = src.data().data();
@@ -105,12 +106,6 @@ void threshold_into(const GrayImage& src, std::uint8_t value, BinaryImage& out) 
   for (std::size_t i = 0; i < count; ++i) {
     dst[i] = static_cast<std::uint8_t>(-static_cast<int>(in[i] >= value));
   }
-}
-
-BinaryImage threshold(const GrayImage& src, std::uint8_t value) {
-  BinaryImage out;
-  threshold_into(src, value, out);
-  return out;
 }
 
 namespace {
@@ -251,6 +246,7 @@ void threshold_into(const GrayImage& src, std::uint8_t value, BitImage& out) {
   pack_threshold<true>(src, value, out);
 }
 
+// Perfbench only, goes after ROADMAP item 1.
 void otsu_threshold_into(const GrayImage& src, BinaryImage& out,
                          std::uint8_t* chosen) {
   const std::uint8_t level = otsu_level(histogram_of(src));
@@ -274,12 +270,6 @@ void otsu_threshold_dark_into(const GrayImage& src, BitImage& out, std::uint8_t*
   const std::uint8_t level = otsu_level(reversed);
   if (chosen != nullptr) *chosen = level;
   pack_threshold<false>(src, static_cast<std::uint8_t>(255 - level), out);
-}
-
-BinaryImage otsu_threshold(const GrayImage& src, std::uint8_t* chosen) {
-  BinaryImage out;
-  otsu_threshold_into(src, out, chosen);
-  return out;
 }
 
 void invert_into(const GrayImage& src, GrayImage& out) {

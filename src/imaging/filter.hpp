@@ -17,20 +17,12 @@ namespace hdc::imaging {
 /// the input.
 [[nodiscard]] GrayImage gaussian_blur(const GrayImage& src, double sigma);
 
-/// Fixed-threshold binarisation: pixel >= threshold -> kForeground.
-[[nodiscard]] BinaryImage threshold(const GrayImage& src, std::uint8_t value);
-
-/// Otsu's automatic threshold (maximises between-class variance).
-/// Returns the chosen threshold via `chosen` when non-null.
-[[nodiscard]] BinaryImage otsu_threshold(const GrayImage& src,
-                                         std::uint8_t* chosen = nullptr);
-
 /// Photometric inversion (255 - v).
 [[nodiscard]] GrayImage invert(const GrayImage& src);
 
 // Buffer-reusing overloads for the streaming pipeline. Each writes into `out`
-// (resized in place, allocation-free once warm) and produces output
-// bit-identical to its allocating counterpart, which delegates here.
+// (resized in place, allocation-free once warm); a blur or inversion gives
+// output bit-identical to its allocating counterpart, which delegates here.
 // `out` (and any scratch) must not alias `src`.
 
 /// box_blur into `out`; `scratch` holds the horizontal pass.
@@ -42,18 +34,12 @@ void box_blur_into(const GrayImage& src, int radius, GrayImage& out,
 void gaussian_blur_into(const GrayImage& src, double sigma, GrayImage& out,
                         GrayImage& scratch);
 
-/// threshold into `out`.
-void threshold_into(const GrayImage& src, std::uint8_t value, BinaryImage& out);
-
-/// otsu_threshold into `out`.
-void otsu_threshold_into(const GrayImage& src, BinaryImage& out,
-                         std::uint8_t* chosen = nullptr);
-
-/// threshold into a packed raster: bit = (pixel >= value). Same decision
-/// per pixel as the byte version.
+/// Fixed-threshold binarisation into a packed raster: bit = (pixel >= value).
 void threshold_into(const GrayImage& src, std::uint8_t value, BitImage& out);
 
-/// otsu_threshold into a packed raster; same level as the byte version.
+/// Otsu's automatic threshold (maximises between-class variance) into a
+/// packed raster: bit = (pixel >= level). Returns the level via `chosen`
+/// when non-null.
 void otsu_threshold_into(const GrayImage& src, BitImage& out,
                          std::uint8_t* chosen = nullptr);
 
@@ -65,6 +51,14 @@ void otsu_threshold_dark_into(const GrayImage& src, BitImage& out,
 
 /// invert into `out`.
 void invert_into(const GrayImage& src, GrayImage& out);
+
+// Perfbench only, goes after ROADMAP item 1: byte versions of the two
+// thresholds above, pixel >= value -> kForeground, else kBackground, with
+// the same level. Library code and tests do not call them.
+
+void threshold_into(const GrayImage& src, std::uint8_t value, BinaryImage& out);
+void otsu_threshold_into(const GrayImage& src, BinaryImage& out,
+                         std::uint8_t* chosen = nullptr);
 
 /// Adds zero-mean Gaussian pixel noise with the given stddev (clamped to
 /// [0, 255]). Models sensor noise for robustness tests.

@@ -107,24 +107,8 @@ void close_into(const BitImage& src, int radius, BitImage& out, BitImage& scratc
   erode_into(scratch_a, radius, out, scratch_b);
 }
 
-// Byte adaptors: pack, run the packed kernel, unpack. The byte scratch
-// arguments are unused; they keep the signatures callers already hold.
-
-void erode_into(const BinaryImage& src, int radius, BinaryImage& out,
-                BinaryImage& /*scratch*/) {
-  BitImage in, result, scratch;
-  pack(src, in);
-  erode_into(in, radius, result, scratch);
-  unpack(result, out);
-}
-
-void dilate_into(const BinaryImage& src, int radius, BinaryImage& out,
-                 BinaryImage& /*scratch*/) {
-  BitImage in, result, scratch;
-  pack(src, in);
-  dilate_into(in, radius, result, scratch);
-  unpack(result, out);
-}
+// Perfbench only, goes after ROADMAP item 1: pack, run the packed kernel,
+// unpack. The byte scratch arguments are unused.
 
 void open_into(const BinaryImage& src, int radius, BinaryImage& out,
                BinaryImage& /*scratch_a*/, BinaryImage& /*scratch_b*/) {
@@ -140,36 +124,6 @@ void close_into(const BinaryImage& src, int radius, BinaryImage& out,
   pack(src, in);
   close_into(in, radius, result, scratch_a, scratch_b);
   unpack(result, out);
-}
-
-BinaryImage erode(const BinaryImage& src, int radius) {
-  BinaryImage out;
-  BinaryImage scratch;
-  erode_into(src, radius, out, scratch);
-  return out;
-}
-
-BinaryImage dilate(const BinaryImage& src, int radius) {
-  BinaryImage out;
-  BinaryImage scratch;
-  dilate_into(src, radius, out, scratch);
-  return out;
-}
-
-BinaryImage open(const BinaryImage& src, int radius) {
-  BinaryImage out;
-  BinaryImage scratch_a;
-  BinaryImage scratch_b;
-  open_into(src, radius, out, scratch_a, scratch_b);
-  return out;
-}
-
-BinaryImage close(const BinaryImage& src, int radius) {
-  BinaryImage out;
-  BinaryImage scratch_a;
-  BinaryImage scratch_b;
-  close_into(src, radius, out, scratch_a, scratch_b);
-  return out;
 }
 
 std::size_t foreground_area(const BinaryImage& src) {

@@ -92,11 +92,6 @@ SubmitReceipt PerceptionService::submit(std::uint32_t stream_id,
   return submit_job(stream_id, frame);  // copies: the camera keeps its buffer
 }
 
-SubmitReceipt PerceptionService::submit(std::uint32_t stream_id,
-                                        imaging::GrayImage&& frame) {
-  return submit_job(stream_id, std::move(frame));
-}
-
 SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
                                             imaging::GrayImage frame) {
   if (frame.empty()) {

@@ -152,15 +152,13 @@ class PerceptionService {
   PerceptionService& operator=(const PerceptionService&) = delete;
 
   /// Submits one frame of `stream_id` from any thread. The frame is copied
-  /// (the camera keeps its buffer); use the rvalue overload to move. The
-  /// returned receipt carries the per-stream sequence number the frame was
-  /// assigned. Throws std::invalid_argument for an empty frame, and for a
-  /// stream_id above telemetry::kMaxTraceStreamId (65534): larger ids would
-  /// alias another stream's trace ids or the zero "no context" id. Both
-  /// checks run before any state changes, so a refused frame consumes no
-  /// sequence number.
+  /// (the camera keeps its buffer). The returned receipt carries the
+  /// per-stream sequence number the frame was assigned. Throws
+  /// std::invalid_argument for an empty frame, and for a stream_id above
+  /// telemetry::kMaxTraceStreamId (65534): larger ids would alias another
+  /// stream's trace ids or the zero "no context" id. Both checks run before
+  /// any state changes, so a refused frame consumes no sequence number.
   SubmitReceipt submit(std::uint32_t stream_id, const imaging::GrayImage& frame);
-  SubmitReceipt submit(std::uint32_t stream_id, imaging::GrayImage&& frame);
 
   /// Blocks until every frame admitted by a submit() that returned before
   /// this call has been delivered. Rethrows the first pipeline exception
@@ -265,7 +263,7 @@ class PerceptionService {
 
   /// Admitted frames not yet delivered, plus the first pipeline
   /// error for drain() (util::PendingCounter keeps the raise-before-push
-  /// / lock-free-finish invariants in one place for every service).
+  /// and lock-free-finish invariants; this service is its only user).
   util::PendingCounter pending_;
 
   std::atomic<bool> stopping_{false};

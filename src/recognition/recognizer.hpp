@@ -103,15 +103,15 @@ struct RecognizerScratch {
   imaging::BitImage bits_a;          ///< packed separable-pass scratch
   imaging::BitImage bits_b;          ///< packed separable-pass scratch
   imaging::BitImage bits_mask;       ///< packed largest-component silhouette
-  /// Byte rasters for callers that run the stages one by one through the
-  /// BinaryImage entry points; recognize_frame_into never touches them.
+  /// Perfbench only, goes after ROADMAP item 1: byte rasters for perfbench's
+  /// layer probe, which re-runs the stages through the byte adaptors. No
+  /// library code or test touches them.
   imaging::BinaryImage binary;
   imaging::BinaryImage morph;
   imaging::BinaryImage morph_a;
   imaging::BinaryImage morph_b;
   imaging::BinaryImage mask;
-  /// Components of the last frame (the hot path fills only `components`;
-  /// `labels` stays empty) and the run arenas behind them.
+  /// Components of the last frame and the run arenas behind them.
   imaging::Labeling labeling;
   imaging::LabelScratch label_scratch;
   imaging::Contour contour;

@@ -19,15 +19,24 @@
 namespace hdc::imaging {
 namespace {
 
+/// Packs `mask` and traces it with the packed tracer.
+Contour trace(const BinaryImage& mask) {
+  BitImage bits;
+  pack(mask, bits);
+  Contour contour;
+  trace_boundary_into(bits, contour);
+  return contour;
+}
+
 TEST(TraceBoundary, EmptyImageGivesEmptyContour) {
   const BinaryImage img(10, 10, kBackground);
-  EXPECT_TRUE(trace_boundary(img).empty());
+  EXPECT_TRUE(trace(img).empty());
 }
 
 TEST(TraceBoundary, SinglePixel) {
   BinaryImage img(10, 10, kBackground);
   img(4, 5) = kForeground;
-  const Contour contour = trace_boundary(img);
+  const Contour contour = trace(img);
   ASSERT_EQ(contour.size(), 1u);
   EXPECT_EQ(contour[0], Vec2(4.0, 5.0));
 }
@@ -35,7 +44,7 @@ TEST(TraceBoundary, SinglePixel) {
 TEST(TraceBoundary, RectanglePerimeter) {
   BinaryImage img(30, 30, kBackground);
   fill_rect(img, 5, 5, 14, 12, kForeground);  // 10x8 block
-  const Contour contour = trace_boundary(img);
+  const Contour contour = trace(img);
   // Boundary pixel count of a w x h solid block: 2w + 2h - 4.
   EXPECT_EQ(contour.size(), 2u * 10 + 2u * 8 - 4);
   // All points lie on the block border.
@@ -49,7 +58,7 @@ TEST(TraceBoundary, RectanglePerimeter) {
 TEST(TraceBoundary, DiscBoundaryIsClosedRing) {
   BinaryImage img(60, 60, kBackground);
   fill_disc(img, {30.0, 30.0}, 18.0, kForeground);
-  const Contour contour = trace_boundary(img);
+  const Contour contour = trace(img);
   ASSERT_GT(contour.size(), 60u);
   // Every boundary point is ~18 px from the centre (the disc is rasterised
   // on pixel centres at +0.5, hence the 2 px slack).
@@ -66,7 +75,7 @@ TEST(TraceBoundary, DiscBoundaryIsClosedRing) {
 TEST(ContourMetrics, CentroidPerimeterArea) {
   BinaryImage img(40, 40, kBackground);
   fill_rect(img, 10, 10, 29, 29, kForeground);  // 20x20
-  const Contour contour = trace_boundary(img);
+  const Contour contour = trace(img);
   const Vec2 centroid = contour_centroid(contour);
   EXPECT_NEAR(centroid.x, 19.5, 0.1);
   EXPECT_NEAR(centroid.y, 19.5, 0.1);
@@ -98,7 +107,7 @@ TEST(ResampleArcLength, DegenerateInputs) {
 TEST(Signature, CircleIsNearlyFlat) {
   BinaryImage img(80, 80, kBackground);
   fill_disc(img, {40.0, 40.0}, 25.0, kForeground);
-  const auto sig = centroid_distance_signature(trace_boundary(img), 64);
+  const auto sig = centroid_distance_signature(trace(img), 64);
   ASSERT_EQ(sig.size(), 64u);
   const double mean = hdc::timeseries::mean(sig);
   for (double v : sig) EXPECT_NEAR(v, mean, 1.2);
@@ -107,7 +116,7 @@ TEST(Signature, CircleIsNearlyFlat) {
 TEST(Signature, SquareHasFourCornerLobes) {
   BinaryImage img(60, 60, kBackground);
   fill_rect(img, 15, 15, 44, 44, kForeground);
-  const auto sig = centroid_distance_signature(trace_boundary(img), 128);
+  const auto sig = centroid_distance_signature(trace(img), 128);
   // Count local maxima above the mean (corners).
   const double mean = hdc::timeseries::mean(sig);
   int lobes = 0;
@@ -132,7 +141,7 @@ TEST(Signature, RotationOfShapeIsCircularShiftOfSignature) {
     std::vector<Vec2> rotated;
     for (const Vec2& p : base) rotated.push_back(p.rotated(angle_rad) + Vec2{60.0, 60.0});
     fill_polygon(img, rotated, kForeground);
-    return centroid_distance_signature(trace_boundary(img), 128);
+    return centroid_distance_signature(trace(img), 128);
   };
   const auto a = hdc::timeseries::z_normalize(render_L(0.0));
   const auto b = hdc::timeseries::z_normalize(render_L(1.1));
@@ -153,13 +162,13 @@ TEST(Signature, DegenerateContours) {
   EXPECT_TRUE(centroid_distance_signature({{1.0, 1.0}, {2.0, 2.0}}, 64).empty());
   BinaryImage img(20, 20, kBackground);
   fill_disc(img, {10.0, 10.0}, 5.0, kForeground);
-  EXPECT_TRUE(centroid_distance_signature(trace_boundary(img), 0).empty());
+  EXPECT_TRUE(centroid_distance_signature(trace(img), 0).empty());
 }
 
 TEST(AngleSignature, MonotoneForConvexShape) {
   BinaryImage img(60, 60, kBackground);
   fill_disc(img, {30.0, 30.0}, 20.0, kForeground);
-  const auto sig = centroid_angle_signature(trace_boundary(img), 64);
+  const auto sig = centroid_angle_signature(trace(img), 64);
   ASSERT_EQ(sig.size(), 64u);
   // Unwrapped angle around a convex contour sweeps a full turn.
   EXPECT_NEAR(std::abs(sig.back() - sig.front()), 2.0 * M_PI, 0.5);
@@ -178,7 +187,7 @@ TEST(AspectNormalize, CancelsAnisotropicScaling) {
       scaled.push_back({p.x * 2.0 + 70.0, p.y * 2.0 * squash_y + 70.0});
     }
     fill_polygon(img, scaled, kForeground);
-    Contour c = trace_boundary(img);
+    Contour c = trace(img);
     if (aspect) c = normalize_contour_aspect(c);
     return hdc::timeseries::z_normalize(centroid_distance_signature(c, 64));
   };
@@ -284,14 +293,15 @@ TEST(TraceBoundary, PackedTracerMatchesByteReferenceAcrossWordBoundaries) {
                                 " density=" + std::to_string(density);
       // The raw raster (first region in raster order) and its largest
       // component, which is what the recogniser traces.
-      for (const BinaryImage& mask : {img, largest_component_mask(img, 1)}) {
-        const Contour want = reference_trace(mask);
-        ASSERT_EQ(trace_boundary(mask), want) << where;
-        BitImage bits;
-        pack(mask, bits);
-        Contour got;
-        trace_boundary_into(bits, got);
-        ASSERT_EQ(got, want) << where;
+      BitImage bits, largest;
+      pack(img, bits);
+      std::vector<Component> components;
+      LabelScratch scratch;
+      largest_component_mask_into(bits, 1, largest, components, scratch);
+      BinaryImage largest_bytes;
+      unpack(largest, largest_bytes);
+      for (const BinaryImage& mask : {img, largest_bytes}) {
+        ASSERT_EQ(trace(mask), reference_trace(mask)) << where;
       }
     }
   }
@@ -300,7 +310,7 @@ TEST(TraceBoundary, PackedTracerMatchesByteReferenceAcrossWordBoundaries) {
     BinaryImage img(w, 20, kBackground);
     fill_rect(img, std::max(0, w / 2 - 3), 2, std::min(w - 1, w / 2 + 3), 17, kForeground);
     fill_disc(img, {static_cast<double>(w - 1), 10.0}, 6.0, kForeground);
-    ASSERT_EQ(trace_boundary(img), reference_trace(img)) << "w=" << w;
+    ASSERT_EQ(trace(img), reference_trace(img)) << "w=" << w;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -11,7 +12,6 @@
 
 #include "imaging/bit_image.hpp"
 #include "imaging/draw.hpp"
-#include "imaging/morphology.hpp"
 #include "signs/scene.hpp"
 
 namespace hdc::imaging {
@@ -20,6 +20,13 @@ namespace {
 double mean_of(const GrayImage& img) {
   double sum = std::accumulate(img.data().begin(), img.data().end(), 0.0);
   return sum / static_cast<double>(img.pixel_count());
+}
+
+/// Number of foreground pixels of a packed raster.
+std::size_t count_set(const BitImage& bits) {
+  std::size_t count = 0;
+  for (const std::uint64_t word : bits.words()) count += std::popcount(word);
+  return count;
 }
 
 TEST(BoxBlur, IdentityAtZeroRadiusAndSmoothing) {
@@ -57,19 +64,20 @@ TEST(Threshold, FixedValue) {
   img(1, 0) = 99;
   img(2, 0) = 100;
   img(3, 0) = 255;
-  const BinaryImage out = threshold(img, 100);
-  EXPECT_EQ(out(0, 0), kBackground);
-  EXPECT_EQ(out(1, 0), kBackground);
-  EXPECT_EQ(out(2, 0), kForeground);
-  EXPECT_EQ(out(3, 0), kForeground);
+  BitImage out;
+  threshold_into(img, 100, out);
+  EXPECT_FALSE(out.test(0, 0));
+  EXPECT_FALSE(out.test(1, 0));
+  EXPECT_TRUE(out.test(2, 0));
+  EXPECT_TRUE(out.test(3, 0));
 }
 
-TEST(Threshold, PackedMatchesByteAtEveryLevel) {
+TEST(Threshold, PackedMatchesPerPixelAtEveryLevel) {
   // The packed threshold compares 16 pixels at a time (SSE2 on x86-64, a
   // scalar loop elsewhere) and packs the rest one by one. The widths cover a
   // row shorter than one 16-pixel block, whole blocks, a scalar tail and the
-  // 64-bit word boundary; every other pixel is an extreme value. pack() runs
-  // the same packed threshold, so the words are also built pixel by pixel.
+  // 64-bit word boundary; every other pixel is an extreme value. The expected
+  // words are built pixel by pixel.
   constexpr std::array<std::uint8_t, 6> kEdges = {0, 254, 255, 1, 127, 128};
   hdc::util::Rng rng(1603);
   for (const int w : {1, 15, 16, 17, 63, 64, 65, 129}) {
@@ -80,14 +88,12 @@ TEST(Threshold, PackedMatchesByteAtEveryLevel) {
     }
     for (int value = 0; value <= 255; ++value) {
       const std::string where = "w=" + std::to_string(w) + " value=" + std::to_string(value);
-      BinaryImage bytes;
-      threshold_into(src, static_cast<std::uint8_t>(value), bytes);
-      BitImage want;
-      pack(bytes, want);
-      std::vector<std::uint64_t> want_words(want.words().size(), 0);
+      const int words_per_row = (w + 63) / 64;
+      std::vector<std::uint64_t> want_words(
+          static_cast<std::size_t>(words_per_row * src.height()), 0);
       for (int y = 0; y < src.height(); ++y) {
         for (int x = 0; x < w; ++x) {
-          want_words[static_cast<std::size_t>(y * want.words_per_row() + x / 64)] |=
+          want_words[static_cast<std::size_t>(y * words_per_row + x / 64)] |=
               static_cast<std::uint64_t>(src(x, y) >= value) << (x % 64);
         }
       }
@@ -95,7 +101,6 @@ TEST(Threshold, PackedMatchesByteAtEveryLevel) {
       threshold_into(src, static_cast<std::uint8_t>(value), got);
       ASSERT_EQ(got.width(), w) << where;
       ASSERT_EQ(got.height(), src.height()) << where;
-      EXPECT_TRUE(got.words() == want.words()) << where;
       EXPECT_TRUE(got.words() == want_words) << where;
       for (int y = 0; y < got.height(); ++y) {
         EXPECT_EQ(got.row(y)[got.words_per_row() - 1] & ~got.tail_mask(), 0u)
@@ -109,12 +114,13 @@ TEST(Otsu, SeparatesBimodalImage) {
   GrayImage img(40, 40, 30);
   fill_rect(img, 10, 10, 29, 29, 220);
   std::uint8_t chosen = 0;
-  const BinaryImage out = otsu_threshold(img, &chosen);
+  BitImage out;
+  otsu_threshold_into(img, out, &chosen);
   EXPECT_GT(chosen, 30);
   EXPECT_LE(chosen, 220);
-  EXPECT_EQ(out(20, 20), kForeground);
-  EXPECT_EQ(out(0, 0), kBackground);
-  EXPECT_EQ(foreground_area(out), 400u);
+  EXPECT_TRUE(out.test(20, 20));
+  EXPECT_FALSE(out.test(0, 0));
+  EXPECT_EQ(count_set(out), 400u);
 }
 
 TEST(Otsu, NoisyBimodalStillSeparates) {
@@ -122,16 +128,17 @@ TEST(Otsu, NoisyBimodalStillSeparates) {
   GrayImage img(60, 60, 60);
   fill_rect(img, 20, 20, 39, 39, 190);
   const GrayImage noisy = add_gaussian_noise(img, 15.0, rng);
-  const BinaryImage out = otsu_threshold(noisy);
+  BitImage out;
+  otsu_threshold_into(noisy, out);
   // The bright square should dominate the foreground.
   std::size_t inside = 0;
   for (int y = 20; y < 40; ++y) {
     for (int x = 20; x < 40; ++x) {
-      if (out(x, y) == kForeground) ++inside;
+      if (out.test(x, y)) ++inside;
     }
   }
   EXPECT_GT(inside, 390u);
-  EXPECT_LT(foreground_area(out) - inside, 30u);
+  EXPECT_LT(count_set(out) - inside, 30u);
 }
 
 TEST(Invert, IsInvolution) {
@@ -196,15 +203,6 @@ void expect_dark_threshold_matches_inverted(const GrayImage& frame, const std::s
   ASSERT_EQ(got.width(), want.width()) << where;
   ASSERT_EQ(got.height(), want.height()) << where;
   EXPECT_TRUE(got.words() == want.words()) << where;
-
-  // The byte pipeline agrees on the same pixels.
-  std::uint8_t byte_level = 0;
-  BinaryImage byte_bits;
-  otsu_threshold_into(invert(frame), byte_bits, &byte_level);
-  EXPECT_EQ(byte_level, got_level) << where;
-  BitImage packed_bytes;
-  pack(byte_bits, packed_bytes);
-  EXPECT_TRUE(packed_bytes.words() == got.words()) << where;
 }
 
 TEST(OtsuDark, MatchesInvertedThresholdAcrossWordBoundaries) {
@@ -306,7 +304,7 @@ std::uint8_t reference_otsu_level(const GrayImage& frame, bool dark) {
   return static_cast<std::uint8_t>(level);
 }
 
-/// Checks the byte, packed and dark Otsu thresholds of `frame` against the
+/// Checks the packed and dark Otsu thresholds of `frame` against the
 /// reference level and the bits it implies.
 void expect_otsu_matches_reference(const GrayImage& frame, const std::string& where) {
   const std::uint8_t level = reference_otsu_level(frame, false);
@@ -314,12 +312,6 @@ void expect_otsu_matches_reference(const GrayImage& frame, const std::string& wh
   for (std::size_t i = 0; i < frame.data().size(); ++i) {
     want.data()[i] = frame.data()[i] >= level ? kForeground : kBackground;
   }
-  std::uint8_t byte_level = 0;
-  BinaryImage byte_bits;
-  otsu_threshold_into(frame, byte_bits, &byte_level);
-  EXPECT_EQ(byte_level, level) << where;
-  EXPECT_EQ(byte_bits, want) << where;
-
   BitImage want_packed;
   pack(want, want_packed);
   std::uint8_t packed_level = 0;

@@ -15,6 +15,64 @@
 namespace hdc::imaging {
 namespace {
 
+// The entry points run on packed rasters; these helpers pack a byte raster
+// drawn with the draw.hpp primitives, run one entry point and unpack the
+// result, so the checks below can read pixels and compare whole rasters.
+
+enum class Morph { kErode, kDilate, kOpen, kClose };
+
+BinaryImage morph(Morph op, const BinaryImage& img, int radius) {
+  BitImage in, out, scratch_a, scratch_b;
+  pack(img, in);
+  switch (op) {
+    case Morph::kErode: erode_into(in, radius, out, scratch_a); break;
+    case Morph::kDilate: dilate_into(in, radius, out, scratch_a); break;
+    case Morph::kOpen: open_into(in, radius, out, scratch_a, scratch_b); break;
+    case Morph::kClose: close_into(in, radius, out, scratch_a, scratch_b); break;
+  }
+  BinaryImage result;
+  unpack(out, result);
+  return result;
+}
+
+BinaryImage erode(const BinaryImage& img, int radius) {
+  return morph(Morph::kErode, img, radius);
+}
+BinaryImage dilate(const BinaryImage& img, int radius) {
+  return morph(Morph::kDilate, img, radius);
+}
+BinaryImage open(const BinaryImage& img, int radius) {
+  return morph(Morph::kOpen, img, radius);
+}
+BinaryImage close(const BinaryImage& img, int radius) {
+  return morph(Morph::kClose, img, radius);
+}
+
+/// Components of `img`; `scratch` keeps the runs and their component index.
+std::vector<Component> label(const BinaryImage& img, LabelScratch& scratch) {
+  BitImage bits;
+  pack(img, bits);
+  std::vector<Component> components;
+  label_components_into(bits, components, scratch);
+  return components;
+}
+
+std::vector<Component> label(const BinaryImage& img) {
+  LabelScratch scratch;
+  return label(img, scratch);
+}
+
+BinaryImage largest_component(const BinaryImage& img, std::size_t min_area) {
+  BitImage bits, mask;
+  pack(img, bits);
+  std::vector<Component> components;
+  LabelScratch scratch;
+  largest_component_mask_into(bits, min_area, mask, components, scratch);
+  BinaryImage result;
+  unpack(mask, result);
+  return result;
+}
+
 TEST(Morphology, ErodeShrinksDilateGrows) {
   BinaryImage img(20, 20, kBackground);
   fill_rect(img, 5, 5, 14, 14, kForeground);  // 10x10 block
@@ -107,10 +165,10 @@ TEST(Components, LabelsDisjointRegions) {
   fill_rect(img, 2, 2, 6, 6, kForeground);    // 25 px
   fill_rect(img, 12, 2, 13, 3, kForeground);  // 4 px
   fill_rect(img, 20, 10, 27, 17, kForeground);  // 64 px
-  const Labeling labeling = label_components(img);
-  ASSERT_EQ(labeling.components.size(), 3u);
+  const std::vector<Component> components = label(img);
+  ASSERT_EQ(components.size(), 3u);
   std::vector<std::size_t> areas;
-  for (const Component& c : labeling.components) areas.push_back(c.area);
+  for (const Component& c : components) areas.push_back(c.area);
   std::sort(areas.begin(), areas.end());
   EXPECT_EQ(areas, (std::vector<std::size_t>{4u, 25u, 64u}));
 }
@@ -120,17 +178,17 @@ TEST(Components, EightConnectivityJoinsDiagonals) {
   img(0, 0) = kForeground;
   img(1, 1) = kForeground;  // diagonal neighbour
   img(2, 2) = kForeground;
-  const Labeling labeling = label_components(img);
-  EXPECT_EQ(labeling.components.size(), 1u);
-  EXPECT_EQ(labeling.components[0].area, 3u);
+  const std::vector<Component> components = label(img);
+  EXPECT_EQ(components.size(), 1u);
+  EXPECT_EQ(components[0].area, 3u);
 }
 
 TEST(Components, StatisticsAreCorrect) {
   BinaryImage img(20, 20, kBackground);
   fill_rect(img, 4, 6, 9, 11, kForeground);  // 6x6 at (4..9, 6..11)
-  const Labeling labeling = label_components(img);
-  ASSERT_EQ(labeling.components.size(), 1u);
-  const Component& c = labeling.components[0];
+  const std::vector<Component> components = label(img);
+  ASSERT_EQ(components.size(), 1u);
+  const Component& c = components[0];
   EXPECT_EQ(c.min_x, 4);
   EXPECT_EQ(c.max_x, 9);
   EXPECT_EQ(c.min_y, 6);
@@ -145,40 +203,37 @@ TEST(Components, UShapeMergesAcrossScanOrder) {
   fill_rect(img, 2, 2, 4, 15, kForeground);   // left arm
   fill_rect(img, 12, 2, 14, 15, kForeground); // right arm
   fill_rect(img, 2, 13, 14, 15, kForeground); // bridge at the bottom
-  const Labeling labeling = label_components(img);
-  EXPECT_EQ(labeling.components.size(), 1u);
+  EXPECT_EQ(label(img).size(), 1u);
 }
 
 TEST(LargestComponent, PicksBiggestAboveMinArea) {
   BinaryImage img(30, 20, kBackground);
   fill_rect(img, 2, 2, 6, 6, kForeground);
   fill_rect(img, 20, 10, 27, 17, kForeground);  // larger
-  const BinaryImage mask = largest_component_mask(img, 1);
+  const BinaryImage mask = largest_component(img, 1);
   EXPECT_EQ(mask(22, 12), kForeground);
   EXPECT_EQ(mask(3, 3), kBackground);
   EXPECT_EQ(foreground_area(mask), 64u);
   // min_area above everything yields empty mask.
-  EXPECT_EQ(foreground_area(largest_component_mask(img, 100)), 0u);
+  EXPECT_EQ(foreground_area(largest_component(img, 100)), 0u);
   // Empty input yields empty mask.
   const BinaryImage empty(5, 5, kBackground);
-  EXPECT_EQ(foreground_area(largest_component_mask(empty, 1)), 0u);
+  EXPECT_EQ(foreground_area(largest_component(empty, 1)), 0u);
 }
 
-TEST(RemoveSmall, DespecklesBelowThreshold) {
-  BinaryImage img(30, 20, kBackground);
-  fill_rect(img, 2, 2, 6, 6, kForeground);    // 25
-  fill_rect(img, 12, 2, 13, 3, kForeground);  // 4
-  const BinaryImage cleaned = remove_small_components(img, 10);
-  EXPECT_EQ(foreground_area(cleaned), 25u);
-  EXPECT_EQ(cleaned(12, 2), kBackground);
-}
+/// A label raster (0 = background, 1..n components) and per-component
+/// statistics, indexed by label - 1.
+struct ReferenceLabeling {
+  Image<std::int32_t> labels;
+  std::vector<Component> components;
+};
 
 // Straightforward per-pixel reimplementation of the original two-pass
 // labelling (bounds-checked neighbour loop, union-find over pixels). The
 // production version labels runs of the packed raster; this reference pins
-// bit-identity — labels, component order AND statistics — across random
-// rasters.
-Labeling reference_label(const BinaryImage& binary) {
+// bit-identity — run membership, component order AND statistics — across
+// random rasters.
+ReferenceLabeling reference_label(const BinaryImage& binary) {
   struct RefSet {
     std::vector<std::int32_t> parent;
     std::int32_t make_set() {
@@ -201,7 +256,7 @@ Labeling reference_label(const BinaryImage& binary) {
       }
     }
   };
-  Labeling out;
+  ReferenceLabeling out;
   out.labels.reset(binary.width(), binary.height(), 0);
   RefSet sets;
   sets.make_set();
@@ -262,6 +317,34 @@ Labeling reference_label(const BinaryImage& binary) {
   return out;
 }
 
+/// Every run the labelling recorded in `scratch` lies in one reference
+/// component, the one numbered run_label + 1, and the runs together cover
+/// every foreground pixel.
+::testing::AssertionResult runs_match_reference(const LabelScratch& scratch,
+                                                const ReferenceLabeling& want) {
+  std::size_t covered = 0;
+  for (std::size_t i = 0; i < scratch.runs.size(); ++i) {
+    const Run& run = scratch.runs[i];
+    const std::int32_t label = scratch.run_label[i] + 1;
+    for (int x = run.x0; x < run.x1; ++x) {
+      if (want.labels(x, run.y) != label) {
+        return ::testing::AssertionFailure()
+               << "run " << i << " (y=" << run.y << ", x " << run.x0 << ".." << run.x1
+               << ") has label " << label << ", reference has " << want.labels(x, run.y)
+               << " at x=" << x;
+      }
+    }
+    covered += static_cast<std::size_t>(run.x1 - run.x0);
+  }
+  std::size_t foreground = 0;
+  for (const Component& comp : want.components) foreground += comp.area;
+  if (covered != foreground) {
+    return ::testing::AssertionFailure()
+           << "runs cover " << covered << " pixels, reference has " << foreground;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(Components, VectorisedPassesBitIdenticalToReferenceOnRandomRasters) {
   hdc::util::Rng rng(1234);
   for (int trial = 0; trial < 120; ++trial) {
@@ -273,12 +356,13 @@ TEST(Components, VectorisedPassesBitIdenticalToReferenceOnRandomRasters) {
       px = rng.uniform() < density ? kForeground : kBackground;
     }
 
-    const Labeling got = label_components(img);
-    const Labeling want = reference_label(img);
-    ASSERT_TRUE(got.labels == want.labels) << "trial " << trial;
-    ASSERT_EQ(got.components.size(), want.components.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < got.components.size(); ++i) {
-      const Component& g = got.components[i];
+    LabelScratch scratch;
+    const std::vector<Component> got = label(img, scratch);
+    const ReferenceLabeling want = reference_label(img);
+    ASSERT_TRUE(runs_match_reference(scratch, want)) << "trial " << trial;
+    ASSERT_EQ(got.size(), want.components.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const Component& g = got[i];
       const Component& r = want.components[i];
       EXPECT_EQ(g.label, r.label);
       EXPECT_EQ(g.area, r.area);
@@ -290,9 +374,9 @@ TEST(Components, VectorisedPassesBitIdenticalToReferenceOnRandomRasters) {
       EXPECT_EQ(g.centroid.y, r.centroid.y);
     }
 
-    // The branchless mask fill and the keep-LUT despeckle agree with a
-    // per-pixel reference over the same labelling.
-    const BinaryImage mask = largest_component_mask(img, 3);
+    // The run-painted mask agrees with a per-pixel reference over the same
+    // labelling.
+    const BinaryImage mask = largest_component(img, 3);
     const Component* largest = nullptr;
     for (const Component& comp : want.components) {
       if (comp.area >= 3 && (largest == nullptr || comp.area > largest->area)) {
@@ -308,19 +392,6 @@ TEST(Components, VectorisedPassesBitIdenticalToReferenceOnRandomRasters) {
       }
     }
     ASSERT_TRUE(mask == want_mask) << "trial " << trial;
-
-    const BinaryImage cleaned = remove_small_components(img, 4);
-    BinaryImage want_cleaned(w, h, kBackground);
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        const std::int32_t l = want.labels(x, y);
-        if (l != 0 &&
-            want.components[static_cast<std::size_t>(l - 1)].area >= 4) {
-          want_cleaned(x, y) = kForeground;
-        }
-      }
-    }
-    ASSERT_TRUE(cleaned == want_cleaned) << "trial " << trial;
   }
 }
 
@@ -532,18 +603,16 @@ TEST(Components, RunLabellingMatchesReferenceAcrossWordBoundaries) {
       const BinaryImage img = random_raster(rng, w, h, density);
       const std::string where = "w=" + std::to_string(w) + " h=" + std::to_string(h) +
                                 " density=" + std::to_string(density);
-      const Labeling want = reference_label(img);
-      const Labeling got = label_components(img);
-      ASSERT_TRUE(got.labels == want.labels) << where;
-      ASSERT_EQ(got.components.size(), want.components.size()) << where;
+      const ReferenceLabeling want = reference_label(img);
 
-      // The packed entry points: same components, and the largest-component
-      // mask equals the reference's painted label.
+      // Same runs, same components, and the largest-component mask equals
+      // the reference's painted label.
       BitImage bits, mask;
       pack(img, bits);
       std::vector<Component> components;
       LabelScratch scratch;
       largest_component_mask_into(bits, 2, mask, components, scratch);
+      ASSERT_TRUE(runs_match_reference(scratch, want)) << where;
       ASSERT_EQ(components.size(), want.components.size()) << where;
       const Component* largest = nullptr;
       for (std::size_t i = 0; i < components.size(); ++i) {

@@ -141,10 +141,19 @@ TEST(Camera, ValidatesConstruction) {
   EXPECT_THROW(PinholeCamera({0, 0, 0}, {0, 0, 0}, 640, 480), std::invalid_argument);
 }
 
+/// The recogniser's silhouette front end (dark Otsu, close, open, largest
+/// component), unpacked to bytes.
 imaging::BinaryImage silhouette_of(const imaging::GrayImage& frame) {
-  auto binary = imaging::otsu_threshold(imaging::invert(frame));
-  binary = imaging::open(imaging::close(binary, 1), 1);
-  return imaging::largest_component_mask(binary, 50);
+  imaging::BitImage bits, closed, scratch_a, scratch_b, mask;
+  imaging::otsu_threshold_dark_into(frame, bits);
+  imaging::close_into(bits, 1, closed, scratch_a, scratch_b);
+  imaging::open_into(closed, 1, bits, scratch_a, scratch_b);
+  std::vector<imaging::Component> components;
+  imaging::LabelScratch label_scratch;
+  imaging::largest_component_mask_into(bits, 50, mask, components, label_scratch);
+  imaging::BinaryImage silhouette;
+  imaging::unpack(mask, silhouette);
+  return silhouette;
 }
 
 TEST(Scene, RendersVisibleSignallerAtPaperGeometry) {
