@@ -25,9 +25,12 @@ namespace hdc::baselines {
 
 /// Silhouette front end shared by every baseline: dark-foreground Otsu ->
 /// close/open (radius 1) -> largest component, on the packed raster. The
-/// SAX pipeline's stages 1-4 with blur off, run by the same kernels.
-[[nodiscard]] imaging::BitImage extract_silhouette(const imaging::GrayImage& frame,
-                                                   std::size_t min_area = 120);
+/// SAX pipeline's stages 1-4 with blur off, run by the same kernels. The
+/// mask and every intermediate live in per-thread buffers, so a warm call
+/// allocates nothing; the returned mask is valid until the calling thread's
+/// next call.
+[[nodiscard]] const imaging::BitImage& extract_silhouette(
+    const imaging::GrayImage& frame, std::size_t min_area = 120);
 
 /// Classification outcome of a baseline recogniser.
 struct BaselineResult {

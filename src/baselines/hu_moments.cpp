@@ -91,7 +91,7 @@ void HuMomentsRecognizer::train(const signs::ViewGeometry& view,
 
 BaselineResult HuMomentsRecognizer::classify(const imaging::GrayImage& frame) const {
   BaselineResult result;
-  const imaging::BitImage mask = extract_silhouette(frame);
+  const imaging::BitImage& mask = extract_silhouette(frame);
   const bool any = std::ranges::any_of(mask.words(), [](std::uint64_t w) { return w != 0; });
   if (!any || templates_.empty()) return result;
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 namespace hdc::imaging {
 
@@ -117,12 +118,11 @@ Vec2 contour_centroid(const Contour& contour) {
 }
 
 double contour_perimeter(const Contour& contour) {
-  if (contour.size() < 2) return 0.0;
+  const std::size_t n = contour.size();
+  if (n < 2) return 0.0;
   double length = 0.0;
-  for (std::size_t i = 0; i < contour.size(); ++i) {
-    length += contour[i].distance_to(contour[(i + 1) % contour.size()]);
-  }
-  return length;
+  for (std::size_t i = 0; i + 1 < n; ++i) length += contour[i].distance_to(contour[i + 1]);
+  return length + contour[n - 1].distance_to(contour[0]);
 }
 
 double contour_area(const Contour& contour) {
@@ -145,7 +145,20 @@ void resample_by_arc_length_into(const Contour& contour, std::size_t count,
     return;
   }
 
-  const double total = contour_perimeter(contour);
+  // Each segment's length, taken once: lengths[i] runs from contour[i] to
+  // the next point, the last segment closing back to contour[0]. They are
+  // summed in contour_perimeter's order, so `total` has its bits. The buffer
+  // is per thread and keeps its capacity (allocation-free once warm).
+  const std::size_t n = contour.size();
+  thread_local std::vector<double> lengths;
+  lengths.resize(n);
+  double total = 0.0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    lengths[i] = contour[i].distance_to(contour[i + 1]);
+    total += lengths[i];
+  }
+  lengths[n - 1] = contour[n - 1].distance_to(contour[0]);
+  total += lengths[n - 1];
   if (total <= 0.0) {
     out.assign(count, contour.front());
     return;
@@ -154,21 +167,21 @@ void resample_by_arc_length_into(const Contour& contour, std::size_t count,
   out.reserve(count);
   const double step = total / static_cast<double>(count);
 
-  double target = 0.0;       // arc position of the next output sample
-  double walked = 0.0;       // arc length consumed so far
-  std::size_t seg = 0;       // current segment index
-  Vec2 seg_a = contour[0];
-  Vec2 seg_b = contour[1 % contour.size()];
-  double seg_len = seg_a.distance_to(seg_b);
+  double target = 0.0;    // arc position of the next output sample
+  double walked = 0.0;    // arc length consumed so far
+  std::size_t seg = 0;    // segments walked past; the walk may reach seg == n
+  std::size_t at = 0;     // seg % n: the current segment starts at contour[at]
+  double seg_len = lengths[0];
 
   for (std::size_t i = 0; i < count; ++i, target += step) {
-    while (walked + seg_len < target && seg < contour.size()) {
+    while (walked + seg_len < target && seg < n) {
       walked += seg_len;
       ++seg;
-      seg_a = contour[seg % contour.size()];
-      seg_b = contour[(seg + 1) % contour.size()];
-      seg_len = seg_a.distance_to(seg_b);
+      if (++at == n) at = 0;
+      seg_len = lengths[at];
     }
+    const Vec2& seg_a = contour[at];
+    const Vec2& seg_b = contour[at + 1 == n ? 0 : at + 1];
     const double remain = target - walked;
     const double t = seg_len > 0.0 ? remain / seg_len : 0.0;
     out.push_back(seg_a + (seg_b - seg_a) * t);

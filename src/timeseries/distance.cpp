@@ -1,7 +1,9 @@
 #include "timeseries/distance.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -23,11 +25,12 @@ double euclidean(const Series& a, const Series& b) {
 
 namespace {
 
-// Inner kernels, the only ones on every target. Four independent
-// accumulators break the serial-add dependency chain so the CPU (and the
-// auto-vectoriser at the baseline ISA) can overlap the multiply-adds. The
-// sum is reassociated, so it agrees with strict left-to-right accumulation
-// only within a tolerance — which is why
+// Inner kernels, the only ones on every target. Each dot product keeps
+// four independent accumulators, which splits the serial-add dependency
+// chain; the rotation scan runs four shifts per pass (dot4_n below), so
+// eight chains overlap where one dot_n has two and the scan is no longer
+// bound by add latency. The sum is reassociated, so it agrees with strict
+// left-to-right accumulation only within a tolerance — which is why
 // euclidean_rotation_invariant_reference is pinned within 1e-9, not
 // bitwise. The build turns off FP contraction, so `s += a * b` rounds the
 // product and the sum separately, and the result has the same bits whether
@@ -73,25 +76,69 @@ struct RotationMatch {
   std::size_t shift;
 };
 
+// Two doubles in one 16-byte register (GCC/Clang vector extension; SSE2 on
+// x86-64, NEON on AArch64, a pair of scalars elsewhere). `+` and `*` act
+// element by element and round exactly as the scalar operators do.
+typedef double Pair __attribute__((vector_size(16)));
+
+Pair load_pair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+// dot_n of `a` against the four slices b, b + 1, b + 2 and b + 3, in one
+// pass over i. Each slice keeps dot_n's own four accumulators — (s0, s1) in
+// lo[j], (s2, s3) in hi[j] — updated with the same terms in the same order,
+// and combined and tail-summed as dot_n does, so dot j has the bits of
+// dot_n(a, b + j, n). One load of a[i .. i+3] feeds all four slices, which
+// gives eight independent add chains where one dot_n has two.
+std::array<double, 4> dot4_n(const double* a, const double* b, std::size_t n) {
+  Pair lo[4] = {}, hi[4] = {};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const Pair a_lo = load_pair(a + i);
+    const Pair a_hi = load_pair(a + i + 2);
+    for (std::size_t j = 0; j < 4; ++j) {
+      lo[j] += a_lo * load_pair(b + j + i);
+      hi[j] += a_hi * load_pair(b + j + i + 2);
+    }
+  }
+  std::array<double, 4> dots;
+  for (std::size_t j = 0; j < 4; ++j) {
+    double sum = (lo[j][0] + lo[j][1]) + (hi[j][0] + hi[j][1]);
+    for (std::size_t t = i; t < n; ++t) sum += a[t] * b[j + t];
+    dots[j] = sum;
+  }
+  return dots;
+}
+
 // The scan proper. Minimising d_k^2 = sum(a^2) + sum(b^2) - 2 dot_k over k
 // is maximising dot_k (the other terms do not depend on k), so the loop is
 // n contiguous dot products against the doubled buffer — no modulo, no
-// data-dependent branch. The reported distance is recomputed directly at
-// the winning shift: the identity form cancels catastrophically near zero,
-// and a self-match must report exactly 0. Ties (bit-equal dots) keep the
+// data-dependent branch — taken four shifts per pass (dot4_n), the last
+// n % 4 shifts one at a time (dot_n). The reported distance is recomputed
+// directly at the winning shift: the identity form cancels catastrophically
+// near zero, and a self-match must report exactly 0. Shifts are compared in
+// ascending order with a strict `>`, so ties (bit-equal dots) keep the
 // lowest shift, same as the reference's strict-improvement rule.
 RotationMatch best_rotation(const double* a, const RotationTemplate& t) {
   const std::size_t n = t.length;
   const double* doubled = t.doubled.data();
   double best_dot = -std::numeric_limits<double>::infinity();
   std::size_t best_k = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double d = dot_n(a, doubled + k, n);
+  const auto consider = [&](double d, std::size_t k) {
     if (d > best_dot) {
       best_dot = d;
       best_k = k;
     }
+  };
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    const std::array<double, 4> dots = dot4_n(a, doubled + k, n);
+    for (std::size_t j = 0; j < 4; ++j) consider(dots[j], k + j);
   }
+  for (; k < n; ++k) consider(dot_n(a, doubled + k, n), k);
   const double sum_sq = squared_diff_n(a, doubled + best_k, n);
   return {std::sqrt(sum_sq), best_k};
 }

@@ -13,8 +13,9 @@
 //   2. The identity  d_k^2 = sum(a^2) + sum(b^2) - 2 * dot(a, b rotated k)
 //      shows the only k-dependent term is the dot product, so minimising
 //      d_k is exactly maximising dot(a, doubled + k): the scan becomes n
-//      straight-line dot products that auto-vectorise (4-accumulator
-//      unroll, one portable kernel on every target).
+//      straight-line dot products (4-accumulator unroll, taken four shifts
+//      per pass so one load of the query feeds four dots; one portable
+//      kernel on every target).
 //
 // The distance actually *returned* is recomputed at the winning shift with
 // the direct sum-of-squared-differences form: the identity form loses

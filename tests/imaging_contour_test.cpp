@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -83,6 +85,91 @@ TEST(ContourMetrics, CentroidPerimeterArea) {
   EXPECT_NEAR(contour_area(contour), 19.0 * 19.0, 15.0);
   EXPECT_DOUBLE_EQ(contour_area({}), 0.0);
   EXPECT_DOUBLE_EQ(contour_perimeter({{1.0, 1.0}}), 0.0);
+}
+
+// The modulo walk resample_by_arc_length_into ran before it read each
+// segment's length from one pass, kept here as the bit-level oracle, with
+// the modulo perimeter it summed first.
+double modulo_perimeter(const Contour& contour) {
+  if (contour.size() < 2) return 0.0;
+  double length = 0.0;
+  for (std::size_t i = 0; i < contour.size(); ++i) {
+    length += contour[i].distance_to(contour[(i + 1) % contour.size()]);
+  }
+  return length;
+}
+
+Contour modulo_walk(const Contour& contour, std::size_t count) {
+  Contour out;
+  if (contour.empty() || count == 0) return out;
+  if (contour.size() == 1) return Contour(count, contour.front());
+  const double total = modulo_perimeter(contour);
+  if (total <= 0.0) return Contour(count, contour.front());
+  const double step = total / static_cast<double>(count);
+  double target = 0.0;
+  double walked = 0.0;
+  std::size_t seg = 0;
+  Vec2 seg_a = contour[0];
+  Vec2 seg_b = contour[1 % contour.size()];
+  double seg_len = seg_a.distance_to(seg_b);
+  for (std::size_t i = 0; i < count; ++i, target += step) {
+    while (walked + seg_len < target && seg < contour.size()) {
+      walked += seg_len;
+      ++seg;
+      seg_a = contour[seg % contour.size()];
+      seg_b = contour[(seg + 1) % contour.size()];
+      seg_len = seg_a.distance_to(seg_b);
+    }
+    const double remain = target - walked;
+    const double t = seg_len > 0.0 ? remain / seg_len : 0.0;
+    out.push_back(seg_a + (seg_b - seg_a) * t);
+  }
+  return out;
+}
+
+TEST(ContourMetrics, ResampleMatchesModuloWalkBitForBit) {
+  std::vector<Contour> contours = {
+      {{3.0, 4.0}},
+      {{0.0, 0.0}, {5.0, 1.0}},
+      {{2.0, 2.0}, {2.0, 2.0}},  // every segment of zero length
+      {{0.0, 0.0}, {4.0, 0.5}, {1.5, 3.0}},
+  };
+  // Random closed polygons in which some points repeat, so some segments
+  // have zero length, including the closing one back to the first point.
+  hdc::util::Rng rng(2024);
+  for (const std::size_t size : {4u, 5u, 17u, 64u, 301u}) {
+    Contour polygon;
+    while (polygon.size() < size) {
+      if (!polygon.empty() && rng.uniform(0.0, 1.0) < 0.2) {
+        polygon.push_back(polygon.back());
+      } else {
+        polygon.emplace_back(rng.uniform(0.0, 480.0), rng.uniform(0.0, 360.0));
+      }
+    }
+    contours.push_back(polygon);
+    polygon.back() = polygon.front();
+    contours.push_back(polygon);
+  }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Contour out;
+  for (const Contour& contour : contours) {
+    EXPECT_EQ(bits(contour_perimeter(contour)), bits(modulo_perimeter(contour)))
+        << "size " << contour.size();
+    // 4 x size samples put several on every segment, the closing one
+    // (contour.back() -> contour.front()) included.
+    for (const std::size_t count : {std::size_t{1}, std::size_t{7}, std::size_t{128},
+                                    4 * contour.size()}) {
+      resample_by_arc_length_into(contour, count, out);
+      const Contour expected = modulo_walk(contour, count);
+      ASSERT_EQ(out.size(), expected.size());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(bits(out[i].x), bits(expected[i].x))
+            << "size " << contour.size() << " count " << count << " point " << i;
+        EXPECT_EQ(bits(out[i].y), bits(expected[i].y))
+            << "size " << contour.size() << " count " << count << " point " << i;
+      }
+    }
+  }
 }
 
 TEST(ResampleArcLength, UniformSpacingOnSquare) {

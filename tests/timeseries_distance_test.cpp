@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "timeseries/normalize.hpp"
 #include "timeseries/series.hpp"
 #include "util/rng.hpp"
 
@@ -161,6 +166,123 @@ TEST(RotationInvariant, KernelMatchesReferenceFuzz) {
       EXPECT_NEAR(d_kernel, d_reference, 1e-9) << "n=" << n << " rep=" << rep;
     }
   }
+}
+
+// The one-shift-at-a-time scan that best_rotation ran before it took four
+// shifts per pass, kept here as the bit-level oracle: one four-accumulator
+// dot product per shift, strict `>` in ascending shift, and the distance
+// recomputed with the four-accumulator squared difference.
+double per_shift_dot(const double* a, const double* b, std::size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += a[i] * b[i];
+    s1 += a[i + 1] * b[i + 1];
+    s2 += a[i + 2] * b[i + 2];
+    s3 += a[i + 3] * b[i + 3];
+  }
+  double sum = (s0 + s1) + (s2 + s3);
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+double per_shift_squared_diff(const double* a, const double* b, std::size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double d0 = a[i] - b[i];
+    const double d1 = a[i + 1] - b[i + 1];
+    const double d2 = a[i + 2] - b[i + 2];
+    const double d3 = a[i + 3] - b[i + 3];
+    s0 += d0 * d0;
+    s1 += d1 * d1;
+    s2 += d2 * d2;
+    s3 += d3 * d3;
+  }
+  double sum = (s0 + s1) + (s2 + s3);
+  for (; i < n; ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+double per_shift_scan(const Series& a, const Series& b, std::size_t* best_shift) {
+  const std::size_t n = a.size();
+  Series doubled = b;
+  doubled.insert(doubled.end(), b.begin(), b.end());
+  double best_dot = -std::numeric_limits<double>::infinity();
+  std::size_t best_k = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double d = per_shift_dot(a.data(), doubled.data() + k, n);
+    if (d > best_dot) {
+      best_dot = d;
+      best_k = k;
+    }
+  }
+  *best_shift = best_k;
+  return std::sqrt(per_shift_squared_diff(a.data(), doubled.data() + best_k, n));
+}
+
+/// A z-normalised series symmetric about index 0 (s[i] == s[(n - i) % n]).
+Series mirror_symmetric(std::size_t n, std::uint64_t seed) {
+  const Series raw = noise(n, seed);
+  Series out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = raw[std::min(i, (n - i) % n)];
+  return z_normalize(out);
+}
+
+TEST(RotationInvariant, FourShiftScanMatchesPerShiftScanBitForBit) {
+  // The scan takes four shifts per pass, but every dot must keep the bits of
+  // the per-shift scan: same best shift, bit-equal distance. Lengths cover
+  // every n % 4 tail, n below one pass, and the recogniser's 128.
+  const std::vector<std::size_t> lengths = {1,  2,  3,   4,   5,   7,   8,
+                                            9,  31, 64,  127, 128, 129, 255};
+  std::uint64_t seed = 5000;
+  std::size_t cases = 0;
+  const auto expect_same = [&](const Series& a, const Series& b, const char* kind) {
+    std::size_t shift_kernel = 0, shift_oracle = 0;
+    const double d_kernel = euclidean_rotation_invariant(a, b, &shift_kernel);
+    const double d_oracle = per_shift_scan(a, b, &shift_oracle);
+    EXPECT_EQ(shift_kernel, shift_oracle) << kind << " n=" << a.size();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(d_kernel), std::bit_cast<std::uint64_t>(d_oracle))
+        << kind << " n=" << a.size() << ": " << d_kernel << " vs " << d_oracle;
+    ++cases;
+  };
+  for (const std::size_t n : lengths) {
+    for (int rep = 0; rep < 8; ++rep) {
+      const Series a = z_normalize(noise(n, seed++));
+      expect_same(a, z_normalize(noise(n, seed++)), "random");
+      // The template is the query rotated: a planted best shift, distance 0.
+      expect_same(a, rotate_left(a, (seed * 7) % n), "rotation of the query");
+    }
+    // Both series symmetric about index 0 make the dots of shifts k and
+    // n - k equal in exact arithmetic but summed in different accumulators,
+    // so which of the two wins turns on the rounding of each partial sum.
+    // The query peaks at +/- m against the template, so the best shift is
+    // one of that pair.
+    for (int rep = 0; rep < 16 && n >= 3; ++rep) {
+      const Series b = mirror_symmetric(n, seed++);
+      const std::size_t m = 1 + (seed * 13) % (n - 1);
+      const Series jitter = mirror_symmetric(n, seed++);
+      Series a(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        a[i] = b[(i + m) % n] + b[(i + n - m) % n] + 0.01 * jitter[i];
+      }
+      expect_same(z_normalize(a), b, "mirror pair");
+    }
+    // Exact ties: every shift of a constant series, and shifts k, k + 4, ...
+    // of a period-4 series, give bit-equal dots; the lowest shift must win.
+    expect_same(Series(n, 1.0), Series(n, 1.0), "constant");
+    if (n % 4 == 0) {
+      Series period4(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        period4[i] = std::array<double, 4>{1.0, -2.0, 0.5, 3.0}[i % 4];
+      }
+      expect_same(rotate_left(period4, 1), period4, "period 4");
+    }
+  }
+  EXPECT_GT(cases, 400u);
 }
 
 TEST(RotationInvariant, TemplateFormMatchesSeriesForm) {
