@@ -7,6 +7,8 @@
 // azimuth, and per-frame latency.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <iostream>
 #include <memory>
 
@@ -66,14 +68,20 @@ std::vector<Method> make_methods() {
   return methods;
 }
 
+/// Timed classify calls per frame; the frame's cost is their median.
+constexpr int kTimedCalls = 5;
+
 void compare_envelope(const std::vector<Method>& methods) {
   std::cout << "--- 4-class accuracy + latency across the working envelope "
                "(az +/-35, alt 2-5, worker jitter, 15 frames/sign) ---\n";
-  util::TextTable table({"method", "accuracy %", "mean ms/frame"});
+  // Cost is the mean over frames of each frame's median of kTimedCalls
+  // warm calls: a single cold call per frame swings too much run to run
+  // to resolve a change of a few microseconds.
+  util::TextTable table({"method", "accuracy %", "median us/frame"});
   for (const Method& method : methods) {
     util::Rng rng(99);  // same conditions per method
     int correct = 0, total = 0;
-    double ms = 0.0;
+    double us = 0.0;
     for (const HumanSign sign : signs::kAllSigns) {
       for (int i = 0; i < 15; ++i) {
         signs::ViewGeometry view;
@@ -83,15 +91,22 @@ void compare_envelope(const std::vector<Method>& methods) {
         const auto pose = signs::sample_pose(sign, signs::worker_jitter(), rng);
         const auto frame = signs::render_scene(pose, signs::BodyDimensions{}, view,
                                                signs::RenderOptions{}, &rng);
-        util::Stopwatch watch;
-        const auto got = method.classify(frame);
-        ms += watch.elapsed_ms();
+        const auto got = method.classify(frame);  // scored; warms the frame
+        std::array<double, kTimedCalls> calls_us{};
+        for (double& call_us : calls_us) {
+          util::Stopwatch watch;
+          benchmark::DoNotOptimize(method.classify(frame));
+          call_us = watch.elapsed_us();
+        }
+        std::nth_element(calls_us.begin(), calls_us.begin() + kTimedCalls / 2,
+                         calls_us.end());
+        us += calls_us[kTimedCalls / 2];
         ++total;
         if (got.has_value() && *got == sign) ++correct;
       }
     }
     table.add_row({method.name, util::fmt(100.0 * correct / total, 1),
-                   util::fmt(ms / total, 2)});
+                   util::fmt(us / total, 1)});
   }
   table.print(std::cout);
   std::cout << "\n";

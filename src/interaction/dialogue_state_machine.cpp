@@ -1,7 +1,6 @@
 #include "interaction/dialogue_state_machine.hpp"
 
 #include <stdexcept>
-#include <string>
 
 namespace hdc::interaction {
 
@@ -13,12 +12,6 @@ DialogueStateMachine::DialogueStateMachine(std::uint32_t stream_id,
     throw std::invalid_argument("DialogueStateMachine: null grammar");
   }
   sequence_buffer_.reserve(grammar_->max_sequence_length());
-}
-
-void DialogueStateMachine::log(std::uint64_t sequence, const char* actor,
-                               std::string event) {
-  transcript_.push_back(
-      {static_cast<double>(sequence), actor, std::move(event)});
 }
 
 AckAction& DialogueStateMachine::transition(DialogueState next,
@@ -52,8 +45,7 @@ void DialogueStateMachine::accept_command(const CommandRule& rule,
   ack.fly_pattern = true;
   ack.pattern = drone::PatternType::kNodYes;
   ack.command = last_command_.kind;
-  log(sequence, "drone",
-      std::string("parsed:") + std::string(to_string(last_command_.kind)));
+  log(sequence, "drone", "parsed:", to_string(last_command_.kind));
 }
 
 void DialogueStateMachine::consume_sign(signs::HumanSign sign,
@@ -90,12 +82,10 @@ void DialogueStateMachine::consume_sign(signs::HumanSign sign,
 
 void DialogueStateMachine::on_event(const SignEvent& event, Actions& out) {
   ++stats_.events_consumed;
-  log(event.kind == SignEventKind::kBegin ? event.onset_seq : event.end_seq,
-      "human",
-      std::string(event.kind == SignEventKind::kBegin ? "sign-begin:"
-                                                      : "sign-end:") +
-          std::string(signs::to_string(event.label)));
-  if (event.kind == SignEventKind::kEnd) return;  // boundaries only log
+  const bool begin = event.kind == SignEventKind::kBegin;
+  log(begin ? event.onset_seq : event.end_seq, "human",
+      begin ? "sign-begin:" : "sign-end:", signs::to_string(event.label));
+  if (!begin) return;  // boundaries only log
 
   const signs::HumanSign label = event.label;
   const std::uint64_t seq = event.onset_seq;

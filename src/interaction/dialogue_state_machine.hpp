@@ -24,12 +24,13 @@
 // Every transition emits an AckAction (the drone's half of the dialogue):
 // which LED ring mode to show and/or which communicative flight pattern to
 // fly, for InteractionService to apply to the per-stream drone::LedRing /
-// drone::FlightPattern. Sessions log a protocol::Transcript and end in a
-// protocol::Outcome, reusing the negotiation vocabulary so orchard-level
-// tooling reads both FSMs the same way.
+// drone::FlightPattern. Sessions keep a running protocol::TranscriptDigest,
+// not a stored log, and end in a protocol::Outcome, reusing the negotiation
+// vocabulary so orchard-level tooling reads both FSMs the same way.
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "drone/flight_pattern.hpp"
@@ -88,7 +89,7 @@ struct AckAction {
   drone::PatternType pattern{drone::PatternType::kNodYes};
   DroneCommandKind command{DroneCommandKind::kNone};
   std::uint64_t tick{0};
-  const char* event{""};  ///< stable literal, mirrors the transcript entry
+  const char* event{""};  ///< stable literal, folded into the transcript digest
 };
 
 struct DialogueStats {
@@ -110,8 +111,8 @@ class DialogueStateMachine {
                        DialogueConfig config = {});
 
   /// Consumes one fused event (call in event order, before the frame's
-  /// on_tick). End events are transcript bookkeeping; Begin events drive
-  /// transitions. Appends any acknowledgements to `out`.
+  /// on_tick). End events only enter the transcript digest; Begin events
+  /// drive transitions. Appends any acknowledgements to `out`.
   void on_event(const SignEvent& event, Actions& out);
 
   /// Advances the frame clock; fires timeouts and completions. Call exactly
@@ -131,7 +132,8 @@ class DialogueStateMachine {
   [[nodiscard]] protocol::OutcomeRecord outcome_record() const noexcept {
     return {outcome_, stream_id_, outcome_sequence_};
   }
-  [[nodiscard]] const protocol::Transcript& transcript() const noexcept {
+  [[nodiscard]] const protocol::TranscriptDigest& transcript_digest()
+      const noexcept {
     return transcript_;
   }
   /// The command most recently parsed to Confirming (kNone before any).
@@ -141,7 +143,10 @@ class DialogueStateMachine {
   [[nodiscard]] const DialogueConfig& config() const noexcept { return config_; }
 
  private:
-  void log(std::uint64_t sequence, const char* actor, std::string event);
+  void log(std::uint64_t sequence, std::string_view actor,
+           std::string_view event, std::string_view detail = {}) noexcept {
+    transcript_.add(static_cast<double>(sequence), actor, event, detail);
+  }
   /// Single write point for outcome_ so the deciding sequence can never
   /// drift from the value (outcome_record()'s coherence rests on this).
   void set_outcome(protocol::Outcome outcome, std::uint64_t sequence) noexcept {
@@ -171,7 +176,7 @@ class DialogueStateMachine {
   DialogueStats stats_;
   protocol::Outcome outcome_{protocol::Outcome::kPending};
   std::uint64_t outcome_sequence_{0};  ///< sequence that decided outcome_
-  protocol::Transcript transcript_;
+  protocol::TranscriptDigest transcript_;
 };
 
 }  // namespace hdc::interaction

@@ -180,14 +180,7 @@ void InteractionService::apply_actions(Session& session) {
   if (!session.actions.empty()) actions_counter_.add(session.actions.size());
   for (const AckAction& action : session.actions) {
     if (action.set_ring) session.led.set_mode(action.ring);
-    if (action.fly_pattern) {
-      // Anchor at the communication altitude, facing the signaller (+y,
-      // the synthetic scene's convention); real deployments would inject
-      // the vehicle pose here.
-      const drone::PatternParams params;
-      session.last_pattern = drone::make_pattern(
-          action.pattern, {0.0, 0.0, params.comm_altitude}, {0.0, 1.0}, params);
-    }
+    if (action.fly_pattern) session.last_pattern = action.pattern;
     ++session.acks;
     if (recorder_ != nullptr) {
       // An ack's trace identity is (stream_id, tick) — the sequence the
@@ -298,31 +291,35 @@ protocol::OutcomeRecord InteractionService::outcome_record(
   return session->fsm.outcome_record();
 }
 
-drone::LedRing InteractionService::led_ring(std::uint32_t stream_id) const {
-  const Session* session = find_session(stream_id);
-  if (session == nullptr) return drone::LedRing{};  // kDanger fail-safe
-  std::lock_guard<std::mutex> lock(session->mutex);
-  return session->led;
-}
-
 drone::RingMode InteractionService::ring_mode(std::uint32_t stream_id) const {
-  return led_ring(stream_id).mode();
+  const Session* session = find_session(stream_id);
+  if (session == nullptr) return drone::LedRing{}.mode();  // kDanger fail-safe
+  std::lock_guard<std::mutex> lock(session->mutex);
+  return session->led.mode();
 }
 
 drone::FlightPattern InteractionService::last_pattern(
     std::uint32_t stream_id) const {
-  const Session* session = find_session(stream_id);
-  if (session == nullptr) return {};
-  std::lock_guard<std::mutex> lock(session->mutex);
-  return session->last_pattern;
+  std::optional<drone::PatternType> type;
+  if (const Session* session = find_session(stream_id)) {
+    std::lock_guard<std::mutex> lock(session->mutex);
+    type = session->last_pattern;
+  }
+  if (!type) return {};
+  // Anchor at the communication altitude, facing the signaller (+y, the
+  // synthetic scene's convention); real deployments would inject the
+  // vehicle pose here.
+  const drone::PatternParams params;
+  return drone::make_pattern(*type, {0.0, 0.0, params.comm_altitude},
+                             {0.0, 1.0}, params);
 }
 
-protocol::Transcript InteractionService::transcript(
+protocol::TranscriptDigest InteractionService::transcript_digest(
     std::uint32_t stream_id) const {
   const Session* session = find_session(stream_id);
   if (session == nullptr) return {};
   std::lock_guard<std::mutex> lock(session->mutex);
-  return session->fsm.transcript();
+  return session->fsm.transcript_digest();
 }
 
 }  // namespace hdc::interaction

@@ -9,8 +9,8 @@
 //                                 pending aborts, then the input, through
 //                                 SignEventFuser -> DialogueStateMachine
 //                                                                 v
-//                              AckActions applied to drone::LedRing +
-//                              drone::FlightPattern, protocol::Transcript,
+//                              AckActions applied to drone::LedRing + the
+//                              last pattern type, a TranscriptDigest,
 //                              then ONE DialogueListener call per input
 //
 // Design points:
@@ -22,8 +22,9 @@
 //     (stream % K), so per-stream processing order is perception delivery
 //     order (sequence order per stream).
 //   - Per-stream sessions are created on first input: each owns a fuser, an
-//     FSM, a drone::LedRing (the visible acknowledgement state) and the last
-//     generated drone::FlightPattern.
+//     FSM, a drone::LedRing (the visible acknowledgement state) and the
+//     last pattern's type: state, not history, so a warm session allocates
+//     nothing per input and does not grow with uptime.
 //   - Coordinator aborts never take a session lock. request_abort() only
 //     raises the session's count of pending aborts; the next caller that
 //     takes the stream's mutex (its next frame, abort_stream(),
@@ -212,14 +213,14 @@ class InteractionService {
   /// Outcome plus stream identity + deciding sequence (kPending record for
   /// a stream never seen).
   [[nodiscard]] protocol::OutcomeRecord outcome_record(std::uint32_t stream_id) const;
-  /// The stream's acknowledgement LED ring (copy; kDanger fail-safe default
-  /// for a stream never seen — same boot state as the hardware).
-  [[nodiscard]] drone::LedRing led_ring(std::uint32_t stream_id) const;
+  /// The stream's acknowledgement LED ring mode (kDanger for a stream never
+  /// seen — the fail-safe boot state of the hardware).
   [[nodiscard]] drone::RingMode ring_mode(std::uint32_t stream_id) const;
-  /// The last communicative pattern generated for the stream (empty
-  /// waypoints if none yet).
+  /// The last communicative pattern the stream's acks asked for, built on
+  /// read from its type (empty waypoints if none yet).
   [[nodiscard]] drone::FlightPattern last_pattern(std::uint32_t stream_id) const;
-  [[nodiscard]] protocol::Transcript transcript(std::uint32_t stream_id) const;
+  [[nodiscard]] protocol::TranscriptDigest transcript_digest(
+      std::uint32_t stream_id) const;
 
   [[nodiscard]] const InteractionServiceConfig& config() const noexcept {
     return config_;
@@ -241,7 +242,7 @@ class InteractionService {
     SignEventFuser fuser;
     DialogueStateMachine fsm;
     drone::LedRing led;  ///< boots kDanger (fail-safe), like the hardware
-    drone::FlightPattern last_pattern;
+    std::optional<drone::PatternType> last_pattern;
     std::uint64_t frames{0};
     std::uint64_t acks{0};
     std::uint64_t last_sequence{0};

@@ -1,7 +1,6 @@
 #include "protocol/journal.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -261,38 +260,6 @@ coordination::CoordinationConfig coordination_config_of(
   return out;
 }
 
-std::uint64_t transcript_digest(const Transcript& transcript) {
-  constexpr std::uint64_t kOffset = 14695981039346656037ULL;
-  constexpr std::uint64_t kPrime = 1099511628211ULL;
-  std::uint64_t digest = kOffset;
-  const auto mix_byte = [&digest](std::uint8_t byte) {
-    digest ^= byte;
-    digest *= kPrime;
-  };
-  const auto mix_string = [&mix_byte](const std::string& s) {
-    for (char c : s) mix_byte(static_cast<std::uint8_t>(c));
-    mix_byte(0);  // terminator: "ab"+"c" must not collide with "a"+"bc"
-  };
-  for (const TranscriptEvent& event : transcript) {
-    const std::uint64_t t_bits = std::bit_cast<std::uint64_t>(event.t);
-    for (int i = 0; i < 8; ++i) {
-      mix_byte(static_cast<std::uint8_t>(t_bits >> (8 * i)));
-    }
-    mix_string(event.actor);
-    mix_string(event.event);
-  }
-  return digest;
-}
-
-wire::TranscriptDigestRecord digest_record(std::uint32_t stream_id,
-                                           const Transcript& transcript) {
-  wire::TranscriptDigestRecord record;
-  record.stream_id = stream_id;
-  record.entries = static_cast<std::uint32_t>(transcript.size());
-  record.digest = transcript_digest(transcript);
-  return record;
-}
-
 // ------------------------------------------------- metric snapshots ------
 
 const std::vector<std::string_view>& replay_deterministic_counters() {
@@ -386,7 +353,9 @@ void JournalRecorder::finalize(interaction::InteractionService& dialogue,
   stream_ids.erase(std::unique(stream_ids.begin(), stream_ids.end()),
                    stream_ids.end());
   for (std::uint32_t stream_id : stream_ids) {
-    journal_->append(digest_record(stream_id, dialogue.transcript(stream_id)));
+    const TranscriptDigest digest = dialogue.transcript_digest(stream_id);
+    journal_->append(wire::TranscriptDigestRecord{stream_id, digest.entries(),
+                                                  digest.value()});
     journal_->append(to_wire(dialogue.outcome_record(stream_id)));
   }
   for (const coordination::ArbitrationDecision& decision :

@@ -135,13 +135,6 @@ class EventJournal {
 [[nodiscard]] coordination::CoordinationConfig coordination_config_of(
     const wire::RunConfigRecord& config);
 
-/// FNV-1a 64 over a transcript (timestamps as IEEE-754 bit patterns, then
-/// each string with a terminator) — "bit-identical transcripts" is
-/// asserted by digest equality.
-[[nodiscard]] std::uint64_t transcript_digest(const Transcript& transcript);
-[[nodiscard]] wire::TranscriptDigestRecord digest_record(
-    std::uint32_t stream_id, const Transcript& transcript);
-
 // ---------------------------------------------------------- recorder -----
 
 /// Hooks an EventJournal into the live services. One recorder per run;

@@ -4,8 +4,10 @@
 // human's space, the human answers Yes or No.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "drone/flight_pattern.hpp"
@@ -73,5 +75,40 @@ struct TranscriptEvent {
 };
 
 using Transcript = std::vector<TranscriptEvent>;
+
+/// A transcript kept as state, not history: the entry count and a running
+/// FNV-1a 64 over each entry as it is logged (the timestamp's IEEE-754 bits,
+/// then actor and event, each 0-terminated). `detail` continues the event's
+/// text: add(t, a, "parsed:", "Land") folds the bytes of "parsed:Land".
+class TranscriptDigest {
+ public:
+  void add(double t, std::string_view actor, std::string_view event,
+           std::string_view detail = {}) noexcept {
+    const auto t_bits = std::bit_cast<std::uint64_t>(t);
+    for (int shift = 0; shift < 64; shift += 8) {
+      mix_byte(static_cast<std::uint8_t>(t_bits >> shift));
+    }
+    mix(actor);
+    mix(event, /*terminate=*/false);
+    mix(detail);
+    ++entries_;
+  }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
+  [[nodiscard]] std::uint32_t entries() const noexcept { return entries_; }
+
+ private:
+  void mix_byte(std::uint8_t byte) noexcept {
+    value_ = (value_ ^ byte) * 1099511628211ULL;  // FNV-1a 64 prime
+  }
+  /// The terminator keeps "ab"+"c" from colliding with "a"+"bc".
+  void mix(std::string_view s, bool terminate = true) noexcept {
+    for (char c : s) mix_byte(static_cast<std::uint8_t>(c));
+    if (terminate) mix_byte(0);
+  }
+
+  std::uint64_t value_{14695981039346656037ULL};  ///< FNV-1a 64 offset basis
+  std::uint32_t entries_{0};
+};
 
 }  // namespace hdc::protocol

@@ -157,7 +157,7 @@ struct SignEventRecord {
 };
 
 /// interaction::AckAction on the wire (the event literal rides as
-/// length-prefixed bytes; it mirrors the transcript entry).
+/// length-prefixed bytes; the FSM folds it into its transcript digest).
 struct TransitionRecord {
   std::uint32_t stream_id{0};
   std::uint8_t from{0};  ///< interaction::DialogueState
@@ -239,9 +239,9 @@ struct PlanHintRecord {
   [[nodiscard]] bool operator==(const PlanHintRecord&) const = default;
 };
 
-/// FNV-1a 64 digest of one stream's protocol::Transcript (entry count for
-/// cheap divergence triage). "Bit-identical transcripts" is asserted by
-/// digest equality — the transcript itself stays in memory.
+/// One stream's protocol::TranscriptDigest: the FNV-1a 64 its dialogue FSM
+/// folded as it logged, and the entry count for cheap divergence triage.
+/// "Bit-identical transcripts" is asserted by digest equality.
 struct TranscriptDigestRecord {
   std::uint32_t stream_id{0};
   std::uint32_t entries{0};

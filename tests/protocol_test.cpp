@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+#include <string_view>
+
 #include "protocol/channels.hpp"
 #include "protocol/drone_negotiator.hpp"
 #include "protocol/human_agent.hpp"
+#include "protocol/messages.hpp"
 #include "protocol/negotiation.hpp"
+#include "util/rng.hpp"
 
 namespace hdc::protocol {
 namespace {
@@ -405,6 +412,90 @@ TEST(Session, TranscriptMergesBothActors) {
   for (std::size_t i = 1; i < result.transcript.size(); ++i) {
     EXPECT_LE(result.transcript[i - 1].t, result.transcript[i].t);
   }
+}
+
+// -------------------------------------------------- TranscriptDigest -----
+
+/// The batch fold journals once ran over a stored Transcript at finalize:
+/// FNV-1a 64 over each entry's timestamp bits, then actor and event, each
+/// with a 0 terminator. Kept here as the oracle for the running digest.
+std::uint64_t batch_transcript_digest(const Transcript& transcript) {
+  constexpr std::uint64_t kOffset = 14695981039346656037ULL;
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  std::uint64_t digest = kOffset;
+  const auto mix_byte = [&digest](std::uint8_t byte) {
+    digest ^= byte;
+    digest *= kPrime;
+  };
+  const auto mix_string = [&mix_byte](const std::string& s) {
+    for (char c : s) mix_byte(static_cast<std::uint8_t>(c));
+    mix_byte(0);
+  };
+  for (const TranscriptEvent& event : transcript) {
+    const std::uint64_t t_bits = std::bit_cast<std::uint64_t>(event.t);
+    for (int i = 0; i < 8; ++i) {
+      mix_byte(static_cast<std::uint8_t>(t_bits >> (8 * i)));
+    }
+    mix_string(event.actor);
+    mix_string(event.event);
+  }
+  return digest;
+}
+
+std::string random_text(util::Rng& rng, std::int64_t max_length) {
+  std::string text(static_cast<std::size_t>(rng.uniform_int(0, max_length)),
+                   ' ');
+  // Any non-zero byte, high bit included (a 0 byte is the terminator).
+  for (char& c : text) c = static_cast<char>(rng.uniform_int(1, 255));
+  return text;
+}
+
+TEST(TranscriptDigest, EmptyDigestIsTheEmptyBatchFold) {
+  const TranscriptDigest digest;
+  EXPECT_EQ(digest.entries(), 0u);
+  EXPECT_EQ(digest.value(), batch_transcript_digest({}));
+}
+
+TEST(TranscriptDigest, RunningFoldMatchesBatchFoldAtEverySplit) {
+  // Random transcripts; each entry's event is folded as event + detail,
+  // split at every position (split p clamps to the event's length, so
+  // split 0 is all detail and the last split is all event).
+  util::Rng rng(0xD16E57ULL);
+  for (int trial = 0; trial < 200; ++trial) {
+    Transcript transcript(static_cast<std::size_t>(rng.uniform_int(1, 8)));
+    std::size_t longest = 0;
+    for (TranscriptEvent& event : transcript) {
+      // Frame sequences (whole numbers) and arbitrary doubles.
+      event.t = trial % 4 == 0
+                    ? static_cast<double>(rng.uniform_int(0, 1 << 20))
+                    : rng.uniform(-1e9, 1e9);
+      event.actor = random_text(rng, 8);
+      event.event = random_text(rng, 24);
+      longest = std::max(longest, event.event.size());
+    }
+    const std::uint64_t want = batch_transcript_digest(transcript);
+    for (std::size_t split = 0; split <= longest; ++split) {
+      TranscriptDigest digest;
+      for (const TranscriptEvent& event : transcript) {
+        const std::string_view text = event.event;
+        const std::size_t at = std::min(split, text.size());
+        digest.add(event.t, event.actor, text.substr(0, at), text.substr(at));
+      }
+      ASSERT_EQ(digest.entries(), transcript.size()) << trial;
+      ASSERT_EQ(digest.value(), want)
+          << "trial " << trial << " split " << split;
+    }
+  }
+}
+
+TEST(TranscriptDigest, TerminatorsSeparateActorFromEvent) {
+  // Moving a byte across the actor/event boundary changes the digest.
+  TranscriptDigest a;
+  TranscriptDigest b;
+  a.add(1.0, "drone", "x:y");
+  b.add(1.0, "dronex", ":y");
+  EXPECT_NE(a.value(), b.value());
+  EXPECT_EQ(a.entries(), b.entries());
 }
 
 }  // namespace
