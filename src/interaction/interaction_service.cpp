@@ -119,6 +119,7 @@ void InteractionService::apply_requested_aborts(Session& session) {
 
 void InteractionService::process(Session& session, ObservationSample sample) {
   session.actions.clear();
+  ++session.counts.observations;
   observations_counter_.add(1);
   std::size_t emitted = 0;
   if (sample.abort) {
@@ -142,6 +143,7 @@ void InteractionService::process(Session& session, ObservationSample sample) {
       emitted = session.fuser.observe(sample.sequence, sample.sign,
                                       sample.confidence, session.events);
     }
+    session.counts.events += emitted;
     events_counter_.add(emitted);
     telemetry::TracedSpan span(transition_ns_, recorder_, trace_context,
                                telemetry::TraceStage::kTransition);
@@ -161,6 +163,7 @@ void InteractionService::process(Session& session, ObservationSample sample) {
       record != session.reported_outcome) {
     session.reported_outcome = record;
     decided = record;
+    ++session.counts.outcomes;
     outcomes_counter_.add(1);
     if (recorder_ != nullptr) {
       // The outcome's trace identity derives from the record's own
@@ -177,11 +180,13 @@ void InteractionService::process(Session& session, ObservationSample sample) {
 }
 
 void InteractionService::apply_actions(Session& session) {
-  if (!session.actions.empty()) actions_counter_.add(session.actions.size());
+  if (!session.actions.empty()) {
+    session.counts.actions += session.actions.size();
+    actions_counter_.add(session.actions.size());
+  }
   for (const AckAction& action : session.actions) {
     if (action.set_ring) session.led.set_mode(action.ring);
     if (action.fly_pattern) session.last_pattern = action.pattern;
-    ++session.acks;
     if (recorder_ != nullptr) {
       // An ack's trace identity is (stream_id, tick) — the sequence the
       // FSM acted on — per the propagation map's AckAction row.
@@ -253,6 +258,29 @@ void InteractionService::stop() noexcept {
   }
 }
 
+InteractionStats InteractionService::stats() const {
+  // Collect first, lock after, as in sweep_requested_aborts(): a listener
+  // holding a session mutex may take the map lock (request_abort() for a
+  // new stream), so the map lock must not be held while waiting for one.
+  std::vector<const Session*> sessions;
+  {
+    std::shared_lock<std::shared_mutex> lock(sessions_mutex_);
+    sessions.reserve(sessions_.size());
+    for (const auto& [stream_id, session] : sessions_) {
+      sessions.push_back(session.get());
+    }
+  }
+  InteractionStats total;
+  for (const Session* session : sessions) {
+    std::lock_guard<std::mutex> lock(session->mutex);
+    total.observations += session->counts.observations;
+    total.events += session->counts.events;
+    total.actions += session->counts.actions;
+    total.outcomes += session->counts.outcomes;
+  }
+  return total;
+}
+
 InteractionStreamStats InteractionService::stream_stats(
     std::uint32_t stream_id) const {
   InteractionStreamStats stats;
@@ -262,7 +290,7 @@ InteractionStreamStats InteractionService::stream_stats(
   stats.frames = session->frames;
   stats.events_begun = session->fuser.events_begun();
   stats.events_ended = session->fuser.events_ended();
-  stats.acks = session->acks;
+  stats.acks = session->counts.actions;
   stats.state = session->fsm.state();
   stats.outcome = session->fsm.outcome();
   stats.dialogue = session->fsm.stats();

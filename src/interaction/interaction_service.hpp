@@ -87,6 +87,17 @@ struct InteractionServiceConfig {
   telemetry::FlightRecorder* recorder{nullptr};
 };
 
+/// Totals over every stream, as of each session's last processed input.
+/// They count exactly what the interaction_*_total telemetry counters
+/// count, with or without a registry wired, so a journal's counter
+/// checkpoint reads them (protocol::JournalRecorder::finalize).
+struct InteractionStats {
+  std::uint64_t observations{0};  ///< inputs processed, frames and aborts
+  std::uint64_t events{0};        ///< sign events fused
+  std::uint64_t actions{0};       ///< AckActions applied
+  std::uint64_t outcomes{0};      ///< dialogue outcomes decided
+};
+
 /// Aggregate per-stream snapshot across fuser, FSM and ack bookkeeping.
 struct InteractionStreamStats {
   std::uint64_t frames{0};        ///< observations processed
@@ -206,6 +217,10 @@ class InteractionService {
   /// Idempotent.
   void stop() noexcept;
 
+  /// Sums every session's counts, each read under its session lock (a
+  /// consistent total once inputs have stopped).
+  [[nodiscard]] InteractionStats stats() const;
+
   // --- per-stream observability (all snapshot under the session lock) ---
   [[nodiscard]] InteractionStreamStats stream_stats(std::uint32_t stream_id) const;
   [[nodiscard]] DialogueState dialogue_state(std::uint32_t stream_id) const;
@@ -244,7 +259,7 @@ class InteractionService {
     drone::LedRing led;  ///< boots kDanger (fail-safe), like the hardware
     std::optional<drone::PatternType> last_pattern;
     std::uint64_t frames{0};
-    std::uint64_t acks{0};
+    InteractionStats counts;
     std::uint64_t last_sequence{0};
     /// Last OutcomeRecord reported to the dialogue listener, so each
     /// decided outcome fires exactly once.
@@ -277,9 +292,8 @@ class InteractionService {
   std::unordered_map<std::uint32_t, std::unique_ptr<Session>> sessions_;
 
   // Telemetry handles (disarmed when config_.metrics is null). The counters
-  // below are incremented only while an admitted input is processed, so
-  // their totals are part of the replay-deterministic set (see
-  // telemetry/stage_names.hpp).
+  // go up next to Session::counts, only while an admitted input is
+  // processed (see telemetry/stage_names.hpp).
   telemetry::Histogram fuse_ns_;
   telemetry::Histogram transition_ns_;
   telemetry::Counter observations_counter_;

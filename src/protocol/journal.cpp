@@ -1,9 +1,11 @@
 #include "protocol/journal.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
+#include <utility>
 
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/stage_names.hpp"
@@ -262,43 +264,62 @@ coordination::CoordinationConfig coordination_config_of(
 
 // ------------------------------------------------- metric snapshots ------
 
-const std::vector<std::string_view>& replay_deterministic_counters() {
-  // Explicit list, NOT a name-prefix filter: a counter incremented on
-  // admission depends on live queue depths, so a new interaction_ or
-  // coordination_ counter joins the journal only once it is shown to count
-  // processed inputs alone — a prefix rule would silently journal a
-  // nondeterministic counter and break the replay gate.
-  static const std::vector<std::string_view> kCounters = {
-      telemetry::kInteractionObservations,
-      telemetry::kInteractionEvents,
-      telemetry::kInteractionActions,
-      telemetry::kInteractionOutcomes,
-      telemetry::kCoordinationEvents,
-      telemetry::kCoordinationArbitrations,
-      telemetry::kCoordinationDeferrals,
-      telemetry::kCoordinationGrants,
-      telemetry::kCoordinationDenials,
-      telemetry::kCoordinationRevocations,
-      telemetry::kCoordinationRenewals,
-      telemetry::kCoordinationExpiries,
-  };
-  return kCounters;
+namespace {
+
+/// The replay-deterministic counters, each with the plain count it
+/// mirrors. Explicit list, NOT a name-prefix filter: a counter incremented
+/// on admission depends on live queue depths, so a new interaction_ or
+/// coordination_ counter joins the journal only once it is shown to count
+/// processed inputs alone — a prefix rule would silently journal a
+/// nondeterministic counter and break the replay gate.
+std::array<std::pair<std::string_view, std::uint64_t>, 12> counter_totals(
+    const interaction::InteractionStats& dialogue,
+    const coordination::CoordinationStats& coordination,
+    const coordination::RegistryStats& registry) {
+  return {{
+      {telemetry::kInteractionObservations, dialogue.observations},
+      {telemetry::kInteractionEvents, dialogue.events},
+      {telemetry::kInteractionActions, dialogue.actions},
+      {telemetry::kInteractionOutcomes, dialogue.outcomes},
+      {telemetry::kCoordinationEvents, coordination.events},
+      {telemetry::kCoordinationArbitrations, coordination.arbitrations},
+      {telemetry::kCoordinationDeferrals, coordination.deferrals},
+      {telemetry::kCoordinationGrants, registry.grants},
+      {telemetry::kCoordinationDenials, registry.denials},
+      {telemetry::kCoordinationRevocations, registry.revocations},
+      {telemetry::kCoordinationRenewals, registry.renewals},
+      {telemetry::kCoordinationExpiries, registry.expiries},
+  }};
 }
 
-wire::MetricSnapshotRecord metric_snapshot_record(
-    const telemetry::MetricsSnapshot& snapshot) {
+/// The totals of a drained run as the canonical MetricSnapshotRecord,
+/// sorted by name.
+wire::MetricSnapshotRecord counter_snapshot(
+    const interaction::InteractionStats& dialogue,
+    const coordination::CoordinationStats& coordination,
+    const coordination::RegistryStats& registry) {
   wire::MetricSnapshotRecord record;
-  for (std::string_view name : replay_deterministic_counters()) {
-    wire::MetricSnapshotEntry entry;
-    entry.name = std::string(name);
-    const telemetry::CounterSnapshot* counter = snapshot.find_counter(name);
-    entry.value = counter != nullptr ? counter->value : 0;
-    record.entries.push_back(std::move(entry));
+  for (const auto& [name, value] :
+       counter_totals(dialogue, coordination, registry)) {
+    record.entries.push_back({std::string(name), value});
   }
   std::sort(record.entries.begin(), record.entries.end(),
             [](const wire::MetricSnapshotEntry& a,
                const wire::MetricSnapshotEntry& b) { return a.name < b.name; });
   return record;
+}
+
+}  // namespace
+
+const std::vector<std::string_view>& replay_deterministic_counters() {
+  static const std::vector<std::string_view> kCounters = [] {
+    std::vector<std::string_view> names;
+    for (const auto& [name, value] : counter_totals({}, {}, {})) {
+      names.push_back(name);
+    }
+    return names;
+  }();
+  return kCounters;
 }
 
 // ---------------------------------------------------------- recorder -----
@@ -370,10 +391,11 @@ void JournalRecorder::finalize(interaction::InteractionService& dialogue,
   for (std::uint32_t stream_id : stream_ids) {
     journal_->append(to_wire(stream_id, coordinator.plan_hint(stream_id)));
   }
-  // The run's one deterministic telemetry checkpoint: services are drained,
-  // so the replay-deterministic counters have their final totals.
-  if (metrics_ != nullptr) {
-    journal_->append(metric_snapshot_record(metrics_->snapshot()));
+  // The run's one deterministic counter checkpoint: services are drained,
+  // so the replay-deterministic counts have their final totals.
+  if (counter_snapshot_) {
+    journal_->append(counter_snapshot(dialogue.stats(), coordinator.stats(),
+                                      coordinator.registry_stats()));
   }
   wire::JournalEndRecord end;
   end.record_count = journal_->record_count();

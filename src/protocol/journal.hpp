@@ -91,15 +91,10 @@ class EventJournal {
 /// on queue timing). These, and only these, go into a journal's
 /// MetricSnapshotRecord: replaying the journal must reproduce every total
 /// bit-exactly. Notably absent: all perception metrics (producer-side,
-/// they depend on live queue depths).
+/// they depend on live queue depths). Each has a plain count beside it in
+/// InteractionStats, CoordinationStats or RegistryStats, and the record is
+/// built from those, so a journal needs no telemetry registry.
 [[nodiscard]] const std::vector<std::string_view>& replay_deterministic_counters();
-
-/// Filters a telemetry snapshot down to the replay-deterministic counters,
-/// sorted by name (canonical wire layout). Counters the snapshot lacks are
-/// recorded as 0, so the record's shape is independent of which services
-/// happened to touch the registry.
-[[nodiscard]] wire::MetricSnapshotRecord metric_snapshot_record(
-    const telemetry::MetricsSnapshot& snapshot);
 
 // -------------------------------------------- live <-> wire conversions --
 // Public because the replay driver and tests use them too.
@@ -140,7 +135,8 @@ class EventJournal {
 /// Hooks an EventJournal into the live services. One recorder per run;
 /// install the hooks BEFORE streaming (they take the services' listener /
 /// tap slots). finalize() also journals one MetricSnapshotRecord, at the
-/// run's deterministic checkpoint, when set_metrics() wired a registry.
+/// run's deterministic checkpoint, when set_counter_snapshot(true) asked
+/// for it.
 class JournalRecorder {
  public:
   explicit JournalRecorder(EventJournal& journal) : journal_(&journal) {}
@@ -161,13 +157,15 @@ class JournalRecorder {
   /// both observer slots).
   void attach_coordination(coordination::CoordinationService& coordinator);
 
-  /// Wires the run's telemetry registry so finalize() also appends a
-  /// MetricSnapshotRecord (replay-deterministic counter totals, sorted by
-  /// name) right before the JournalEnd trailer. finalize() is the one
-  /// deterministic checkpoint of a run — a wall-clock-driven snapshot
-  /// would not replay bit-identically. `registry` must outlive finalize();
-  /// pass nullptr (the default state) to record no snapshot.
-  void set_metrics(telemetry::MetricsRegistry* registry) { metrics_ = registry; }
+  /// Whether finalize() also appends a MetricSnapshotRecord (the
+  /// replay-deterministic counter totals, sorted by name) right before the
+  /// JournalEnd trailer. The totals are read from the services' own counts
+  /// (InteractionService::stats(), CoordinationService::stats() and
+  /// registry_stats()), so they are true whether or not a telemetry
+  /// registry is wired. finalize() is the one deterministic checkpoint of
+  /// a run — a wall-clock-driven snapshot would not replay bit-identically.
+  /// Off by default: no snapshot record.
+  void set_counter_snapshot(bool enabled) { counter_snapshot_ = enabled; }
 
   /// Writes the end-state section: per-stream transcript digests and final
   /// outcomes (ids deduplicated + sorted for a deterministic layout),
@@ -179,7 +177,7 @@ class JournalRecorder {
 
  private:
   EventJournal* journal_;
-  telemetry::MetricsRegistry* metrics_{nullptr};
+  bool counter_snapshot_{false};
 };
 
 }  // namespace hdc::protocol

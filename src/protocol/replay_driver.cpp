@@ -11,18 +11,20 @@ namespace hdc::protocol {
 
 namespace {
 
-/// Records of one journal, bucketed by type (bucket order == append order,
-/// which per type is a deterministic order: see journal.hpp).
-struct Buckets {
-  std::array<std::vector<wire::AnyRecord>,
-             std::variant_size_v<wire::AnyRecord>>
-      by_type;
+using RecordRefs = std::vector<const wire::AnyRecord*>;
 
-  void add(wire::AnyRecord record) {
-    by_type[record.index()].push_back(std::move(record));
+/// Records of one journal, bucketed by type (bucket order == append order,
+/// which per type is a deterministic order: see journal.hpp). The buckets
+/// point into the parsed records, which must outlive them.
+struct Buckets {
+  std::array<RecordRefs, std::variant_size_v<wire::AnyRecord>> by_type;
+
+  explicit Buckets(const std::vector<wire::AnyRecord>& records) {
+    for (const wire::AnyRecord& record : records) {
+      by_type[record.index()].push_back(&record);
+    }
   }
-  [[nodiscard]] const std::vector<wire::AnyRecord>& of(
-      wire::RecordType type) const {
+  [[nodiscard]] const RecordRefs& of(wire::RecordType type) const {
     return by_type[static_cast<std::size_t>(type) - 1];
   }
 };
@@ -33,8 +35,8 @@ std::string first_mismatch(const Buckets& recorded, const Buckets& replayed) {
   for (std::uint8_t t = static_cast<std::uint8_t>(wire::RecordType::kRunConfig);
        t <= static_cast<std::uint8_t>(wire::RecordType::kMetricSnapshot); ++t) {
     const auto type = static_cast<wire::RecordType>(t);
-    const std::vector<wire::AnyRecord>& a = recorded.of(type);
-    const std::vector<wire::AnyRecord>& b = replayed.of(type);
+    const RecordRefs& a = recorded.of(type);
+    const RecordRefs& b = replayed.of(type);
     if (a.size() != b.size()) {
       std::ostringstream out;
       out << wire::to_string(type) << " count diverged: recorded " << a.size()
@@ -42,7 +44,7 @@ std::string first_mismatch(const Buckets& recorded, const Buckets& replayed) {
       return out.str();
     }
     for (std::size_t i = 0; i < a.size(); ++i) {
-      if (!(a[i] == b[i])) {
+      if (!(*a[i] == *b[i])) {
         std::ostringstream out;
         out << wire::to_string(type) << " record " << i
             << " diverged between recording and replay";
@@ -59,7 +61,7 @@ std::string first_mismatch(const Buckets& recorded, const Buckets& replayed) {
 /// is a mismatch instead of a throw from a service constructor, a giant
 /// allocation, or a grant on a cell the registry does not have.
 std::string refused_input(const wire::RunConfigRecord& config,
-                          const std::vector<wire::AnyRecord>& fleet_events) {
+                          const RecordRefs& fleet_events) {
   std::ostringstream out;
   const std::pair<const char*, std::uint32_t> sizes[] = {
       {"fusion_window", config.fusion_window},
@@ -87,7 +89,7 @@ std::string refused_input(const wire::RunConfigRecord& config,
   constexpr auto kRegister = static_cast<std::uint8_t>(
       coordination::CoordinationService::EventKind::kRegister);
   for (std::size_t i = 0; i < fleet_events.size(); ++i) {
-    const auto& event = std::get<wire::FleetEventRecord>(fleet_events[i]);
+    const auto& event = std::get<wire::FleetEventRecord>(*fleet_events[i]);
     if (event.kind == kRegister &&
         (event.descriptor_cell < 0 ||
          static_cast<std::uint32_t>(event.descriptor_cell) >= config.cells)) {
@@ -141,11 +143,10 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
   }
   report.parsed = true;
 
-  Buckets recorded;
-  for (wire::AnyRecord& record : records) recorded.add(std::move(record));
+  const Buckets recorded(records);
 
-  const auto& run_config =
-      std::get<wire::RunConfigRecord>(recorded.of(wire::RecordType::kRunConfig).front());
+  const auto& run_config = std::get<wire::RunConfigRecord>(
+      *recorded.of(wire::RecordType::kRunConfig).front());
   report.mismatch =
       refused_input(run_config, recorded.of(wire::RecordType::kFleetEvent));
   if (!report.mismatch.empty()) return report;
@@ -154,28 +155,25 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
   JournalRecorder recorder(replay_journal);
   recorder.record_config(run_config);
 
-  // A fresh telemetry registry for the fresh services: the replayed run
-  // re-derives the replay-deterministic counter totals from scratch. The
-  // recorder publishes a MetricSnapshotRecord only when the RECORDING has
-  // one — appending a record the recording lacks would itself be a (false)
-  // per-type divergence.
-  telemetry::MetricsRegistry metrics;
-  if (!recorded.of(wire::RecordType::kMetricSnapshot).empty()) {
-    recorder.set_metrics(&metrics);
-  }
+  // The fresh services count from zero, so the replayed run re-derives the
+  // replay-deterministic counter totals from their own counts; no telemetry
+  // registry is wired. The recorder publishes a MetricSnapshotRecord only
+  // when the RECORDING has one — appending a record the recording lacks
+  // would itself be a (false) per-type divergence.
+  recorder.set_counter_snapshot(
+      !recorded.of(wire::RecordType::kMetricSnapshot).empty());
 
   // Stage 1: the interaction layer, fed on this thread in recorded order
   // (record-only wiring — stage 2 gets the RECORDED fleet events, so the
   // replayed dialogue outputs must not reach the coordinator too).
   interaction::InteractionServiceConfig dialogue_config =
       interaction_config_of(run_config);
-  dialogue_config.metrics = &metrics;
   dialogue_config.recorder = options_.recorder;
   interaction::InteractionService dialogue(dialogue_config, options_.grammar);
   recorder.attach_interaction(dialogue, nullptr);
-  for (const wire::AnyRecord& any :
+  for (const wire::AnyRecord* any :
        recorded.of(wire::RecordType::kObservation)) {
-    const auto& observation = std::get<wire::ObservationRecord>(any);
+    const auto& observation = std::get<wire::ObservationRecord>(*any);
     if (observation.abort != 0) {
       dialogue.abort_stream(observation.stream_id);
     } else {
@@ -190,40 +188,37 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
   // Stage 2: the coordination layer, fed the recorded fleet events.
   coordination::CoordinationConfig coordination_config =
       coordination_config_of(run_config);
-  coordination_config.metrics = &metrics;
   coordination_config.recorder = options_.recorder;
   coordination::CoordinationService coordinator(coordination_config);
   recorder.attach_coordination(coordinator);
-  for (const wire::AnyRecord& any :
+  for (const wire::AnyRecord* any :
        recorded.of(wire::RecordType::kFleetEvent)) {
     coordinator.admit_recorded(
-        from_wire(std::get<wire::FleetEventRecord>(any)));
+        from_wire(std::get<wire::FleetEventRecord>(*any)));
     ++report.fleet_events_fed;
   }
   coordinator.stop();
 
   // Finalize over the same stream ids the recording finalized over.
   std::vector<std::uint32_t> stream_ids;
-  for (const wire::AnyRecord& any :
+  for (const wire::AnyRecord* any :
        recorded.of(wire::RecordType::kTranscriptDigest)) {
-    stream_ids.push_back(std::get<wire::TranscriptDigestRecord>(any).stream_id);
+    stream_ids.push_back(
+        std::get<wire::TranscriptDigestRecord>(*any).stream_id);
   }
   recorder.finalize(dialogue, std::move(stream_ids), coordinator);
 
   report.journal_bytes = replay_journal.bytes();
 
-  Buckets replayed;
+  // Re-parsing the replay's own bytes is the encoder's round-trip check.
   std::vector<wire::AnyRecord> replay_records;
   wire::WireError replay_error;
   if (!wire::parse_all(report.journal_bytes, replay_records, replay_error)) {
     report.mismatch = "internal: replay journal failed to re-parse";
     return report;
   }
-  for (wire::AnyRecord& record : replay_records) {
-    replayed.add(std::move(record));
-  }
 
-  report.mismatch = first_mismatch(recorded, replayed);
+  report.mismatch = first_mismatch(recorded, Buckets(replay_records));
   report.ok = report.mismatch.empty();
   return report;
 }

@@ -8,8 +8,11 @@
 // Counters under the `interaction_` / `coordination_` layers that are
 // incremented only while an admitted input is processed are the
 // REPLAY-DETERMINISTIC set (protocol::replay_deterministic_counters()):
-// their totals are a pure function of the recorded input sequence, so a
-// journal snapshot of them must reproduce bit-exactly on replay.
+// their totals are a pure function of the recorded input sequence. Each
+// goes up next to a plain count in InteractionStats, CoordinationStats or
+// RegistryStats; a journal's MetricSnapshotRecord carries those counts
+// under these names, with or without a registry wired, and must reproduce
+// bit-exactly on replay.
 #pragma once
 
 #include <string_view>

@@ -34,6 +34,7 @@
 #include "recognition/perception_service.hpp"
 #include "signs/multi_drone_feed.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
 namespace {
@@ -1097,6 +1098,88 @@ TEST(InteractionServiceAlloc, WarmSessionsMakeNoHeapAllocation) {
   // Five acks per dialogue; the aborted one: attention, extendable, abort,
   // abort done.
   EXPECT_EQ(acks, (5u * 6u + 4u) * kPeriods);
+}
+
+TEST_F(InteractionEndToEnd, StatsAreReadWhileTwoShardsRunDialogue) {
+  // stats() locks each session in turn while two perception shards run
+  // dialogue on those sessions (TSan checks the reads). The listener also
+  // requests aborts of streams nobody has seen: that takes the session map
+  // lock exclusively while a session mutex is held, which a stats() that
+  // held the map lock across its session locks would deadlock against.
+  // Totals only grow, and once drained they equal the telemetry counters
+  // and the per-stream stats.
+  telemetry::MetricsRegistry metrics;
+  InteractionServiceConfig config = wired_config();
+  config.metrics = &metrics;
+  InteractionService interaction(config);
+  constexpr std::uint32_t kFirstUnseen = 1000;
+  std::atomic<std::uint32_t> requested{0};
+  interaction.set_dialogue_listener([&](const InteractionService::DialogueStep& step) {
+    if (!step.sample.abort && step.sample.sequence % 16 == 0) {
+      interaction.request_abort(kFirstUnseen + requested.fetch_add(1));
+    }
+  });
+  recognition::PerceptionServiceConfig perception_config;
+  perception_config.shards = 2;
+  recognition::PerceptionService perception(
+      sequential_->config(), sequential_->database_ptr(),
+      interaction.callback(), perception_config);
+
+  std::atomic<bool> done{false};
+  std::size_t reads = 0;
+  std::thread reader([&] {
+    InteractionStats last;
+    while (!done.load(std::memory_order_acquire)) {
+      const InteractionStats now = interaction.stats();
+      EXPECT_GE(now.observations, last.observations);
+      EXPECT_GE(now.events, last.events);
+      EXPECT_GE(now.actions, last.actions);
+      EXPECT_GE(now.outcomes, last.outcomes);
+      last = now;
+      ++reads;
+    }
+  });
+  std::vector<std::thread> producers;
+  for (std::uint32_t s = 0; s < kStreams; ++s) {
+    producers.emplace_back([&, s] {
+      for (const imaging::GrayImage& frame : (*scripts_)[s]) {
+        perception.submit(s, frame);
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  perception.drain();
+  interaction.drain();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  perception.stop();
+  EXPECT_GT(reads, 0u);
+
+  const InteractionStats total = interaction.stats();
+  const telemetry::MetricsSnapshot snapshot = metrics.snapshot();
+  const auto counter = [&](std::string_view name) {
+    const telemetry::CounterSnapshot* found = snapshot.find_counter(name);
+    return found != nullptr ? found->value : 0;
+  };
+  EXPECT_EQ(total.observations, counter(telemetry::kInteractionObservations));
+  EXPECT_EQ(total.events, counter(telemetry::kInteractionEvents));
+  EXPECT_EQ(total.actions, counter(telemetry::kInteractionActions));
+  EXPECT_EQ(total.outcomes, counter(telemetry::kInteractionOutcomes));
+
+  std::uint64_t frames = 0;
+  std::uint64_t events = 0;
+  std::uint64_t acks = 0;
+  for (std::uint32_t s = 0; s < kStreams; ++s) {
+    const InteractionStreamStats stream = interaction.stream_stats(s);
+    frames += stream.frames;
+    events += stream.events_begun + stream.events_ended;
+    acks += stream.acks;
+  }
+  ASSERT_GT(requested.load(), 0u);
+  EXPECT_EQ(total.observations, frames + requested.load());
+  EXPECT_EQ(total.events, events);
+  EXPECT_EQ(total.actions, acks);
+  EXPECT_EQ(total.outcomes, kStreams);
 }
 
 TEST_F(InteractionEndToEnd, AckObserverIsNeverEnteredConcurrently) {

@@ -5,10 +5,13 @@
 // fixture CI replays twice (the determinism gate).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -31,6 +34,37 @@ namespace wire = hdc::protocol::wire;
 
 const char* fixture_path() {
   return HDC_SOURCE_DIR "/tests/data/fleet_contention_8.journal";
+}
+
+/// Oracle for the journal's MetricSnapshotRecord, which finalize() builds
+/// from the services' own counts: the same record built from a telemetry
+/// registry's counters (the replay-deterministic ones, sorted by name, 0
+/// for a counter the snapshot lacks). With one registry wired into both
+/// services of a run, the two must agree entry for entry.
+wire::MetricSnapshotRecord registry_snapshot_record(
+    const telemetry::MetricsSnapshot& snapshot) {
+  wire::MetricSnapshotRecord record;
+  for (std::string_view name : replay_deterministic_counters()) {
+    wire::MetricSnapshotEntry entry;
+    entry.name = std::string(name);
+    const telemetry::CounterSnapshot* counter = snapshot.find_counter(name);
+    entry.value = counter != nullptr ? counter->value : 0;
+    record.entries.push_back(std::move(entry));
+  }
+  std::sort(record.entries.begin(), record.entries.end(),
+            [](const wire::MetricSnapshotEntry& a,
+               const wire::MetricSnapshotEntry& b) { return a.name < b.name; });
+  return record;
+}
+
+/// 64-bit FNV-1a of a byte string (pins a journal's exact bytes).
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 // ------------------------------------------ direct-admission recording ---
@@ -57,7 +91,7 @@ std::vector<std::uint8_t> record_direct_run(bool instrumented = true) {
 
   EventJournal journal;
   JournalRecorder recorder(journal);
-  if (instrumented) recorder.set_metrics(metrics);
+  recorder.set_counter_snapshot(instrumented);
   recorder.record_config(
       make_run_config(dialogue_config, coordination_config));
 
@@ -97,6 +131,83 @@ std::vector<std::uint8_t> record_direct_run(bool instrumented = true) {
   return journal.bytes();
 }
 
+/// A direct-admission run that moves all twelve replay-deterministic
+/// counters: a dialogue on an unregistered stream (observations, events,
+/// actions, an aborted outcome), then an arbitration and a deferred retry,
+/// three grants, a denial, a renewal, two revocations and the expiry of
+/// every lease. A registry is wired into both services; `registry_out`
+/// receives its snapshot after finalize().
+std::vector<std::uint8_t> record_every_counter_run(
+    telemetry::MetricsSnapshot& registry_out) {
+  telemetry::MetricsRegistry metrics;
+  interaction::InteractionServiceConfig dialogue_config;
+  dialogue_config.metrics = &metrics;
+  coordination::CoordinationConfig coordination_config;
+  coordination_config.cells = 4;
+  coordination_config.grant_ttl = 500;
+  coordination_config.metrics = &metrics;
+
+  EventJournal journal;
+  JournalRecorder recorder(journal);
+  recorder.set_counter_snapshot(true);
+  recorder.record_config(
+      make_run_config(dialogue_config, coordination_config));
+  coordination::CoordinationService coordinator(coordination_config);
+  interaction::InteractionService dialogue(dialogue_config);
+  recorder.attach_interaction(dialogue, &coordinator);
+  recorder.attach_coordination(coordinator);
+
+  std::uint64_t seq = 0;
+  for (const auto& [sign, confidence, frames] :
+       {std::tuple{signs::HumanSign::kAttentionGained, 0.9, 8},
+        std::tuple{signs::HumanSign::kNeutral, 0.05, 4},
+        std::tuple{signs::HumanSign::kYes, 0.85, 8}}) {
+    for (int i = 0; i < frames; ++i) {
+      dialogue.inject_observation(9, ++seq, sign, confidence);
+    }
+  }
+  dialogue.abort_stream(9);
+
+  // Drones 0 and 1 face human 0: 1 loses at 12, retries inside its
+  // backoff at 30 and is deferred.
+  coordinator.register_drone({0, 0, 0, 0.9});
+  coordinator.register_drone({1, 1, 0, 0.2});
+  coordinator.register_drone({2, 2, 1, 0.5});
+  coordinator.register_drone({3, 3, 2, 0.5});
+  const auto transition = [&](std::uint32_t drone,
+                              interaction::DialogueState to,
+                              std::uint64_t tick) {
+    interaction::AckAction action;
+    action.stream_id = drone;
+    action.to = to;
+    action.tick = tick;
+    coordinator.admit_transition(nullptr, action);
+  };
+  const auto sign_begin = [&](std::uint32_t drone, signs::HumanSign label,
+                              std::uint64_t at) {
+    coordinator.admit_sign_event(
+        {drone, interaction::SignEventKind::kBegin, label, at, at, 0.9});
+  };
+  transition(0, interaction::DialogueState::kAttending, 10);
+  transition(1, interaction::DialogueState::kAttending, 12);
+  coordinator.admit_outcome({Outcome::kGranted, 0, 20});
+  transition(1, interaction::DialogueState::kIdle, 22);
+  transition(1, interaction::DialogueState::kAttending, 30);
+  coordinator.admit_outcome({Outcome::kDenied, 1, 40});
+  coordinator.admit_outcome({Outcome::kGranted, 2, 50});
+  sign_begin(2, signs::HumanSign::kYes, 60);  // renewal
+  sign_begin(2, signs::HumanSign::kNo, 65);   // revocation
+  coordinator.admit_outcome({Outcome::kGranted, 3, 70});
+  sign_begin(3, signs::HumanSign::kNo, 80);   // revocation
+  coordinator.tick(2'000);                    // every lease runs out
+
+  dialogue.stop();
+  coordinator.stop();
+  recorder.finalize(dialogue, {9}, coordinator);
+  registry_out = metrics.snapshot();
+  return journal.bytes();
+}
+
 // --------------------------------------------- full-stack 8-drone run ----
 
 class ReplayEndToEnd : public ::testing::Test {
@@ -118,9 +229,11 @@ recognition::SaxSignRecognizer* ReplayEndToEnd::reference_ = nullptr;
 /// The scripted 8-drone contention scenario (4 pairs, 4 cells) through the
 /// full perception -> interaction -> coordination stack, with the journal
 /// recorder spliced in where CoordinationService::bind() would sit.
-/// Mirrors coordination_test.cpp's run_fleet().
+/// Mirrors coordination_test.cpp's run_fleet(). `registry_out`, when set,
+/// receives the run's registry snapshot after finalize().
 std::vector<std::uint8_t> record_contention_run(
-    const recognition::SaxSignRecognizer& reference) {
+    const recognition::SaxSignRecognizer& reference,
+    telemetry::MetricsSnapshot* registry_out = nullptr) {
   const interaction::CommandGrammar grammar =
       interaction::CommandGrammar::standard();
   const coordination::ContentionFleet fleet =
@@ -139,7 +252,7 @@ std::vector<std::uint8_t> record_contention_run(
   EventJournal journal;
   journal.instrument(metrics);
   JournalRecorder recorder(journal);
-  recorder.set_metrics(&metrics);
+  recorder.set_counter_snapshot(true);
   recorder.record_config(
       make_run_config(dialogue_config, coordination_config));
 
@@ -184,6 +297,7 @@ std::vector<std::uint8_t> record_contention_run(
     stream_ids.push_back(static_cast<std::uint32_t>(s));
   }
   recorder.finalize(dialogue, std::move(stream_ids), coordinator);
+  if (registry_out != nullptr) *registry_out = metrics.snapshot();
   return journal.bytes();
 }
 
@@ -521,6 +635,11 @@ TEST_F(ReplayEndToEnd, CommittedContentionFixtureReplaysTwiceIdentically) {
   const ReplayReport second = driver.replay(bytes);
   ASSERT_TRUE(second.ok) << second.mismatch;
   EXPECT_EQ(first.journal_bytes, second.journal_bytes);
+  // ...and the replay journal's exact bytes are pinned (58,504 bytes,
+  // SHA-256 216528c3...): a change to the replayed services, the recorder
+  // or the encoder that moves one byte of it fails here.
+  EXPECT_EQ(first.journal_bytes.size(), 58'504u);
+  EXPECT_EQ(fnv1a(first.journal_bytes), 0xf7d8925f8ed1ec20ULL);
 
   // The committed fixture carries the run's replay-deterministic counter
   // totals, and the fresh-service replay re-derived them bit-exactly.
@@ -559,6 +678,33 @@ TEST_F(ReplayEndToEnd, CommittedContentionFixtureReplaysTwiceIdentically) {
               static_cast<std::uint8_t>(coordination::GrantState::kGranted))
         << "cell " << pair.cell;
   }
+}
+
+TEST_F(ReplayEndToEnd, CounterSnapshotMatchesTheRegistryOracle) {
+  // finalize() reads the counter totals from the services' own counts; a
+  // registry wired into the same services counts the same inputs. A live
+  // 2-shard run (dialogue on two perception shards at once) and a direct
+  // run that moves all twelve counters must journal exactly the
+  // registry's totals.
+  telemetry::MetricsSnapshot live_registry;
+  const wire::MetricSnapshotRecord live =
+      snapshot_of(record_contention_run(*reference_, &live_registry));
+  EXPECT_EQ(live, registry_snapshot_record(live_registry));
+  EXPECT_GT(value_of(live, telemetry::kInteractionActions), 0u);
+  EXPECT_GT(value_of(live, telemetry::kCoordinationArbitrations), 0u);
+
+  telemetry::MetricsSnapshot every_registry;
+  const std::vector<std::uint8_t> recorded =
+      record_every_counter_run(every_registry);
+  const wire::MetricSnapshotRecord every = snapshot_of(recorded);
+  EXPECT_EQ(every, registry_snapshot_record(every_registry));
+  for (const wire::MetricSnapshotEntry& entry : every.entries) {
+    EXPECT_GT(entry.value, 0u) << entry.name << " never moved";
+  }
+  // The registry-free replay re-derives all twelve totals.
+  const ReplayReport report = ReplayDriver().replay(recorded);
+  ASSERT_TRUE(report.ok) << report.mismatch;
+  EXPECT_EQ(snapshot_of(report.journal_bytes), every);
 }
 
 TEST_F(ReplayEndToEnd, TracingTheReplayDoesNotPerturbItsBytes) {

@@ -175,7 +175,7 @@ TEST(TelemetryPipeline, EveryInstrumentedStageReportsFromALiveRun) {
   protocol::EventJournal journal;
   journal.instrument(metrics);
   protocol::JournalRecorder recorder(journal);
-  recorder.set_metrics(&metrics);
+  recorder.set_counter_snapshot(true);
   recorder.record_config(
       protocol::make_run_config(dialogue_config, coordination_config));
 
