@@ -2,8 +2,8 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 #include "telemetry/trace.hpp"
@@ -50,17 +50,51 @@ constexpr std::array<std::array<std::uint16_t, 256>, 8> kCrc16Slices =
 
 // ------------------------------------------------------ field accessors --
 // Each record's payload layout is stated once, as a fields() overload
-// below, and run with a Writer (encode) or a Reader (parse). Both expose
-// the accessors fields() uses: u32/u64/i32/f64, enum8 (u8, range-checked
-// on read), sequence (u64, at most telemetry::kMaxTraceSequence on read),
-// text (u16 length + bytes) and list<Count> (Count-prefixed items).
+// below, and run three ways: with a Sizer and then a Writer (encode), or
+// with a Reader (parse). All three expose the accessors fields() uses:
+// u32/u64/i32/f64, enum8 (u8, range-checked on read), sequence (u64, at
+// most telemetry::kMaxTraceSequence on read), text (u16 length + bytes)
+// and list<Count> (Count-prefixed items).
 
-/// Appends little-endian fields to `out`; every accessor returns true.
-/// enum8, stream and sequence do NOT range-check: the parser is the gate,
-/// and tests rely on encoding out-of-range values to exercise it.
+/// Counts the payload bytes a Writer would store; every accessor returns
+/// true.
+class Sizer {
+ public:
+  bool u8(std::uint8_t) { return add(1); }
+  bool u16(std::uint16_t) { return add(2); }
+  bool u32(std::uint32_t) { return add(4); }
+  bool u64(std::uint64_t) { return add(8); }
+  bool i32(std::int32_t) { return add(4); }
+  bool f64(double) { return add(8); }
+  bool enum8(std::uint8_t, std::uint8_t, const char*) { return add(1); }
+  bool stream(std::uint32_t) { return add(4); }
+  bool sequence(std::uint64_t) { return add(8); }
+  bool text(const std::string& s) { return add(2 + s.size()); }
+  template <class Count, class T, class Each>
+  bool list(std::vector<T>& items, Each each) {
+    add(sizeof(Count));
+    for (T& item : items) each(item);
+    return true;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  bool add(std::size_t bytes) {
+    size_ += bytes;
+    return true;
+  }
+
+  std::size_t size_{0};
+};
+
+/// Stores little-endian fields from `at` on, into space the caller sized
+/// with a Sizer; every accessor returns true. enum8, stream and sequence
+/// do NOT range-check: the parser is the gate, and tests rely on encoding
+/// out-of-range values to exercise it.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit Writer(std::uint8_t* at) : at_(at) {}
 
   bool u8(std::uint8_t v) { return put(v); }
   bool u16(std::uint16_t v) { return put(v); }
@@ -76,7 +110,8 @@ class Writer {
   bool sequence(std::uint64_t v) { return put(v); }
   bool text(const std::string& s) {
     put(static_cast<std::uint16_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    std::memcpy(at_, s.data(), s.size());
+    at_ += s.size();
     return true;
   }
   template <class Count, class T, class Each>
@@ -90,12 +125,13 @@ class Writer {
   template <class U>
   bool put(U v) {
     for (std::size_t i = 0; i < sizeof(U); ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      at_[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    at_ += sizeof(U);
     return true;
   }
 
-  std::vector<std::uint8_t>& out_;
+  std::uint8_t* at_;
 };
 
 /// Reads payload fields; every accessor returns false on overrun or an
@@ -349,6 +385,71 @@ constexpr std::array<Decoder, sizeof...(I)> make_decoders(
 constexpr auto kDecoders = make_decoders(
     std::make_index_sequence<std::variant_size_v<AnyRecord>>());
 
+/// The checks parse_record makes before the CRC: the envelope at `start`
+/// (< buffer.size()) has a whole header, the magic, this version, a known
+/// type and a payload size within the cap and the buffer. On success
+/// `payload_size` is the declared size; on failure `error` names the fault.
+bool check_header(std::span<const std::uint8_t> buffer, std::size_t start,
+                  std::size_t& payload_size, WireError& error) {
+  const std::size_t available = buffer.size() - start;
+  if (available < kEnvelopeHeaderSize) {
+    error = {WireErrorCode::kTruncated, start,
+             "buffer ends inside an envelope header"};
+    return false;
+  }
+  if (buffer[start] != kWireMagic) {
+    error = {WireErrorCode::kBadMagic, start,
+             "envelope does not start with the wire magic byte"};
+    return false;
+  }
+  const std::uint8_t version = buffer[start + 1];
+  if (version != kWireVersion) {
+    // A reader must REJECT records from any other version — future or
+    // superseded — rather than guess at their layout.
+    error = {WireErrorCode::kBadVersion, start + 1,
+             version > kWireVersion
+                 ? "record from a future wire version"
+                 : "record from an unsupported old wire version"};
+    return false;
+  }
+  const std::uint8_t type_byte = buffer[start + 2];
+  if (type_byte < 1 || type_byte > kDecoders.size()) {
+    error = {WireErrorCode::kBadRecordType, start + 2,
+             "unknown record type for wire version 2"};
+    return false;
+  }
+  payload_size = static_cast<std::size_t>(buffer[start + 3] |
+                                          (buffer[start + 4] << 8));
+  if (payload_size > kMaxPayloadSize) {
+    error = {WireErrorCode::kBadLength, start + 3,
+             "declared payload size exceeds the per-record cap"};
+    return false;
+  }
+  if (available < kEnvelopeHeaderSize + payload_size + kEnvelopeTrailerSize) {
+    error = {WireErrorCode::kBadLength, start + 3,
+             "declared payload size overruns the buffer"};
+    return false;
+  }
+  return true;
+}
+
+/// Envelopes from the start of `buffer` whose headers pass check_header, up
+/// to the first that does not: parse_all keeps at most this many records,
+/// and a corrupt buffer cannot claim more than the envelopes before its
+/// fault.
+std::size_t count_envelopes(std::span<const std::uint8_t> buffer) {
+  std::size_t count = 0;
+  std::size_t payload_size = 0;
+  WireError ignored;
+  for (std::size_t offset = 0;
+       offset < buffer.size() &&
+       check_header(buffer, offset, payload_size, ignored);
+       ++count) {
+    offset += kEnvelopeHeaderSize + payload_size + kEnvelopeTrailerSize;
+  }
+  return count;
+}
+
 }  // namespace
 
 std::uint16_t crc16(const std::uint8_t* data, std::size_t size) noexcept {
@@ -375,33 +476,31 @@ RecordType record_type(const AnyRecord& record) noexcept {
 }
 
 void encode(std::vector<std::uint8_t>& out, const AnyRecord& record) {
-  const std::size_t envelope_start = out.size();
-  Writer writer(out);
-  writer.u8(kWireMagic);
-  writer.u8(kWireVersion);
-  writer.u8(static_cast<std::uint8_t>(record_type(record)));
-  writer.u16(0);  // payload size backpatched below
-  const std::size_t payload_start = out.size();
-  // fields() takes a mutable record so one layout serves both directions;
-  // the Writer only reads through it.
-  std::visit(
-      [&writer](const auto& r) {
-        fields(writer, const_cast<std::decay_t<decltype(r)>&>(r));
-      },
-      record);
-  const std::size_t payload_size = out.size() - payload_start;
+  // fields() takes a mutable record so one layout serves every direction;
+  // the Sizer and the Writer only read through it.
+  AnyRecord& fields_of = const_cast<AnyRecord&>(record);
+  Sizer sizer;
+  std::visit([&sizer](auto& r) { fields(sizer, r); }, fields_of);
+  const std::size_t payload_size = sizer.size();
   // Below the cap no u16 length, count or envelope size can wrap.
   static_assert(kMaxPayloadSize <= 0xFFFF);
   if (payload_size > kMaxPayloadSize) {
     // The parser would reject this record as kBadLength; a u16 length or
-    // count inside it may also have wrapped. Refuse rather than journal it.
-    out.resize(envelope_start);
+    // count inside it would also wrap. Refuse rather than journal it.
     throw std::length_error("wire record payload exceeds kMaxPayloadSize");
   }
-  out[envelope_start + 3] = static_cast<std::uint8_t>(payload_size);
-  out[envelope_start + 4] = static_cast<std::uint8_t>(payload_size >> 8);
-  writer.u16(crc16(out.data() + envelope_start,
-                   kEnvelopeHeaderSize + payload_size));
+
+  const std::size_t envelope_start = out.size();
+  out.resize(envelope_start + kEnvelopeHeaderSize + payload_size +
+             kEnvelopeTrailerSize);
+  std::uint8_t* const envelope = out.data() + envelope_start;
+  Writer writer(envelope);
+  writer.u8(kWireMagic);
+  writer.u8(kWireVersion);
+  writer.u8(static_cast<std::uint8_t>(record_type(record)));
+  writer.u16(static_cast<std::uint16_t>(payload_size));
+  std::visit([&writer](auto& r) { fields(writer, r); }, fields_of);
+  writer.u16(crc16(envelope, kEnvelopeHeaderSize + payload_size));
 }
 
 std::vector<std::uint8_t> encode_one(const AnyRecord& record) {
@@ -417,47 +516,13 @@ ParseResult parse_record(std::span<const std::uint8_t> buffer,
   if (start == buffer.size()) return ParseResult::kEnd;
   error = {};
 
-  const std::size_t available = buffer.size() - start;
-  if (available < kEnvelopeHeaderSize) {
-    error = {WireErrorCode::kTruncated, start,
-             "buffer ends inside an envelope header"};
-    return ParseResult::kError;
-  }
-  if (buffer[start] != kWireMagic) {
-    error = {WireErrorCode::kBadMagic, start,
-             "envelope does not start with the wire magic byte"};
-    return ParseResult::kError;
-  }
-  const std::uint8_t version = buffer[start + 1];
-  if (version != kWireVersion) {
-    // A reader must REJECT records from any other version — future or
-    // superseded — rather than guess at their layout.
-    error = {WireErrorCode::kBadVersion, start + 1,
-             version > kWireVersion
-                 ? "record from a future wire version"
-                 : "record from an unsupported old wire version"};
-    return ParseResult::kError;
-  }
-  const std::uint8_t type_byte = buffer[start + 2];
-  if (type_byte < 1 || type_byte > kDecoders.size()) {
-    error = {WireErrorCode::kBadRecordType, start + 2,
-             "unknown record type for wire version 2"};
-    return ParseResult::kError;
-  }
-  const std::size_t payload_size = static_cast<std::size_t>(
-      buffer[start + 3] | (buffer[start + 4] << 8));
-  if (payload_size > kMaxPayloadSize) {
-    error = {WireErrorCode::kBadLength, start + 3,
-             "declared payload size exceeds the per-record cap"};
+  std::size_t payload_size = 0;
+  if (!check_header(buffer, start, payload_size, error)) {
     return ParseResult::kError;
   }
   const std::size_t body_size =
       kEnvelopeHeaderSize + payload_size + kEnvelopeTrailerSize;
-  if (available < body_size) {
-    error = {WireErrorCode::kBadLength, start + 3,
-             "declared payload size overruns the buffer"};
-    return ParseResult::kError;
-  }
+  const std::uint8_t type_byte = buffer[start + 2];
 
   const std::size_t crc_at = start + kEnvelopeHeaderSize + payload_size;
   const std::uint16_t stored = static_cast<std::uint16_t>(
@@ -485,6 +550,7 @@ ParseResult parse_record(std::span<const std::uint8_t> buffer,
 
 bool parse_all(std::span<const std::uint8_t> buffer,
                std::vector<AnyRecord>& out, WireError& error) {
+  out.reserve(out.size() + count_envelopes(buffer));
   std::size_t offset = 0;
   AnyRecord record;
   for (;;) {

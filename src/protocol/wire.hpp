@@ -364,7 +364,9 @@ enum class ParseResult : std::uint8_t {
                                        WireError& error);
 
 /// Parses a whole buffer. Returns false (and the offending offset) on the
-/// first malformed record; `out` keeps everything parsed before it.
+/// first malformed record; `out` keeps everything parsed before it. `out`
+/// grows once: a header-only pass first counts the envelopes up to the
+/// first bad header, and that many records are reserved.
 [[nodiscard]] bool parse_all(std::span<const std::uint8_t> buffer,
                              std::vector<AnyRecord>& out, WireError& error);
 

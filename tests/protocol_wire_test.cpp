@@ -4,18 +4,23 @@
 // oversized lengths, future versions, unknown types, out-of-range enums,
 // trailing garbage. Malformed input must yield an offset-bearing
 // WireError, never UB (CI also runs this binary under ASan+UBSan via
-// HDC_SANITIZE).
+// HDC_SANITIZE). The sized encoder is checked byte for byte against a
+// per-byte oracle, and parse_all's single reservation against its bound.
 #include "protocol/wire.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "protocol/journal.hpp"
 #include "telemetry/trace.hpp"
 
 namespace wire = hdc::protocol::wire;
@@ -163,6 +168,188 @@ constexpr wire::RecordType kAllTypes[] = {
     wire::RecordType::kGrantSlot,    wire::RecordType::kJournalEnd,
     wire::RecordType::kMetricSnapshot,
 };
+
+// ----------------------------------------------------- per-byte oracle --
+// A reference encoder that appends every byte with a push_back,
+// backpatches the payload length, and cuts an oversized payload back off
+// `out` before the throw. The layouts are restated here field by field, so
+// the sized encoder is checked against an independent statement of the
+// wire format as well as a different mechanism.
+
+class PerByteWriter {
+ public:
+  explicit PerByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i32(std::int32_t v) { put(static_cast<std::uint32_t>(v)); }
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
+  void text(const std::string& s) {
+    put(static_cast<std::uint16_t>(s.size()));
+    out_.insert(out_.end(), s.begin(), s.end());
+  }
+  void cells(const std::vector<std::int32_t>& items) {
+    put(static_cast<std::uint16_t>(items.size()));
+    for (std::int32_t item : items) i32(item);
+  }
+
+ private:
+  template <class U>
+  void put(U v) {
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
+  std::vector<std::uint8_t>& out_;
+};
+
+void per_byte_fields(PerByteWriter& w, const wire::RunConfigRecord& r) {
+  w.u32(r.fusion_window);
+  w.u32(r.fusion_majority);
+  w.f64(r.onset_confidence);
+  w.f64(r.release_confidence);
+  w.u32(r.min_hold);
+  w.u32(r.release_misses);
+  w.f64(r.reference_distance);
+  w.u64(r.attending_timeout);
+  w.u64(r.sequence_gap);
+  w.u64(r.confirm_timeout);
+  w.u64(r.execute_ticks);
+  w.u64(r.abort_ticks);
+  w.u32(r.observation_queue);
+  w.u32(r.cells);
+  w.u64(r.grant_ttl);
+  w.u32(r.fleet_queue);
+  w.u64(r.retry_backoff);
+  w.u64(r.retry_backoff_max);
+  w.u32(r.fairness_boost_per_loss);
+  w.u32(r.fairness_boost_cap);
+}
+void per_byte_fields(PerByteWriter& w, const wire::ObservationRecord& r) {
+  w.u32(r.stream_id);
+  w.u64(r.sequence);
+  w.u8(r.sign);
+  w.u8(r.abort);
+  w.f64(r.confidence);
+}
+void per_byte_fields(PerByteWriter& w, const wire::SignEventRecord& r) {
+  w.u32(r.stream_id);
+  w.u8(r.kind);
+  w.u8(r.label);
+  w.u64(r.onset_seq);
+  w.u64(r.end_seq);
+  w.f64(r.confidence);
+}
+void per_byte_fields(PerByteWriter& w, const wire::TransitionRecord& r) {
+  w.u32(r.stream_id);
+  for (std::uint8_t b : {r.from, r.to, r.set_ring, r.ring, r.fly_pattern,
+                         r.pattern, r.command}) {
+    w.u8(b);
+  }
+  w.u64(r.tick);
+  w.text(r.event);
+}
+void per_byte_fields(PerByteWriter& w, const wire::OutcomeRecordWire& r) {
+  w.u8(r.outcome);
+  w.u32(r.stream_id);
+  w.u64(r.final_sequence);
+}
+void per_byte_fields(PerByteWriter& w, const wire::FleetEventRecord& r) {
+  w.u8(r.kind);
+  w.u32(r.drone_id);
+  w.u64(r.sequence);
+  w.u8(r.to);
+  w.u8(r.outcome);
+  w.u8(r.label);
+  w.u8(r.event_kind);
+  w.u32(r.descriptor_drone_id);
+  w.i32(r.descriptor_cell);
+  w.i32(r.descriptor_human_id);
+  w.f64(r.descriptor_battery_soc);
+  w.f64(r.battery_soc);
+}
+void per_byte_fields(PerByteWriter& w, const wire::GrantUpdateRecord& r) {
+  w.i32(r.cell);
+  w.u8(r.state);
+  w.u32(r.holder);
+  w.u64(r.granted_seq);
+  w.u64(r.expires_seq);
+  w.u32(r.renewals);
+  w.u8(r.conflict);
+}
+void per_byte_fields(PerByteWriter& w, const wire::ArbitrationRecord& r) {
+  w.u32(r.loser);
+  w.u32(r.winner);
+  w.i32(r.human_id);
+  w.u64(r.sequence);
+  w.u64(r.retry_at);
+  w.u8(r.reason);
+}
+void per_byte_fields(PerByteWriter& w, const wire::PlanHintRecord& r) {
+  w.u32(r.drone_id);
+  w.cells(r.granted_cells);
+  w.cells(r.blocked_cells);
+}
+void per_byte_fields(PerByteWriter& w, const wire::TranscriptDigestRecord& r) {
+  w.u32(r.stream_id);
+  w.u32(r.entries);
+  w.u64(r.digest);
+}
+void per_byte_fields(PerByteWriter& w, const wire::GrantSlotRecord& r) {
+  w.i32(r.cell);
+  w.u8(r.state);
+  w.u32(r.holder);
+  w.u64(r.granted_seq);
+  w.u64(r.expires_seq);
+  w.u32(r.renewals);
+}
+void per_byte_fields(PerByteWriter& w, const wire::JournalEndRecord& r) {
+  w.u64(r.record_count);
+}
+void per_byte_fields(PerByteWriter& w, const wire::MetricSnapshotRecord& r) {
+  w.u32(static_cast<std::uint32_t>(r.entries.size()));
+  for (const wire::MetricSnapshotEntry& entry : r.entries) {
+    w.text(entry.name);
+    w.u64(entry.value);
+  }
+}
+
+void per_byte_encode(std::vector<std::uint8_t>& out,
+                   const wire::AnyRecord& record) {
+  const std::size_t envelope_start = out.size();
+  PerByteWriter writer(out);
+  writer.u8(wire::kWireMagic);
+  writer.u8(wire::kWireVersion);
+  writer.u8(static_cast<std::uint8_t>(wire::record_type(record)));
+  writer.u16(0);  // payload size backpatched below
+  const std::size_t payload_start = out.size();
+  std::visit([&writer](const auto& r) { per_byte_fields(writer, r); }, record);
+  const std::size_t payload_size = out.size() - payload_start;
+  if (payload_size > wire::kMaxPayloadSize) {
+    out.resize(envelope_start);
+    throw std::length_error("wire record payload exceeds kMaxPayloadSize");
+  }
+  out[envelope_start + 3] = static_cast<std::uint8_t>(payload_size);
+  out[envelope_start + 4] = static_cast<std::uint8_t>(payload_size >> 8);
+  writer.u16(wire::crc16(out.data() + envelope_start,
+                         wire::kEnvelopeHeaderSize + payload_size));
+}
+
+std::vector<std::uint8_t> per_byte_encode_one(const wire::AnyRecord& record) {
+  std::vector<std::uint8_t> out;
+  per_byte_encode(out, record);
+  return out;
+}
+
+std::vector<std::uint8_t> load_fixture() {
+  std::vector<std::uint8_t> bytes;
+  EXPECT_TRUE(hdc::protocol::EventJournal::load(
+      HDC_SOURCE_DIR "/tests/data/fleet_contention_8.journal", bytes));
+  return bytes;
+}
 
 }  // namespace
 
@@ -718,4 +905,213 @@ TEST(Wire, ParseAllKeepsRecordsParsedBeforeTheFault) {
   EXPECT_EQ(records.size(), 2u);
   EXPECT_EQ(error.code, wire::WireErrorCode::kBadVersion);
   EXPECT_EQ(error.offset, fault_at + 1);
+}
+
+// -------------------------------------------- sized encoder vs. oracle --
+
+TEST(WireEncoder, MatchesThePerByteOracleOnRandomRecordsOfEveryType) {
+  Fuzz fuzz(0x512EDu);
+  std::vector<std::uint8_t> sized;
+  std::vector<std::uint8_t> oracle;
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    for (wire::RecordType type : kAllTypes) {
+      const wire::AnyRecord record = fuzz.record(type);
+      wire::encode(sized, record);
+      per_byte_encode(oracle, record);
+      ASSERT_EQ(sized, oracle) << "iteration " << iteration << ", "
+                               << wire::to_string(type);
+    }
+  }
+  EXPECT_GT(sized.size(), 200u * std::size(kAllTypes) *
+                              (wire::kEnvelopeHeaderSize +
+                               wire::kEnvelopeTrailerSize));
+}
+
+TEST(WireEncoder, MatchesThePerByteOracleOnEmptyListsAndText) {
+  const wire::AnyRecord cases[] = {
+      wire::TransitionRecord{1, 1, 3, 1, 2, 0, 4, 1, 1000, ""},
+      wire::PlanHintRecord{6, {}, {}},
+      wire::PlanHintRecord{6, {}, {7}},
+      wire::PlanHintRecord{6, {1, -1}, {}},
+      wire::MetricSnapshotRecord{},
+      wire::MetricSnapshotRecord{{{"", 0}, {"x", 1}}},
+  };
+  for (const wire::AnyRecord& record : cases) {
+    SCOPED_TRACE(wire::to_string(wire::record_type(record)));
+    const std::vector<std::uint8_t> bytes = wire::encode_one(record);
+    EXPECT_EQ(bytes, per_byte_encode_one(record));
+    std::vector<wire::AnyRecord> parsed;
+    wire::WireError error;
+    ASSERT_TRUE(wire::parse_all(bytes, parsed, error)) << error.message;
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed[0], record);
+  }
+}
+
+TEST(WireEncoder, MatchesThePerByteOracleAtExactlyTheMaximumPayload) {
+  // drone_id + two u16 counts + 4094 cells, and a Transition's 21 fixed
+  // payload bytes + 2 length bytes + the rest of the cap as event text.
+  const std::size_t text_size = wire::kMaxPayloadSize - 4 - 7 - 8 - 2;
+  const wire::AnyRecord cases[] = {
+      wire::PlanHintRecord{3, std::vector<std::int32_t>(4094, 5), {}},
+      wire::PlanHintRecord{3, std::vector<std::int32_t>(2000, -1),
+                           std::vector<std::int32_t>(2094, 9)},
+      wire::TransitionRecord{1, 1, 3, 1, 2, 0, 4, 1, 1000,
+                             std::string(text_size, 'x')},
+  };
+  for (const wire::AnyRecord& record : cases) {
+    SCOPED_TRACE(wire::to_string(wire::record_type(record)));
+    const std::vector<std::uint8_t> bytes = wire::encode_one(record);
+    ASSERT_EQ(bytes.size(), wire::kEnvelopeHeaderSize + wire::kMaxPayloadSize +
+                                wire::kEnvelopeTrailerSize);
+    EXPECT_EQ(bytes, per_byte_encode_one(record));
+  }
+}
+
+TEST(WireEncoder, RefusesWhatTheOracleRefusesBeforeTouchingTheOutput) {
+  // The two refusals of EncoderRefusesRecordsTheParserWouldReject: one
+  // cell over the cap, and an event text long enough to wrap its u16
+  // length. The oracle trims what it appended; the sized encoder must
+  // refuse before it appends anything, so not even the capacity moves.
+  wire::PlanHintRecord too_large{3, std::vector<std::int32_t>(4095, 5), {}};
+  wire::TransitionRecord long_event{1, 1, 3, 1, 2, 0, 4, 1, 1000,
+                                    std::string(70000, 'x')};
+  const std::vector<std::uint8_t> before =
+      wire::encode_one(wire::JournalEndRecord{1});
+  for (const wire::AnyRecord& record :
+       {wire::AnyRecord(too_large), wire::AnyRecord(long_event)}) {
+    SCOPED_TRACE(wire::to_string(wire::record_type(record)));
+    std::vector<std::uint8_t> oracle = before;
+    EXPECT_THROW(per_byte_encode(oracle, record), std::length_error);
+    EXPECT_EQ(oracle, before);
+
+    std::vector<std::uint8_t> out = before;
+    const std::size_t capacity = out.capacity();
+    EXPECT_THROW(wire::encode(out, record), std::length_error);
+    EXPECT_EQ(out, before);
+    EXPECT_EQ(out.capacity(), capacity);
+  }
+}
+
+TEST(WireEncoder, ReencodingTheCommittedFixtureReproducesEveryByte) {
+  const std::vector<std::uint8_t> fixture = load_fixture();
+  ASSERT_EQ(fixture.size(), 58'504u);
+  std::vector<wire::AnyRecord> records;
+  wire::WireError error;
+  ASSERT_TRUE(wire::parse_all(fixture, records, error)) << error.message;
+  ASSERT_EQ(records.size(), 1'902u);
+
+  std::vector<std::uint8_t> sized;
+  std::vector<std::uint8_t> oracle;
+  for (const wire::AnyRecord& record : records) {
+    wire::encode(sized, record);
+    per_byte_encode(oracle, record);
+  }
+  EXPECT_EQ(sized, fixture);
+  EXPECT_EQ(oracle, fixture);
+}
+
+// ---------------------------------------------- parse_all's reservation --
+
+namespace {
+
+/// parse_record in a loop, with no reservation: the records it keeps and
+/// the error it reports are the ones parse_all must keep and report.
+wire::WireError parse_record_loop(std::span<const std::uint8_t> buffer,
+                                  std::size_t& records) {
+  std::size_t offset = 0;
+  wire::AnyRecord record;
+  wire::WireError error;
+  records = 0;
+  while (wire::parse_record(buffer, offset, record, error) ==
+         wire::ParseResult::kOk) {
+    ++records;
+  }
+  return error;
+}
+
+/// The envelopes of n valid records, cycling through every type.
+std::vector<std::uint8_t> valid_prefix(std::size_t n) {
+  Fuzz fuzz(0xFA017u);
+  std::vector<std::uint8_t> buffer;
+  for (std::size_t i = 0; i < n; ++i) {
+    wire::encode(buffer, fuzz.record(kAllTypes[i % std::size(kAllTypes)]));
+  }
+  return buffer;
+}
+
+}  // namespace
+
+TEST(WireParse, TheCommittedFixtureParsesIntoOneAllocation) {
+  const std::vector<std::uint8_t> fixture = load_fixture();
+  std::vector<wire::AnyRecord> records;
+  wire::WireError error;
+  ASSERT_TRUE(wire::parse_all(fixture, records, error)) << error.message;
+  EXPECT_EQ(records.size(), 1'902u);
+  EXPECT_EQ(records.capacity(), records.size());
+}
+
+TEST(WireParse, AFloodOfEmptyEnvelopesReservesOnlyItsWellFormedHeaders) {
+  // Zero-length envelopes with valid CRCs: every header passes the checks
+  // made before the CRC, and the first one fails in its payload.
+  constexpr std::size_t kValid = 20;
+  constexpr std::size_t kFlood = 500;
+  std::vector<std::uint8_t> buffer = valid_prefix(kValid);
+  const std::size_t fault_at = buffer.size();
+  const std::vector<std::uint8_t> empty = envelope(
+      wire::kWireVersion,
+      static_cast<std::uint8_t>(wire::RecordType::kJournalEnd), {});
+  for (std::size_t i = 0; i < kFlood; ++i) {
+    buffer.insert(buffer.end(), empty.begin(), empty.end());
+  }
+
+  std::size_t loop_records = 0;
+  const wire::WireError expected = parse_record_loop(buffer, loop_records);
+  ASSERT_EQ(loop_records, kValid);
+
+  std::vector<wire::AnyRecord> records;
+  wire::WireError error;
+  EXPECT_FALSE(wire::parse_all(buffer, records, error));
+  EXPECT_EQ(records.size(), kValid);
+  EXPECT_EQ(error.code, wire::WireErrorCode::kBadPayload);
+  EXPECT_EQ(error.offset, fault_at + wire::kEnvelopeHeaderSize);
+  EXPECT_EQ(error.code, expected.code);
+  EXPECT_EQ(error.offset, expected.offset);
+  EXPECT_EQ(error.message, expected.message);
+  EXPECT_LE(records.capacity(), kValid + kFlood);
+}
+
+TEST(WireParse, ABadMagicByteStopsTheCountAtTheFault) {
+  constexpr std::size_t kValid = 30;
+  std::vector<std::uint8_t> buffer = valid_prefix(kValid);
+  const std::size_t fault_at = buffer.size();
+  const std::vector<std::uint8_t> tail = valid_prefix(kValid);
+  buffer.insert(buffer.end(), tail.begin(), tail.end());
+  buffer[fault_at] = 0x00;  // the 31st envelope loses its magic byte
+
+  std::size_t loop_records = 0;
+  const wire::WireError expected = parse_record_loop(buffer, loop_records);
+  ASSERT_EQ(loop_records, kValid);
+
+  std::vector<wire::AnyRecord> records;
+  wire::WireError error;
+  EXPECT_FALSE(wire::parse_all(buffer, records, error));
+  EXPECT_EQ(records.size(), kValid);
+  EXPECT_EQ(error.code, wire::WireErrorCode::kBadMagic);
+  EXPECT_EQ(error.offset, fault_at);
+  EXPECT_EQ(error.code, expected.code);
+  EXPECT_EQ(error.offset, expected.offset);
+  EXPECT_EQ(error.message, expected.message);
+  // The well-formed headers behind the fault are never counted.
+  EXPECT_EQ(records.capacity(), kValid);
+}
+
+TEST(WireParse, AppendsAfterRecordsAlreadyInTheOutput) {
+  const std::vector<std::uint8_t> buffer = valid_prefix(13);
+  std::vector<wire::AnyRecord> records;
+  wire::WireError error;
+  ASSERT_TRUE(wire::parse_all(buffer, records, error));
+  ASSERT_TRUE(wire::parse_all(buffer, records, error));
+  ASSERT_EQ(records.size(), 26u);
+  for (std::size_t i = 0; i < 13; ++i) EXPECT_EQ(records[i], records[i + 13]);
 }
