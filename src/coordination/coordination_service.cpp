@@ -16,10 +16,12 @@ CoordinationService::CoordinationService(CoordinationConfig config)
   if (config_.metrics != nullptr) {
     telemetry::MetricsRegistry& metrics = *config_.metrics;
     arbitrate_ns_ = metrics.histogram(telemetry::kCoordinationArbitrate);
-    events_counter_ = metrics.counter(telemetry::kCoordinationEvents);
-    arbitrations_counter_ = metrics.counter(telemetry::kCoordinationArbitrations);
-    deferrals_counter_ = metrics.counter(telemetry::kCoordinationDeferrals);
     registry_.instrument(metrics);
+    counters_ = metrics.collect([this](telemetry::CounterSink& report) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      report(kCoordinationCounters, stats_);
+      report(kRegistryCounters, registry_.stats());
+    });
   }
   recorder_ = config_.recorder;
 }
@@ -134,7 +136,6 @@ void CoordinationService::admit(const FleetEvent& event) {
 void CoordinationService::process(const FleetEvent& event) {
   if (event_tap_) event_tap_(event);
   ++stats_.events;
-  events_counter_.add(1);
   // `now` is the monotone fleet clock AFTER observing this event. Handlers
   // must timestamp every registry mutation with `now`, never the event's
   // raw sequence: an out-of-order (stale) sequence would otherwise open a
@@ -186,10 +187,8 @@ void CoordinationService::handle_transition(const FleetEvent& event) {
   for (const ArbitrationDecision& decision : decisions_scratch_) {
     if (decision.reason == AbortReason::kLostArbitration) {
       ++stats_.arbitrations;
-      arbitrations_counter_.add(1);
     } else {
       ++stats_.deferrals;
-      deferrals_counter_.add(1);
     }
     arbitration_log_.push_back(decision);
     // No known source (direct-admitted or replayed events): the decision

@@ -34,10 +34,10 @@
 //     So a shard holding its own session and this mutex never waits on
 //     another session, and two shards cannot deadlock.
 //   - Every reader (plan_hint, grant, fleet_clock, stats, registry_stats,
-//     arbitration_log) takes the same mutex, so fleet clock, registry and
-//     counters are plain state and each read sees whole events only. No
-//     shard reads while it admits: readers are mission planners, tests
-//     and end-of-run snapshots.
+//     arbitration_log, and the counter collector a metrics snapshot runs)
+//     takes the same mutex, so fleet clock, registry and counts are plain
+//     state and each read sees whole events only. No shard reads while it
+//     admits: readers are mission planners, tests and snapshots.
 //
 // Shutdown order: stop the PerceptionService(s) first (no new frames),
 // then the InteractionService(s) (they apply pending aborts, then send no
@@ -67,9 +67,8 @@ struct CoordinationConfig {
   std::uint64_t grant_ttl{600};     ///< lease length, fleet-clock frames
   ArbitrationPolicy arbitration{};
   /// Optional telemetry registry (must outlive the service). When set, the
-  /// service records the arbitrate span and event/arbitration/deferral
-  /// counters, and the GrantRegistry is instrumented with its
-  /// grant/renew/expire spans + mutation counters.
+  /// service records the arbitrate and grant/renew/expire spans, and
+  /// snapshots read CoordinationStats and RegistryStats as counters.
   telemetry::MetricsRegistry* metrics{nullptr};
   /// Optional causal tracing (must outlive the service). When set, the
   /// service emits arbitrate spans and grant-update events carrying the
@@ -87,6 +86,13 @@ struct CoordinationStats {
   /// benchmark still reads it.
   std::uint64_t aborts_deferred{0};
   std::uint64_t unknown_drone_events{0};  ///< outcomes/events from unregistered drones
+};
+
+/// CoordinationStats' counters (kRegistryCounters has the registry's).
+inline constexpr telemetry::CounterField<CoordinationStats> kCoordinationCounters[] = {
+    {telemetry::kCoordinationEvents, &CoordinationStats::events},
+    {telemetry::kCoordinationArbitrations, &CoordinationStats::arbitrations},
+    {telemetry::kCoordinationDeferrals, &CoordinationStats::deferrals},
 };
 
 class CoordinationService {
@@ -249,14 +255,11 @@ class CoordinationService {
   RegistryObserver registry_observer_;
   EventTap event_tap_;
 
-  // Telemetry handles (disarmed when config_.metrics is null). They are
-  // driven only while an admitted event is processed, so their totals are
-  // replay-deterministic (telemetry/stage_names.hpp).
+  // Telemetry handles (disarmed when config_.metrics is null).
   telemetry::Histogram arbitrate_ns_;
-  telemetry::Counter events_counter_;
-  telemetry::Counter arbitrations_counter_;
-  telemetry::Counter deferrals_counter_;
   telemetry::FlightRecorder* recorder_{nullptr};
+
+  telemetry::CollectorHandle counters_;  ///< reads stats_ and registry_; last
 };
 
 }  // namespace hdc::coordination

@@ -11,11 +11,6 @@ void GrantRegistry::instrument(telemetry::MetricsRegistry& metrics) {
   grant_ns_ = metrics.histogram(telemetry::kCoordinationGrantSpan);
   renew_ns_ = metrics.histogram(telemetry::kCoordinationRenewSpan);
   expire_ns_ = metrics.histogram(telemetry::kCoordinationExpireSpan);
-  grants_counter_ = metrics.counter(telemetry::kCoordinationGrants);
-  denials_counter_ = metrics.counter(telemetry::kCoordinationDenials);
-  revocations_counter_ = metrics.counter(telemetry::kCoordinationRevocations);
-  renewals_counter_ = metrics.counter(telemetry::kCoordinationRenewals);
-  expiries_counter_ = metrics.counter(telemetry::kCoordinationExpiries);
 }
 
 GrantRegistry::GrantRegistry(std::size_t cells, std::uint64_t ttl)
@@ -54,7 +49,6 @@ bool GrantRegistry::grant(int cell, std::uint32_t holder,
   }
   current = {GrantState::kGranted, holder, sequence, sequence + ttl_, 0};
   ++stats_.grants;
-  grants_counter_.add(1);
   return true;
 }
 
@@ -69,7 +63,6 @@ bool GrantRegistry::deny(int cell, std::uint32_t by, std::uint64_t sequence) {
   }
   current = {GrantState::kDenied, by, sequence, sequence + ttl_, 0};
   ++stats_.denials;
-  denials_counter_.add(1);
   return true;
 }
 
@@ -85,7 +78,6 @@ bool GrantRegistry::revoke(int cell, std::uint64_t sequence) {
   // fresh No every lease period — the human stays in charge either way).
   current.expires_seq = sequence + ttl_;
   ++stats_.revocations;
-  revocations_counter_.add(1);
   return true;
 }
 
@@ -101,7 +93,6 @@ bool GrantRegistry::renew(int cell, std::uint32_t holder,
   current.expires_seq = std::max(current.expires_seq, sequence + ttl_);
   current.renewals += 1;
   ++stats_.renewals;
-  renewals_counter_.add(1);
   return true;
 }
 
@@ -117,7 +108,6 @@ std::size_t GrantRegistry::expire(std::uint64_t now) {
     ++expired;
   }
   stats_.expiries += expired;
-  if (expired != 0) expiries_counter_.add(expired);
   return expired;
 }
 

@@ -34,17 +34,25 @@ struct RegistryStats {
   std::uint64_t conflicts{0};  ///< grant refused: cell held by another drone
 };
 
+/// RegistryStats' counters; `conflicts` has none.
+inline constexpr telemetry::CounterField<RegistryStats> kRegistryCounters[] = {
+    {telemetry::kCoordinationGrants, &RegistryStats::grants},
+    {telemetry::kCoordinationDenials, &RegistryStats::denials},
+    {telemetry::kCoordinationRevocations, &RegistryStats::revocations},
+    {telemetry::kCoordinationRenewals, &RegistryStats::renewals},
+    {telemetry::kCoordinationExpiries, &RegistryStats::expiries},
+};
+
 class GrantRegistry {
  public:
   /// `cells` slots (orchard tree ids 0..cells-1), leases last `ttl` frames
   /// of the fleet clock.
   GrantRegistry(std::size_t cells, std::uint64_t ttl);
 
-  /// Arms telemetry handles (grant/renew/expire latency spans + mutation
-  /// counters mirroring RegistryStats). Call before the first mutation;
-  /// the registry keeps no back-pointer, so `metrics` must outlive this
-  /// object. Mutations are serialized in event-processing order, so the
-  /// mirrored counters are replay-deterministic.
+  /// Arms the grant/renew/expire latency spans. Call before the first
+  /// mutation; `metrics` must outlive this object. The mutation counts are
+  /// stats(): the owning CoordinationService reports them as counters
+  /// (kRegistryCounters).
   void instrument(telemetry::MetricsRegistry& metrics);
 
   /// Opens (or, for the current holder, renews) a lease. Returns false —
@@ -89,11 +97,6 @@ class GrantRegistry {
   telemetry::Histogram grant_ns_;
   telemetry::Histogram renew_ns_;
   telemetry::Histogram expire_ns_;
-  telemetry::Counter grants_counter_;
-  telemetry::Counter denials_counter_;
-  telemetry::Counter revocations_counter_;
-  telemetry::Counter renewals_counter_;
-  telemetry::Counter expiries_counter_;
 };
 
 }  // namespace hdc::coordination

@@ -36,10 +36,9 @@ InteractionService::InteractionService(InteractionServiceConfig config,
     telemetry::MetricsRegistry& metrics = *config_.metrics;
     fuse_ns_ = metrics.histogram(telemetry::kInteractionFuse);
     transition_ns_ = metrics.histogram(telemetry::kInteractionTransition);
-    observations_counter_ = metrics.counter(telemetry::kInteractionObservations);
-    events_counter_ = metrics.counter(telemetry::kInteractionEvents);
-    actions_counter_ = metrics.counter(telemetry::kInteractionActions);
-    outcomes_counter_ = metrics.counter(telemetry::kInteractionOutcomes);
+    counters_ = metrics.collect([this](telemetry::CounterSink& report) {
+      report(kInteractionCounters, stats());
+    });
   }
   recorder_ = config_.recorder;
 }
@@ -120,7 +119,6 @@ void InteractionService::apply_requested_aborts(Session& session) {
 void InteractionService::process(Session& session, ObservationSample sample) {
   session.actions.clear();
   ++session.counts.observations;
-  observations_counter_.add(1);
   std::size_t emitted = 0;
   if (sample.abort) {
     // Aborts carry no frame: stamp the stream's last processed sequence, so
@@ -144,7 +142,6 @@ void InteractionService::process(Session& session, ObservationSample sample) {
                                       sample.confidence, session.events);
     }
     session.counts.events += emitted;
-    events_counter_.add(emitted);
     telemetry::TracedSpan span(transition_ns_, recorder_, trace_context,
                                telemetry::TraceStage::kTransition);
     for (std::size_t i = 0; i < emitted; ++i) {
@@ -164,7 +161,6 @@ void InteractionService::process(Session& session, ObservationSample sample) {
     session.reported_outcome = record;
     decided = record;
     ++session.counts.outcomes;
-    outcomes_counter_.add(1);
     if (recorder_ != nullptr) {
       // The outcome's trace identity derives from the record's own
       // deciding-sequence field — the propagation map's OutcomeRecord row.
@@ -180,10 +176,7 @@ void InteractionService::process(Session& session, ObservationSample sample) {
 }
 
 void InteractionService::apply_actions(Session& session) {
-  if (!session.actions.empty()) {
-    session.counts.actions += session.actions.size();
-    actions_counter_.add(session.actions.size());
-  }
+  session.counts.actions += session.actions.size();
   for (const AckAction& action : session.actions) {
     if (action.set_ring) session.led.set_mode(action.ring);
     if (action.fly_pattern) session.last_pattern = action.pattern;

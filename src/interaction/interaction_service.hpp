@@ -76,9 +76,9 @@ struct InteractionServiceConfig {
   /// congested (see congested()).
   std::size_t congestion_depth{24};
   /// Optional telemetry registry (must outlive the service). When set, the
-  /// service records fuse/transition spans and dialogue counters; when null
-  /// every handle stays disarmed and recording is a single predictable
-  /// branch.
+  /// service records fuse/transition spans, and snapshots read its
+  /// InteractionStats as the interaction_*_total counters; when null every
+  /// handle stays disarmed and recording is a single predictable branch.
   telemetry::MetricsRegistry* metrics{nullptr};
   /// Optional causal tracing (must outlive the service). When set, the
   /// service emits fuse/transition/ack/outcome TraceEvents, and an input
@@ -87,15 +87,22 @@ struct InteractionServiceConfig {
   telemetry::FlightRecorder* recorder{nullptr};
 };
 
-/// Totals over every stream, as of each session's last processed input.
-/// They count exactly what the interaction_*_total telemetry counters
-/// count, with or without a registry wired, so a journal's counter
-/// checkpoint reads them (protocol::JournalRecorder::finalize).
+/// Totals over every stream, as of each session's last processed input:
+/// the interaction_*_total counters (kInteractionCounters), read by a wired
+/// registry's snapshot and by a journal's counter checkpoint.
 struct InteractionStats {
   std::uint64_t observations{0};  ///< inputs processed, frames and aborts
   std::uint64_t events{0};        ///< sign events fused
   std::uint64_t actions{0};       ///< AckActions applied
   std::uint64_t outcomes{0};      ///< dialogue outcomes decided
+};
+
+/// The interaction_*_total counters, each with the count it reads.
+inline constexpr telemetry::CounterField<InteractionStats> kInteractionCounters[] = {
+    {telemetry::kInteractionObservations, &InteractionStats::observations},
+    {telemetry::kInteractionEvents, &InteractionStats::events},
+    {telemetry::kInteractionActions, &InteractionStats::actions},
+    {telemetry::kInteractionOutcomes, &InteractionStats::outcomes},
 };
 
 /// Aggregate per-stream snapshot across fuser, FSM and ack bookkeeping.
@@ -291,18 +298,14 @@ class InteractionService {
   mutable std::shared_mutex sessions_mutex_;
   std::unordered_map<std::uint32_t, std::unique_ptr<Session>> sessions_;
 
-  // Telemetry handles (disarmed when config_.metrics is null). The counters
-  // go up next to Session::counts, only while an admitted input is
-  // processed (see telemetry/stage_names.hpp).
+  // Telemetry handles (disarmed when config_.metrics is null).
   telemetry::Histogram fuse_ns_;
   telemetry::Histogram transition_ns_;
-  telemetry::Counter observations_counter_;
-  telemetry::Counter events_counter_;
-  telemetry::Counter actions_counter_;
-  telemetry::Counter outcomes_counter_;
   telemetry::FlightRecorder* recorder_{nullptr};
 
   std::atomic<bool> stopping_{false};
+
+  telemetry::CollectorHandle counters_;  ///< reads stats(); last member
 };
 
 }  // namespace hdc::interaction

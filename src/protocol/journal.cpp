@@ -1,7 +1,6 @@
 #include "protocol/journal.hpp"
 
 #include <algorithm>
-#include <array>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -16,12 +15,13 @@ void EventJournal::Batch::append(const wire::AnyRecord& record) {
   telemetry::TracedSpan span(journal_->append_ns_);
   wire::encode(journal_->buffer_, record);
   ++journal_->records_;
-  journal_->records_counter_.add(1);
 }
 
 void EventJournal::instrument(telemetry::MetricsRegistry& metrics) {
   append_ns_ = metrics.histogram(telemetry::kJournalAppend);
-  records_counter_ = metrics.counter(telemetry::kJournalRecords);
+  counters_ = metrics.collect([this](telemetry::CounterSink& report) {
+    report(telemetry::kJournalRecords, record_count());
+  });
 }
 
 std::vector<std::uint8_t> EventJournal::bytes() const {
@@ -32,12 +32,6 @@ std::vector<std::uint8_t> EventJournal::bytes() const {
 std::uint64_t EventJournal::record_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return records_;
-}
-
-void EventJournal::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  buffer_.clear();
-  records_ = 0;
 }
 
 bool EventJournal::save(const std::string& path) const {
@@ -266,43 +260,26 @@ coordination::CoordinationConfig coordination_config_of(
 
 namespace {
 
-/// The replay-deterministic counters, each with the plain count it
-/// mirrors. Explicit list, NOT a name-prefix filter: a counter incremented
-/// on admission depends on live queue depths, so a new interaction_ or
-/// coordination_ counter joins the journal only once it is shown to count
-/// processed inputs alone — a prefix rule would silently journal a
-/// nondeterministic counter and break the replay gate.
-std::array<std::pair<std::string_view, std::uint64_t>, 12> counter_totals(
-    const interaction::InteractionStats& dialogue,
-    const coordination::CoordinationStats& coordination,
-    const coordination::RegistryStats& registry) {
-  return {{
-      {telemetry::kInteractionObservations, dialogue.observations},
-      {telemetry::kInteractionEvents, dialogue.events},
-      {telemetry::kInteractionActions, dialogue.actions},
-      {telemetry::kInteractionOutcomes, dialogue.outcomes},
-      {telemetry::kCoordinationEvents, coordination.events},
-      {telemetry::kCoordinationArbitrations, coordination.arbitrations},
-      {telemetry::kCoordinationDeferrals, coordination.deferrals},
-      {telemetry::kCoordinationGrants, registry.grants},
-      {telemetry::kCoordinationDenials, registry.denials},
-      {telemetry::kCoordinationRevocations, registry.revocations},
-      {telemetry::kCoordinationRenewals, registry.renewals},
-      {telemetry::kCoordinationExpiries, registry.expiries},
-  }};
-}
-
-/// The totals of a drained run as the canonical MetricSnapshotRecord,
-/// sorted by name.
+/// The replay-deterministic counters' totals as the canonical
+/// MetricSnapshotRecord, sorted by name, read through the services' own
+/// counter tables. Explicit list of tables, NOT a name-prefix filter: a
+/// counter incremented on admission depends on live queue depths, so a new
+/// interaction_ or coordination_ counter joins the journal only once it is
+/// shown to count processed inputs alone — a prefix rule would silently
+/// journal a nondeterministic counter and break the replay gate.
 wire::MetricSnapshotRecord counter_snapshot(
     const interaction::InteractionStats& dialogue,
     const coordination::CoordinationStats& coordination,
     const coordination::RegistryStats& registry) {
   wire::MetricSnapshotRecord record;
-  for (const auto& [name, value] :
-       counter_totals(dialogue, coordination, registry)) {
-    record.entries.push_back({std::string(name), value});
-  }
+  const auto read = [&record](const auto& table, const auto& stats) {
+    for (const auto& [name, count] : table) {
+      record.entries.push_back({std::string(name), stats.*count});
+    }
+  };
+  read(interaction::kInteractionCounters, dialogue);
+  read(coordination::kCoordinationCounters, coordination);
+  read(coordination::kRegistryCounters, registry);
   std::sort(record.entries.begin(), record.entries.end(),
             [](const wire::MetricSnapshotEntry& a,
                const wire::MetricSnapshotEntry& b) { return a.name < b.name; });
@@ -312,14 +289,13 @@ wire::MetricSnapshotRecord counter_snapshot(
 }  // namespace
 
 const std::vector<std::string_view>& replay_deterministic_counters() {
-  static const std::vector<std::string_view> kCounters = [] {
+  static const wire::MetricSnapshotRecord kZeros = counter_snapshot({}, {}, {});
+  static const std::vector<std::string_view> kNames = [] {
     std::vector<std::string_view> names;
-    for (const auto& [name, value] : counter_totals({}, {}, {})) {
-      names.push_back(name);
-    }
+    for (const auto& entry : kZeros.entries) names.push_back(entry.name);
     return names;
   }();
-  return kCounters;
+  return kNames;
 }
 
 // ---------------------------------------------------------- recorder -----

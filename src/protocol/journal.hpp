@@ -62,15 +62,14 @@ class EventJournal {
   [[nodiscard]] Batch batch() { return Batch(*this); }
   void append(const wire::AnyRecord& record) { batch().append(record); }
 
-  /// Arms the append-latency span + record counter (disarmed by default;
-  /// `metrics` must outlive this journal). Call before streaming.
+  /// Arms the append-latency span and the record_count() collector
+  /// (disarmed by default; `metrics` must outlive this journal).
   void instrument(telemetry::MetricsRegistry& metrics);
 
   /// Snapshot of the journal bytes so far (copy under the mutex).
   [[nodiscard]] std::vector<std::uint8_t> bytes() const;
   /// Records appended so far (JournalEnd's record_count input).
   [[nodiscard]] std::uint64_t record_count() const;
-  void clear();
 
   /// Whole-journal file I/O (binary). Both return false on I/O failure.
   [[nodiscard]] bool save(const std::string& path) const;
@@ -82,7 +81,7 @@ class EventJournal {
   std::vector<std::uint8_t> buffer_;
   std::uint64_t records_{0};
   telemetry::Histogram append_ns_;
-  telemetry::Counter records_counter_;
+  telemetry::CollectorHandle counters_;  ///< reads record_count(); last member
 };
 
 /// The counter names whose totals are a pure function of a run's recorded
@@ -91,9 +90,10 @@ class EventJournal {
 /// on queue timing). These, and only these, go into a journal's
 /// MetricSnapshotRecord: replaying the journal must reproduce every total
 /// bit-exactly. Notably absent: all perception metrics (producer-side,
-/// they depend on live queue depths). Each has a plain count beside it in
-/// InteractionStats, CoordinationStats or RegistryStats, and the record is
-/// built from those, so a journal needs no telemetry registry.
+/// they depend on live queue depths). Each is a plain count in
+/// InteractionStats, CoordinationStats or RegistryStats, named by that
+/// struct's counter table, and the record is built from those, so a
+/// journal needs no telemetry registry.
 [[nodiscard]] const std::vector<std::string_view>& replay_deterministic_counters();
 
 // -------------------------------------------- live <-> wire conversions --

@@ -53,8 +53,10 @@ PerceptionService::PerceptionService(const RecognizerConfig& config,
     submit_ns_ = registry->histogram(telemetry::kPerceptionSubmit);
     ring_wait_ns_ = registry->histogram(telemetry::kPerceptionRingWait);
     recognize_ns_ = registry->histogram(telemetry::kPerceptionRecognize);
-    frames_submitted_ = registry->counter(telemetry::kPerceptionFramesSubmitted);
     queue_depth_ = registry->gauge(telemetry::kPerceptionQueueDepth);
+    counters_ = registry->collect([this](telemetry::CounterSink& report) {
+      report(kPerceptionCounters, total_stats());
+    });
   }
   recorder_ = service_config_.recorder;
   const std::size_t shard_count = resolve_shards(service_config.shards);
@@ -140,7 +142,6 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
   }
   receipt.sequence = state.next_sequence++;
   state.submitted.fetch_add(1, std::memory_order_relaxed);
-  frames_submitted_.add(1);
   queue_depth_.add(1);
   return receipt;
 }

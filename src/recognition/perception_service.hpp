@@ -95,7 +95,7 @@ struct PerceptionServiceConfig {
   util::OverflowPolicy overflow{util::OverflowPolicy::kBlock};
   /// Optional telemetry wiring (must outlive the service). When set, the
   /// service records submit/ring-wait/recognize spans, the per-stage
-  /// recognition histograms, frame counters and a queue-depth gauge
+  /// recognition histograms, a queue-depth gauge and the frame counter
   /// (names in telemetry/stage_names.hpp). Null = zero instrumentation
   /// cost beyond a predictable disarmed-handle branch per site.
   telemetry::MetricsRegistry* metrics{nullptr};
@@ -112,6 +112,10 @@ struct StreamStats {
   std::uint64_t submitted{0};  ///< frames admitted
   std::uint64_t delivered{0};  ///< callbacks fired
 };
+
+/// The perception counter, with the total_stats() count it reads.
+inline constexpr telemetry::CounterField<StreamStats> kPerceptionCounters[] = {
+    {telemetry::kPerceptionFramesSubmitted, &StreamStats::submitted}};
 
 /// Live gauge of one shard's ingress ring (ROADMAP: per-shard queue-depth
 /// gauges). `depth` is instantaneous — by the time the caller reads it the
@@ -252,7 +256,6 @@ class PerceptionService {
   telemetry::Histogram submit_ns_;
   telemetry::Histogram ring_wait_ns_;
   telemetry::Histogram recognize_ns_;
-  telemetry::Counter frames_submitted_;
   telemetry::Gauge queue_depth_;
   telemetry::FlightRecorder* recorder_{nullptr};
 
@@ -269,6 +272,8 @@ class PerceptionService {
   std::atomic<bool> stopping_{false};
   bool stopped_{false};  ///< set by stop(); guarded by stop_mutex_
   std::mutex stop_mutex_;
+
+  telemetry::CollectorHandle counters_;  ///< reads total_stats(); last member
 };
 
 }  // namespace hdc::recognition

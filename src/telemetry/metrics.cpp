@@ -43,16 +43,6 @@ const HistogramSnapshot* MetricsSnapshot::find_histogram(
   return nullptr;
 }
 
-Counter MetricsRegistry::counter(std::string_view name) {
-  const std::scoped_lock lock(mutex_);
-  for (detail::CounterNode& node : counters_) {
-    if (node.name == name) return Counter(&node);
-  }
-  detail::CounterNode& node = counters_.emplace_back();
-  node.name.assign(name);
-  return Counter(&node);
-}
-
 Gauge MetricsRegistry::gauge(std::string_view name) {
   const std::scoped_lock lock(mutex_);
   for (detail::GaugeNode& node : gauges_) {
@@ -73,18 +63,36 @@ Histogram MetricsRegistry::histogram(std::string_view name) {
   return Histogram(&node);
 }
 
+CollectorHandle MetricsRegistry::collect(std::function<void(CounterSink&)> collector) {
+  const std::scoped_lock lock(mutex_);
+  const std::uint64_t id = next_collector_id_++;
+  collectors_.emplace_back(id, std::move(collector));
+  return CollectorHandle(this, id);
+}
+
+void CounterSink::operator()(std::string_view name, std::uint64_t value) {
+  for (CounterSnapshot& entry : *out_) {
+    if (entry.name == name) {
+      entry.value += value;
+      return;
+    }
+  }
+  out_->push_back({std::string(name), value});
+}
+
+CollectorHandle::~CollectorHandle() {
+  if (registry_ == nullptr) return;
+  const std::scoped_lock lock(registry_->mutex_);
+  std::erase_if(registry_->collectors_,
+                [this](const auto& entry) { return entry.first == id_; });
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out;
   {
     const std::scoped_lock lock(mutex_);
-    out.counters.reserve(counters_.size());
-    for (const detail::CounterNode& node : counters_) {
-      std::uint64_t sum = 0;
-      for (const detail::CounterCell& cell : node.cells) {
-        sum += cell.value.load(std::memory_order_relaxed);
-      }
-      out.counters.push_back({node.name, sum});
-    }
+    CounterSink sink(out.counters);
+    for (const auto& [id, collector] : collectors_) collector(sink);
     out.gauges.reserve(gauges_.size());
     for (const detail::GaugeNode& node : gauges_) {
       std::int64_t sum = 0;

@@ -1,24 +1,21 @@
-// Process-wide metrics registry: named counters, gauges and log-bucketed
-// latency histograms for the recognition -> dialogue -> coordination
-// pipeline.
+// Process-wide metrics registry: counters, gauges and log-bucketed latency
+// histograms for the recognition -> dialogue -> coordination pipeline.
 //
-// Hot-path contract (the whole point of this layer):
-//   - Recording through a handle is WAIT-FREE: one relaxed fetch_add into a
-//     per-thread stripe (plus a relaxed CAS loop for the histogram max).
-//     No locks, no allocation, no stores shared between writer threads —
-//     each thread owns a cache-line-aligned stripe, so shards never
-//     contend on a metric cell.
-//   - Aggregation happens ONLY at snapshot time: `snapshot()` sums the
-//     stripes. Totals are exact (every increment lands in exactly one
-//     stripe); a snapshot taken mid-write is consistent in the seqlock
-//     sense — monotonic, never torn below the field level.
-//   - Handle creation (`counter()/gauge()/histogram()`) is the COLD path:
-//     it takes a mutex and may allocate. Services create handles at
-//     construction and keep them; frames never look a name up.
+// Counters are READ, not pushed (the pull model of Prometheus collectors):
+// each is a plain count in its service's stats struct, reported by the
+// collector the service registers (`collect()`) when `snapshot()` runs it.
+// Gauges and histograms are pushed through handles, WAIT-FREE: one relaxed
+// fetch_add into a per-thread cache-line-aligned stripe (plus a relaxed CAS
+// loop for the histogram max); no locks, no allocation, no shared stores.
+// `snapshot()` sums the stripes: totals are exact, and a snapshot taken
+// mid-write is monotonic, never torn below the field level.
 //
-// A default-constructed handle is disarmed: every record is a no-op branch.
-// Services accept an optional `MetricsRegistry*` and wire handles only when
-// one is supplied, so the un-instrumented build path stays untouched.
+// Handle creation and collector registration are the COLD path, under the
+// registry mutex; services do both at construction, and only when given a
+// registry (a default-constructed handle is disarmed: a no-op branch).
+// `snapshot()` runs the collectors under that mutex, so a dying
+// CollectorHandle waits for a running snapshot. A collector takes only its
+// owner's locks, and no owner (de)registers while holding one of them.
 // `bench/bench_telemetry_overhead.cpp` gates the instrumented recognition
 // path within the 3% noise floor of docs/PERFORMANCE.md.
 //
@@ -31,9 +28,11 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "telemetry/histogram_buckets.hpp"
@@ -52,15 +51,6 @@ inline constexpr std::size_t kStripes = 8;  // power of two
       next.fetch_add(1, std::memory_order_relaxed) & (kStripes - 1);
   return slot;
 }
-
-struct alignas(64) CounterCell {
-  std::atomic<std::uint64_t> value{0};
-};
-
-struct CounterNode {
-  std::string name;
-  std::array<CounterCell, kStripes> cells{};
-};
 
 struct alignas(64) GaugeCell {
   std::atomic<std::int64_t> value{0};
@@ -83,36 +73,6 @@ struct HistogramNode {
 };
 
 }  // namespace detail
-
-/// Monotonic counter handle. Copyable, trivially destructible; the node it
-/// points at lives as long as the owning registry.
-class Counter {
- public:
-  Counter() = default;
-
-  void add(std::uint64_t delta = 1) noexcept {
-    if (node_ == nullptr) return;
-    node_->cells[detail::thread_stripe()].value.fetch_add(delta,
-                                                          std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool armed() const noexcept { return node_ != nullptr; }
-
-  /// Exact aggregate across stripes (snapshot-time read; not for hot paths).
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    if (node_ == nullptr) return 0;
-    std::uint64_t sum = 0;
-    for (const auto& cell : node_->cells) {
-      sum += cell.value.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(detail::CounterNode* node) noexcept : node_(node) {}
-  detail::CounterNode* node_{nullptr};
-};
 
 /// Signed up/down gauge (queue depths). The value is the exact sum of the
 /// striped deltas, so +1 at push / -1 at pop from different threads still
@@ -210,6 +170,55 @@ struct MetricsSnapshot {
   const HistogramSnapshot* find_histogram(std::string_view name) const&& = delete;
 };
 
+class MetricsRegistry;
+
+/// One counter a stats struct publishes: its name and the count it reads.
+/// Each service keeps one table of these beside its stats struct.
+template <typename Stats>
+struct CounterField {
+  std::string_view name;
+  std::uint64_t Stats::*count;
+};
+
+/// Where a collector reports counts: one (name, value) pair, or a whole
+/// CounterField table. Counts reported under one name sum.
+class CounterSink {
+ public:
+  void operator()(std::string_view name, std::uint64_t value);
+  template <typename Stats, std::size_t N>
+  void operator()(const CounterField<Stats> (&table)[N], const Stats& stats) {
+    for (const auto& [name, count] : table) (*this)(name, stats.*count);
+  }
+
+ private:
+  friend class MetricsRegistry;
+  explicit CounterSink(std::vector<CounterSnapshot>& out) noexcept : out_(&out) {}
+  std::vector<CounterSnapshot>* out_;
+};
+
+/// Keeps one collector registered; move-only. The destructor deregisters,
+/// waiting for a snapshot that is running the collector, so an owner
+/// declares its handle LAST: it dies before anything the collector reads.
+class CollectorHandle {
+ public:
+  CollectorHandle() = default;
+  CollectorHandle(CollectorHandle&& other) noexcept
+      : registry_(std::exchange(other.registry_, nullptr)), id_(other.id_) {}
+  CollectorHandle& operator=(CollectorHandle other) noexcept {
+    std::swap(registry_, other.registry_);  // `other` deregisters the old one
+    std::swap(id_, other.id_);
+    return *this;
+  }
+  ~CollectorHandle();
+
+ private:
+  friend class MetricsRegistry;
+  CollectorHandle(MetricsRegistry* registry, std::uint64_t id) noexcept
+      : registry_(registry), id_(id) {}
+  MetricsRegistry* registry_{nullptr};
+  std::uint64_t id_{0};
+};
+
 /// Named-metric registry. Get-or-create by name is mutex-guarded (cold
 /// path); recording through the returned handles is wait-free. Nodes have
 /// stable addresses for the registry's lifetime (deque storage), so handles
@@ -220,10 +229,14 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  [[nodiscard]] Counter counter(std::string_view name);
   [[nodiscard]] Gauge gauge(std::string_view name);
   [[nodiscard]] Histogram histogram(std::string_view name);
 
+  /// Registers `collector`, which every snapshot() runs under the registry
+  /// mutex until the returned handle dies. It only reads.
+  [[nodiscard]] CollectorHandle collect(std::function<void(CounterSink&)> collector);
+
+  /// Runs the collectors and sums the stripes. Entries are sorted by name.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Prometheus-style text exposition of a fresh snapshot: counters and
@@ -234,8 +247,11 @@ class MetricsRegistry {
   [[nodiscard]] static std::string render_text(const MetricsSnapshot& snapshot);
 
  private:
+  friend class CollectorHandle;
+
   mutable std::mutex mutex_;
-  std::deque<detail::CounterNode> counters_;
+  std::vector<std::pair<std::uint64_t, std::function<void(CounterSink&)>>> collectors_;
+  std::uint64_t next_collector_id_{0};
   std::deque<detail::GaugeNode> gauges_;
   std::deque<detail::HistogramNode> histograms_;
 };

@@ -2,17 +2,15 @@
 // agree on spelling. Naming scheme (docs/OBSERVABILITY.md):
 //
 //   <layer>_<stage>_ns        latency histogram (steady-clock nanoseconds)
-//   <layer>_<what>_total      monotonic counter
+//   <layer>_<what>_total      monotonic counter, read from a stats count
 //   <layer>_<what>            gauge (queue depths)
 //
-// Counters under the `interaction_` / `coordination_` layers that are
-// incremented only while an admitted input is processed are the
-// REPLAY-DETERMINISTIC set (protocol::replay_deterministic_counters()):
-// their totals are a pure function of the recorded input sequence. Each
-// goes up next to a plain count in InteractionStats, CoordinationStats or
-// RegistryStats; a journal's MetricSnapshotRecord carries those counts
-// under these names, with or without a registry wired, and must reproduce
-// bit-exactly on replay.
+// Each counter is a plain count, named once by the table beside its stats
+// struct (kInteractionCounters, ...). The `interaction_` / `coordination_`
+// counters count only while an admitted input is processed: they are the
+// REPLAY-DETERMINISTIC set (protocol::replay_deterministic_counters()),
+// which a journal's MetricSnapshotRecord carries, with or without a
+// registry wired, and must reproduce bit-exactly on replay.
 #pragma once
 
 #include <string_view>

@@ -1106,8 +1106,10 @@ TEST_F(InteractionEndToEnd, StatsAreReadWhileTwoShardsRunDialogue) {
   // requests aborts of streams nobody has seen: that takes the session map
   // lock exclusively while a session mutex is held, which a stats() that
   // held the map lock across its session locks would deadlock against.
-  // Totals only grow, and once drained they equal the telemetry counters
-  // and the per-stream stats.
+  // A metrics snapshot runs the service's counter collector, which takes
+  // the same session locks under the registry's mutex. Totals and counters
+  // only grow, and once drained they agree with each other and with the
+  // per-stream stats.
   telemetry::MetricsRegistry metrics;
   InteractionServiceConfig config = wired_config();
   config.metrics = &metrics;
@@ -1129,6 +1131,7 @@ TEST_F(InteractionEndToEnd, StatsAreReadWhileTwoShardsRunDialogue) {
   std::size_t reads = 0;
   std::thread reader([&] {
     InteractionStats last;
+    std::vector<std::uint64_t> last_counters(std::size(kInteractionCounters), 0);
     while (!done.load(std::memory_order_acquire)) {
       const InteractionStats now = interaction.stats();
       EXPECT_GE(now.observations, last.observations);
@@ -1136,6 +1139,14 @@ TEST_F(InteractionEndToEnd, StatsAreReadWhileTwoShardsRunDialogue) {
       EXPECT_GE(now.actions, last.actions);
       EXPECT_GE(now.outcomes, last.outcomes);
       last = now;
+      const telemetry::MetricsSnapshot snapshot = metrics.snapshot();
+      for (std::size_t i = 0; i < last_counters.size(); ++i) {
+        const std::string_view name = kInteractionCounters[i].name;
+        const telemetry::CounterSnapshot* counter = snapshot.find_counter(name);
+        ASSERT_NE(counter, nullptr) << name;
+        EXPECT_GE(counter->value, last_counters[i]) << name;
+        last_counters[i] = counter->value;
+      }
       ++reads;
     }
   });

@@ -278,6 +278,11 @@ TEST_F(PerceptionServiceSuite, EveryFrameGetsItsOwnRecognizeSampleAndSlice) {
       snap.find_histogram(telemetry::kPerceptionRecognize);
   ASSERT_NE(recognize, nullptr);
   EXPECT_EQ(recognize->count, submitted);
+  // The frame counter is read from the streams' own submitted counts.
+  const telemetry::CounterSnapshot* frames =
+      snap.find_counter(telemetry::kPerceptionFramesSubmitted);
+  ASSERT_NE(frames, nullptr);
+  EXPECT_EQ(frames->value, submitted);
 
   std::vector<telemetry::TraceEvent> slices;
   std::set<std::uint64_t> traces;

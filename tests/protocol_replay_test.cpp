@@ -135,8 +135,8 @@ std::vector<std::uint8_t> record_direct_run(bool instrumented = true) {
 /// counters: a dialogue on an unregistered stream (observations, events,
 /// actions, an aborted outcome), then an arbitration and a deferred retry,
 /// three grants, a denial, a renewal, two revocations and the expiry of
-/// every lease. A registry is wired into both services; `registry_out`
-/// receives its snapshot after finalize().
+/// every lease. A registry is wired into both services and the journal;
+/// `registry_out` receives its snapshot after finalize().
 std::vector<std::uint8_t> record_every_counter_run(
     telemetry::MetricsSnapshot& registry_out) {
   telemetry::MetricsRegistry metrics;
@@ -148,6 +148,7 @@ std::vector<std::uint8_t> record_every_counter_run(
   coordination_config.metrics = &metrics;
 
   EventJournal journal;
+  journal.instrument(metrics);
   JournalRecorder recorder(journal);
   recorder.set_counter_snapshot(true);
   recorder.record_config(
@@ -705,6 +706,44 @@ TEST_F(ReplayEndToEnd, CounterSnapshotMatchesTheRegistryOracle) {
   const ReplayReport report = ReplayDriver().replay(recorded);
   ASSERT_TRUE(report.ok) << report.mismatch;
   EXPECT_EQ(snapshot_of(report.journal_bytes), every);
+}
+
+TEST(Replay, EveryCounterRunExposesThePinnedCounterLines) {
+  // The counter lines of render_text() for the direct run, pinned: names,
+  // order and values. Each is read from its owner's own count when the
+  // snapshot is taken.
+  telemetry::MetricsSnapshot snapshot;
+  (void)record_every_counter_run(snapshot);
+  telemetry::MetricsSnapshot counters;
+  counters.counters = snapshot.counters;
+  const std::string expected =
+      "# TYPE coordination_arbitrations_total counter\n"
+      "coordination_arbitrations_total 1\n"
+      "# TYPE coordination_deferrals_total counter\n"
+      "coordination_deferrals_total 1\n"
+      "# TYPE coordination_denials_total counter\n"
+      "coordination_denials_total 1\n"
+      "# TYPE coordination_events_total counter\n"
+      "coordination_events_total 23\n"
+      "# TYPE coordination_expiries_total counter\n"
+      "coordination_expiries_total 4\n"
+      "# TYPE coordination_grants_total counter\n"
+      "coordination_grants_total 3\n"
+      "# TYPE coordination_renewals_total counter\n"
+      "coordination_renewals_total 1\n"
+      "# TYPE coordination_revocations_total counter\n"
+      "coordination_revocations_total 2\n"
+      "# TYPE interaction_actions_total counter\n"
+      "interaction_actions_total 3\n"
+      "# TYPE interaction_events_total counter\n"
+      "interaction_events_total 3\n"
+      "# TYPE interaction_observations_total counter\n"
+      "interaction_observations_total 21\n"
+      "# TYPE interaction_outcomes_total counter\n"
+      "interaction_outcomes_total 1\n"
+      "# TYPE journal_records_total counter\n"
+      "journal_records_total 70\n";
+  EXPECT_EQ(telemetry::MetricsRegistry::render_text(counters), expected);
 }
 
 TEST_F(ReplayEndToEnd, TracingTheReplayDoesNotPerturbItsBytes) {

@@ -3,15 +3,18 @@
 // percentile on exact unit buckets, percentile error against exact sorted
 // samples, concurrent multi-thread recording vs a serial
 // ground truth, snapshot-during-write consistency (monotonic, never torn
-// below the field level), the pinned render_text() exposition format, and
-// the disarmed-handle no-op contract.
+// below the field level), the pinned render_text() exposition format, the
+// disarmed-handle no-op contract, and counter collectors: same-name sums,
+// and no snapshot reads an owner that is gone or going.
 #include "telemetry/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -142,7 +145,9 @@ TEST(Registry, ConcurrentRecordingMatchesSerialGroundTruth) {
   constexpr int kPerThread = 50'000;
 
   MetricsRegistry registry;
-  Counter counter = registry.counter("ops_total");
+  std::atomic<std::uint64_t> recorded{0};
+  const CollectorHandle collector = registry.collect(
+      [&recorded](CounterSink& report) { report("ops_total", recorded.load()); });
   Gauge gauge = registry.gauge("depth");
   Histogram histogram = registry.histogram("work_ns");
 
@@ -167,14 +172,13 @@ TEST(Registry, ConcurrentRecordingMatchesSerialGroundTruth) {
       for (int i = 0; i < kPerThread; ++i) {
         const std::uint64_t value = rng() % 1'000'000;
         histogram.record(value);
-        counter.add(1);
+        recorded.fetch_add(1, std::memory_order_relaxed);
         gauge.add(i % 2 == 0 ? 1 : -1);  // net 0 per pair, exact either way
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
 
-  EXPECT_EQ(counter.total(), expected_count);
   EXPECT_EQ(gauge.value(), kThreads * (kPerThread % 2 == 0 ? 0 : 1));
 
   const MetricsSnapshot snapshot = registry.snapshot();
@@ -192,14 +196,16 @@ TEST(Registry, ConcurrentRecordingMatchesSerialGroundTruth) {
 
 TEST(Registry, SnapshotDuringWritesIsMonotonicAndInternallyConsistent) {
   MetricsRegistry registry;
-  Counter counter = registry.counter("events_total");
+  std::atomic<std::uint64_t> events{0};
+  const CollectorHandle collector = registry.collect(
+      [&events](CounterSink& report) { report("events_total", events.load()); });
   Histogram histogram = registry.histogram("tick_ns");
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     std::uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      counter.add(1);
+      events.fetch_add(1, std::memory_order_relaxed);
       histogram.record(i++ % 4096);
     }
   });
@@ -251,28 +257,91 @@ static_assert(!LookupCompiles<const MetricsSnapshot>);
 
 
 TEST(Registry, DisarmedHandlesAreNoOps) {
-  Counter counter;
   Gauge gauge;
   Histogram histogram;
-  EXPECT_FALSE(counter.armed());
   EXPECT_FALSE(gauge.armed());
   EXPECT_FALSE(histogram.armed());
-  counter.add(7);
   gauge.add(-3);
   histogram.record(42);
-  EXPECT_EQ(counter.total(), 0u);
   EXPECT_EQ(gauge.value(), 0);
   { TracedSpan span(histogram); }  // must not crash or record
+  { CollectorHandle collector; }   // registered nowhere, deregisters nothing
 }
 
 TEST(Registry, SameNameReturnsTheSameMetric) {
+  // Two collectors reporting one name (two services wired into one
+  // registry) are one counter holding the sum.
   MetricsRegistry registry;
-  Counter a = registry.counter("shared_total");
-  Counter b = registry.counter("shared_total");
-  a.add(2);
-  b.add(3);
-  EXPECT_EQ(a.total(), 5u);
+  const CollectorHandle a = registry.collect(
+      [](CounterSink& report) { report("shared_total", 2); });
+  const CollectorHandle b = registry.collect(
+      [](CounterSink& report) { report("shared_total", 3); });
+  const MetricsSnapshot snapshot = registry.snapshot();
+  ASSERT_EQ(snapshot.counters.size(), 1u);
+  EXPECT_EQ(snapshot.find_counter("shared_total")->value, 5u);
+}
+
+/// A collector's owner as every service lays it out: the state the
+/// collector reads, then the handle as the last member, so the handle
+/// deregisters before the state is freed. The collector yields before it
+/// reads, as one that waits for its owner's lock would.
+struct CountingOwner {
+  explicit CountingOwner(MetricsRegistry& registry)
+      : count(std::make_unique<std::uint64_t>(7)),
+        collector(registry.collect([this](CounterSink& report) {
+          std::this_thread::yield();
+          report("owned_total", *count);
+        })) {}
+  std::unique_ptr<std::uint64_t> count;
+  CollectorHandle collector;
+};
+
+TEST(Registry, ASnapshotAfterTheOwnerIsGoneHasNoEntryFromIt) {
+  MetricsRegistry registry;
+  auto owner = std::make_unique<CountingOwner>(registry);
+  {
+    const MetricsSnapshot snapshot = registry.snapshot();
+    ASSERT_NE(snapshot.find_counter("owned_total"), nullptr);
+    EXPECT_EQ(snapshot.find_counter("owned_total")->value, 7u);
+  }
+  owner.reset();
+  EXPECT_TRUE(registry.snapshot().counters.empty());
+
+  // A moved-from handle deregisters nothing; the handle it moved into
+  // keeps the collector until it dies.
+  CollectorHandle first =
+      registry.collect([](CounterSink& report) { report("kept_total", 1); });
+  CollectorHandle second = std::move(first);
+  first = CollectorHandle();
   EXPECT_EQ(registry.snapshot().counters.size(), 1u);
+  second = CollectorHandle();
+  EXPECT_TRUE(registry.snapshot().counters.empty());
+}
+
+TEST(Registry, SnapshotsRunWhileOwnersAreDestroyed) {
+  // A reader snapshots while owners come and go. Destruction waits for a
+  // running collection, so no collector reads freed state (ASan and TSan
+  // check it): each snapshot sees an owner whole or not at all.
+  MetricsRegistry registry;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> seen{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const MetricsSnapshot snapshot = registry.snapshot();
+      if (const CounterSnapshot* owned = snapshot.find_counter("owned_total")) {
+        EXPECT_EQ(owned->value % 7, 0u);
+        seen.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  // Owners come and go until the reader has seen 2,000 snapshots with one.
+  while (seen.load(std::memory_order_relaxed) < 2'000) {
+    const CountingOwner first(registry);
+    const auto second = std::make_unique<CountingOwner>(registry);
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_TRUE(registry.snapshot().counters.empty());
 }
 
 TEST(Span, RecordsElapsedTimeOncePerScope) {
@@ -293,10 +362,10 @@ TEST(Span, RecordsElapsedTimeOncePerScope) {
 
 TEST(RenderText, PinnedExpositionFormat) {
   MetricsRegistry registry;
-  Counter counter = registry.counter("alpha_total");
+  const CollectorHandle collector = registry.collect(
+      [](CounterSink& report) { report("alpha_total", 3); });
   Gauge gauge = registry.gauge("queue_depth");
   Histogram histogram = registry.histogram("stage_ns");
-  counter.add(3);
   gauge.add(-2);
   histogram.record(4);
   histogram.record(6);
@@ -321,8 +390,10 @@ TEST(RenderText, PinnedExpositionFormat) {
 
 TEST(RenderText, EntriesAreSortedByName) {
   MetricsRegistry registry;
-  (void)registry.counter("zeta_total");
-  (void)registry.counter("alpha_total");
+  const CollectorHandle collector = registry.collect([](CounterSink& report) {
+    report("zeta_total", 0);
+    report("alpha_total", 0);
+  });
   const std::string text = registry.render_text();
   EXPECT_LT(text.find("alpha_total"), text.find("zeta_total"));
 }
