@@ -20,7 +20,10 @@
 // that). Against the RECORDED journal, comparison is per record type,
 // because the live run interleaves interaction and coordination records
 // nondeterministically while each type's order is deterministic (see
-// journal.hpp's Threading paragraph).
+// journal.hpp's Threading paragraph). It compares envelope bytes: the
+// i-th envelope of each type must equal the recording's i-th envelope of
+// that type byte for byte. Only a pair whose bytes differ is decoded, and
+// it is a divergence when the two records differ (docs/WIRE_FORMAT.md).
 //
 // Any malformed journal — truncated, bit-flipped, future-versioned,
 // missing its JournalEnd trailer — is rejected with the precise offset

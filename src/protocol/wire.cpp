@@ -385,69 +385,45 @@ constexpr std::array<Decoder, sizeof...(I)> make_decoders(
 constexpr auto kDecoders = make_decoders(
     std::make_index_sequence<std::variant_size_v<AnyRecord>>());
 
-/// The checks parse_record makes before the CRC: the envelope at `start`
-/// (< buffer.size()) has a whole header, the magic, this version, a known
-/// type and a payload size within the cap and the buffer. On success
-/// `payload_size` is the declared size; on failure `error` names the fault.
-bool check_header(std::span<const std::uint8_t> buffer, std::size_t start,
-                  std::size_t& payload_size, WireError& error) {
-  const std::size_t available = buffer.size() - start;
-  if (available < kEnvelopeHeaderSize) {
-    error = {WireErrorCode::kTruncated, start,
-             "buffer ends inside an envelope header"};
-    return false;
-  }
-  if (buffer[start] != kWireMagic) {
-    error = {WireErrorCode::kBadMagic, start,
-             "envelope does not start with the wire magic byte"};
-    return false;
-  }
-  const std::uint8_t version = buffer[start + 1];
-  if (version != kWireVersion) {
-    // A reader must REJECT records from any other version — future or
-    // superseded — rather than guess at their layout.
-    error = {WireErrorCode::kBadVersion, start + 1,
-             version > kWireVersion
-                 ? "record from a future wire version"
-                 : "record from an unsupported old wire version"};
-    return false;
-  }
-  const std::uint8_t type_byte = buffer[start + 2];
-  if (type_byte < 1 || type_byte > kDecoders.size()) {
-    error = {WireErrorCode::kBadRecordType, start + 2,
-             "unknown record type for wire version 2"};
-    return false;
-  }
-  payload_size = static_cast<std::size_t>(buffer[start + 3] |
-                                          (buffer[start + 4] << 8));
-  if (payload_size > kMaxPayloadSize) {
-    error = {WireErrorCode::kBadLength, start + 3,
-             "declared payload size exceeds the per-record cap"};
-    return false;
-  }
-  if (available < kEnvelopeHeaderSize + payload_size + kEnvelopeTrailerSize) {
-    error = {WireErrorCode::kBadLength, start + 3,
-             "declared payload size overruns the buffer"};
-    return false;
-  }
-  return true;
-}
-
-/// Envelopes from the start of `buffer` whose headers pass check_header, up
+/// Envelopes from the start of `buffer` that next_envelope steps over, up
 /// to the first that does not: parse_all keeps at most this many records,
 /// and a corrupt buffer cannot claim more than the envelopes before its
 /// fault.
 std::size_t count_envelopes(std::span<const std::uint8_t> buffer) {
   std::size_t count = 0;
-  std::size_t payload_size = 0;
+  std::size_t offset = 0;
+  Envelope envelope;
   WireError ignored;
-  for (std::size_t offset = 0;
-       offset < buffer.size() &&
-       check_header(buffer, offset, payload_size, ignored);
-       ++count) {
-    offset += kEnvelopeHeaderSize + payload_size + kEnvelopeTrailerSize;
+  while (next_envelope(buffer, offset, envelope, ignored) == ParseResult::kOk) {
+    ++count;
   }
   return count;
+}
+
+/// parse_all's loop; `envelopes`, when given, gains each record's bytes.
+bool parse_each(std::span<const std::uint8_t> buffer,
+                std::vector<AnyRecord>& out, std::vector<Envelope>* envelopes,
+                WireError& error) {
+  const std::size_t count = count_envelopes(buffer);
+  out.reserve(out.size() + count);
+  if (envelopes != nullptr) envelopes->reserve(envelopes->size() + count);
+  std::size_t offset = 0;
+  AnyRecord record;
+  for (;;) {
+    const std::size_t start = offset;
+    switch (parse_record(buffer, offset, record, error)) {
+      case ParseResult::kOk:
+        out.push_back(std::move(record));
+        if (envelopes != nullptr) {
+          envelopes->push_back(buffer.subspan(start, offset - start));
+        }
+        break;
+      case ParseResult::kEnd:
+        return true;
+      case ParseResult::kError:
+        return false;
+    }
+  }
 }
 
 }  // namespace
@@ -517,7 +493,7 @@ ParseResult parse_record(std::span<const std::uint8_t> buffer,
   error = {};
 
   std::size_t payload_size = 0;
-  if (!check_header(buffer, start, payload_size, error)) {
+  if (!detail::check_header(buffer, start, payload_size, error)) {
     return ParseResult::kError;
   }
   const std::size_t body_size =
@@ -550,20 +526,13 @@ ParseResult parse_record(std::span<const std::uint8_t> buffer,
 
 bool parse_all(std::span<const std::uint8_t> buffer,
                std::vector<AnyRecord>& out, WireError& error) {
-  out.reserve(out.size() + count_envelopes(buffer));
-  std::size_t offset = 0;
-  AnyRecord record;
-  for (;;) {
-    switch (parse_record(buffer, offset, record, error)) {
-      case ParseResult::kOk:
-        out.push_back(std::move(record));
-        break;
-      case ParseResult::kEnd:
-        return true;
-      case ParseResult::kError:
-        return false;
-    }
-  }
+  return parse_each(buffer, out, nullptr, error);
+}
+
+bool parse_all(std::span<const std::uint8_t> buffer,
+               std::vector<AnyRecord>& out, std::vector<Envelope>& envelopes,
+               WireError& error) {
+  return parse_each(buffer, out, &envelopes, error);
 }
 
 }  // namespace hdc::protocol::wire

@@ -363,11 +363,103 @@ enum class ParseResult : std::uint8_t {
                                        std::size_t& offset, AnyRecord& out,
                                        WireError& error);
 
+/// One record's whole envelope (header, payload and CRC) inside a buffer.
+using Envelope = std::span<const std::uint8_t>;
+
+/// The record type an envelope's header declares (byte 2).
+[[nodiscard]] inline RecordType envelope_type(Envelope envelope) noexcept {
+  return static_cast<RecordType>(envelope[2]);
+}
+
+namespace detail {
+
+/// The checks parse_record makes before the CRC: the envelope at `start`
+/// (< buffer.size()) has a whole header, the magic, this version, a known
+/// type and a payload size within the cap and the buffer. On success
+/// `payload_size` is the declared size; on failure `error` names the fault.
+/// Inline so that next_envelope's walk stays a few instructions per header.
+[[nodiscard]] inline bool check_header(std::span<const std::uint8_t> buffer,
+                                       std::size_t start,
+                                       std::size_t& payload_size,
+                                       WireError& error) {
+  const std::size_t available = buffer.size() - start;
+  if (available < kEnvelopeHeaderSize) [[unlikely]] {
+    error = {WireErrorCode::kTruncated, start,
+             "buffer ends inside an envelope header"};
+    return false;
+  }
+  if (buffer[start] != kWireMagic) [[unlikely]] {
+    error = {WireErrorCode::kBadMagic, start,
+             "envelope does not start with the wire magic byte"};
+    return false;
+  }
+  const std::uint8_t version = buffer[start + 1];
+  if (version != kWireVersion) [[unlikely]] {
+    // A reader must REJECT records from any other version — future or
+    // superseded — rather than guess at their layout.
+    error = {WireErrorCode::kBadVersion, start + 1,
+             version > kWireVersion
+                 ? "record from a future wire version"
+                 : "record from an unsupported old wire version"};
+    return false;
+  }
+  const std::uint8_t type_byte = buffer[start + 2];
+  if (type_byte < 1 || type_byte > std::variant_size_v<AnyRecord>) [[unlikely]] {
+    error = {WireErrorCode::kBadRecordType, start + 2,
+             "unknown record type for wire version 2"};
+    return false;
+  }
+  payload_size = static_cast<std::size_t>(buffer[start + 3] |
+                                          (buffer[start + 4] << 8));
+  if (payload_size > kMaxPayloadSize) [[unlikely]] {
+    error = {WireErrorCode::kBadLength, start + 3,
+             "declared payload size exceeds the per-record cap"};
+    return false;
+  }
+  if (available < kEnvelopeHeaderSize + payload_size + kEnvelopeTrailerSize)
+      [[unlikely]] {
+    error = {WireErrorCode::kBadLength, start + 3,
+             "declared payload size overruns the buffer"};
+    return false;
+  }
+  return true;
+}
+
+}  // namespace detail
+
+/// Steps over the envelope starting at `offset` by its header alone: the
+/// magic, version, type and length checks of parse_record, but neither the
+/// CRC nor the payload. On kOk, `envelope` spans the whole envelope and
+/// `offset` is advanced past it; on kError, `error` names the fault and
+/// `offset` is unchanged. For buffers whose envelopes are known to be
+/// sound (an encoder's own output); parse_record verifies the rest.
+[[nodiscard]] inline ParseResult next_envelope(
+    std::span<const std::uint8_t> buffer, std::size_t& offset,
+    Envelope& envelope, WireError& error) {
+  const std::size_t start = offset;
+  if (start == buffer.size()) return ParseResult::kEnd;
+  std::size_t payload_size = 0;
+  if (!detail::check_header(buffer, start, payload_size, error)) {
+    return ParseResult::kError;
+  }
+  envelope = buffer.subspan(
+      start, kEnvelopeHeaderSize + payload_size + kEnvelopeTrailerSize);
+  offset = start + envelope.size();
+  return ParseResult::kOk;
+}
+
 /// Parses a whole buffer. Returns false (and the offending offset) on the
 /// first malformed record; `out` keeps everything parsed before it. `out`
 /// grows once: a header-only pass first counts the envelopes up to the
 /// first bad header, and that many records are reserved.
 [[nodiscard]] bool parse_all(std::span<const std::uint8_t> buffer,
                              std::vector<AnyRecord>& out, WireError& error);
+
+/// parse_all that also reports where each record came from: `envelopes`
+/// gains one entry per record appended to `out`, the bytes it was parsed
+/// from. Both vectors grow once, by the same count.
+[[nodiscard]] bool parse_all(std::span<const std::uint8_t> buffer,
+                             std::vector<AnyRecord>& out,
+                             std::vector<Envelope>& envelopes, WireError& error);
 
 }  // namespace hdc::protocol::wire

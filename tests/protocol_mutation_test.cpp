@@ -8,12 +8,16 @@
 // must replay ok: a replay is a fixed point. CI runs this suite under
 // ASan+UBSan and TSan with every other one, so a mutant that reaches
 // undefined behaviour in the parser, the encoder or the services fails it.
+// An FNV-1a digest over every mutant's report pins each verdict, error,
+// mismatch text and replay journal, so a change to how replay compares
+// journals cannot move one of them unnoticed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <random>
+#include <string>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -219,6 +223,35 @@ class Mutator {
   std::mt19937 rng_;
 };
 
+/// FNV-1a 64 over everything a ReplayReport says about one journal: the
+/// verdict, the parse error, the mismatch text and the replay's bytes.
+/// Variable-length fields are folded after their length, so adjacent
+/// fields cannot trade bytes.
+class ReportDigest {
+ public:
+  void add(const ReplayReport& report) {
+    mix(report.ok ? 1U : 0U, 1);
+    mix(report.parsed ? 1U : 0U, 1);
+    mix(static_cast<std::uint8_t>(report.error.code), 1);
+    mix(report.error.offset, 8);
+    mix(report.mismatch.size(), 8);
+    for (const char c : report.mismatch) mix(static_cast<std::uint8_t>(c), 1);
+    mix(report.journal_bytes.size(), 8);
+    for (const std::uint8_t byte : report.journal_bytes) mix(byte, 1);
+  }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
+
+ private:
+  /// Folds the low `bytes` bytes of `value`, least significant first.
+  void mix(std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i, value >>= 8) {
+      value_ = (value_ ^ (value & 0xFFU)) * 1099511628211ULL;
+    }
+  }
+
+  std::uint64_t value_{14695981039346656037ULL};
+};
+
 std::vector<std::uint8_t> encode_all(const std::vector<wire::AnyRecord>& records) {
   std::vector<std::uint8_t> bytes;
   for (const wire::AnyRecord& record : records) wire::encode(bytes, record);
@@ -233,6 +266,7 @@ TEST(JournalMutation, MutantsReplayDeterministicallyToAFixedPoint) {
   int ok = 0;
   int mismatched = 0;
   int rejected = 0;
+  ReportDigest digest;
   for (int mutant = 0; mutant < kMutants; ++mutant) {
     SCOPED_TRACE(testing::Message() << "mutant " << mutant);
     std::vector<wire::AnyRecord> records = fixture;
@@ -249,6 +283,7 @@ TEST(JournalMutation, MutantsReplayDeterministicallyToAFixedPoint) {
     ASSERT_EQ(first.observations_fed, second.observations_fed);
     ASSERT_EQ(first.fleet_events_fed, second.fleet_events_fed);
     ASSERT_EQ(first.journal_bytes, second.journal_bytes);
+    digest.add(first);
 
     if (!first.parsed) {
       ++rejected;
@@ -267,6 +302,10 @@ TEST(JournalMutation, MutantsReplayDeterministicallyToAFixedPoint) {
   EXPECT_GT(rejected, 0);
   std::printf("%d mutants: %d ok, %d mismatched, %d rejected at parse\n",
               kMutants, ok, mismatched, rejected);
+  // Pins every report of the 300 mutants: how replay compares a journal
+  // with its recording must not move one verdict, error or mismatch text.
+  EXPECT_EQ(digest.value(), 0xf24620e9b92a12dfULL)
+      << std::hex << "report digest 0x" << digest.value();
 }
 
 }  // namespace

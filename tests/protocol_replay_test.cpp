@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -588,6 +589,86 @@ TEST(Replay, QueuesAboveTheReplayCapacityAreRefused) {
   EXPECT_TRUE(report.parsed);
   EXPECT_EQ(report.mismatch.find("RunConfig"), std::string::npos)
       << report.mismatch;
+}
+
+// ------------------------------------- envelope bytes, then records ----
+
+/// `bytes` parsed, changed by `edit`, and re-encoded with valid CRCs.
+template <class Edit>
+std::vector<std::uint8_t> reencoded(const std::vector<std::uint8_t>& bytes,
+                                    Edit edit) {
+  std::vector<wire::AnyRecord> records;
+  wire::WireError error;
+  EXPECT_TRUE(wire::parse_all(bytes, records, error)) << error.message;
+  edit(records);
+  std::vector<std::uint8_t> out;
+  for (const wire::AnyRecord& record : records) wire::encode(out, record);
+  return out;
+}
+
+/// The first ObservationRecord of `records` whose abort flag is `abort`.
+wire::ObservationRecord& first_observation(std::vector<wire::AnyRecord>& records,
+                                           bool abort) {
+  for (wire::AnyRecord& record : records) {
+    auto* observation = std::get_if<wire::ObservationRecord>(&record);
+    if (observation != nullptr && (observation->abort != 0) == abort) {
+      return *observation;
+    }
+  }
+  ADD_FAILURE() << "no observation with abort = " << abort;
+  static wire::ObservationRecord none;
+  return none;
+}
+
+TEST(Replay, AJournalCarryingANaNConfidenceReplaysToAVerifiedFixedPoint) {
+  // A NaN confidence is journaled and replayed as the same IEEE-754 bits,
+  // so the replay of a replay journal that carries one reproduces it byte
+  // for byte. Replay compares envelope bytes, so NaN != NaN between two
+  // decoded records cannot fail it.
+  std::vector<std::uint8_t> fixture;
+  ASSERT_TRUE(EventJournal::load(fixture_path(), fixture));
+  const std::vector<std::uint8_t> with_nan =
+      reencoded(fixture, [](std::vector<wire::AnyRecord>& records) {
+        first_observation(records, false).confidence =
+            std::numeric_limits<double>::quiet_NaN();
+      });
+
+  const ReplayDriver driver;
+  const ReplayReport first = driver.replay(with_nan);
+  ASSERT_TRUE(first.parsed) << first.mismatch;
+  ASSERT_FALSE(first.journal_bytes.empty());
+  const ReplayReport again = driver.replay(first.journal_bytes);
+  EXPECT_TRUE(again.ok) << again.mismatch;
+  EXPECT_EQ(again.journal_bytes, first.journal_bytes);
+}
+
+TEST(Replay, EnvelopesThatDifferAreComparedAsRecords) {
+  // An abort observation's confidence is not replay input: replay
+  // re-issues the abort, which journals +0.0. A recording carrying -0.0
+  // there differs from its replay in bytes, not as a record, so it still
+  // replays ok; any other value is a divergence.
+  const std::vector<std::uint8_t> recorded = record_direct_run();
+  const auto with_abort_confidence = [&recorded](double confidence) {
+    return reencoded(recorded, [confidence](std::vector<wire::AnyRecord>& records) {
+      first_observation(records, true).confidence = confidence;
+    });
+  };
+
+  const ReplayDriver driver;
+  const std::vector<std::uint8_t> negative_zero = with_abort_confidence(-0.0);
+  ASSERT_NE(negative_zero, recorded);
+  const ReplayReport equal = driver.replay(negative_zero);
+  EXPECT_TRUE(equal.ok) << equal.mismatch;
+  EXPECT_NE(equal.journal_bytes, negative_zero);
+
+  const ReplayReport diverged = driver.replay(with_abort_confidence(0.5));
+  EXPECT_TRUE(diverged.parsed);
+  EXPECT_FALSE(diverged.ok);
+  EXPECT_NE(diverged.mismatch.find("Observation record "), std::string::npos)
+      << diverged.mismatch;
+  EXPECT_NE(diverged.mismatch.find(" diverged between recording and replay"),
+            std::string::npos)
+      << diverged.mismatch;
 }
 
 TEST_F(ReplayEndToEnd, RecordedContentionRunReplaysBitIdentically) {

@@ -1104,6 +1104,16 @@ TEST(WireParse, ABadMagicByteStopsTheCountAtTheFault) {
   EXPECT_EQ(error.message, expected.message);
   // The well-formed headers behind the fault are never counted.
   EXPECT_EQ(records.capacity(), kValid);
+
+  // Reporting envelopes changes none of that; they stop at the same record.
+  std::vector<wire::AnyRecord> with_envelopes;
+  std::vector<wire::Envelope> envelopes;
+  wire::WireError envelope_error;
+  EXPECT_FALSE(wire::parse_all(buffer, with_envelopes, envelopes, envelope_error));
+  EXPECT_EQ(with_envelopes, records);
+  EXPECT_EQ(envelope_error.offset, error.offset);
+  EXPECT_EQ(envelopes.size(), kValid);
+  EXPECT_EQ(envelopes.capacity(), kValid);
 }
 
 TEST(WireParse, AppendsAfterRecordsAlreadyInTheOutput) {
@@ -1114,4 +1124,64 @@ TEST(WireParse, AppendsAfterRecordsAlreadyInTheOutput) {
   ASSERT_TRUE(wire::parse_all(buffer, records, error));
   ASSERT_EQ(records.size(), 26u);
   for (std::size_t i = 0; i < 13; ++i) EXPECT_EQ(records[i], records[i + 13]);
+}
+
+// ------------------------------------------------------------ envelopes --
+
+TEST(WireParse, EnvelopesAreTheBytesEachRecordParsedFrom) {
+  const std::vector<std::uint8_t> fixture = load_fixture();
+  std::vector<wire::AnyRecord> records;
+  std::vector<wire::Envelope> envelopes;
+  wire::WireError error;
+  ASSERT_TRUE(wire::parse_all(fixture, records, envelopes, error)) << error.message;
+  ASSERT_EQ(records.size(), 1'902u);
+  ASSERT_EQ(envelopes.size(), records.size());
+  EXPECT_EQ(records.capacity(), records.size());
+  EXPECT_EQ(envelopes.capacity(), envelopes.size());
+
+  // The envelopes tile the buffer in order, and each is its record's
+  // canonical encoding.
+  const std::uint8_t* next = fixture.data();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "record " << i);
+    ASSERT_EQ(envelopes[i].data(), next);
+    next += envelopes[i].size();
+    EXPECT_EQ(wire::envelope_type(envelopes[i]), wire::record_type(records[i]));
+    const std::vector<std::uint8_t> encoded = wire::encode_one(records[i]);
+    EXPECT_TRUE(std::ranges::equal(envelopes[i], encoded));
+  }
+  EXPECT_EQ(next, fixture.data() + fixture.size());
+}
+
+TEST(WireParse, NextEnvelopeChecksHeadersButNotTheCrc) {
+  constexpr std::size_t kValid = 13;
+  std::vector<std::uint8_t> buffer = valid_prefix(kValid);
+  buffer.back() ^= 0x01;  // the last envelope's CRC no longer matches
+
+  std::size_t offset = 0;
+  wire::Envelope envelope;
+  wire::WireError error;
+  std::size_t walked = 0;
+  while (wire::next_envelope(buffer, offset, envelope, error) ==
+         wire::ParseResult::kOk) {
+    ++walked;
+  }
+  EXPECT_EQ(walked, kValid);
+  EXPECT_EQ(offset, buffer.size());
+  EXPECT_EQ(envelope.data() + envelope.size(), buffer.data() + buffer.size());
+  std::size_t loop_records = 0;
+  EXPECT_EQ(parse_record_loop(buffer, loop_records).code,
+            wire::WireErrorCode::kBadCrc);
+  EXPECT_EQ(loop_records, kValid - 1);
+
+  // A header fault stops it where parse_record stops, with the same error.
+  buffer[1] = wire::kWireVersion + 1;
+  offset = 0;
+  EXPECT_EQ(wire::next_envelope(buffer, offset, envelope, error),
+            wire::ParseResult::kError);
+  EXPECT_EQ(offset, 0u);
+  const wire::WireError expected = parse_record_loop(buffer, loop_records);
+  EXPECT_EQ(error.code, expected.code);
+  EXPECT_EQ(error.offset, expected.offset);
+  EXPECT_EQ(error.message, expected.message);
 }

@@ -24,6 +24,7 @@
 #include "coordination/fleet_scenario.hpp"
 #include "interaction/interaction_service.hpp"
 #include "protocol/journal.hpp"
+#include "protocol/wire.hpp"
 #include "recognition/perception_service.hpp"
 #include "signs/multi_drone_feed.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -253,9 +254,14 @@ TEST(TelemetryPipeline, EveryInstrumentedStageReportsFromALiveRun) {
     EXPECT_GT(counter->value, 0u) << name << " never incremented";
   }
 
-  // The journal's own bookkeeping agrees with its counter.
+  // The counter counts the records the journal's bytes hold: read back
+  // through the parser, not from the count the counter itself reports.
+  std::vector<protocol::wire::AnyRecord> journaled;
+  protocol::wire::WireError error;
+  ASSERT_TRUE(protocol::wire::parse_all(journal.bytes(), journaled, error))
+      << error.message;
   EXPECT_EQ(snapshot.find_counter(telemetry::kJournalRecords)->value,
-            journal.record_count());
+            journaled.size());
 
   // Queue-depth gauges return to zero once everything is drained/stopped.
   for (const telemetry::GaugeSnapshot& gauge : snapshot.gauges) {
