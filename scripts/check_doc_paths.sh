@@ -2,7 +2,9 @@
 # Docs rot when code moves: fail CI if README.md, docs/ARCHITECTURE.md,
 # docs/PERFORMANCE.md, docs/WIRE_FORMAT.md or docs/OBSERVABILITY.md
 # reference a repo path that no longer exists, or name a CI job (written
-# "the `<name>` CI job") that .github/workflows/ci.yml does not define.
+# "the `<name>` CI job") that .github/workflows/ci.yml does not define,
+# or if a metric name defined in src/telemetry/stage_names.hpp is missing
+# from docs/OBSERVABILITY.md (where `a_{b,c}_d` names a_b_d and a_c_d).
 #
 # A "path reference" is any token that starts with a known top-level source
 # directory (src/, tests/, bench/, perfbench/, examples/, scripts/, docs/,
@@ -55,7 +57,31 @@ for doc in "${docs[@]}"; do
            sed -E 's/^`([^`]*)`.*/\1/' | sort -u)
 done
 
+# Metric names: each `std::string_view kName = "name"` of stage_names.hpp
+# must be a word of OBSERVABILITY.md once its {a,b} groups are expanded
+# (the grep charset admits no shell metacharacters beyond the braces and
+# commas, so eval is safe here too).
+metric_names=src/telemetry/stage_names.hpp
+metric_doc=docs/OBSERVABILITY.md
+documented_metrics="$({
+  grep -oE '[a-z][a-z0-9_]*' "$metric_doc"
+  for group in $(grep -oE '[a-z0-9_]*\{[a-z0-9_,]+\}[a-z0-9_]*' "$metric_doc" | sort -u); do
+    eval "printf '%s\\n' $group"
+  done
+} | sort -u)"
+metric_count=0
+while IFS= read -r name; do
+  metric_count=$((metric_count + 1))
+  if ! grep -qxF "$name" <<<"$documented_metrics"; then
+    echo "UNDOCUMENTED METRIC: $name ($metric_names) is not named in $metric_doc" >&2
+    status=1
+  fi
+done < <(tr '\n' ' ' <"$metric_names" |
+         grep -oE 'string_view k[A-Za-z0-9]+[[:space:]]*=[[:space:]]*"[a-z0-9_]+"' |
+         sed -E 's/.*"([a-z0-9_]+)"/\1/' | sort -u)
+
 if [[ $status -eq 0 ]]; then
-  echo "doc path and CI job references OK (${docs[*]})"
+  echo "doc path and CI job references OK (${docs[*]});" \
+       "$metric_count metric names documented in $metric_doc"
 fi
 exit $status

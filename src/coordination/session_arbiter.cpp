@@ -87,7 +87,6 @@ void SessionArbiter::on_phase(std::uint32_t drone_id,
   // deferred-retry half of losing an arbitration.
   const bool entering = !contending(from);
   if (entering && sequence < self.retry_at) {
-    ++stats_.deferrals;
     self.abort_pending = true;
     out.push_back({drone_id, drone_id, self.descriptor.human_id, sequence,
                    self.retry_at, AbortReason::kDeferredRetry});
@@ -102,7 +101,6 @@ void SessionArbiter::on_phase(std::uint32_t drone_id,
     if (other.descriptor.human_id != self.descriptor.human_id) continue;
     if (!contending(other.phase) || other.abort_pending) continue;
 
-    ++stats_.contentions;
     DroneStanding& loser = outranks(self, other) ? other : self;
     DroneStanding& winner = outranks(self, other) ? self : other;
     defer(loser, sequence);
@@ -121,7 +119,6 @@ void SessionArbiter::on_dialogue_end(std::uint32_t drone_id, bool won,
   DroneStanding& self = standing(drone_id);
   self.phase = interaction::DialogueState::kIdle;
   self.abort_pending = false;
-  ++stats_.sessions_ended;
   if (won) {
     // A completed negotiation clears the loser history — the next
     // contention starts from the base backoff again, with no aging boost.

@@ -37,9 +37,10 @@
 // deterministic: CoordinationService owns it and calls it under its one
 // mutex, time is the fleet clock (max frame sequence observed), and all
 // decisions are returned to the caller to act on. The service wraps each
-// on_phase call in the coordination_arbitrate_ns telemetry span and
-// mirrors contentions/deferrals into the fleet counters, so arbitration
-// latency and decision mix are visible at runtime (docs/OBSERVABILITY.md).
+// on_phase call in the coordination_arbitrate_ns telemetry span and counts
+// the decisions it returns by reason (CoordinationStats::arbitrations,
+// ::deferrals), so arbitration latency and decision mix are visible at
+// runtime (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -49,12 +50,6 @@
 #include "coordination/fleet_types.hpp"
 
 namespace hdc::coordination {
-
-struct ArbiterStats {
-  std::uint64_t contentions{0};   ///< arbitrations between two live sessions
-  std::uint64_t deferrals{0};     ///< retries refused inside a backoff window
-  std::uint64_t sessions_ended{0};
-};
 
 class SessionArbiter {
  public:
@@ -81,7 +76,6 @@ class SessionArbiter {
   /// backoff.
   void on_dialogue_end(std::uint32_t drone_id, bool won, std::uint64_t sequence);
 
-  [[nodiscard]] const ArbiterStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const ArbitrationPolicy& policy() const noexcept { return policy_; }
   /// The drone's current dialogue phase as tracked here (kIdle if unknown).
   [[nodiscard]] interaction::DialogueState phase_of(std::uint32_t drone_id) const;
@@ -112,7 +106,6 @@ class SessionArbiter {
 
   ArbitrationPolicy policy_;
   std::unordered_map<std::uint32_t, DroneStanding> drones_;
-  ArbiterStats stats_;
 };
 
 }  // namespace hdc::coordination

@@ -24,9 +24,14 @@ void EventJournal::instrument(telemetry::MetricsRegistry& metrics) {
   });
 }
 
-std::vector<std::uint8_t> EventJournal::bytes() const {
+std::vector<std::uint8_t> EventJournal::bytes() const& {
   std::lock_guard<std::mutex> lock(mutex_);
   return buffer_;
+}
+
+std::vector<std::uint8_t> EventJournal::bytes() && {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return std::move(buffer_);
 }
 
 std::uint64_t EventJournal::record_count() const {

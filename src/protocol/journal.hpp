@@ -66,8 +66,10 @@ class EventJournal {
   /// (disarmed by default; `metrics` must outlive this journal).
   void instrument(telemetry::MetricsRegistry& metrics);
 
-  /// Snapshot of the journal bytes so far (copy under the mutex).
-  [[nodiscard]] std::vector<std::uint8_t> bytes() const;
+  /// Snapshot of the journal bytes so far (copy under the mutex); on an
+  /// expiring journal, the buffer itself (moved out, no copy).
+  [[nodiscard]] std::vector<std::uint8_t> bytes() const&;
+  [[nodiscard]] std::vector<std::uint8_t> bytes() &&;
   /// Records appended so far (JournalEnd's record_count input).
   [[nodiscard]] std::uint64_t record_count() const;
 

@@ -257,7 +257,7 @@ ReplayReport ReplayDriver::replay(std::span<const std::uint8_t> journal) const {
   }
   recorder.finalize(dialogue, std::move(stream_ids), coordinator);
 
-  report.journal_bytes = replay_journal.bytes();
+  report.journal_bytes = std::move(replay_journal).bytes();
 
   // Verified by envelope bytes, type by type: identical bytes are valid
   // because the recorded ones parsed, so the replay's journal is walked

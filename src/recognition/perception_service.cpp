@@ -49,15 +49,6 @@ PerceptionService::PerceptionService(const RecognizerConfig& config,
   if (database_ == nullptr) {
     throw std::invalid_argument("PerceptionService: null database handle");
   }
-  if (telemetry::MetricsRegistry* registry = service_config_.metrics) {
-    submit_ns_ = registry->histogram(telemetry::kPerceptionSubmit);
-    ring_wait_ns_ = registry->histogram(telemetry::kPerceptionRingWait);
-    recognize_ns_ = registry->histogram(telemetry::kPerceptionRecognize);
-    queue_depth_ = registry->gauge(telemetry::kPerceptionQueueDepth);
-    counters_ = registry->collect([this](telemetry::CounterSink& report) {
-      report(kPerceptionCounters, total_stats());
-    });
-  }
   recorder_ = service_config_.recorder;
   const std::size_t shard_count = resolve_shards(service_config.shards);
   shards_.reserve(shard_count);
@@ -72,8 +63,22 @@ PerceptionService::PerceptionService(const RecognizerConfig& config,
           telemetry::RecognitionStageMetrics::from(*service_config_.metrics);
     }
   }
-  // Threads start only after the shard vector is fully built: shard_of()
-  // reads shards_.size() and must never observe a growing vector.
+  // The collector and the threads start only after the shard vector is
+  // fully built: a snapshot walks shards_, shard_of() reads its size(), and
+  // neither may observe a growing vector.
+  if (telemetry::MetricsRegistry* registry = service_config_.metrics) {
+    submit_ns_ = registry->histogram(telemetry::kPerceptionSubmit);
+    ring_wait_ns_ = registry->histogram(telemetry::kPerceptionRingWait);
+    recognize_ns_ = registry->histogram(telemetry::kPerceptionRecognize);
+    collector_ = registry->collect([this](telemetry::CounterSink& report) {
+      report(kPerceptionCounters, total_stats());
+      std::int64_t depth = 0;
+      for (const std::unique_ptr<Shard>& shard : shards_) {
+        depth += static_cast<std::int64_t>(shard->ring.size());
+      }
+      report.gauge(telemetry::kPerceptionQueueDepth, depth);
+    });
+  }
   for (std::unique_ptr<Shard>& shard : shards_) {
     Shard* raw = shard.get();
     raw->worker = std::thread([this, raw] { shard_loop(*raw); });
@@ -142,7 +147,6 @@ SubmitReceipt PerceptionService::submit_job(std::uint32_t stream_id,
   }
   receipt.sequence = state.next_sequence++;
   state.submitted.fetch_add(1, std::memory_order_relaxed);
-  queue_depth_.add(1);
   return receipt;
 }
 
@@ -152,7 +156,6 @@ void PerceptionService::shard_loop(Shard& shard) {
   // steady state stays allocation-free.
   StreamResult delivery;
   while (shard.ring.pop(job)) {
-    queue_depth_.add(-1);
     const telemetry::TraceContext context =
         telemetry::TraceContext::of(job.stream_id, job.sequence);
     // Frames carry 0 when neither the histogram nor a recorder is wired.

@@ -95,9 +95,11 @@ struct PerceptionServiceConfig {
   util::OverflowPolicy overflow{util::OverflowPolicy::kBlock};
   /// Optional telemetry wiring (must outlive the service). When set, the
   /// service records submit/ring-wait/recognize spans, the per-stage
-  /// recognition histograms, a queue-depth gauge and the frame counter
-  /// (names in telemetry/stage_names.hpp). Null = zero instrumentation
-  /// cost beyond a predictable disarmed-handle branch per site.
+  /// recognition histograms, and reports the frame counter and one
+  /// queue-depth gauge (every shard ring's size(), summed) when a snapshot
+  /// is taken (names in telemetry/stage_names.hpp). Null = zero
+  /// instrumentation cost beyond a predictable disarmed-handle branch per
+  /// site.
   telemetry::MetricsRegistry* metrics{nullptr};
   /// Optional causal tracing (must outlive the service). When set, every
   /// frame's submit/queue-wait/recognize stages emit TraceEvents into the
@@ -256,7 +258,6 @@ class PerceptionService {
   telemetry::Histogram submit_ns_;
   telemetry::Histogram ring_wait_ns_;
   telemetry::Histogram recognize_ns_;
-  telemetry::Gauge queue_depth_;
   telemetry::FlightRecorder* recorder_{nullptr};
 
   /// Registry shape is read-mostly (one miss per new stream ever): the
@@ -273,7 +274,8 @@ class PerceptionService {
   bool stopped_{false};  ///< set by stop(); guarded by stop_mutex_
   std::mutex stop_mutex_;
 
-  telemetry::CollectorHandle counters_;  ///< reads total_stats(); last member
+  /// Reads total_stats() and the rings' size(); last member.
+  telemetry::CollectorHandle collector_;
 };
 
 }  // namespace hdc::recognition

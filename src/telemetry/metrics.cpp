@@ -43,16 +43,6 @@ const HistogramSnapshot* MetricsSnapshot::find_histogram(
   return nullptr;
 }
 
-Gauge MetricsRegistry::gauge(std::string_view name) {
-  const std::scoped_lock lock(mutex_);
-  for (detail::GaugeNode& node : gauges_) {
-    if (node.name == name) return Gauge(&node);
-  }
-  detail::GaugeNode& node = gauges_.emplace_back();
-  node.name.assign(name);
-  return Gauge(&node);
-}
-
 Histogram MetricsRegistry::histogram(std::string_view name) {
   const std::scoped_lock lock(mutex_);
   for (detail::HistogramNode& node : histograms_) {
@@ -70,14 +60,27 @@ CollectorHandle MetricsRegistry::collect(std::function<void(CounterSink&)> colle
   return CollectorHandle(this, id);
 }
 
-void CounterSink::operator()(std::string_view name, std::uint64_t value) {
-  for (CounterSnapshot& entry : *out_) {
+namespace {
+
+template <typename Entry, typename Value>
+void add_named(std::vector<Entry>& entries, std::string_view name, Value value) {
+  for (Entry& entry : entries) {
     if (entry.name == name) {
       entry.value += value;
       return;
     }
   }
-  out_->push_back({std::string(name), value});
+  entries.push_back({std::string(name), value});
+}
+
+}  // namespace
+
+void CounterSink::operator()(std::string_view name, std::uint64_t value) {
+  add_named(out_->counters, name, value);
+}
+
+void CounterSink::gauge(std::string_view name, std::int64_t value) {
+  add_named(out_->gauges, name, value);
 }
 
 CollectorHandle::~CollectorHandle() {
@@ -91,16 +94,8 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot out;
   {
     const std::scoped_lock lock(mutex_);
-    CounterSink sink(out.counters);
+    CounterSink sink(out);
     for (const auto& [id, collector] : collectors_) collector(sink);
-    out.gauges.reserve(gauges_.size());
-    for (const detail::GaugeNode& node : gauges_) {
-      std::int64_t sum = 0;
-      for (const detail::GaugeCell& cell : node.cells) {
-        sum += cell.value.load(std::memory_order_relaxed);
-      }
-      out.gauges.push_back({node.name, sum});
-    }
     out.histograms.reserve(histograms_.size());
     for (const detail::HistogramNode& node : histograms_) {
       HistogramSnapshot snap;

@@ -1,14 +1,16 @@
 // Process-wide metrics registry: counters, gauges and log-bucketed latency
 // histograms for the recognition -> dialogue -> coordination pipeline.
 //
-// Counters are READ, not pushed (the pull model of Prometheus collectors):
-// each is a plain count in its service's stats struct, reported by the
-// collector the service registers (`collect()`) when `snapshot()` runs it.
-// Gauges and histograms are pushed through handles, WAIT-FREE: one relaxed
-// fetch_add into a per-thread cache-line-aligned stripe (plus a relaxed CAS
-// loop for the histogram max); no locks, no allocation, no shared stores.
-// `snapshot()` sums the stripes: totals are exact, and a snapshot taken
-// mid-write is monotonic, never torn below the field level.
+// Counters and gauges are READ, not pushed (the pull model of Prometheus
+// collectors): a counter is a plain count in its service's stats struct and
+// a gauge is a level the service already keeps (a ring's size()), both
+// reported by the collector the service registers (`collect()`) when
+// `snapshot()` runs it. Histograms are the one pushed kind, through
+// handles, WAIT-FREE: one relaxed fetch_add into a per-thread
+// cache-line-aligned stripe (plus a relaxed CAS loop for the max); no
+// locks, no allocation, no shared stores. `snapshot()` sums the stripes:
+// totals are exact, and a snapshot taken mid-write is monotonic, never torn
+// below the field level.
 //
 // Handle creation and collector registration are the COLD path, under the
 // registry mutex; services do both at construction, and only when given a
@@ -52,15 +54,6 @@ inline constexpr std::size_t kStripes = 8;  // power of two
   return slot;
 }
 
-struct alignas(64) GaugeCell {
-  std::atomic<std::int64_t> value{0};
-};
-
-struct GaugeNode {
-  std::string name;
-  std::array<GaugeCell, kStripes> cells{};
-};
-
 struct alignas(64) HistogramStripe {
   std::array<std::atomic<std::uint64_t>, kBucketCount> buckets{};
   std::atomic<std::uint64_t> sum{0};
@@ -73,36 +66,6 @@ struct HistogramNode {
 };
 
 }  // namespace detail
-
-/// Signed up/down gauge (queue depths). The value is the exact sum of the
-/// striped deltas, so +1 at push / -1 at pop from different threads still
-/// aggregates exactly.
-class Gauge {
- public:
-  Gauge() = default;
-
-  void add(std::int64_t delta) noexcept {
-    if (node_ == nullptr) return;
-    node_->cells[detail::thread_stripe()].value.fetch_add(delta,
-                                                          std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool armed() const noexcept { return node_ != nullptr; }
-
-  [[nodiscard]] std::int64_t value() const noexcept {
-    if (node_ == nullptr) return 0;
-    std::int64_t sum = 0;
-    for (const auto& cell : node_->cells) {
-      sum += cell.value.load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(detail::GaugeNode* node) noexcept : node_(node) {}
-  detail::GaugeNode* node_{nullptr};
-};
 
 /// Fixed-size log-bucketed latency histogram (nanosecond domain). See
 /// telemetry/histogram_buckets.hpp for the bucket geometry and the <= 12.5%
@@ -180,8 +143,9 @@ struct CounterField {
   std::uint64_t Stats::*count;
 };
 
-/// Where a collector reports counts: one (name, value) pair, or a whole
-/// CounterField table. Counts reported under one name sum.
+/// Where a collector reports what it reads: counts, as one (name, value)
+/// pair or a whole CounterField table, and gauges, as a level read now.
+/// Values reported under one name sum.
 class CounterSink {
  public:
   void operator()(std::string_view name, std::uint64_t value);
@@ -189,11 +153,12 @@ class CounterSink {
   void operator()(const CounterField<Stats> (&table)[N], const Stats& stats) {
     for (const auto& [name, count] : table) (*this)(name, stats.*count);
   }
+  void gauge(std::string_view name, std::int64_t value);
 
  private:
   friend class MetricsRegistry;
-  explicit CounterSink(std::vector<CounterSnapshot>& out) noexcept : out_(&out) {}
-  std::vector<CounterSnapshot>* out_;
+  explicit CounterSink(MetricsSnapshot& out) noexcept : out_(&out) {}
+  MetricsSnapshot* out_;
 };
 
 /// Keeps one collector registered; move-only. The destructor deregisters,
@@ -219,24 +184,24 @@ class CollectorHandle {
   std::uint64_t id_{0};
 };
 
-/// Named-metric registry. Get-or-create by name is mutex-guarded (cold
-/// path); recording through the returned handles is wait-free. Nodes have
-/// stable addresses for the registry's lifetime (deque storage), so handles
-/// stay valid across later registrations.
+/// Named-metric registry. Histogram get-or-create by name is mutex-guarded
+/// (cold path); recording through the returned handles is wait-free. Nodes
+/// have stable addresses for the registry's lifetime (deque storage), so
+/// handles stay valid across later registrations.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  [[nodiscard]] Gauge gauge(std::string_view name);
   [[nodiscard]] Histogram histogram(std::string_view name);
 
   /// Registers `collector`, which every snapshot() runs under the registry
   /// mutex until the returned handle dies. It only reads.
   [[nodiscard]] CollectorHandle collect(std::function<void(CounterSink&)> collector);
 
-  /// Runs the collectors and sums the stripes. Entries are sorted by name.
+  /// Runs the collectors and sums the histogram stripes. Entries are
+  /// sorted by name.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Prometheus-style text exposition of a fresh snapshot: counters and
@@ -252,7 +217,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::vector<std::pair<std::uint64_t, std::function<void(CounterSink&)>>> collectors_;
   std::uint64_t next_collector_id_{0};
-  std::deque<detail::GaugeNode> gauges_;
   std::deque<detail::HistogramNode> histograms_;
 };
 

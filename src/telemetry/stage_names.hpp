@@ -3,11 +3,13 @@
 //
 //   <layer>_<stage>_ns        latency histogram (steady-clock nanoseconds)
 //   <layer>_<what>_total      monotonic counter, read from a stats count
-//   <layer>_<what>            gauge (queue depths)
+//   <layer>_<what>            gauge, read from a level (queue depths)
 //
 // Each counter is a plain count, named once by the table beside its stats
-// struct (kInteractionCounters, ...). The `interaction_` / `coordination_`
-// counters count only while an admitted input is processed: they are the
+// struct (kInteractionCounters, ...); the one gauge is the sum of the
+// perception shard rings' size(), read when a snapshot is taken. The
+// `interaction_` / `coordination_` counters count only while an admitted
+// input is processed: they are the
 // REPLAY-DETERMINISTIC set (protocol::replay_deterministic_counters()),
 // which a journal's MetricSnapshotRecord carries, with or without a
 // registry wired, and must reproduce bit-exactly on replay.

@@ -7,8 +7,8 @@
 // waits for space, so backpressure propagates to the feed. A producer that
 // finds the ring full sleeps until the consumer has drained it to at most
 // half full (capacity / 2), so a producer that outruns its consumer is
-// woken once per half-ring drain instead of once per pop. try_push()
-// refuses a full ring instead of waiting, and close() refuses everything.
+// woken once per half-ring drain instead of once per pop. close() refuses
+// every later push.
 //
 // The ring never reorders: items pop in push order, so per-stream
 // sequence numbers stay contiguous and monotonic downstream.
@@ -31,7 +31,6 @@ enum class OverflowPolicy : std::uint8_t { kBlock };
 /// Outcome of one push.
 enum class PushOutcome : std::uint8_t {
   kEnqueued,  ///< item admitted
-  kFull,      ///< try_push() on a full ring — item refused, nothing waited
   kClosed,    ///< ring closed — item refused
 };
 
@@ -54,17 +53,13 @@ class BoundedRing {
       not_full_.wait(lock, [this] { return closed_ || size_ <= half(); });
       --waiting_producers_;
     }
-    return push_locked(lock, std::move(item));
-  }
-
-  /// Non-blocking push: identical to push() except on a full ring, where
-  /// it returns kFull immediately instead of waiting. Lets a consumer of
-  /// ring A safely feed ring B when B's consumer also feeds A (no blocking
-  /// cycle); the caller owns the retry.
-  PushOutcome try_push(T item) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!closed_ && size_ == storage_.size()) return PushOutcome::kFull;
-    return push_locked(lock, std::move(item));
+    if (closed_) return PushOutcome::kClosed;
+    storage_[tail_] = std::move(item);
+    tail_ = next(tail_);
+    ++size_;
+    lock.unlock();
+    not_empty_.notify_one();
+    return PushOutcome::kEnqueued;
   }
 
   /// Pops the oldest item, blocking until one arrives or the ring is closed
@@ -122,18 +117,6 @@ class BoundedRing {
 
   [[nodiscard]] std::size_t next(std::size_t i) const noexcept {
     return i + 1 == storage_.size() ? 0 : i + 1;
-  }
-
-  /// Shared tail of push()/try_push(): caller holds `lock` and has already
-  /// waited for space (or found it without waiting).
-  PushOutcome push_locked(std::unique_lock<std::mutex>& lock, T item) {
-    if (closed_) return PushOutcome::kClosed;
-    storage_[tail_] = std::move(item);
-    tail_ = next(tail_);
-    ++size_;
-    lock.unlock();
-    not_empty_.notify_one();
-    return PushOutcome::kEnqueued;
   }
 
   std::vector<T> storage_;

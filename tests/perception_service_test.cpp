@@ -24,6 +24,7 @@
 #include "signs/multi_drone_feed.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/stage_names.hpp"
 
 namespace hdc::recognition {
 namespace {
@@ -84,6 +85,16 @@ class Collector {
   mutable std::mutex mutex_;
   std::map<std::uint32_t, PerStream> streams_;
 };
+
+/// The registry's perception_queue_depth gauge in a fresh snapshot, or -1
+/// when the snapshot has none.
+std::int64_t queue_depth_gauge(const telemetry::MetricsRegistry& metrics) {
+  const telemetry::MetricsSnapshot snapshot = metrics.snapshot();
+  for (const telemetry::GaugeSnapshot& gauge : snapshot.gauges) {
+    if (gauge.name == telemetry::kPerceptionQueueDepth) return gauge.value;
+  }
+  return -1;
+}
 
 /// Shared sequential reference + feed scripts (database construction
 /// renders frames, so build once for the whole suite).
@@ -513,7 +524,9 @@ TEST_F(PerceptionServiceSuite, BlockedSubmitterIsReleasedByStopWithStopped) {
 
 TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndPopCount) {
   // Park the single shard worker inside the callback so the ring depth is
-  // fully deterministic while we read the gauges.
+  // fully deterministic while we read the gauges. The registry's queue-depth
+  // gauge reads the same rings: at every checkpoint it is their depth sum.
+  telemetry::MetricsRegistry metrics;
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
   bool worker_parked = false;
@@ -529,12 +542,20 @@ TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndPopCount) {
           gate_cv.wait(lock, [&] { return release_worker; });
         }
       },
-      {/*shards=*/1, /*queue_capacity=*/4, util::OverflowPolicy::kBlock});
+      {/*shards=*/1, /*queue_capacity=*/4, util::OverflowPolicy::kBlock, &metrics});
+  const auto summed_depth = [&service] {
+    std::int64_t depth = 0;
+    for (const ShardGauge& shard : service.shard_gauges()) {
+      depth += static_cast<std::int64_t>(shard.depth);
+    }
+    return depth;
+  };
 
   ShardGauge gauge = service.shard_gauge(0);
   EXPECT_EQ(gauge.depth, 0u);
   EXPECT_EQ(gauge.capacity, 4u);
   EXPECT_EQ(gauge.popped, 0u);
+  EXPECT_EQ(queue_depth_gauge(metrics), 0);
 
   const imaging::GrayImage& frame = (*scripts_)[0].front();
   service.submit(0, frame);
@@ -548,11 +569,15 @@ TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndPopCount) {
   EXPECT_EQ(gauge.popped, 1u);
   EXPECT_EQ(service.shard_gauges().size(), 1u);
   EXPECT_EQ(service.shard_gauges()[0].depth, 3u);
+  EXPECT_EQ(summed_depth(), 3);
+  EXPECT_EQ(queue_depth_gauge(metrics), 3);
 
   service.submit(0, frame);  // fills the ring to capacity
   gauge = service.shard_gauge(0);
   EXPECT_EQ(gauge.depth, gauge.capacity);
   EXPECT_EQ(gauge.popped, 1u);
+  EXPECT_EQ(summed_depth(), 4);
+  EXPECT_EQ(queue_depth_gauge(metrics), 4);
 
   {
     std::lock_guard<std::mutex> lock(gate_mutex);
@@ -563,7 +588,52 @@ TEST_F(PerceptionServiceSuite, ShardGaugesReportLiveDepthAndPopCount) {
   gauge = service.shard_gauge(0);
   EXPECT_EQ(gauge.depth, 0u);
   EXPECT_EQ(gauge.popped, 5u);
+  EXPECT_EQ(summed_depth(), 0);
+  EXPECT_EQ(queue_depth_gauge(metrics), 0);
   EXPECT_THROW((void)service.shard_gauge(99), std::out_of_range);
+}
+
+TEST_F(PerceptionServiceSuite, QueueDepthGaugeStaysInRangeWhileProducersSubmit) {
+  // Two producers fill two shards' rings while a third thread snapshots
+  // the registry in a loop. The gauge is read from the rings themselves,
+  // so no reading can fall below zero or rise above what the rings hold.
+  constexpr std::size_t kShards = 2;
+  constexpr std::size_t kCapacity = 4;
+  telemetry::MetricsRegistry metrics;
+  PerceptionService service(sequential_->config(), sequential_->database_ptr(),
+                            [](const StreamResult&) {},
+                            {kShards, kCapacity, util::OverflowPolicy::kBlock, &metrics});
+
+  std::atomic<bool> producing{true};
+  std::vector<std::int64_t> readings;
+  std::thread reader([&] {
+    do {
+      readings.push_back(queue_depth_gauge(metrics));
+    } while (producing.load(std::memory_order_acquire));
+  });
+  std::vector<std::thread> producers;
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    producers.emplace_back([&, p] {
+      // Each producer owns two streams, one pinned to each shard.
+      for (std::size_t i = 0; i < kFramesPerStream; ++i) {
+        for (const std::uint32_t stream : {2 * p, 2 * p + 1}) {
+          (void)service.submit(stream, (*scripts_)[stream][i]);
+        }
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  producing.store(false, std::memory_order_release);
+  reader.join();
+
+  ASSERT_FALSE(readings.empty());
+  for (const std::int64_t depth : readings) {
+    EXPECT_GE(depth, 0);
+    EXPECT_LE(depth, static_cast<std::int64_t>(kShards * kCapacity));
+  }
+  service.drain();
+  EXPECT_EQ(queue_depth_gauge(metrics), 0);
+  EXPECT_EQ(service.total_stats().delivered, 4 * kFramesPerStream);
 }
 
 TEST_F(PerceptionServiceSuite, EmptyFrameThrowsAtSubmit) {

@@ -148,7 +148,6 @@ TEST(Registry, ConcurrentRecordingMatchesSerialGroundTruth) {
   std::atomic<std::uint64_t> recorded{0};
   const CollectorHandle collector = registry.collect(
       [&recorded](CounterSink& report) { report("ops_total", recorded.load()); });
-  Gauge gauge = registry.gauge("depth");
   Histogram histogram = registry.histogram("work_ns");
 
   // Serial ground truth over the same deterministic per-thread sequences.
@@ -173,13 +172,10 @@ TEST(Registry, ConcurrentRecordingMatchesSerialGroundTruth) {
         const std::uint64_t value = rng() % 1'000'000;
         histogram.record(value);
         recorded.fetch_add(1, std::memory_order_relaxed);
-        gauge.add(i % 2 == 0 ? 1 : -1);  // net 0 per pair, exact either way
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
-
-  EXPECT_EQ(gauge.value(), kThreads * (kPerThread % 2 == 0 ? 0 : 1));
 
   const MetricsSnapshot snapshot = registry.snapshot();
   const HistogramSnapshot* snap = snapshot.find_histogram("work_ns");
@@ -257,13 +253,9 @@ static_assert(!LookupCompiles<const MetricsSnapshot>);
 
 
 TEST(Registry, DisarmedHandlesAreNoOps) {
-  Gauge gauge;
   Histogram histogram;
-  EXPECT_FALSE(gauge.armed());
   EXPECT_FALSE(histogram.armed());
-  gauge.add(-3);
   histogram.record(42);
-  EXPECT_EQ(gauge.value(), 0);
   { TracedSpan span(histogram); }  // must not crash or record
   { CollectorHandle collector; }   // registered nowhere, deregisters nothing
 }
@@ -362,11 +354,11 @@ TEST(Span, RecordsElapsedTimeOncePerScope) {
 
 TEST(RenderText, PinnedExpositionFormat) {
   MetricsRegistry registry;
-  const CollectorHandle collector = registry.collect(
-      [](CounterSink& report) { report("alpha_total", 3); });
-  Gauge gauge = registry.gauge("queue_depth");
+  const CollectorHandle collector = registry.collect([](CounterSink& report) {
+    report("alpha_total", 3);
+    report.gauge("queue_depth", -2);
+  });
   Histogram histogram = registry.histogram("stage_ns");
-  gauge.add(-2);
   histogram.record(4);
   histogram.record(6);
   histogram.record(6);

@@ -1,7 +1,7 @@
 // BoundedRing: FIFO order, lossless fill-to-capacity behaviour (push()
-// blocks, try_push() refuses), the half-drain wake of a blocked producer,
-// the pop count, close() semantics, and cross-thread per-stream sequence
-// monotonicity under a multi-producer load.
+// blocks), the half-drain wake of a blocked producer, the pop count,
+// close() semantics, and cross-thread per-stream sequence monotonicity
+// under a multi-producer load.
 #include "util/ring_buffer.hpp"
 
 #include <gtest/gtest.h>
@@ -50,7 +50,7 @@ TEST(BoundedRing, WrapAroundKeepsFifoOrder) {
 TEST(BoundedRing, PoppedCountAdvancesOnBothPopPaths) {
   // popped_count() is the stalled-shard watchdog's liveness signal: it
   // must advance once per successful pop(), before and after close(), and
-  // never on the final closed-and-drained pop or a refused try_push().
+  // never on the final closed-and-drained pop.
   BoundedRing<int> ring(4);
   EXPECT_EQ(ring.popped_count(), 0u);
   for (int v = 0; v < 4; ++v) ring.push(v);
@@ -59,10 +59,8 @@ TEST(BoundedRing, PoppedCountAdvancesOnBothPopPaths) {
   EXPECT_EQ(ring.popped_count(), 1u);
   ASSERT_TRUE(ring.pop(out));
   EXPECT_EQ(ring.popped_count(), 2u);
-  // A try_push() refused by a full ring is not a pop.
   ring.push(4);
   ring.push(5);
-  EXPECT_EQ(ring.try_push(6), PushOutcome::kFull);
   const std::uint64_t before = ring.popped_count();
   EXPECT_EQ(before, 2u);
   // Drain a closed ring; every success counts once, the final failed pop
@@ -192,28 +190,6 @@ TEST(BoundedRing, CrossThreadPerStreamSequenceMonotonicity) {
     EXPECT_EQ(next_expected[s], kPerStream);
   }
   EXPECT_EQ(ring.size(), 0u);
-}
-
-TEST(BoundedRing, TryPushRefusesAFullRingWithoutBlocking) {
-  // A full ring: refused at once with kFull (this is what lets two workers
-  // feed each other's rings without a blocking cycle; the caller owns the
-  // retry), and the queued item is untouched.
-  {
-    BoundedRing<int> ring(1);
-    EXPECT_EQ(ring.try_push(1), PushOutcome::kEnqueued);
-    EXPECT_EQ(ring.try_push(2), PushOutcome::kFull);
-    EXPECT_EQ(ring.size(), 1u);
-    int out = 0;
-    ASSERT_TRUE(ring.pop(out));
-    EXPECT_EQ(out, 1);
-    EXPECT_EQ(ring.try_push(3), PushOutcome::kEnqueued);
-  }
-  // Closed: kClosed, like push().
-  {
-    BoundedRing<int> ring(2);
-    ring.close();
-    EXPECT_EQ(ring.try_push(1), PushOutcome::kClosed);
-  }
 }
 
 }  // namespace
